@@ -2,6 +2,8 @@
 trivial-intersection experiments, and staged construction of irreducible
 perturbed free-product representations."""
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .algebra import (
@@ -70,4 +72,10 @@ from .numeric import (
     realize_class,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Importing the names above also binds the submodules; they stay reachable as
+# attributes but are not part of the star-import surface.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

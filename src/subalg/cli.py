@@ -32,7 +32,7 @@ from .freeprod import (
     rcp_check,
     staged_build,
 )
-from .numeric import density_experiment
+from .numeric import default_tolerance, density_experiment
 from .serialize import (
     canonical_json,
     load_probe_file,
@@ -98,6 +98,27 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
+    """Diagnostics for a config matrix that must be an n x n unitary.
+
+    The unitarity defect ||M*M - I||_F may be at most 10 * N^2 * eps, the upper
+    end of the window in which every rank decision is checked for stability;
+    unitaries computed in double precision sit about ten times below it.
+    """
+    try:
+        mat = matrix_from_json(obj, pointer)
+    except ConfigError as exc:
+        return list(exc.diagnostics)
+    except (TypeError, ValueError):
+        return [(pointer, "expected {shape, data} with [re, im] entries")]
+    if mat.shape != (n, n):
+        return [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
+    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n)))
+    if not defect <= 10.0 * default_tolerance(n, 1.0):
+        return [(pointer, f"not unitary (defect {defect:.3e})")]
+    return []
+
+
 def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Every invariant violation as a (json-pointer, message) diagnostic."""
     diags: list[tuple[str, str]] = list(config.diagnostics)
@@ -156,6 +177,8 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     if cmd in _NEEDS_AMBIENT:
         if not _is_int(config.ambient) or config.ambient is None or config.ambient < 1:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
+        elif cmd == "density" and config.center is not None:
+            diags.extend(_unitary_diagnostics(config.center, "/center", config.ambient))
 
     if cmd in ("rcp-balance", "dpi") and len(config.algebras) >= 2 and not diags:
         dims = [

@@ -493,7 +493,7 @@ def _search_stage_unitary(
         return np.eye(dim, dtype=complex), 0, 1
     radius = budget / 2.0
     for attempt in range(max_tries):
-        rng = sample_stream_stage(seed, stage, attempt)
+        rng = sample_stream(seed, stage, attempt)
         w = expm(radius * random_skew_direction(dim, rng))
         d = jc_dim(w)
         best = min(best, d)
@@ -502,13 +502,6 @@ def _search_stage_unitary(
         if (attempt + 1) % 32 == 0:
             radius /= 2.0
     return None, max_tries, best
-
-
-def sample_stream_stage(master_seed: int, stage: int, attempt: int) -> np.random.Generator:
-    """RNG stream for one search attempt, derived from (seed, stage, attempt)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(stage, attempt))
-    )
 
 
 def _probe_consistency(alg1, segs1, alg2, segs2, new_u, prev_u, probe, dim, bound):

@@ -39,13 +39,14 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sample_stream(master_seed: int, index: int) -> np.random.Generator:
-    """Per-sample RNG stream derived from a master seed by sample index.
+def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
+    """RNG stream derived from a master seed and an integer key path.
 
-    Streams depend only on (master_seed, index), so results are identical no
-    matter how samples are scheduled.
+    Per-sample streams use the key (index,), staged-search attempts the key
+    (stage, attempt).  Streams depend only on (master_seed, key), so results
+    are identical no matter how the work is scheduled.
     """
-    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
 def _stable_rank(svals: np.ndarray, tol: float, what: str) -> int:
@@ -67,6 +68,20 @@ def _stable_rank(svals: np.ndarray, tol: float, what: str) -> int:
             f"rank decision for {what} is unstable at tolerance {tol:.3e}", defect
         )
     return int(np.count_nonzero(svals > max(tol, floor)))
+
+
+def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and the full square right factor ``vh`` of m, with no left factor.
+
+    A tall m (more rows than columns) is first reduced to the square R of its
+    QR factorization: m = QR with Q having orthonormal columns, so R has the
+    same singular values and right singular vectors as m, and the SVD never
+    forms the rows x rows left factor of m.
+    """
+    if m.shape[0] > m.shape[1]:
+        m = np.linalg.qr(m, mode="r")
+    _, s, vh = np.linalg.svd(m)
+    return s, vh
 
 
 @dataclass
@@ -223,8 +238,9 @@ def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> Concret
     """Orthonormal basis of the joint commutant {X : X A_g = A_g X for all g}.
 
     With row-major vectorization the condition reads
-    (A kron I - I kron A^T) vec(X) = 0; the systems are stacked and the
-    nullspace is read off an SVD at a stable rank cutoff.
+    (A kron I - I kron A^T) vec(X) = 0; the systems are stacked, the stack
+    of two or more is QR-reduced to its square N^2 x N^2 triangle, and the
+    nullspace is read off the SVD of that square at a stable rank cutoff.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -232,7 +248,7 @@ def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> Concret
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
     system = np.concatenate(rows)
-    u, s, vh = np.linalg.svd(system)
+    s, vh = _svd_right(system)
     cutoff = default_tolerance(n, float(s[0]) if s.size else 1.0) if tol is None else tol
     rank = _stable_rank(s, cutoff, "commutant system")
     null = vh[rank:].conj()
@@ -249,7 +265,9 @@ def intersect(
     """Intersection of two realized subalgebras of the same M_N.
 
     The dimension comes from dim V + dim W - dim(V + W); the basis itself from
-    the nullspace of the paired system [U, -W].  The output is re-verified to
+    the nullspace of the paired system [U, -W], which is QR-reduced to a
+    square triangle before its SVD whenever it has more rows than columns
+    (N^2 > dim U + dim W).  The output is re-verified to
     be closed under products and adjoints, which guards against rank
     misdecisions; a failed verification raises NumericalInstabilityError with
     the measured defect.
@@ -270,7 +288,7 @@ def intersect(
         )
 
     paired = np.concatenate([va, -vb], axis=1)
-    u, s, vh = np.linalg.svd(paired)
+    s, vh = _svd_right(paired)
     nullity = paired.shape[1] - _stable_rank(s, cutoff, "paired system")
     if nullity != dim_int:
         raise NumericalInstabilityError(

@@ -62,13 +62,16 @@ def free_element_from_json(obj, pointer: str = "") -> FreeElement:
     terms = []
     for i, term in enumerate(obj.get("terms", [])):
         coeff = term.get("coeff", [1.0, 0.0])
-        word = [
-            Letter(
-                int(letter["side"]),
-                matrix_from_json(letter["value"], f"{pointer}/terms/{i}/word/{j}/value"),
-            )
-            for j, letter in enumerate(term.get("word", []))
-        ]
+        word = []
+        for j, letter in enumerate(term.get("word", [])):
+            at = f"{pointer}/terms/{i}/word/{j}"
+            side = letter.get("side")
+            if isinstance(side, bool) or side not in (1, 2):
+                raise ConfigError(
+                    "probe letter needs a side of 1 or 2",
+                    [(at + "/side", f"expected 1 or 2, got {side!r}")],
+                )
+            word.append(Letter(int(side), matrix_from_json(letter["value"], at + "/value")))
         terms.append((complex(coeff[0], coeff[1]), tuple(word)))
     return FreeElement(tuple(terms))
 

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import subalg
 from subalg.cli import main
@@ -13,6 +14,7 @@ from subalg.serialize import (
     matrix_to_json,
 )
 from subalg.freeprod import FreeElement, Letter
+from subalg.numeric import haar_unitary
 
 
 def write_config(path, payload):
@@ -82,6 +84,54 @@ class TestValidation:
         assert code == 1
         err = capsys.readouterr().err
         assert f"{cfg}:2:" in err
+
+    @pytest.mark.parametrize(
+        "center, message",
+        [
+            (matrix_to_json(np.eye(2)), "/center: expected 4x4"),
+            ({"shape": [4, 4], "data": 3}, "/center: expected {shape, data}"),
+        ],
+    )
+    def test_density_center_malformed_exits_1(self, tmp_path, capsys, center, message):
+        payload = dict(M2_PAIR, samples=5, radius=1e-3, center=center)
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        assert code == 1
+        assert report is None
+        assert message in capsys.readouterr().err
+
+    def test_density_center_not_unitary_exits_1(self, tmp_path, capsys):
+        payload = dict(M2_PAIR, samples=5, radius=1e-3, center=matrix_to_json(2 * np.eye(4)))
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        assert code == 1
+        assert report is None
+        assert "/center: not unitary (defect" in capsys.readouterr().err
+
+    def test_density_unitary_center_accepted(self, tmp_path):
+        center = haar_unitary(4, 3)
+        payload = dict(M2_PAIR, samples=5, radius=1e-3, center=matrix_to_json(center))
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        assert code == 0
+        assert np.array_equal(matrix_from_json(report["result"]["center"]), center)
+
+    @pytest.mark.parametrize("side", [None, 3])
+    def test_probe_letter_without_valid_side_exits_1(self, tmp_path, capsys, side):
+        letter = {"value": matrix_to_json(np.eye(2))}
+        if side is not None:
+            letter["side"] = side
+        probe = {"elements": [{"terms": [{"coeff": [1.0, 0.0], "word": [letter]}]}]}
+        probe_path = tmp_path / "probe.json"
+        probe_path.write_text(json.dumps(probe))
+        payload = {
+            "algebras": [{"blocks": [2]}, {"blocks": [2]}],
+            "stages": [[[1], [1]]],
+            "epsilon": 0.5,
+            "seed": 11,
+            "probe": str(probe_path),
+        }
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert code == 1
+        assert report is None
+        assert "/elements/0/terms/0/word/0/side: expected 1 or 2" in capsys.readouterr().err
 
     def test_command_mismatch_flagged(self, tmp_path, capsys):
         payload = dict(M2_PAIR, command="density", samples=5)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subalg.algebra import (
     BlockStructure,
@@ -12,8 +14,11 @@ from subalg.algebra import (
 )
 from subalg.errors import NumericalInstabilityError
 from subalg.numeric import (
+    _stable_rank,
+    _svd_right,
     commutant_basis,
     conjugate,
+    default_tolerance,
     density_experiment,
     haar_unitary,
     intersect,
@@ -112,6 +117,37 @@ class TestCommutant:
         assert comm.contains_identity()
 
 
+class TestSvdRight:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 14),
+        cols=st.integers(1, 14),
+        rank_frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_svd_and_spans_nullspace(self, rows, cols, rank_frac, seed):
+        # m = U diag(s) V* with a known rank and singular values in [0.1, 10]
+        rng = np.random.default_rng(seed)
+        rank = round(rank_frac * min(rows, cols))
+        svals = np.sort(rng.uniform(0.1, 10.0, rank))[::-1]
+        u = haar_unitary(rows, rng)[:, :rank]
+        v = haar_unitary(cols, rng)[:, :rank]
+        m = (u * svals) @ v.conj().T
+
+        s, vh = _svd_right(m)
+        ref = np.linalg.svd(m, compute_uv=False)
+        assert vh.shape == (cols, cols)
+        scale = max(float(ref[0]), 1.0)
+        assert np.max(np.abs(s - ref)) <= 1e-12 * scale
+
+        cutoff = default_tolerance(max(rows, cols), float(s[0]))
+        assert _stable_rank(s, cutoff, "test matrix") == rank
+        null = vh[rank:].conj()
+        assert np.allclose(null @ null.conj().T, np.eye(cols - rank), atol=1e-12)
+        if cols > rank:
+            assert np.linalg.norm(m @ null.T, 2) <= cutoff
+
+
 class TestIntersect:
     def test_self_intersection(self):
         r = realize(M2M2)
@@ -156,6 +192,13 @@ class TestIntersect:
             out = intersect(r1, conjugate(r1, haar_unitary(4, seed)))
             assert out.dimension >= 1
             assert out.contains_identity()
+
+    def test_wide_paired_system(self):
+        # [M4, M2+M2] in M4 pairs 16 + 8 columns against 16 rows: no QR reduction
+        m4 = realize(EmbeddedAlgebra(4, BlockStructure((4,)), (1,)))
+        out = intersect(m4, realize(M2M2))
+        assert out.dimension == 8
+        assert out.contains_identity()
 
     def test_instability_error_on_absurd_tolerance(self):
         r = realize(M2M2)
