@@ -119,6 +119,48 @@ def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
     return []
 
 
+def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str, str]]:
+    """Diagnostics for build-primitive stages: pairs of nonnegative integer rows.
+
+    ``blocks`` maps the index of each algebra with a valid block list to that
+    list.  Row i of a stage must have one entry per block of algebra i, and
+    the two rows of a stage must fill the same dimension.
+    """
+    diags = []
+    for k, stage in enumerate(stages):
+        if (
+            not isinstance(stage, list)
+            or len(stage) != 2
+            or any(not isinstance(row, list) for row in stage)
+        ):
+            diags.append((f"/stages/{k}", "each stage is a pair of multiplicity rows"))
+            continue
+        dims = []
+        for i, row in enumerate(stage):
+            bad = [j for j, m in enumerate(row) if not _is_int(m) or m < 0]
+            for j in bad:
+                diags.append(
+                    (f"/stages/{k}/{i}/{j}", f"expected a nonnegative integer, got {row[j]!r}")
+                )
+            if i not in blocks:
+                continue
+            if len(row) != len(blocks[i]):
+                diags.append(
+                    (
+                        f"/stages/{k}/{i}",
+                        f"expected {len(blocks[i])} entries, one per block of "
+                        f"/algebras/{i}, got {len(row)}",
+                    )
+                )
+            elif not bad:
+                dims.append(sum(m * n for m, n in zip(row, blocks[i])))
+        if len(dims) == 2 and dims[0] != dims[1]:
+            diags.append(
+                (f"/stages/{k}", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
+            )
+    return diags
+
+
 def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Every invariant violation as a (json-pointer, message) diagnostic."""
     diags: list[tuple[str, str]] = list(config.diagnostics)
@@ -137,6 +179,7 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         diags.append(("/algebras", f"command {cmd!r} needs {want} algebra spec(s)"))
 
     needs_mult = cmd != "build-primitive"
+    valid_blocks: dict[int, list] = {}
     for i, spec in enumerate(config.algebras):
         if not isinstance(spec, dict):
             diags.append((f"/algebras/{i}", "algebra spec must be an object"))
@@ -147,6 +190,7 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         ):
             diags.append((f"/algebras/{i}/blocks", "blocks must be a list of positive integers"))
             continue
+        valid_blocks[i] = blocks
         mult = spec.get("mult")
         if mult is None:
             if needs_mult:
@@ -189,6 +233,8 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
             diags.append(
                 ("/algebras/1/mult", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
             )
+        elif cmd == "dpi" and config.u is not None:
+            diags.extend(_unitary_diagnostics(config.u, "/u", dims[0]))
 
     if cmd in _NEEDS_SAMPLES:
         if not _is_int(config.samples) or config.samples is None or config.samples < 1:
@@ -207,13 +253,7 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         if not isinstance(config.stages, list) or not config.stages:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
-            for j, stage in enumerate(config.stages):
-                if (
-                    not isinstance(stage, list)
-                    or len(stage) != 2
-                    or any(not isinstance(row, list) for row in stage)
-                ):
-                    diags.append((f"/stages/{j}", "each stage is a pair of multiplicity rows"))
+            diags.extend(_stage_diagnostics(config.stages, valid_blocks))
         if not _is_int(config.max_tries) or config.max_tries < 1:
             diags.append(("/max_tries", "max_tries must be a positive integer"))
 

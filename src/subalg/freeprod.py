@@ -23,6 +23,7 @@ from .algebra import BlockStructure
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from .numeric import (
     DensityStats,
+    amplify,
     tally_dims,
     commutant_basis,
     haar_unitary,
@@ -103,34 +104,11 @@ class RepPair:
     def factor(self, side: int, a: np.ndarray) -> np.ndarray:
         """Image of a block-model element under the (unperturbed) factor representation."""
         alg, mult = (self.algebra1, self.mult1) if side == 1 else (self.algebra2, self.mult2)
-        return _amplify(alg, [mult], a, self.dim)
+        return amplify(a, alg.blocks, [mult])
 
 
 def _rep_dim(alg: BlockStructure, mult) -> int:
     return sum(m * n for m, n in zip(mult, alg.blocks))
-
-
-def _amplify(alg: BlockStructure, segments, a: np.ndarray, dim: int) -> np.ndarray:
-    """Direct sum, over multiplicity-row segments, of the amplified block model element.
-
-    Segments with zero total dimension are skipped; rows may contain zero
-    entries (the representation need not be faithful).
-    """
-    s = alg.model_dim()
-    if a.shape != (s, s):
-        raise ShapeMismatchError(f"expected a {s}x{s} element of {alg}, got {a.shape}")
-    pieces = []
-    offsets = np.concatenate([[0], np.cumsum(alg.blocks)])
-    for row in segments:
-        for j, m in enumerate(row):
-            if m == 0:
-                continue
-            block = a[offsets[j] : offsets[j + 1], offsets[j] : offsets[j + 1]]
-            pieces.append(np.kron(block, np.eye(m)))
-    out = block_diag(*pieces) if pieces else np.zeros((0, 0))
-    if out.shape != (dim, dim):
-        raise ShapeMismatchError(f"amplified element fills {out.shape}, expected {dim}")
-    return np.asarray(out, dtype=complex)
 
 
 def evaluate(rep: RepPair, x: FreeElement) -> np.ndarray:
@@ -147,9 +125,9 @@ def _evaluate_segments(alg1, segs1, alg2, segs2, u, x: FreeElement, dim: int) ->
         m = np.eye(dim, dtype=complex)
         for letter in word:
             if letter.side == 1:
-                m = m @ _amplify(alg1, segs1, letter.value, dim)
+                m = m @ amplify(letter.value, alg1.blocks, segs1)
             else:
-                m = m @ (u @ _amplify(alg2, segs2, letter.value, dim) @ uh)
+                m = m @ (u @ amplify(letter.value, alg2.blocks, segs2) @ uh)
         acc += coeff * m
     return acc
 
@@ -276,20 +254,16 @@ def rcp_balance(
     return RcpBalance(s, qhat1, qhat2, copies[0], copies[1], final1, final2, final_dim)
 
 
-def _segment_generators(alg, segments, u, conj: bool, dim: int) -> list[np.ndarray]:
-    gens = []
-    uh = u.conj().T if conj else None
-    for unit in model_matrix_units(alg):
-        g = _amplify(alg, segments, unit, dim)
-        gens.append(u @ g @ uh if conj else g)
-    return gens
+def _segment_generators(alg: BlockStructure, segments) -> np.ndarray:
+    """Stack of the matrix units of alg, amplified over the multiplicity-row segments."""
+    return amplify(model_matrix_units(alg), alg.blocks, segments)
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
-    gens = _segment_generators(rep.algebra1, [rep.mult1], rep.u, False, rep.dim)
-    gens += _segment_generators(rep.algebra2, [rep.mult2], rep.u, True, rep.dim)
-    return commutant_basis(gens, tol=tol).dimension
+    gens1 = _segment_generators(rep.algebra1, [rep.mult1])
+    gens2 = rep.u @ _segment_generators(rep.algebra2, [rep.mult2]) @ rep.u.conj().T
+    return commutant_basis([*gens1, *gens2], tol=tol).dimension
 
 
 def irreducibility_check(rep: RepPair, tol: float | None = None) -> bool:
@@ -480,13 +454,12 @@ def _search_stage_unitary(
     (unitary or None, tries used, best commutant dimension seen).
     """
 
-    gens1 = [_amplify(alg1, segs1, unit, dim) for unit in model_matrix_units(alg1)]
-    raw2 = [_amplify(alg2, segs2, unit, dim) for unit in model_matrix_units(alg2)]
+    gens1 = list(_segment_generators(alg1, segs1))
+    raw2 = _segment_generators(alg2, segs2)
 
     def jc_dim(w):
         total = w @ prev_u
-        th = total.conj().T
-        return commutant_basis(gens1 + [total @ g @ th for g in raw2], tol=tol).dimension
+        return commutant_basis([*gens1, *(total @ raw2 @ total.conj().T)], tol=tol).dimension
 
     best = jc_dim(np.eye(dim))
     if best == 1:

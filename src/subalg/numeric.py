@@ -118,7 +118,7 @@ class ConcreteRealization:
     def closure_defect(self) -> float:
         """Largest residual of adjoints and pairwise products outside the span."""
         adj = np.transpose(self.basis.conj(), (0, 2, 1))
-        prods = np.einsum("aij,bjk->abik", self.basis, self.basis)
+        prods = self.basis[:, None] @ self.basis[None]
         prods = prods.reshape(-1, self.ambient_dim, self.ambient_dim)
         res = self.project_residual(np.concatenate([adj, prods]))
         return float(res.max())
@@ -128,60 +128,79 @@ class ConcreteRealization:
         return float(self.project_residual(eye)[0]) <= tol
 
 
-def model_matrix_units(structure: BlockStructure) -> list[np.ndarray]:
-    """Matrix units of every block, as matrices in the block-diagonal model."""
+def model_matrix_units(structure: BlockStructure) -> np.ndarray:
+    """Matrix units of every block, as a stack of matrices in the block-diagonal model."""
     size = structure.model_dim()
-    units = []
-    offset = 0
+    units = np.zeros((structure.algebra_dim(), size, size), dtype=complex)
+    k = offset = 0
     for b in structure.blocks:
         for p in range(b):
             for q in range(b):
-                e = np.zeros((size, size), dtype=complex)
-                e[offset + p, offset + q] = 1.0
-                units.append(e)
+                units[k, offset + p, offset + q] = 1.0
+                k += 1
         offset += b
     return units
 
 
-def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
-    """Map an element of the source block model through a unital embedding.
+def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
+    """Block-diagonal amplification of a stack of block-model elements.
 
-    Within target block i the source blocks are laid out in order, block j
-    amplified as a_j tensor I_{mu[i, j]} (zero multiplicities are skipped).
+    ``a`` has shape (..., s, s), s the sum of ``blocks``.  Every nonzero
+    entry m = row[j] of every multiplicity row, rows in order, appends the
+    block a_j tensor I_m to the diagonal of the output (zero entries are
+    skipped).  The blocks are written by strided slice assignment, so every
+    entry is a copy of an entry of ``a`` or zero.
     """
-    s = emb.source.model_dim()
-    if a.shape != (s, s):
-        raise ShapeMismatchError(f"expected a {s}x{s} model element, got {a.shape}")
-    if not emb.unital():
-        raise ShapeMismatchError("embedding must be unital to fill the target exactly")
-    src_off = np.concatenate([[0], np.cumsum(emb.source.blocks)])
-    out = np.zeros((emb.target.model_dim(), emb.target.model_dim()), dtype=complex)
-    t_off = 0
-    for i, row in enumerate(emb.entries):
-        pos = t_off
+    blocks = tuple(blocks)
+    s = sum(blocks)
+    a = np.asarray(a)
+    if a.shape[-2:] != (s, s):
+        raise ShapeMismatchError(f"expected {s}x{s} model elements, got {a.shape}")
+    offsets = np.concatenate([[0], np.cumsum(blocks)])
+    dim = sum(m * n for row in rows for m, n in zip(row, blocks))
+    out = np.zeros(a.shape[:-2] + (dim, dim), dtype=complex)
+    pos = 0
+    for row in rows:
         for j, m in enumerate(row):
             if m == 0:
                 continue
-            block = a[src_off[j] : src_off[j + 1], src_off[j] : src_off[j + 1]]
-            amplified = np.kron(block, np.eye(m))
-            k = amplified.shape[0]
-            out[pos : pos + k, pos : pos + k] = amplified
-            pos += k
-        t_off += emb.target.blocks[i]
+            block = a[..., offsets[j] : offsets[j + 1], offsets[j] : offsets[j + 1]]
+            end = pos + m * blocks[j]
+            for c in range(m):
+                out[..., pos + c : end : m, pos + c : end : m] = block
+            pos = end
     return out
+
+
+def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
+    """Map a stack of source block-model elements through a unital embedding.
+
+    Within target block i the source blocks are laid out in order, block j
+    amplified as a_j tensor I_{mu[i, j]}; unitality makes the target blocks
+    fill the target model exactly, one after the other.
+    """
+    if not emb.unital():
+        raise ShapeMismatchError("embedding must be unital to fill the target exactly")
+    return amplify(a, emb.source.blocks, emb.entries)
+
+
+def _realization(n: int, gens: np.ndarray) -> ConcreteRealization:
+    """Realization generated by a stack of amplified matrix units.
+
+    The basis is the same stack normalized to unit trace norm (distinct units
+    have disjoint support, so they are orthogonal already).
+    """
+    norms = np.linalg.norm(gens, axis=(1, 2))
+    return ConcreteRealization(n, gens / norms[:, None, None], list(gens))
 
 
 def realize(emb: EmbeddedAlgebra) -> ConcreteRealization:
     """Block-diagonal realization of an embedded algebra inside M_N.
 
-    Generators are the amplified matrix units of each block; the basis is the
-    same family normalized to unit trace norm (distinct units have disjoint
-    support, so they are orthogonal already).
+    Generators are the amplified matrix units of each block.
     """
-    row = emb.ambient_row()
-    gens = [embed_model(row, u) for u in model_matrix_units(emb.structure)]
-    basis = np.stack([g / np.linalg.norm(g) for g in gens])
-    return ConcreteRealization(emb.ambient_dim, basis, gens)
+    units = model_matrix_units(emb.structure)
+    return _realization(emb.ambient_dim, embed_model(emb.ambient_row(), units))
 
 
 def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteRealization:
@@ -192,18 +211,17 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
     """
     if emb.target.blocks != parent.structure.blocks:
         raise ShapeMismatchError("embedding target does not match the parent structure")
-    row = parent.ambient_row()
-    gens = [embed_model(row, embed_model(emb, u)) for u in model_matrix_units(emb.source)]
-    basis = np.stack([g / np.linalg.norm(g) for g in gens])
-    return ConcreteRealization(parent.ambient_dim, basis, gens)
+    units = model_matrix_units(emb.source)
+    gens = embed_model(parent.ambient_row(), embed_model(emb, units))
+    return _realization(parent.ambient_dim, gens)
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
     """Conjugated copy u A u* of a realization; orthonormality is preserved."""
     uh = u.conj().T
-    basis = np.einsum("ij,ajk,kl->ail", u, real.basis, uh)
-    gens = [u @ g @ uh for g in real.generators]
-    return ConcreteRealization(real.ambient_dim, basis, gens)
+    basis = u @ real.basis @ uh
+    gens = u @ np.stack(real.generators) @ uh
+    return ConcreteRealization(real.ambient_dim, basis, list(gens))
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:

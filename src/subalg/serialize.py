@@ -58,20 +58,39 @@ def free_element_to_json(x: FreeElement) -> dict:
     }
 
 
+def _expect(obj, kind: type, pointer: str):
+    """obj itself when it is a dict (kind=dict) or list (kind=list), else a ConfigError."""
+    if not isinstance(obj, kind):
+        what = "an object" if kind is dict else "a list"
+        raise ConfigError("malformed probe file", [(pointer, f"expected {what}")])
+    return obj
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def free_element_from_json(obj, pointer: str = "") -> FreeElement:
+    raw_terms = _expect(obj, dict, pointer).get("terms", [])
     terms = []
-    for i, term in enumerate(obj.get("terms", [])):
-        coeff = term.get("coeff", [1.0, 0.0])
+    for i, term in enumerate(_expect(raw_terms, list, f"{pointer}/terms")):
+        at_term = f"{pointer}/terms/{i}"
+        coeff = _expect(term, dict, at_term).get("coeff", [1.0, 0.0])
+        if not (isinstance(coeff, list) and len(coeff) == 2 and all(map(_is_real, coeff))):
+            raise ConfigError(
+                "probe coefficient must be a [re, im] pair",
+                [(at_term + "/coeff", f"expected [re, im], got {coeff!r}")],
+            )
         word = []
-        for j, letter in enumerate(term.get("word", [])):
-            at = f"{pointer}/terms/{i}/word/{j}"
-            side = letter.get("side")
+        for j, letter in enumerate(_expect(term.get("word", []), list, at_term + "/word")):
+            at = f"{at_term}/word/{j}"
+            side = _expect(letter, dict, at).get("side")
             if isinstance(side, bool) or side not in (1, 2):
                 raise ConfigError(
                     "probe letter needs a side of 1 or 2",
                     [(at + "/side", f"expected 1 or 2, got {side!r}")],
                 )
-            word.append(Letter(int(side), matrix_from_json(letter["value"], at + "/value")))
+            word.append(Letter(int(side), matrix_from_json(letter.get("value"), at + "/value")))
         terms.append((complex(coeff[0], coeff[1]), tuple(word)))
     return FreeElement(tuple(terms))
 
@@ -79,9 +98,10 @@ def free_element_from_json(obj, pointer: str = "") -> FreeElement:
 def load_probe_file(path: str) -> list[FreeElement]:
     with open(path) as fh:
         obj = json.load(fh)
-    elements = obj["elements"] if isinstance(obj, dict) else obj
+    elements = obj.get("elements") if isinstance(obj, dict) else obj
     return [
-        free_element_from_json(el, f"/elements/{i}") for i, el in enumerate(elements)
+        free_element_from_json(el, f"/elements/{i}")
+        for i, el in enumerate(_expect(elements, list, "/elements"))
     ]
 
 

@@ -36,6 +36,13 @@ M2_PAIR = {
     "seed": 7,
 }
 
+BUILD_M2 = {
+    "algebras": [{"blocks": [2]}, {"blocks": [2]}],
+    "stages": [[[1], [1]]],
+    "epsilon": 0.5,
+    "seed": 11,
+}
+
 
 class TestMatrixSerialization:
     def test_roundtrip(self):
@@ -132,6 +139,74 @@ class TestValidation:
         assert code == 1
         assert report is None
         assert "/elements/0/terms/0/word/0/side: expected 1 or 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "probe, message",
+        [
+            ({"elements": [{"terms": ["oops"]}]}, "/elements/0/terms/0: expected an object"),
+            (
+                {"elements": [{"terms": [{"word": ["x"]}]}]},
+                "/elements/0/terms/0/word/0: expected an object",
+            ),
+            ({"elements": [3]}, "/elements/0: expected an object"),
+            ({"elements": 3}, "/elements: expected a list"),
+            ({"elements": [{"terms": {}}]}, "/elements/0/terms: expected a list"),
+            (
+                {"elements": [{"terms": [{"coeff": "x"}]}]},
+                "/elements/0/terms/0/coeff: expected [re, im], got 'x'",
+            ),
+            (
+                {"elements": [{"terms": [{"word": [{"side": 1}]}]}]},
+                "/elements/0/terms/0/word/0/value: expected {shape, data}",
+            ),
+        ],
+    )
+    def test_malformed_probe_exits_1(self, tmp_path, capsys, probe, message):
+        probe_path = tmp_path / "probe.json"
+        probe_path.write_text(json.dumps(probe))
+        payload = dict(BUILD_M2, probe=str(probe_path))
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert code == 1
+        assert report is None
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "u, message",
+        [
+            (np.eye(3), "/u: expected 4x4, got shape [3, 3]"),
+            (np.diag([1.0 + 1e-7, 1.0, 1.0, 1.0]), "/u: not unitary (defect"),
+        ],
+    )
+    def test_dpi_bad_u_exits_1(self, tmp_path, capsys, u, message):
+        payload = dict(M2_PAIR, samples=3, u=matrix_to_json(u))
+        del payload["ambient"]
+        code, report, _ = run_cli(tmp_path, "dpi", payload)
+        assert code == 1
+        assert report is None
+        assert message in capsys.readouterr().err
+
+    def test_dpi_unitary_u_accepted(self, tmp_path):
+        payload = dict(M2_PAIR, samples=3, u=matrix_to_json(haar_unitary(4, 8)))
+        del payload["ambient"]
+        code, report, _ = run_cli(tmp_path, "dpi", payload)
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "stages, message",
+        [
+            ([[["a"], [1]]], "/stages/0/0/0: expected a nonnegative integer, got 'a'"),
+            ([[[1], [1]], [[1], [-1]]], "/stages/1/1/0: expected a nonnegative integer, got -1"),
+            ([[[1], [1.5]]], "/stages/0/1/0: expected a nonnegative integer, got 1.5"),
+            ([[[1, 1], [1]]], "/stages/0/0: expected 1 entries, one per block of /algebras/0"),
+            ([[[2], [1]]], "/stages/0: factor dimensions differ: 4 vs 2"),
+        ],
+    )
+    def test_bad_stage_row_exits_1(self, tmp_path, capsys, stages, message):
+        payload = dict(BUILD_M2, stages=stages)
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert code == 1
+        assert report is None
+        assert message in capsys.readouterr().err
 
     def test_command_mismatch_flagged(self, tmp_path, capsys):
         payload = dict(M2_PAIR, command="density", samples=5)

@@ -12,10 +12,11 @@ from subalg.algebra import (
     enumerate_subalgebra_classes,
     relative_commutant,
 )
-from subalg.errors import NumericalInstabilityError
+from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
     _stable_rank,
     _svd_right,
+    amplify,
     commutant_basis,
     conjugate,
     default_tolerance,
@@ -68,6 +69,76 @@ class TestRealize:
             assert sub.dimension == cls.structure.algebra_dim()
             # every basis element of the subalgebra lies in the parent span
             assert parent.project_residual(sub.basis).max() < 1e-12
+
+
+def kron_block_diag(a, blocks, rows):
+    """Reference amplification of one element: per-block kron, then block-diagonal."""
+    offsets = np.concatenate([[0], np.cumsum(blocks)])
+    pieces = [
+        np.kron(a[offsets[j] : offsets[j + 1], offsets[j] : offsets[j + 1]], np.eye(m))
+        for row in rows
+        for j, m in enumerate(row)
+        if m
+    ]
+    dim = sum(p.shape[0] for p in pieces)
+    out = np.zeros((dim, dim), dtype=complex)
+    pos = 0
+    for p in pieces:
+        out[pos : pos + p.shape[0], pos : pos + p.shape[0]] = p
+        pos += p.shape[0]
+    return out
+
+
+class TestAmplify:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        blocks=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        data=st.data(),
+        count=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_kron_block_diag(self, blocks, data, count, seed):
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 3), min_size=len(blocks), max_size=len(blocks)),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        s = sum(blocks)
+        rng = np.random.default_rng(seed)
+        stack = rng.standard_normal((count, s, s)) + 1j * rng.standard_normal((count, s, s))
+        out = amplify(stack, blocks, rows)
+        ref = np.stack([kron_block_diag(a, blocks, rows) for a in stack])
+        assert out.shape == ref.shape
+        assert np.array_equal(out, ref)
+        assert np.array_equal(amplify(stack[0], blocks, rows), ref[0])
+
+    def test_shape_checked(self):
+        with pytest.raises(ShapeMismatchError):
+            amplify(np.eye(3), (1, 1), [(1, 1)])
+
+
+class TestConjugate:
+    def test_matches_einsum_reference_and_stays_orthonormal(self):
+        r = realize(EmbeddedAlgebra(12, BlockStructure((2, 1)), (4, 4)))
+        u = haar_unitary(12, 17)
+        c = conjugate(r, u)
+        ref = np.einsum("ij,ajk,kl->ail", u, r.basis, u.conj().T)
+        assert np.abs(c.basis - ref).max() < 1e-13
+        for g, h in zip(c.generators, r.generators):
+            assert np.abs(g - u @ h @ u.conj().T).max() < 1e-13
+        vecs = c.vectors()
+        assert np.abs(vecs.conj().T @ vecs - np.eye(c.dimension)).max() < 1e-13
+
+    def test_closure_defect_matches_einsum_form(self):
+        c24 = EmbeddedAlgebra(24, BlockStructure((1,) * 24), (1,) * 24)
+        r = conjugate(realize(c24), haar_unitary(24, 5))
+        adj = np.transpose(r.basis.conj(), (0, 2, 1))
+        prods = np.einsum("aij,bjk->abik", r.basis, r.basis).reshape(-1, 24, 24)
+        ref = float(r.project_residual(np.concatenate([adj, prods])).max())
+        assert abs(r.closure_defect() - ref) < 1e-13
+        assert ref < 1e-12
 
 
 class TestHaarUnitary:
