@@ -50,26 +50,18 @@ class BlockStructure:
         return len(self.blocks)
 
     def algebra_dim(self) -> int:
-        """Complex linear dimension, sum of squared block sizes."""
+        """Complex linear dimension, sum of squared block sizes.
+
+        This is also the real dimension of the unitary group U(A).
+        """
         return sum(b * b for b in self.blocks)
 
     def center_dim(self) -> int:
         return len(self.blocks)
 
-    def unitary_dim(self) -> int:
-        """Real dimension of the unitary group of the algebra."""
-        return sum(b * b for b in self.blocks)
-
     def model_dim(self) -> int:
         """Size of the block-diagonal matrix model, sum of block sizes."""
         return sum(self.blocks)
-
-    def delta(self) -> tuple[int, ...]:
-        """Column vector of block sizes."""
-        return self.blocks
-
-    def sorted_desc(self) -> "BlockStructure":
-        return BlockStructure(tuple(sorted(self.blocks, reverse=True)))
 
     def isomorphic(self, other: "BlockStructure") -> bool:
         return sorted(self.blocks) == sorted(other.blocks)
@@ -92,7 +84,7 @@ class MultiplicityMatrix:
     """Integer matrix of partial multiplicities of a unital embedding source -> target.
 
     Rows are indexed by target blocks, columns by source blocks.  The embedding
-    it encodes is unital when entries @ delta(source) == delta(target) and
+    it encodes is unital when entries @ source.blocks == target.blocks and
     injective when every column has a nonzero entry.
     """
 
@@ -120,10 +112,9 @@ class MultiplicityMatrix:
         return (self.target.num_blocks, self.source.num_blocks)
 
     def unital(self) -> bool:
-        delta = self.source.delta()
         return all(
-            sum(e * d for e, d in zip(row, delta)) == size
-            for row, size in zip(self.entries, self.target.delta())
+            sum(e * d for e, d in zip(row, self.source.blocks)) == size
+            for row, size in zip(self.entries, self.target.blocks)
         )
 
     def injective(self) -> bool:
@@ -252,8 +243,7 @@ def enumerate_unital_embeddings(
     cannot touch every still-empty column.  The output order is lexicographic
     on the row-major flattened entries, which keeps golden tests stable.
     """
-    delta = source.delta()
-    per_row = [_weighted_rows(delta, size) for size in target.delta()]
+    per_row = [_weighted_rows(source.blocks, size) for size in target.blocks]
     if any(not rows for rows in per_row):
         return []
     cols = source.num_blocks
@@ -415,8 +405,8 @@ def compatible_embeddings(
     source, target = cls.structure, other.structure
     budgets = cls.ambient_mult()  # wanted weighted column sums, all >= 1
     weights = other.mult  # column sum weights, one per target block
-    delta = source.delta()
-    per_row = [_weighted_rows(delta, size) for size in target.delta()]
+    delta = source.blocks
+    per_row = [_weighted_rows(delta, size) for size in target.blocks]
     if any(not rows for rows in per_row):
         return []
     rows_n = len(per_row)

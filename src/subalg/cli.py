@@ -109,8 +109,6 @@ def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
         mat = matrix_from_json(obj, pointer)
     except ConfigError as exc:
         return list(exc.diagnostics)
-    except (TypeError, ValueError):
-        return [(pointer, "expected {shape, data} with [re, im] entries")]
     if mat.shape != (n, n):
         return [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
     defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n)))

@@ -59,7 +59,7 @@ def stab_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     """
     _check_parent(b1, cls)
     rel = relative_commutant(cls.embedding)
-    return cls.structure.unitary_dim() + rel.unitary_dim() - cls.structure.center_dim()
+    return cls.structure.algebra_dim() + rel.algebra_dim() - cls.structure.center_dim()
 
 
 def class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
@@ -67,10 +67,10 @@ def class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     _check_parent(b1, cls)
     rel = relative_commutant(cls.embedding)
     return (
-        b1.structure.unitary_dim()
-        - rel.unitary_dim()
+        b1.structure.algebra_dim()
+        - rel.algebra_dim()
         + cls.structure.center_dim()
-        - cls.structure.unitary_dim()
+        - cls.structure.algebra_dim()
     )
 
 
@@ -85,7 +85,7 @@ def orbit_dims(
     """
     _check_parent(b1, cls)
     commutant_dim = sum(m * m for m in cls.ambient_mult())
-    u2 = b2.structure.unitary_dim()
+    u2 = b2.structure.algebra_dim()
     dims = []
     for emb in compatible_embeddings(cls, b2):
         sq = sum(e * e for row in emb.entries for e in row)
@@ -269,7 +269,7 @@ def audit_density_hypotheses(
         rows.append(ClassVerdict(cls, report, verdict))
 
     comparisons = []
-    if b1.structure.unitary_dim() + b2.structure.unitary_dim() <= n_sq:
+    if b1.structure.algebra_dim() + b2.structure.algebra_dim() <= n_sq:
         c2 = BlockStructure((1, 1))
         for cls in classes:
             if not cls.structure.is_simple() or cls.is_abelian():

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, expm
 
 from .algebra import BlockStructure
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
@@ -26,6 +25,8 @@ from .numeric import (
     amplify,
     tally_dims,
     commutant_basis,
+    default_tolerance,
+    exp_skew,
     haar_unitary,
     model_matrix_units,
     random_skew_direction,
@@ -90,8 +91,9 @@ class RepPair:
             raise ShapeMismatchError(f"factor dimensions differ: {d1} vs {d2}")
         if self.u.shape != (d1, d1):
             raise ShapeMismatchError(f"perturbing unitary must be {d1}x{d1}, got {self.u.shape}")
+        # cli.validate's bound 10 * N^2 * eps, never below 1e-12: a validated u passes.
         defect = np.linalg.norm(self.u.conj().T @ self.u - np.eye(d1))
-        if defect > 1e-12:
+        if defect > max(1e-12, 10.0 * default_tolerance(d1, 1.0)):
             raise ValueError(f"perturbation is not unitary (defect {defect:.3e})")
 
     @property
@@ -297,7 +299,7 @@ def dpi_probe(
         if local_radius is None:
             w = haar_unitary(n, rng)
         else:
-            w = expm(local_radius * random_skew_direction(n, rng))
+            w = exp_skew(local_radius * random_skew_direction(n, rng))
         dims.append(joint_commutant_dim(rep.with_unitary(w @ rep.u), tol=tol))
     center = rep.u if local_radius is not None else None
     return tally_dims(dims, seed, local_radius, center)
@@ -395,8 +397,7 @@ def staged_build(
         segs1.append(m1)
         segs2.append(m2)
         dim += add1
-        prev_u = block_diag(cumulative_u, np.eye(add1)) if dim > add1 else np.eye(add1)
-        prev_u = np.asarray(prev_u, dtype=complex)
+        prev_u = _extend(cumulative_u, dim)
 
         total1 = _total_mult(segs1, alg1.num_blocks)
         total2 = _total_mult(segs2, alg2.num_blocks)
@@ -410,9 +411,7 @@ def staged_build(
                 segs1.append(pad1)
             if any(pad2):
                 segs2.append(pad2)
-            prev_u = np.asarray(
-                block_diag(prev_u, np.eye(balance.final_dim - dim)), dtype=complex
-            )
+            prev_u = _extend(prev_u, balance.final_dim)
             dim = balance.final_dim
 
         budget = epsilon / 2 ** (k + 1)
@@ -434,6 +433,13 @@ def staged_build(
         cumulative_u = new_u
 
     return StagedBuild(epsilon, seed, tuple(built_stages), tuple(cumulative))
+
+
+def _extend(u: np.ndarray, dim: int) -> np.ndarray:
+    """Direct sum of the square u with the identity, of total size dim."""
+    out = np.eye(dim, dtype=complex)
+    out[: u.shape[0], : u.shape[0]] = u
+    return out
 
 
 def _total_mult(segments, width: int) -> tuple[int, ...]:
@@ -467,11 +473,11 @@ def _search_stage_unitary(
     radius = budget / 2.0
     for attempt in range(max_tries):
         rng = sample_stream(seed, stage, attempt)
-        w = expm(radius * random_skew_direction(dim, rng))
+        w = exp_skew(radius * random_skew_direction(dim, rng))
         d = jc_dim(w)
         best = min(best, d)
         if d == 1:
-            return np.asarray(w, dtype=complex), attempt + 1, 1
+            return w, attempt + 1, 1
         if (attempt + 1) % 32 == 0:
             radius /= 2.0
     return None, max_tries, best

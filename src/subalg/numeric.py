@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebra import BlockStructure, EmbeddedAlgebra, MultiplicityMatrix
 from .errors import NumericalInstabilityError, ShapeMismatchError
@@ -89,13 +88,12 @@ class ConcreteRealization:
     """A numerically materialized subalgebra of M_N.
 
     ``basis`` is a stack of N x N complex matrices orthonormal under the trace
-    inner product; ``generators`` is a sublist of algebra elements sufficient
-    to generate.  The identity always lies in the span.
+    inner product; it also generates the algebra.  The identity always lies in
+    the span.
     """
 
     ambient_dim: int
     basis: np.ndarray
-    generators: list[np.ndarray]
 
     @property
     def dimension(self) -> int:
@@ -184,21 +182,18 @@ def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
     return amplify(a, emb.source.blocks, emb.entries)
 
 
-def _realization(n: int, gens: np.ndarray) -> ConcreteRealization:
-    """Realization generated by a stack of amplified matrix units.
+def _realization(n: int, units: np.ndarray) -> ConcreteRealization:
+    """Realization spanned by a stack of amplified matrix units.
 
     The basis is the same stack normalized to unit trace norm (distinct units
     have disjoint support, so they are orthogonal already).
     """
-    norms = np.linalg.norm(gens, axis=(1, 2))
-    return ConcreteRealization(n, gens / norms[:, None, None], list(gens))
+    norms = np.linalg.norm(units, axis=(1, 2))
+    return ConcreteRealization(n, units / norms[:, None, None])
 
 
 def realize(emb: EmbeddedAlgebra) -> ConcreteRealization:
-    """Block-diagonal realization of an embedded algebra inside M_N.
-
-    Generators are the amplified matrix units of each block.
-    """
+    """Block-diagonal realization of an embedded algebra inside M_N."""
     units = model_matrix_units(emb.structure)
     return _realization(emb.ambient_dim, embed_model(emb.ambient_row(), units))
 
@@ -218,10 +213,7 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
     """Conjugated copy u A u* of a realization; orthonormality is preserved."""
-    uh = u.conj().T
-    basis = u @ real.basis @ uh
-    gens = u @ np.stack(real.generators) @ uh
-    return ConcreteRealization(real.ambient_dim, basis, list(gens))
+    return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -246,10 +238,16 @@ def random_skew_direction(n: int, rng: np.random.Generator) -> np.ndarray:
     return k / np.linalg.norm(k, 2)
 
 
+def exp_skew(k: np.ndarray) -> np.ndarray:
+    """exp(k) for a skew-Hermitian k: V diag(exp(i lam)) V*, with (lam, V) = eigh(-ik)."""
+    lam, v = np.linalg.eigh(-1j * k)
+    return (v * np.exp(1j * lam)) @ v.conj().T
+
+
 def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Unitary at distance about ``radius`` from ``center`` along a random direction."""
     n = center.shape[0]
-    return center @ expm(radius * random_skew_direction(n, rng))
+    return center @ exp_skew(radius * random_skew_direction(n, rng))
 
 
 def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> ConcreteRealization:
@@ -271,7 +269,7 @@ def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> Concret
     rank = _stable_rank(s, cutoff, "commutant system")
     null = vh[rank:].conj()
     basis = null.reshape(-1, n, n)
-    return ConcreteRealization(n, basis, [m.copy() for m in basis])
+    return ConcreteRealization(n, basis)
 
 
 def intersect(
@@ -318,7 +316,7 @@ def intersect(
     # Orthonormalize; the raw family has full rank dim_int by construction.
     q, _ = np.linalg.qr(raw.T)
     basis = q.T[:dim_int].reshape(-1, n, n)
-    out = ConcreteRealization(n, basis, [m.copy() for m in basis])
+    out = ConcreteRealization(n, basis)
 
     defect = out.closure_defect()
     if defect > closure_tol:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -23,24 +24,34 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     return {"shape": list(arr.shape), "data": data}
 
 
+def _malformed(pointer: str, message: str, what: str = "matrix") -> ConfigError:
+    return ConfigError(f"malformed {what}", [(pointer, message)])
+
+
+def _is_num(v, kind=(int, float)) -> bool:
+    return isinstance(v, kind) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    """True for a [re, im] list of two real numbers."""
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_num, v))
+
+
 def matrix_from_json(obj, pointer: str = "") -> np.ndarray:
-    if not isinstance(obj, dict) or "shape" not in obj or "data" not in obj:
-        raise ConfigError(
-            "matrix objects need 'shape' and 'data'",
-            [(pointer, "expected {shape, data}")],
+    """Matrix from {shape, data}; a malformed object raises ConfigError with a pointer."""
+    if not isinstance(obj, dict) or "shape" not in obj or not isinstance(obj.get("data"), list):
+        raise _malformed(pointer, "expected {shape, data}")
+    shape, data = obj["shape"], obj["data"]
+    if not isinstance(shape, list) or not all(_is_num(s, int) and s >= 0 for s in shape):
+        raise _malformed(
+            pointer + "/shape", f"expected a list of nonnegative integers, got {shape!r}"
         )
-    shape = tuple(int(s) for s in obj["shape"])
-    expected = 1
-    for s in shape:
-        expected *= s
-    data = obj["data"]
-    if len(data) != expected:
-        raise ConfigError(
-            "matrix data length does not match shape",
-            [(pointer + "/data", f"expected {expected} entries, got {len(data)}")],
-        )
-    values = [complex(re, im) for re, im in data]
-    return np.array(values, dtype=complex).reshape(shape)
+    if len(data) != math.prod(shape):
+        raise _malformed(pointer + "/data", f"expected {math.prod(shape)} entries, got {len(data)}")
+    for k, entry in enumerate(data):
+        if not _is_pair(entry):
+            raise _malformed(f"{pointer}/data/{k}", f"expected [re, im], got {entry!r}")
+    return np.array([complex(re, im) for re, im in data], dtype=complex).reshape(shape)
 
 
 def free_element_to_json(x: FreeElement) -> dict:
@@ -62,12 +73,8 @@ def _expect(obj, kind: type, pointer: str):
     """obj itself when it is a dict (kind=dict) or list (kind=list), else a ConfigError."""
     if not isinstance(obj, kind):
         what = "an object" if kind is dict else "a list"
-        raise ConfigError("malformed probe file", [(pointer, f"expected {what}")])
+        raise _malformed(pointer, f"expected {what}", "probe file")
     return obj
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def free_element_from_json(obj, pointer: str = "") -> FreeElement:
@@ -76,20 +83,14 @@ def free_element_from_json(obj, pointer: str = "") -> FreeElement:
     for i, term in enumerate(_expect(raw_terms, list, f"{pointer}/terms")):
         at_term = f"{pointer}/terms/{i}"
         coeff = _expect(term, dict, at_term).get("coeff", [1.0, 0.0])
-        if not (isinstance(coeff, list) and len(coeff) == 2 and all(map(_is_real, coeff))):
-            raise ConfigError(
-                "probe coefficient must be a [re, im] pair",
-                [(at_term + "/coeff", f"expected [re, im], got {coeff!r}")],
-            )
+        if not _is_pair(coeff):
+            raise _malformed(at_term + "/coeff", f"expected [re, im], got {coeff!r}", "probe file")
         word = []
         for j, letter in enumerate(_expect(term.get("word", []), list, at_term + "/word")):
             at = f"{at_term}/word/{j}"
             side = _expect(letter, dict, at).get("side")
             if isinstance(side, bool) or side not in (1, 2):
-                raise ConfigError(
-                    "probe letter needs a side of 1 or 2",
-                    [(at + "/side", f"expected 1 or 2, got {side!r}")],
-                )
+                raise _malformed(at + "/side", f"expected 1 or 2, got {side!r}", "probe file")
             word.append(Letter(int(side), matrix_from_json(letter.get("value"), at + "/value")))
         terms.append((complex(coeff[0], coeff[1]), tuple(word)))
     return FreeElement(tuple(terms))

@@ -86,14 +86,14 @@ def test_criterion_1_formula_oracle_equivalence():
             r1 = realize(b1)
             for cls in enumerate_subalgebra_classes(b1):
                 rb = realize_class(b1, cls.embedding)
-                comm = commutant_basis(rb.generators)
+                comm = commutant_basis(list(rb.basis))
                 dim_b = rb.dimension
                 dim_rel = intersect(r1, comm).dimension
                 dim_center = intersect(rb, comm).dimension
 
-                if dim_rel != relative_commutant(cls.embedding).unitary_dim():
+                if dim_rel != relative_commutant(cls.embedding).algebra_dim():
                     mismatches += 1
-                if comm.dimension != relative_commutant(cls.ambient_embedding()).unitary_dim():
+                if comm.dimension != relative_commutant(cls.ambient_embedding()).algebra_dim():
                     mismatches += 1
                 if dim_b != cls.structure.algebra_dim():
                     mismatches += 1

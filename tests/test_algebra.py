@@ -68,7 +68,6 @@ class TestBlockStructure:
         b = BlockStructure((2, 3))
         assert b.algebra_dim() == 13
         assert b.center_dim() == 2
-        assert b.unitary_dim() == 13
         assert b.model_dim() == 5
 
     def test_validation(self):
@@ -136,7 +135,7 @@ class TestRelativeCommutant:
         emb = MultiplicityMatrix(M2, BlockStructure((4,)), ((2,),))
         out = relative_commutant(emb)
         assert out.blocks == (2,)
-        assert out.unitary_dim() == 4
+        assert out.algebra_dim() == 4
         # numeric oracle: commutant of a |-> kron(a, I2) inside M4
         gens = [np.kron(e, np.eye(2)) for e in _matrix_units(2)]
         assert numeric_commutant_dim(gens) == 4

@@ -14,7 +14,8 @@ from subalg.serialize import (
     matrix_to_json,
 )
 from subalg.freeprod import FreeElement, Letter
-from subalg.numeric import haar_unitary
+from subalg.errors import ConfigError
+from subalg.numeric import default_tolerance, haar_unitary
 
 
 def write_config(path, payload):
@@ -35,6 +36,11 @@ M2_PAIR = {
     "ambient": 4,
     "seed": 7,
 }
+
+def probe_with_value(value):
+    """Probe file holding one word of one side-1 letter with the given value."""
+    return {"elements": [{"terms": [{"word": [{"side": 1, "value": value}]}]}]}
+
 
 BUILD_M2 = {
     "algebras": [{"blocks": [2]}, {"blocks": [2]}],
@@ -60,6 +66,21 @@ class TestMatrixSerialization:
         for l1, l2 in zip(back.terms[0][1], x.terms[0][1]):
             assert l1.side == l2.side
             assert np.array_equal(l1.value, l2.value)
+
+    @pytest.mark.parametrize(
+        "obj, pointer",
+        [
+            ({"shape": [1, 1], "data": [[True, 0]]}, "/m/data/0"),
+            ({"shape": [1, 1], "data": [["1", 0]]}, "/m/data/0"),
+            ({"shape": [1, True], "data": [[1, 0]]}, "/m/shape"),
+            ({"shape": [1, 1], "data": [[1, 0], [0, 0]]}, "/m/data"),
+            ({"data": [[1, 0]]}, "/m"),
+        ],
+    )
+    def test_malformed_matrix_raises_config_error(self, obj, pointer):
+        with pytest.raises(ConfigError) as info:
+            matrix_from_json(obj, "/m")
+        assert [p for p, _ in info.value.diagnostics] == [pointer]
 
 
 class TestValidation:
@@ -97,6 +118,22 @@ class TestValidation:
         [
             (matrix_to_json(np.eye(2)), "/center: expected 4x4"),
             ({"shape": [4, 4], "data": 3}, "/center: expected {shape, data}"),
+            (
+                {"shape": [4, 4], "data": [[1, 0]] * 15 + ["a"]},
+                "/center/data/15: expected [re, im], got 'a'",
+            ),
+            (
+                {"shape": [4, 4], "data": [[1, 0, 0]] + [[1, 0]] * 15},
+                "/center/data/0: expected [re, im], got [1, 0, 0]",
+            ),
+            (
+                {"shape": "x", "data": []},
+                "/center/shape: expected a list of nonnegative integers, got 'x'",
+            ),
+            (
+                {"shape": [4, -4], "data": []},
+                "/center/shape: expected a list of nonnegative integers, got [4, -4]",
+            ),
         ],
     )
     def test_density_center_malformed_exits_1(self, tmp_path, capsys, center, message):
@@ -159,6 +196,14 @@ class TestValidation:
                 {"elements": [{"terms": [{"word": [{"side": 1}]}]}]},
                 "/elements/0/terms/0/word/0/value: expected {shape, data}",
             ),
+            (
+                probe_with_value({"shape": [2, 2], "data": [[1, 0], "a", [0, 0], [1, 0]]}),
+                "/elements/0/terms/0/word/0/value/data/1: expected [re, im], got 'a'",
+            ),
+            (
+                probe_with_value({"shape": [2.0, 2], "data": []}),
+                "/elements/0/terms/0/word/0/value/shape: expected a list of nonnegative integers",
+            ),
         ],
     )
     def test_malformed_probe_exits_1(self, tmp_path, capsys, probe, message):
@@ -184,6 +229,26 @@ class TestValidation:
         assert code == 1
         assert report is None
         assert message in capsys.readouterr().err
+
+    def test_dpi_u_within_validate_bound_runs(self, tmp_path, capsys):
+        # At N = 24 validate's bound 10 * N^2 * eps exceeds 1e-12; a u that
+        # passes validation must not be rejected later by RepPair.
+        n = 24
+        pair = {"algebras": [{"blocks": [1, 1], "mult": [12, 12]}] * 2, "seed": 7, "samples": 1}
+        u = (1 + 1.12e-13) * np.eye(n)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n)) > 1e-12
+        code, report, _ = run_cli(tmp_path, "dpi", dict(pair, u=matrix_to_json(u)))
+        assert code == 0
+        assert report["result"]["samples"] == 1
+
+        # defect ||(1 + d)^2 I - I||_F is about 2 d sqrt(N): twice the bound
+        bound = 10 * default_tolerance(n, 1.0)
+        u = (1 + bound / np.sqrt(n)) * np.eye(n)
+        (tmp_path / "twice").mkdir()
+        code, report, _ = run_cli(tmp_path / "twice", "dpi", dict(pair, u=matrix_to_json(u)))
+        assert code == 1
+        assert report is None
+        assert "/u: not unitary (defect" in capsys.readouterr().err
 
     def test_dpi_unitary_u_accepted(self, tmp_path):
         payload = dict(M2_PAIR, samples=3, u=matrix_to_json(haar_unitary(4, 8)))

@@ -47,19 +47,19 @@ class TestStabAndClassDims:
 
     def test_full_class(self):
         full = self.classes[(2,)]
-        assert stab_dim(self.b1, full) == self.b1.structure.unitary_dim()
+        assert stab_dim(self.b1, full) == self.b1.structure.algebra_dim()
         assert class_dim(self.b1, full) == 0
 
     def test_trivial_class(self):
         triv = self.classes[(1,)]
-        assert stab_dim(self.b1, triv) == self.b1.structure.unitary_dim()
+        assert stab_dim(self.b1, triv) == self.b1.structure.algebra_dim()
         assert class_dim(self.b1, triv) == 0
 
     def test_quotient_identity_exhaustive(self):
         # class dimension + stabilizer dimension = dim U(B1), for every class at N <= 6
         for n in range(1, 7):
             for b1 in enumerate_embedded_algebras(n):
-                u1 = b1.structure.unitary_dim()
+                u1 = b1.structure.algebra_dim()
                 for cls in enumerate_subalgebra_classes(b1):
                     assert class_dim(b1, cls) + stab_dim(b1, cls) == u1
                     assert class_dim(b1, cls) >= 0
@@ -104,7 +104,7 @@ class TestOrbitAndD:
             for b1 in algebras:
                 for cls in enumerate_subalgebra_classes(b1):
                     for b2 in algebras:
-                        u2 = b2.structure.unitary_dim()
+                        u2 = b2.structure.algebra_dim()
                         for dim in orbit_dims(b1, cls, b2):
                             assert u2 <= dim <= n * n
 

@@ -50,6 +50,27 @@ def random_element(rng, rep, max_letters=3):
     return FreeElement(tuple(terms))
 
 
+class TestRepPairUnitarity:
+    @pytest.mark.parametrize(
+        "n, scale, ok",
+        [
+            # below N = 22 the bound is the absolute 1e-12 (defect = 2 * d * sqrt(N))
+            (4, 1 + 2e-13, True),
+            (4, 1 + 3e-13, False),
+            # at N = 24 it is validate's 10 * N^2 * eps = 1.279e-12
+            (24, 1 + 1.12e-13, True),
+            (24, 1 + 2.7e-13, False),
+        ],
+    )
+    def test_bound_matches_config_validation(self, n, scale, ok):
+        u = scale * np.eye(n)
+        if ok:
+            assert RepPair(C2, (n // 2,) * 2, C2, (n // 2,) * 2, u).dim == n
+        else:
+            with pytest.raises(ValueError, match="not unitary"):
+                RepPair(C2, (n // 2,) * 2, C2, (n // 2,) * 2, u)
+
+
 class TestEvaluate:
     def setup_method(self):
         self.rep = RepPair(M2, (2,), M2, (2,), haar_unitary(4, 8))
@@ -272,8 +293,8 @@ class TestIrreducibility:
         rep = RepPair(C2, (2, 2), C2, (2, 2), haar_unitary(4, 13))
         e = EmbeddedAlgebra(4, C2, (2, 2))
         r = realize(e)
-        c1 = commutant_basis(r.generators)
-        conj_gens = [rep.u @ g @ rep.u.conj().T for g in r.generators]
+        c1 = commutant_basis(list(r.basis))
+        conj_gens = [rep.u @ g @ rep.u.conj().T for g in r.basis]
         c2 = commutant_basis(conj_gens)
         assert joint_commutant_dim(rep) == intersect(c1, c2).dimension
 
