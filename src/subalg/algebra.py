@@ -233,7 +233,7 @@ def _weighted_rows(weights: tuple[int, ...], total: int) -> tuple[tuple[int, ...
 
 
 def enumerate_unital_embeddings(
-    source: BlockStructure, target: BlockStructure
+    source: BlockStructure, target: BlockStructure, *, canonical: bool = False
 ) -> list[MultiplicityMatrix]:
     """All unital injective multiplicity matrices source -> target.
 
@@ -242,6 +242,14 @@ def enumerate_unital_embeddings(
     column-coverage prune: a partial choice dies as soon as the remaining rows
     cannot touch every still-empty column.  The output order is lexicographic
     on the row-major flattened entries, which keeps golden tests stable.
+
+    With ``canonical=True`` only matrices whose columns are lexicographically
+    nondecreasing across every adjacent pair of equal-size source blocks are
+    kept: one member per orbit under relabeling equal adjacent blocks, and for
+    a descending source exactly the matrices that ``canonical_embedding_key``
+    leaves fixed.  The pruning is done row by row: a pair stays tied while its
+    two columns agree so far, a row with ``row[j] > row[j+1]`` on a tied pair
+    is skipped, and the pair drops out once ``row[j] < row[j+1]``.
     """
     per_row = [_weighted_rows(source.blocks, size) for size in target.blocks]
     if any(not rows for rows in per_row):
@@ -257,22 +265,27 @@ def enumerate_unital_embeddings(
     suffix = [0] * (len(per_row) + 1)
     for i in range(len(per_row) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + maxcov[i]
+    # adjacent equal-size source columns; a pair stays tied while its entries agree
+    blocks = source.blocks
+    ties = tuple(j for j in range(cols - 1) if blocks[j] == blocks[j + 1]) if canonical else ()
 
     out: list[MultiplicityMatrix] = []
     chosen: list[tuple[int, ...]] = []
 
-    def rec(i: int, covered: int) -> None:
+    def rec(i: int, covered: int, tied: tuple[int, ...]) -> None:
         if (full_mask & ~covered).bit_count() > suffix[i]:
             return
         if i == len(per_row):
             out.append(_fast_matrix(source, target, tuple(chosen)))
             return
         for row, mask in zip(per_row[i], masks[i]):
+            if any(row[j] > row[j + 1] for j in tied):
+                continue
             chosen.append(row)
-            rec(i + 1, covered | mask)
+            rec(i + 1, covered | mask, tuple(j for j in tied if row[j] == row[j + 1]))
             chosen.pop()
 
-    rec(0, 0)
+    rec(0, 0, ties)
     return out
 
 
@@ -354,25 +367,24 @@ def _descending_structures(max_total: int, max_block: int):
 def _cached_classes(parent: EmbeddedAlgebra) -> tuple[SubalgebraClass, ...]:
     total = parent.structure.model_dim()
     max_block = max(parent.structure.blocks)
-    seen: dict[tuple, SubalgebraClass] = {}
+    classes = []
     for blocks in _descending_structures(total, max_block):
         structure = BlockStructure(blocks)
-        for emb in enumerate_unital_embeddings(structure, parent.structure):
-            key = canonical_embedding_key(structure, emb.entries)
-            if key in seen:
-                continue
-            canon = MultiplicityMatrix(BlockStructure(key[0]), parent.structure, key[1])
-            seen[key] = SubalgebraClass(parent, BlockStructure(key[0]), canon, canonical=True)
-    return tuple(seen.values())
+        for emb in enumerate_unital_embeddings(structure, parent.structure, canonical=True):
+            classes.append(SubalgebraClass(parent, structure, emb, canonical=True))
+    return tuple(classes)
 
 
 def enumerate_subalgebra_classes(parent: EmbeddedAlgebra) -> list[SubalgebraClass]:
     """One canonical representative per unitary-equivalence class of unital subalgebras.
 
-    Candidate structures range over descending block tuples; for each, every
-    unital injective embedding into the parent is canonicalised and duplicates
-    are dropped.  The trivial class and the full class always appear.  Results
-    are cached per parent (all values involved are immutable).
+    Candidate structures range over descending block tuples; for each, only
+    the canonical embeddings into the parent are generated (those fixed by
+    ``canonical_embedding_key``), so no duplicate is ever built.  Classes come
+    out in the order of their canonical forms: structures first, then the
+    row-major flattening of the embedding.  The trivial class and the full
+    class always appear.  Results are cached per parent (all values involved
+    are immutable).
     """
     return list(_cached_classes(parent))
 
@@ -381,8 +393,10 @@ def class_leq(a: SubalgebraClass, b: SubalgebraClass) -> bool:
     """Partial order on classes: a <= b iff a is realised by a subalgebra of b's representative."""
     if a.parent != b.parent:
         raise DomainError("classes live over different parents")
+    # relabeling equal source blocks permutes the composed columns alike, so
+    # one embedding per relabeling orbit decides the question
     target_key = a.key()
-    for emb in enumerate_unital_embeddings(a.structure, b.structure):
+    for emb in enumerate_unital_embeddings(a.structure, b.structure, canonical=True):
         composed = compose_multiplicities(b.embedding, emb)
         if canonical_embedding_key(a.structure, composed.entries) == target_key:
             return True
@@ -399,16 +413,27 @@ def compatible_embeddings(
     it is enforced during enumeration (per-column budgets) rather than by
     filtering afterwards; injectivity is automatic because every budget is
     positive.  An empty list means no unitary carries the class into ``other``.
+    The answer depends on the class only through its structure and ambient
+    multiplicities, so it is cached on those and ``other``, and shared by
+    every parent with a class of that shape; each call returns a fresh list.
     """
     if cls.parent.ambient_dim != other.ambient_dim:
         raise DomainError("ambient dimensions differ")
-    source, target = cls.structure, other.structure
-    budgets = cls.ambient_mult()  # wanted weighted column sums, all >= 1
+    return list(_compatible_embeddings(cls.structure, cls.ambient_mult(), other))
+
+
+@lru_cache(maxsize=None)
+def _compatible_embeddings(
+    source: BlockStructure, budgets: tuple[int, ...], other: EmbeddedAlgebra
+) -> tuple[MultiplicityMatrix, ...]:
+    """``compatible_embeddings`` of a structure whose wanted weighted column
+    sums (its ambient multiplicities, all >= 1) are ``budgets``."""
+    target = other.structure
     weights = other.mult  # column sum weights, one per target block
     delta = source.blocks
     per_row = [_weighted_rows(delta, size) for size in target.blocks]
     if any(not rows for rows in per_row):
-        return []
+        return ()
     rows_n = len(per_row)
     cols = source.num_blocks
     # largest contribution rows i..end can still make to column j
@@ -439,7 +464,7 @@ def compatible_embeddings(
             chosen.pop()
 
     rec(0, budgets)
-    return out
+    return tuple(out)
 
 
 def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:
@@ -447,7 +472,7 @@ def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be positive")
     g = math.gcd(k1, k2)
-    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,))))
+    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,)), canonical=True))
 
 
 def enumerate_embedded_algebras(

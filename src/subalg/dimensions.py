@@ -58,20 +58,21 @@ def stab_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     the relative commutant read off the multiplicity matrix.
     """
     _check_parent(b1, cls)
-    rel = relative_commutant(cls.embedding)
-    return cls.structure.algebra_dim() + rel.algebra_dim() - cls.structure.center_dim()
+    return _stab_dim(cls, relative_commutant(cls.embedding))
 
 
 def class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     """Manifold dimension of the unitary-conjugation class of the subalgebra."""
     _check_parent(b1, cls)
-    rel = relative_commutant(cls.embedding)
-    return (
-        b1.structure.algebra_dim()
-        - rel.algebra_dim()
-        + cls.structure.center_dim()
-        - cls.structure.algebra_dim()
-    )
+    return _class_dim(b1, cls, relative_commutant(cls.embedding))
+
+
+def _stab_dim(cls: SubalgebraClass, rel: BlockStructure) -> int:
+    return cls.structure.algebra_dim() + rel.algebra_dim() - cls.structure.center_dim()
+
+
+def _class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass, rel: BlockStructure) -> int:
+    return b1.structure.algebra_dim() - _stab_dim(cls, rel)
 
 
 def orbit_dims(
@@ -107,9 +108,11 @@ def dim_report(
     b1: EmbeddedAlgebra, cls: SubalgebraClass, b2: EmbeddedAlgebra
 ) -> DimReport:
     dims = tuple(orbit_dims(b1, cls, b2))
-    d = class_dim(b1, cls) + max(dims) if dims else None
+    rel = relative_commutant(cls.embedding)
+    cdim = _class_dim(b1, cls, rel)
+    d = cdim + max(dims) if dims else None
     n = b1.ambient_dim
-    return DimReport(stab_dim(b1, cls), class_dim(b1, cls), dims, d, n * n)
+    return DimReport(_stab_dim(cls, rel), cdim, dims, d, n * n)
 
 
 def lagrange_min(r: list[float]) -> tuple[float, tuple[float, ...]]:
@@ -253,7 +256,6 @@ def audit_density_hypotheses(
         return HypothesisAudit(None, n_sq, ())
 
     classes = enumerate_subalgebra_classes(b1)
-    by_key = {cls.key(): cls for cls in classes}
 
     rows = []
     for cls in classes:
@@ -270,6 +272,8 @@ def audit_density_hypotheses(
 
     comparisons = []
     if b1.structure.algebra_dim() + b2.structure.algebra_dim() <= n_sq:
+        # every C^2 class is abelian and nontrivial, so its d is already in a row
+        d_by_key = {row.cls.key(): row.report.d_value for row in rows}
         c2 = BlockStructure((1, 1))
         for cls in classes:
             if not cls.structure.is_simple() or cls.is_abelian():
@@ -286,7 +290,7 @@ def audit_density_hypotheses(
                 if key in seen_keys:
                     continue
                 seen_keys.add(key)
-                d_c = d_value(b1, by_key[key], b2)
+                d_c = d_by_key[key]
                 ok = d_c is not None and d_b <= d_c
                 comparisons.append(
                     SimpleClassComparison(cls.structure.blocks, (x, k - x), d_b, d_c, ok)

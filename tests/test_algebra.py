@@ -6,10 +6,15 @@ embeddings solved with plain numpy), never by the code paths under test.
 """
 
 import itertools
+import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from subalg import algebra
 from subalg.algebra import (
     BlockStructure,
     EmbeddedAlgebra,
@@ -226,6 +231,34 @@ class TestEnumerateEmbeddings:
         flats = [tuple(v for row in e.entries for v in row) for e in embs]
         assert flats == sorted(flats)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+        target=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+    )
+    def test_canonical_is_the_canonical_subsequence(self, source, target):
+        source, target = BlockStructure(tuple(source)), BlockStructure(tuple(target))
+        full = enumerate_unital_embeddings(source, target)
+        canon = enumerate_unital_embeddings(source, target, canonical=True)
+        assert [e.entries for e in canon] == [
+            e.entries for e in full if adjacent_equal_columns_sorted(source, e.entries)
+        ]
+        if list(source.blocks) == sorted(source.blocks, reverse=True):
+            # for a descending source these are exactly the fixed points of the key
+            for e in full:
+                fixed = canonical_embedding_key(source, e.entries) == (source.blocks, e.entries)
+                assert fixed == adjacent_equal_columns_sorted(source, e.entries)
+
+
+def adjacent_equal_columns_sorted(source, entries):
+    """Oracle: columns of adjacent equal-size source blocks are lexicographically nondecreasing."""
+    cols = list(zip(*entries))
+    return all(
+        cols[j] <= cols[j + 1]
+        for j in range(len(cols) - 1)
+        if source.blocks[j] == source.blocks[j + 1]
+    )
+
 
 def independent_class_count(parent):
     """Oracle: recount classes by canonicalizing with min-over-permutations."""
@@ -255,6 +288,29 @@ def independent_class_count(parent):
     return len(keys)
 
 
+def deduplicated_classes(parent):
+    """Reference: every unital embedding of every descending structure, deduplicated
+    by canonical key, keeping the first member of each class met."""
+
+    def structures(remaining, cap):
+        for first in range(min(cap, remaining), 0, -1):
+            yield (first,)
+            for rest in structures(remaining - first, first):
+                yield (first,) + rest
+
+    seen = {}
+    for blocks in structures(parent.structure.model_dim(), max(parent.structure.blocks)):
+        structure = BlockStructure(blocks)
+        for emb in enumerate_unital_embeddings(structure, parent.structure):
+            key = canonical_embedding_key(structure, emb.entries)
+            if key not in seen:
+                canon = MultiplicityMatrix(BlockStructure(key[0]), parent.structure, key[1])
+                seen[key] = SubalgebraClass(
+                    parent, BlockStructure(key[0]), canon, canonical=True
+                )
+    return tuple(seen.values())
+
+
 class TestSubalgebraClasses:
     def test_m2_mult2_classes(self):
         b1 = EmbeddedAlgebra(4, M2, (2,))
@@ -281,6 +337,11 @@ class TestSubalgebraClasses:
             for b1 in enumerate_embedded_algebras(n):
                 keys = [c.key() for c in enumerate_subalgebra_classes(b1)]
                 assert len(keys) == len(set(keys))
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_deduplicated_full_enumeration(self, n):
+        for b1 in enumerate_embedded_algebras(n):
+            assert tuple(enumerate_subalgebra_classes(b1)) == deduplicated_classes(b1), str(b1)
 
     def test_canonical_key_sorts_columns(self):
         blocks, entries = canonical_embedding_key(
@@ -312,7 +373,9 @@ class TestClassOrder:
             class_leq(c1, c2)
 
     def test_poset_axioms_small_parents(self):
-        for n in range(1, 5):
+        # class_leq and gcd_embedding_bound enumerate canonical embeddings only;
+        # both must agree with the full enumeration, then the poset axioms hold
+        for n in range(1, 6):
             for b1 in enumerate_embedded_algebras(n):
                 classes = enumerate_subalgebra_classes(b1)
                 rel = {
@@ -320,6 +383,12 @@ class TestClassOrder:
                     for i, a in enumerate(classes)
                     for j, b in enumerate(classes)
                 }
+                for (i, j), le in rel.items():
+                    assert le == full_class_leq(classes[i], classes[j])
+                for cls, k1, k2 in itertools.product(classes, range(1, n + 1), range(1, n + 1)):
+                    g = BlockStructure((math.gcd(k1, k2),))
+                    expected = bool(enumerate_unital_embeddings(cls.structure, g))
+                    assert gcd_embedding_bound(cls.structure, k1, k2) == expected
                 for i in range(len(classes)):
                     assert rel[(i, i)]
                 for (i, j), le in rel.items():
@@ -328,6 +397,15 @@ class TestClassOrder:
                 for i, j, k in itertools.product(range(len(classes)), repeat=3):
                     if rel[(i, j)] and rel[(j, k)]:
                         assert rel[(i, k)]
+
+
+def full_class_leq(a, b):
+    """Reference class order over every unital embedding, not just canonical ones."""
+    return any(
+        canonical_embedding_key(a.structure, compose_multiplicities(b.embedding, e).entries)
+        == a.key()
+        for e in enumerate_unital_embeddings(a.structure, b.structure)
+    )
 
 
 class TestCompatibleEmbeddings:
@@ -354,6 +432,71 @@ class TestCompatibleEmbeddings:
         embs = compatible_embeddings(cls, b2)
         assert len(embs) == 1
         assert embs[0].entries == ((2,), (2,))
+
+
+class TestCompatibleEmbeddingCache:
+    """The compatible embeddings are cached on (structure, ambient multiplicities, B2)."""
+
+    masa = EmbeddedAlgebra(4, BlockStructure((1, 1, 1, 1)), (1, 1, 1, 1))
+
+    @staticmethod
+    def two_parents():
+        # C^2 with ambient multiplicities (2, 2), once inside M2 (x) 1_2, once as its own parent
+        in_m2 = SubalgebraClass(
+            EmbeddedAlgebra(4, M2, (2,)), C2, MultiplicityMatrix(C2, M2, ((1, 1),))
+        )
+        own = EmbeddedAlgebra(4, C2, (2, 2))
+        whole = SubalgebraClass(own, C2, MultiplicityMatrix.identity(C2))
+        assert in_m2.ambient_mult() == whole.ambient_mult() == (2, 2)
+        return in_m2, whole
+
+    def oracle(self, cls, other):
+        """Filter the full enumeration by the induced ambient multiplicities."""
+        return [
+            e.entries
+            for e in enumerate_unital_embeddings(cls.structure, other.structure)
+            if e.apply_to_row(other.mult) == cls.ambient_mult()
+        ]
+
+    def test_shared_across_parents(self):
+        algebra._compatible_embeddings.cache_clear()
+        in_m2, whole = self.two_parents()
+        first = compatible_embeddings(in_m2, self.masa)
+        second = compatible_embeddings(whole, self.masa)
+        assert first == second
+        assert [e.entries for e in first] == self.oracle(in_m2, self.masa)
+        assert len(first) == 6
+        info = algebra._compatible_embeddings.cache_info()
+        assert (info.hits, info.currsize) == (1, 1)
+
+    def test_returns_a_fresh_list(self):
+        in_m2, _ = self.two_parents()
+        first = compatible_embeddings(in_m2, self.masa)
+        first.clear()
+        again = compatible_embeddings(in_m2, self.masa)
+        assert again is not first
+        assert [e.entries for e in again] == self.oracle(in_m2, self.masa)
+
+    def test_ambient_mismatch_raises_when_warm(self):
+        in_m2, _ = self.two_parents()
+        compatible_embeddings(in_m2, self.masa)
+        other = EmbeddedAlgebra(6, M2, (3,))
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                compatible_embeddings(in_m2, other)
+
+    def test_module_cache_sweep_empties_it(self):
+        # the same sweep that a cold benchmark pass makes over every subalg module
+        in_m2, _ = self.two_parents()
+        compatible_embeddings(in_m2, self.masa)
+        assert algebra._compatible_embeddings.cache_info().currsize > 0
+        for name, module in list(sys.modules.items()):
+            if not name.startswith("subalg."):
+                continue
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+        assert algebra._compatible_embeddings.cache_info().currsize == 0
 
 
 class TestGcdBound:
