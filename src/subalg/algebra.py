@@ -317,7 +317,6 @@ class SubalgebraClass:
     parent: EmbeddedAlgebra
     structure: BlockStructure
     embedding: MultiplicityMatrix
-    canonical: bool = False
 
     def __post_init__(self):
         if self.embedding.source.blocks != self.structure.blocks:
@@ -371,7 +370,7 @@ def _cached_classes(parent: EmbeddedAlgebra) -> tuple[SubalgebraClass, ...]:
     for blocks in _descending_structures(total, max_block):
         structure = BlockStructure(blocks)
         for emb in enumerate_unital_embeddings(structure, parent.structure, canonical=True):
-            classes.append(SubalgebraClass(parent, structure, emb, canonical=True))
+            classes.append(SubalgebraClass(parent, structure, emb))
     return tuple(classes)
 
 

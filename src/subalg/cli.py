@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .freeprod import (
     rcp_check,
     staged_build,
 )
-from .numeric import default_tolerance, density_experiment
+from .numeric import amplify, default_tolerance, density_experiment
 from .serialize import (
     canonical_json,
     load_probe_file,
@@ -57,8 +57,10 @@ _TWO_ALGEBRAS = {"dims", "thm41-check", "density", "rcp-balance", "dpi", "build-
 
 @dataclass
 class ExperimentConfig:
+    """A config file's keys (every field but ``diagnostics``), flag overrides applied."""
+
     command: str
-    algebras: list[dict]
+    algebras: list[dict] = field(default_factory=list)
     ambient: int | None = None
     samples: int | None = None
     seed: int | None = None
@@ -75,23 +77,7 @@ class ExperimentConfig:
     diagnostics: list = field(default_factory=list)
 
     def resolved_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "algebras": self.algebras,
-            "ambient": self.ambient,
-            "samples": self.samples,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "radius": self.radius,
-            "center": self.center,
-            "u": self.u,
-            "probe": self.probe,
-            "stages": self.stages,
-            "max_tries": self.max_tries,
-            "tolerance": self.tolerance,
-            "out": self.out,
-            "format": self.format,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"}
 
 
 def _is_int(v) -> bool:
@@ -159,6 +145,45 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
     return diags
 
 
+def _probe_diagnostics(path, blocks: dict[int, list]) -> list[tuple[str, str]]:
+    """Diagnostics for the probe file and its letter values (``blocks`` as for stages)."""
+    if not isinstance(path, str):
+        return [("/probe", f"expected a file path, got {path!r}")]
+    try:
+        probe = load_probe_file(path)
+    except ConfigError as exc:
+        return list(exc.diagnostics)
+    except OSError as exc:
+        return [("/probe", f"cannot read {path!r}: {exc.strerror}")]
+    except ValueError as exc:  # not JSON, or not UTF-8 text
+        return [("/probe", f"{path!r} is not a JSON file: {exc}")]
+    diags = []
+    for i, element in enumerate(probe):
+        for t, (_, word) in enumerate(element.terms):
+            for j, letter in enumerate(word):
+                k = letter.side - 1
+                if k in blocks:
+                    at = f"/elements/{i}/terms/{t}/word/{j}/value"
+                    diags += _model_diagnostics(letter.value, blocks[k], f"/algebras/{k}", at)
+    return diags
+
+
+def _model_diagnostics(value, blocks: list, algebra: str, pointer: str) -> list[tuple[str, str]]:
+    """Diagnostics for a matrix that must be an element of the block model of ``blocks``.
+
+    Entries outside the diagonal blocks must be exactly zero: ``amplify``
+    reads only the diagonal blocks and would drop them without a word.
+    """
+    size = sum(blocks)
+    if value.shape != (size, size):
+        return [(pointer, f"expected {size}x{size} for {algebra}, got shape {list(value.shape)}")]
+    off = np.argwhere(value != amplify(value, blocks, [[1] * len(blocks)]))
+    if off.size:
+        where = tuple(off[0].tolist())
+        return [(pointer, f"nonzero entry at {where} outside the diagonal blocks of {algebra}")]
+    return []
+
+
 def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     """Every invariant violation as a (json-pointer, message) diagnostic."""
     diags: list[tuple[str, str]] = list(config.diagnostics)
@@ -173,12 +198,16 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         diags.append(("/seed", "seed must be a nonnegative integer"))
 
     want = 2 if cmd in _TWO_ALGEBRAS else 1
-    if len(config.algebras) < want:
+    algebras = config.algebras
+    if not isinstance(algebras, list):
+        diags.append(("/algebras", "expected a list"))
+        algebras = []
+    elif len(algebras) < want:
         diags.append(("/algebras", f"command {cmd!r} needs {want} algebra spec(s)"))
 
     needs_mult = cmd != "build-primitive"
     valid_blocks: dict[int, list] = {}
-    for i, spec in enumerate(config.algebras):
+    for i, spec in enumerate(algebras):
         if not isinstance(spec, dict):
             diags.append((f"/algebras/{i}", "algebra spec must be an object"))
             continue
@@ -222,10 +251,10 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         elif cmd == "density" and config.center is not None:
             diags.extend(_unitary_diagnostics(config.center, "/center", config.ambient))
 
-    if cmd in ("rcp-balance", "dpi") and len(config.algebras) >= 2 and not diags:
+    if cmd in ("rcp-balance", "dpi") and len(algebras) >= 2 and not diags:
         dims = [
             sum(m * n for m, n in zip(spec["mult"], spec["blocks"]))
-            for spec in config.algebras[:2]
+            for spec in algebras[:2]
         ]
         if dims[0] != dims[1]:
             diags.append(
@@ -254,6 +283,11 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
             diags.extend(_stage_diagnostics(config.stages, valid_blocks))
         if not _is_int(config.max_tries) or config.max_tries < 1:
             diags.append(("/max_tries", "max_tries must be a positive integer"))
+        if config.probe is not None:
+            diags.extend(_probe_diagnostics(config.probe, valid_blocks))
+
+    if config.out is not None and not isinstance(config.out, str):
+        diags.append(("/out", f"expected a file path, got {config.out!r}"))
 
     if config.format not in ("json", "csv"):
         diags.append(("/format", "format must be 'json' or 'csv'"))
@@ -286,23 +320,11 @@ def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
             ("/command", f"config declares {declared!r} but {command!r} was invoked")
         )
 
+    keys = {f.name for f in fields(ExperimentConfig)} - {"command", "diagnostics"}
     config = ExperimentConfig(
         command=command,
-        algebras=list(raw.get("algebras", [])),
-        ambient=raw.get("ambient"),
-        samples=raw.get("samples"),
-        seed=raw.get("seed"),
-        epsilon=raw.get("epsilon"),
-        radius=raw.get("radius"),
-        center=raw.get("center"),
-        u=raw.get("u"),
-        probe=raw.get("probe"),
-        stages=raw.get("stages"),
-        max_tries=raw.get("max_tries", 128),
-        tolerance=raw.get("tolerance"),
-        out=raw.get("out"),
-        format=raw.get("format", "json"),
         diagnostics=diagnostics,
+        **{key: value for key, value in raw.items() if key in keys},
     )
     for key, value in overrides.items():
         if value is not None:
@@ -409,7 +431,7 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
         a1, a2 = config.algebras[0], config.algebras[1]
         alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
         stages = [(tuple(s[0]), tuple(s[1])) for s in config.stages]
-        probe = load_probe_file(config.probe) if config.probe else []
+        probe = load_probe_file(config.probe) if config.probe is not None else []
         try:
             build = staged_build(
                 alg1,
@@ -464,13 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "samples": args.samples,
-        "out": args.out,
-        "tolerance": args.tolerance,
-        "format": args.format,
-    }
+    overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
         config = load_config(args.config, args.command, overrides)
     except ConfigError as exc:

@@ -2,9 +2,9 @@
 
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  Commutants are solved as nullspaces of stacked commutator
-systems, subspace intersections via the rank identity
-dim(V meet W) = dim V + dim W - dim(V + W), and all rank decisions are made at
-a scale-aware tolerance with a built-in stability check: if shrinking or
+systems and subspace intersections as the nullspace of the paired system
+[V, -W].  Every rank decision is made by one routine, from one SVD, at a
+scale-aware tolerance with a built-in stability check: if shrinking or
 growing the tolerance tenfold changes the decision, a
 NumericalInstabilityError is raised instead of guessing.
 """
@@ -48,27 +48,6 @@ def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def _stable_rank(svals: np.ndarray, tol: float, what: str) -> int:
-    """Number of singular values above tol, required to be stable under tol/10 and 10*tol.
-
-    All cutoffs are clamped below at the SVD noise floor (a small multiple of
-    machine epsilon times the largest singular value): values underneath it
-    are numerically exact zeros and cannot make a decision ambiguous.
-    """
-    floor = 32.0 * EPS * (float(svals[0]) if svals.size else 1.0)
-    lo_cut = max(tol / 10.0, floor)
-    hi_cut = max(10.0 * tol, floor)
-    lo = int(np.count_nonzero(svals > lo_cut))
-    hi = int(np.count_nonzero(svals > hi_cut))
-    if lo != hi:
-        ambiguous = svals[(svals > lo_cut) & (svals <= hi_cut)]
-        defect = float(ambiguous.max()) if ambiguous.size else float(tol)
-        raise NumericalInstabilityError(
-            f"rank decision for {what} is unstable at tolerance {tol:.3e}", defect
-        )
-    return int(np.count_nonzero(svals > max(tol, floor)))
-
-
 def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Singular values and the full square right factor ``vh`` of m, with no left factor.
 
@@ -81,6 +60,31 @@ def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m)
     return s, vh
+
+
+def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str) -> np.ndarray:
+    """Rows of ``vh`` spanning the (conjugated) nullspace of system, from one SVD.
+
+    The rank counts singular values above ``tol`` (default
+    ``default_tolerance(n, s_max)``) and must not change at tol/10 or 10*tol.
+    All three cutoffs are clamped below at the noise floor
+    8 * max(n, 4) * eps * max(s_max, 1): the unit scale of the inputs, so a
+    system of pure rounding noise (s_max near eps) has a floor too, times a
+    size that grows like the rounding of products of n x n unitaries.
+    Values underneath it are exact zeros and cannot make a decision ambiguous.
+    """
+    s, vh = _svd_right(system)
+    scale = max(float(s[0]), 1.0)
+    cutoff = default_tolerance(n, scale) if tol is None else tol
+    floor = 8.0 * max(n, 4) * EPS * scale
+    lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
+    ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
+    if ambiguous.size:
+        raise NumericalInstabilityError(
+            f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
+            float(ambiguous.max()),
+        )
+    return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
 
 
 @dataclass
@@ -263,13 +267,8 @@ def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> Concret
     n = gens[0].shape[0]
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    system = np.concatenate(rows)
-    s, vh = _svd_right(system)
-    cutoff = default_tolerance(n, float(s[0]) if s.size else 1.0) if tol is None else tol
-    rank = _stable_rank(s, cutoff, "commutant system")
-    null = vh[rank:].conj()
-    basis = null.reshape(-1, n, n)
-    return ConcreteRealization(n, basis)
+    null = _null_rows(np.concatenate(rows), n, tol, "commutant system")
+    return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
 def intersect(
@@ -280,43 +279,26 @@ def intersect(
 ) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
-    The dimension comes from dim V + dim W - dim(V + W); the basis itself from
-    the nullspace of the paired system [U, -W], which is QR-reduced to a
-    square triangle before its SVD whenever it has more rows than columns
-    (N^2 > dim U + dim W).  The output is re-verified to
-    be closed under products and adjoints, which guards against rank
-    misdecisions; a failed verification raises NumericalInstabilityError with
-    the measured defect.
+    With V and W the bases as columns, V x = W y exactly when (x, y) lies in
+    the nullspace of the paired system [V, -W]: the dimension is its nullity,
+    from one SVD (the stacked [V, W] has the same singular values, so its
+    rank is not computed).  The identity lies in both spans, so a nullity
+    below 1 is a rank error; the output is re-verified to be closed under
+    products and adjoints.  Both failures raise NumericalInstabilityError
+    with the measured defect.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
     n = a.ambient_dim
     va, vb = a.vectors(), b.vectors()
-    stacked = np.concatenate([va, vb], axis=1)
-    s_sum = np.linalg.svd(stacked, compute_uv=False)
-    cutoff = default_tolerance(n, float(s_sum[0])) if tol is None else tol
-    dim_sum = _stable_rank(s_sum, cutoff, "combined span")
-    dim_int = a.dimension + b.dimension - dim_sum
-    if dim_int < 1:
-        # The identity lies in both spans, so an empty intersection is a rank error.
+    null = _null_rows(np.concatenate([va, -vb], axis=1), n, tol, "paired system")
+    if len(null) < 1:
         raise NumericalInstabilityError(
-            "intersection lost the identity; rank decision is suspect", float(dim_int)
+            "intersection lost the identity; rank decision is suspect", float(len(null))
         )
-
-    paired = np.concatenate([va, -vb], axis=1)
-    s, vh = _svd_right(paired)
-    nullity = paired.shape[1] - _stable_rank(s, cutoff, "paired system")
-    if nullity != dim_int:
-        raise NumericalInstabilityError(
-            f"rank identity mismatch: nullity {nullity} vs {dim_int}",
-            float(abs(nullity - dim_int)),
-        )
-    coeffs = vh[paired.shape[1] - nullity :].conj()[:, : a.dimension]
-    raw = (va @ coeffs.T).T  # rows are vectorized intersection elements
-    # Orthonormalize; the raw family has full rank dim_int by construction.
-    q, _ = np.linalg.qr(raw.T)
-    basis = q.T[:dim_int].reshape(-1, n, n)
-    out = ConcreteRealization(n, basis)
+    # Orthonormalize; V x has full rank, as V and W have orthonormal columns.
+    q, _ = np.linalg.qr(va @ null[:, : a.dimension].conj().T)
+    out = ConcreteRealization(n, q.T.reshape(-1, n, n))
 
     defect = out.closure_defect()
     if defect > closure_tol:

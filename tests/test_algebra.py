@@ -305,9 +305,7 @@ def deduplicated_classes(parent):
             key = canonical_embedding_key(structure, emb.entries)
             if key not in seen:
                 canon = MultiplicityMatrix(BlockStructure(key[0]), parent.structure, key[1])
-                seen[key] = SubalgebraClass(
-                    parent, BlockStructure(key[0]), canon, canonical=True
-                )
+                seen[key] = SubalgebraClass(parent, BlockStructure(key[0]), canon)
     return tuple(seen.values())
 
 

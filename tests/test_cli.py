@@ -204,6 +204,10 @@ class TestValidation:
                 probe_with_value({"shape": [2.0, 2], "data": []}),
                 "/elements/0/terms/0/word/0/value/shape: expected a list of nonnegative integers",
             ),
+            (
+                probe_with_value(matrix_to_json(np.eye(3))),
+                "/elements/0/terms/0/word/0/value: expected 2x2 for /algebras/0, got shape [3, 3]",
+            ),
         ],
     )
     def test_malformed_probe_exits_1(self, tmp_path, capsys, probe, message):
@@ -214,6 +218,55 @@ class TestValidation:
         assert code == 1
         assert report is None
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["enumerate", "density", "dpi", "build-primitive"])
+    def test_algebras_not_a_list_exits_1(self, tmp_path, capsys, command):
+        payload = dict(BUILD_M2, algebras=5, ambient=4, samples=3)
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert code == 1
+        assert report is None
+        assert "/algebras: expected a list" in capsys.readouterr().err
+
+    def test_out_not_a_path_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "config.json", dict(M2_PAIR, out=7))
+        assert main(["enumerate", "--config", cfg]) == 1
+        assert "/out: expected a file path, got 7" in capsys.readouterr().err
+
+    def test_probe_not_a_path_exits_1(self, tmp_path, capsys):
+        code, report, _ = run_cli(tmp_path, "build-primitive", dict(BUILD_M2, probe=7))
+        assert code == 1
+        assert report is None
+        assert "/probe: expected a file path, got 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "No such file or directory"), ('{"elements": [', "is not a JSON file")],
+    )
+    def test_unreadable_probe_file_exits_1(self, tmp_path, capsys, text, message):
+        probe_path = tmp_path / "probe.json"
+        if text is not None:
+            probe_path.write_text(text)
+        payload = dict(BUILD_M2, probe=str(probe_path))
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert "/probe: " in err and message in err
+
+    def test_probe_value_off_the_block_model_exits_1(self, tmp_path, capsys):
+        # amplify reads only the diagonal blocks of C^2, so this value would act as 0
+        probe_path = tmp_path / "probe.json"
+        value = matrix_to_json(np.array([[0, 5], [5, 0]]))
+        probe_path.write_text(json.dumps(probe_with_value(value)))
+        payload = dict(BUILD_M2, algebras=[{"blocks": [1, 1]}, {"blocks": [2]}])
+        payload["stages"] = [[[1, 1], [1]]]
+        code, report, _ = run_cli(tmp_path, "build-primitive", dict(payload, probe=str(probe_path)))
+        assert code == 1
+        assert report is None
+        assert (
+            "/elements/0/terms/0/word/0/value: nonzero entry at (0, 1) outside the diagonal "
+            "blocks of /algebras/0" in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "u, message",
@@ -384,6 +437,16 @@ class TestCommands:
         code, report, _ = run_cli(tmp_path, "dpi", payload)
         assert code == 0
         assert report["result"]["trivial_count"] == 8
+
+    @pytest.mark.parametrize("radius", [None, 1e-3])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_dpi_scalar_pair_commutes_with_everything(self, tmp_path, n, radius):
+        # both factors C in M_n: the commutator system is pure rounding noise
+        scalar = {"blocks": [1], "mult": [n]}
+        payload = {"algebras": [scalar, scalar], "seed": 5, "samples": 8, "radius": radius}
+        code, report, _ = run_cli(tmp_path, "dpi", payload)
+        assert code == 0
+        assert report["result"]["dims"] == [n * n] * 8
 
     def test_build_primitive(self, tmp_path):
         probe_path = tmp_path / "probe.json"

@@ -14,16 +14,17 @@ from subalg.algebra import (
 )
 from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
-    _stable_rank,
+    EPS,
+    _null_rows,
     _svd_right,
     amplify,
     commutant_basis,
     conjugate,
-    default_tolerance,
     density_experiment,
     exp_skew,
     haar_unitary,
     intersect,
+    local_unitary,
     random_skew_direction,
     realize,
     realize_class,
@@ -186,6 +187,15 @@ class TestCommutant:
     def test_identity_gives_everything(self):
         assert commutant_basis([np.eye(3, dtype=complex)]).dimension == 9
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_rounded_identity_gives_everything(self, n):
+        # u I u* is the identity up to rounding, so the commutator system is pure
+        # noise (s_max near eps); the rank floor keeps the scale of unit inputs
+        rng = sample_stream(3, n)
+        for u in (haar_unitary(n, rng), local_unitary(np.eye(n), 1e-3, rng)):
+            gens = [np.eye(n, dtype=complex), u @ np.eye(n) @ u.conj().T]
+            assert commutant_basis(gens).dimension == n * n
+
     def test_matches_multiplicity_formula(self):
         # numeric commutant dimension == sum of squared entries, for every
         # enumerated subalgebra class at N <= 4 (N <= 6 runs in acceptance)
@@ -227,12 +237,12 @@ class TestSvdRight:
         scale = max(float(ref[0]), 1.0)
         assert np.max(np.abs(s - ref)) <= 1e-12 * scale
 
-        cutoff = default_tolerance(max(rows, cols), float(s[0]))
-        assert _stable_rank(s, cutoff, "test matrix") == rank
-        null = vh[rank:].conj()
+        null = _null_rows(m, max(rows, cols), None, "test matrix").conj()
+        assert null.shape == (cols - rank, cols)
         assert np.allclose(null @ null.conj().T, np.eye(cols - rank), atol=1e-12)
-        if cols > rank:
-            assert np.linalg.norm(m @ null.T, 2) <= cutoff
+        # backward error of the SVD: a small multiple of max(rows, cols) * eps * s_max
+        bound = 32 * max(rows, cols) * EPS * float(ref[0]) if rank else 0.0
+        assert np.linalg.norm(m @ null.T, 2) <= bound
 
 
 class TestIntersect:
@@ -286,6 +296,25 @@ class TestIntersect:
         out = intersect(m4, realize(M2M2))
         assert out.dimension == 8
         assert out.contains_identity()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+        radius=st.one_of(st.none(), st.floats(1e-4, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dimension_matches_stacked_rank(self, n, picks, radius, seed):
+        # dim(V meet W) = dim V + dim W - rank [V, W], with the rank of the
+        # stacked span taken from a plain SVD here
+        algebras = enumerate_embedded_algebras(n)
+        b1, b2 = (algebras[k % len(algebras)] for k in picks)
+        rng = np.random.default_rng(seed)
+        u = haar_unitary(n, rng) if radius is None else local_unitary(np.eye(n), radius, rng)
+        r1, r2 = realize(b1), conjugate(realize(b2), u)
+        s = np.linalg.svd(np.concatenate([r1.vectors(), r2.vectors()], axis=1), compute_uv=False)
+        rank = int(np.count_nonzero(s > n * n * EPS * s[0]))
+        assert intersect(r1, r2).dimension == r1.dimension + r2.dimension - rank
 
     def test_instability_error_on_absurd_tolerance(self):
         r = realize(M2M2)
