@@ -22,6 +22,7 @@ from .algebra import BlockStructure
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from .numeric import (
     DensityStats,
+    amplified_commutant,
     amplify,
     tally_dims,
     commutant_basis,
@@ -261,11 +262,34 @@ def _segment_generators(alg: BlockStructure, segments) -> np.ndarray:
     return amplify(model_matrix_units(alg), alg.blocks, segments)
 
 
+def _joint_dim(alg1, segs1, alg2, segs2, u, tol) -> int:
+    """Dimension of the commutant of A1 together with u A2 u^-1 (both amplified).
+
+    The solve runs inside the smaller of the two known amplified commutants.
+    Inside A1' the unknown X must commute with u g u^-1 for the units g of
+    A2; inside A2' the unknown u^-1 X u must commute with u^-1 g u for the
+    units g of A1, which gives the same dimension.  The inverse is used, not
+    u*: a u that is unitary only to within validate's bound still maps the
+    units onto an exactly similar algebra (u I u^-1 = I, idempotents stay
+    idempotent), so its unitarity defect does not land in the stability band
+    of the rank decision.  The last diagonal unit is left out: the units sum
+    to the identity, which commutes with everything.
+    """
+    dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
+    dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
+    u_inv = np.linalg.inv(u)
+    if dim1 <= dim2:
+        within = amplified_commutant(alg1.blocks, segs1)
+        gens = u @ _segment_generators(alg2, segs2)[:-1] @ u_inv
+    else:
+        within = amplified_commutant(alg2.blocks, segs2)
+        gens = u_inv @ _segment_generators(alg1, segs1)[:-1] @ u
+    return commutant_basis(gens, tol=tol, within=within).dimension
+
+
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
-    gens1 = _segment_generators(rep.algebra1, [rep.mult1])
-    gens2 = rep.u @ _segment_generators(rep.algebra2, [rep.mult2]) @ rep.u.conj().T
-    return commutant_basis([*gens1, *gens2], tol=tol).dimension
+    return _joint_dim(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], rep.u, tol)
 
 
 def irreducibility_check(rep: RepPair, tol: float | None = None) -> bool:
@@ -460,12 +484,8 @@ def _search_stage_unitary(
     (unitary or None, tries used, best commutant dimension seen).
     """
 
-    gens1 = list(_segment_generators(alg1, segs1))
-    raw2 = _segment_generators(alg2, segs2)
-
     def jc_dim(w):
-        total = w @ prev_u
-        return commutant_basis([*gens1, *(total @ raw2 @ total.conj().T)], tol=tol).dimension
+        return _joint_dim(alg1, segs1, alg2, segs2, w @ prev_u, tol)
 
     best = jc_dim(np.eye(dim))
     if best == 1:

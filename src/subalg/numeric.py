@@ -1,11 +1,12 @@
 """Concrete matrix realizations, random unitaries, and numerical intersection experiments.
 
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
-trace inner product.  Commutants are solved as nullspaces of stacked commutator
-systems and subspace intersections as the nullspace of the paired system
-[V, -W].  Every rank decision is made by one routine, from one SVD, at a
-scale-aware tolerance with a built-in stability check: if shrinking or
-growing the tolerance tenfold changes the decision, a
+trace inner product.  Commutants are solved as nullspaces of stacked
+commutator systems, inside a known subspace (such as the commutant of an
+amplified stack) when one is given, and subspace intersections as the
+nullspace of the paired system [V, -W].  Every rank decision is made by one
+routine, from one SVD, at a scale-aware tolerance with a built-in stability
+check: if shrinking or growing the tolerance tenfold changes the decision, a
 NumericalInstabilityError is raised instead of guessing.
 """
 
@@ -174,6 +175,38 @@ def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
     return out
 
 
+def amplified_commutant(blocks, rows) -> ConcreteRealization:
+    """Orthonormal basis of the commutant of the image of ``amplify(., blocks, rows)``.
+
+    Every nonzero entry m = row[j] writes m copies of block j, copy c of the
+    segment at ``pos`` on the indices pos + c + m*p, p < n_j.  Over all rows
+    block j has M_j copies, and the commutant is spanned by the M_j^2 matrices
+    sum_p e(s_p, t_p) from copy t onto copy s, scaled by 1/sqrt(n_j): they
+    have disjoint supports, so the basis is orthonormal, and its dimension is
+    sum_j M_j^2.  The layout is the one ``amplify`` writes, so no permutation
+    is needed.
+    """
+    blocks = tuple(blocks)
+    copies: list[list[np.ndarray]] = [[] for _ in blocks]
+    pos = 0
+    for row in rows:
+        for j, m in enumerate(row):
+            end = pos + m * blocks[j]
+            copies[j].extend(np.arange(pos + c, end, m) for c in range(m))
+            pos = end
+    count = sum(len(c) ** 2 for c in copies)
+    basis = np.zeros((count, pos, pos), dtype=complex)
+    k = 0
+    for b, idx in zip(blocks, copies):
+        if not idx:
+            continue
+        idx = np.array(idx)
+        s, t = np.divmod(np.arange(len(idx) ** 2), len(idx))
+        basis[np.arange(k, k + len(s))[:, None], idx[s], idx[t]] = 1.0 / np.sqrt(b)
+        k += len(s)
+    return ConcreteRealization(pos, basis)
+
+
 def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
     """Map a stack of source block-model elements through a unital embedding.
 
@@ -254,15 +287,34 @@ def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -
     return center @ exp_skew(radius * random_skew_direction(n, rng))
 
 
-def commutant_basis(gens: list[np.ndarray], tol: float | None = None) -> ConcreteRealization:
+def commutant_basis(
+    gens, tol: float | None = None, within: ConcreteRealization | None = None
+) -> ConcreteRealization:
     """Orthonormal basis of the joint commutant {X : X A_g = A_g X for all g}.
 
-    With row-major vectorization the condition reads
-    (A kron I - I kron A^T) vec(X) = 0; the systems are stacked, the stack
-    of two or more is QR-reduced to its square N^2 x N^2 triangle, and the
-    nullspace is read off the SVD of that square at a stable rank cutoff.
+    With ``within`` (an orthonormal realization known to hold the answer,
+    such as ``amplified_commutant``) the unknowns are the coefficients c of
+    X = sum_k c_k E_k over its basis E_k: the system has one column
+    vec(E_k A - A E_k) per basis element, stacked over the generators, and
+    with no generators the answer is ``within`` itself.  Without it, the
+    condition reads (A kron I - I kron A^T) vec(X) = 0 over all of M_N,
+    an N^2-column system.  Either system is QR-reduced to its square triangle
+    when tall, and the nullspace is read off one SVD at a stable rank cutoff.
     """
-    if not gens:
+    if within is not None:
+        n, basis = within.ambient_dim, within.basis
+        if not len(gens):
+            return within
+        d = len(basis)
+        # row k of the transposed system is E_k A - A E_k for every A in turn
+        system = np.empty((d, len(gens), n, n), dtype=complex)
+        for i, a in enumerate(gens):
+            np.matmul(basis, a, out=system[:, i])
+            system[:, i] -= a @ basis
+        null = _null_rows(system.reshape(d, -1).T, n, tol, "commutant system")
+        coeff = null.conj() @ basis.reshape(d, n * n)
+        return ConcreteRealization(n, coeff.reshape(-1, n, n))
+    if not len(gens):
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
     eye = np.eye(n)

@@ -30,6 +30,7 @@ from subalg.freeprod import (
     FreeElement,
     Letter,
     RepPair,
+    dpi_probe,
     evaluate,
     lipschitz_bound,
     rcp_balance,
@@ -264,3 +265,35 @@ def test_criterion_8_staged_builder():
     except SearchExhaustedError as exc:
         ok &= exc.dim == 4 and exc.best_dim >= 2
     budget.finish(bool(ok))
+
+
+def halmos_dim(n, p, q):
+    """Generic joint commutant dimension of two projections of ranks p, q on C^n.
+
+    Halmos' two-subspace theorem: k = min(p, n-p, q, n-q) two-dimensional
+    pieces in generic position, each with a scalar commutant, plus the four
+    corners P meet Q, P meet Q-perp, P-perp meet Q and P-perp meet Q-perp, of
+    generic dimensions c, each adding a full M_c to the commutant.
+    """
+    k = min(p, n - p, q, n - q)
+    corners = (p + q - n, p - q, q - p, n - p - q)
+    return k + sum(max(c, 0) ** 2 for c in corners)
+
+
+def test_hypothesis_boundary_halmos_oracle():
+    # C^2 * C^2 is the one pair with nontrivial factors outside the theorem's
+    # hypothesis (dim A1 - 1)(dim A2 - 1) >= 2; its dpi dimensions are exact
+    budget = Budget("free-product oracle: C^2 * C^2 against Halmos (n <= 10)", 60)
+    mismatches = []
+    cases = 0
+    for n in range(2, 11):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                rep = RepPair(C2, (p, n - p), C2, (q, n - q), np.eye(n))
+                stats = dpi_probe(rep, 1, seed=1000 * n + 10 * p + q)
+                cases += 1
+                if stats.dims != (halmos_dim(n, p, q),):
+                    mismatches.append((n, p, q, stats.dims))
+    assert cases == 501
+    print(f"  {cases} cases, mismatches {mismatches}")
+    budget.finish(not mismatches)

@@ -303,6 +303,33 @@ class TestValidation:
         assert report is None
         assert "/u: not unitary (defect" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radius", [None, 1e-3])
+    @pytest.mark.parametrize(
+        "algebra, dim",
+        [
+            ({"blocks": [1], "mult": [4]}, 16),
+            # both commutants have dimension 8; conjugating the units by u*
+            # instead of u^-1 leaves the defect in the stability band (exit 4)
+            ({"blocks": [1, 1], "mult": [2, 2]}, 2),
+        ],
+    )
+    def test_dpi_u_defect_inside_validate_bound_decides(self, tmp_path, algebra, dim, radius):
+        # u = diag(1 + d, 1, 1, 1) with defect 48 eps = 1.07e-14, 30% of the bound
+        n = 4
+        u = np.diag([1.0 + 24 * np.finfo(float).eps, 1.0, 1.0, 1.0])
+        defect = np.linalg.norm(u.conj().T @ u - np.eye(n))
+        assert defect == pytest.approx(0.3 * 10 * default_tolerance(n, 1.0))
+        payload = {
+            "algebras": [algebra, algebra],
+            "seed": 5,
+            "samples": 8,
+            "radius": radius,
+            "u": matrix_to_json(u),
+        }
+        code, report, _ = run_cli(tmp_path, "dpi", payload)
+        assert code == 0
+        assert report["result"]["dims"] == [dim] * 8
+
     def test_dpi_unitary_u_accepted(self, tmp_path):
         payload = dict(M2_PAIR, samples=3, u=matrix_to_json(haar_unitary(4, 8)))
         del payload["ambient"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subalg.algebra import BlockStructure
+from subalg.algebra import BlockStructure, enumerate_embedded_algebras
 from subalg.errors import SearchExhaustedError, ShapeMismatchError
 from subalg.freeprod import (
     FreeElement,
@@ -20,7 +20,16 @@ from subalg.freeprod import (
     rcp_check_pair,
     staged_build,
 )
-from subalg.numeric import commutant_basis, haar_unitary, intersect, realize
+from subalg.numeric import (
+    amplify,
+    commutant_basis,
+    haar_unitary,
+    intersect,
+    local_unitary,
+    model_matrix_units,
+    realize,
+    sample_stream,
+)
 
 M2 = BlockStructure((2,))
 C2 = BlockStructure((1, 1))
@@ -297,6 +306,61 @@ class TestIrreducibility:
         conj_gens = [rep.u @ g @ rep.u.conj().T for g in r.basis]
         c2 = commutant_basis(conj_gens)
         assert joint_commutant_dim(rep) == intersect(c1, c2).dimension
+
+
+def kronecker_joint_dim(rep):
+    """The oracle: the N^2-column Kronecker commutant of the units of both sides."""
+    units1 = amplify(model_matrix_units(rep.algebra1), rep.algebra1.blocks, [rep.mult1])
+    units2 = amplify(model_matrix_units(rep.algebra2), rep.algebra2.blocks, [rep.mult2])
+    return commutant_basis([*units1, *(rep.u @ units2 @ rep.u.conj().T)]).dimension
+
+
+class TestRestrictedSolve:
+    def test_matches_kronecker_oracle(self):
+        # seeded sweep of pairs in M_N, N = 2..6, with identity, Haar, local
+        # (radius 1e-4 to 1e-1) and permutation u; either side may hold the
+        # smaller commutant.  Permutations make dim(u) differ from dim(u^-1),
+        # so they pin which side of the similarity each solve conjugates.
+        rng = np.random.default_rng(2024)
+        algebras = {n: enumerate_embedded_algebras(n) for n in range(2, 7)}
+        kinds = ("identity", "haar", "local", "permutation")
+        seen = {kind: set() for kind in kinds}
+        for i in range(420):
+            n = int(rng.integers(2, 7))
+            a, b = (algebras[n][k] for k in rng.integers(0, len(algebras[n]), size=2))
+            stream = sample_stream(77, i)
+            kind = kinds[i % 4]
+            if kind == "identity":
+                u = np.eye(n, dtype=complex)
+            elif kind == "haar":
+                u = haar_unitary(n, stream)
+            elif kind == "local":
+                u = local_unitary(np.eye(n), 10.0 ** stream.uniform(-4, -1), stream)
+            else:
+                u = np.eye(n, dtype=complex)[stream.permutation(n)]
+            rep = RepPair(a.structure, a.mult, b.structure, b.mult, u)
+            dim = joint_commutant_dim(rep)
+            assert dim == kronecker_joint_dim(rep), (a, b, kind)
+            seen[kind].add(dim)
+        assert all(len(dims) > 3 for dims in seen.values())
+
+    @pytest.mark.parametrize(
+        "kind, expected",
+        # at u = I the diagonal atoms have sizes 16, 8, 8, 16
+        [("identity", 16**2 + 8**2 + 8**2 + 16**2), ("haar", 1), ("local", 1)],
+    )
+    def test_large_n_c2_against_c3(self, kind, expected):
+        # N = 48: C^2 (24, 24) against C^3 (16, 16, 16); the Kronecker system
+        # would have 2304 columns, the restricted one has 768
+        n = 48
+        rng = sample_stream(48, 0)
+        u = {
+            "identity": np.eye(n, dtype=complex),
+            "haar": haar_unitary(n, rng),
+            "local": local_unitary(np.eye(n), 1e-3, rng),
+        }[kind]
+        rep = RepPair(C2, (24, 24), BlockStructure((1, 1, 1)), (16, 16, 16), u)
+        assert joint_commutant_dim(rep) == expected
 
 
 class TestDpiProbe:

@@ -17,6 +17,7 @@ from subalg.numeric import (
     EPS,
     _null_rows,
     _svd_right,
+    amplified_commutant,
     amplify,
     commutant_basis,
     conjugate,
@@ -25,6 +26,7 @@ from subalg.numeric import (
     haar_unitary,
     intersect,
     local_unitary,
+    model_matrix_units,
     random_skew_direction,
     realize,
     realize_class,
@@ -122,6 +124,40 @@ class TestAmplify:
             amplify(np.eye(3), (1, 1), [(1, 1)])
 
 
+def random_layouts(seed, count, max_dim=10):
+    """Seeded multi-segment layouts (blocks, rows), zero multiplicities included."""
+    rng = np.random.default_rng(seed)
+    layouts = []
+    while len(layouts) < count:
+        blocks = tuple(int(b) for b in rng.integers(1, 4, size=rng.integers(1, 4)))
+        rows = [
+            tuple(int(m) for m in rng.integers(0, 3, size=len(blocks)))
+            for _ in range(rng.integers(1, 4))
+        ]
+        dim = sum(m * b for row in rows for m, b in zip(row, blocks))
+        if 1 <= dim <= max_dim:
+            layouts.append((blocks, rows))
+    return layouts
+
+
+class TestAmplifiedCommutant:
+    def test_spans_the_commutant_of_the_amplified_units(self):
+        layouts = random_layouts(41, 80)
+        assert any(0 in row for _, rows in layouts for row in rows)
+        for blocks, rows in layouts:
+            units = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
+            known = amplified_commutant(blocks, rows)
+            vecs = known.vectors()
+            # orthonormal, with dimension sum_j (sum_r m_rj)^2
+            assert np.abs(vecs.conj().T @ vecs - np.eye(known.dimension)).max() < 1e-15
+            totals = [sum(row[j] for row in rows) for j in range(len(blocks))]
+            assert known.dimension == sum(m * m for m in totals)
+            # same span as the Kronecker commutant of the amplified matrix units
+            ref = commutant_basis(list(units)).vectors()
+            assert ref.shape == vecs.shape, (blocks, rows)
+            assert np.linalg.norm(ref - vecs @ (vecs.conj().T @ ref)) < 1e-12, (blocks, rows)
+
+
 class TestConjugate:
     def test_matches_einsum_reference_and_stays_orthonormal(self):
         r = realize(EmbeddedAlgebra(12, BlockStructure((2, 1)), (4, 4)))
@@ -206,6 +242,24 @@ class TestCommutant:
                     ambient = cls.ambient_embedding()
                     expected = relative_commutant(ambient).algebra_dim()
                     assert commutant_basis(list(sub.basis)).dimension == expected
+
+    def test_within_without_generators_is_within(self):
+        known = amplified_commutant((1, 1), [(2, 1)])
+        assert commutant_basis([], within=known) is known
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_within_matches_the_kronecker_system(self, seed):
+        # joint commutant of C^2 (2, 2) and u (M2 (2)) u*, solved inside C^2's commutant
+        rng = sample_stream(seed)
+        u = haar_unitary(4, rng) if seed % 2 else local_unitary(np.eye(4), 1e-2, rng)
+        gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
+        gens2 = u @ amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)]) @ u.conj().T
+        ref = commutant_basis([*gens1, *gens2])
+        got = commutant_basis(gens2, within=amplified_commutant((1, 1), [(2, 2)]))
+        assert got.dimension == ref.dimension
+        vecs = got.vectors()
+        assert np.abs(vecs.conj().T @ vecs - np.eye(got.dimension)).max() < 1e-12
+        assert np.linalg.norm(ref.vectors() - vecs @ (vecs.conj().T @ ref.vectors())) < 1e-10
 
     def test_commutant_is_an_algebra(self):
         r = realize(M2_MULT2)
