@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -82,6 +83,23 @@ class ExperimentConfig:
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _positive_finite_diagnostics(value, pointer: str) -> list[tuple[str, str]]:
+    """Diagnostics for a real field that must be a positive finite number.
+
+    Booleans are rejected although Python counts them as integers, and so is
+    an integer too large to convert to a float.
+    """
+    try:
+        ok = (
+            isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and 0.0 < float(value) < math.inf
+        )
+    except OverflowError:
+        ok = False
+    return [] if ok else [(pointer, f"expected a positive finite number, got {value!r}")]
 
 
 def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
@@ -267,16 +285,11 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         if not _is_int(config.samples) or config.samples is None or config.samples < 1:
             diags.append(("/samples", "samples must be an integer >= 1"))
 
-    if config.radius is not None and not (
-        isinstance(config.radius, (int, float)) and config.radius > 0
-    ):
-        diags.append(("/radius", "radius must be positive"))
+    if config.radius is not None:
+        diags.extend(_positive_finite_diagnostics(config.radius, "/radius"))
 
     if cmd == "build-primitive":
-        if config.epsilon is None or not (
-            isinstance(config.epsilon, (int, float)) and config.epsilon > 0
-        ):
-            diags.append(("/epsilon", "epsilon must be positive"))
+        diags.extend(_positive_finite_diagnostics(config.epsilon, "/epsilon"))
         if not isinstance(config.stages, list) or not config.stages:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
@@ -294,10 +307,8 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     elif config.format == "csv" and cmd not in _NEEDS_SAMPLES:
         diags.append(("/format", f"command {cmd!r} has no per-sample CSV output"))
 
-    if config.tolerance is not None and not (
-        isinstance(config.tolerance, (int, float)) and config.tolerance > 0
-    ):
-        diags.append(("/tolerance", "tolerance must be positive"))
+    if config.tolerance is not None:
+        diags.extend(_positive_finite_diagnostics(config.tolerance, "/tolerance"))
 
     return diags
 

@@ -4,7 +4,8 @@ Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  Commutants are solved as nullspaces of stacked
 commutator systems, inside a known subspace (such as the commutant of an
 amplified stack) when one is given, and subspace intersections as the
-nullspace of the paired system [V, -W].  Every rank decision is made by one
+nullspace of the twice-projected residual (I - W W*) V of the smaller
+realization V against the larger W.  Every rank decision is made by one
 routine, from one SVD, at a scale-aware tolerance with a built-in stability
 check: if shrinking or growing the tolerance tenfold changes the decision, a
 NumericalInstabilityError is raised instead of guessing.
@@ -331,25 +332,34 @@ def intersect(
 ) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
-    With V and W the bases as columns, V x = W y exactly when (x, y) lies in
-    the nullspace of the paired system [V, -W]: the dimension is its nullity,
-    from one SVD (the stacked [V, W] has the same singular values, so its
-    rank is not computed).  The identity lies in both spans, so a nullity
-    below 1 is a rank error; the output is re-verified to be closed under
-    products and adjoints.  Both failures raise NumericalInstabilityError
-    with the measured defect.
+    Solved over the smaller realization, called ``a`` (the two are swapped
+    when ``a`` is larger).  With A and B the bases as rows, a combination
+    x A lies in span B exactly when the residual x (A - (A B*) B) vanishes,
+    and the singular values of that residual are the sines of the principal
+    angles between the spans.  The projection is applied twice, so its
+    rounding stays at the level of one orthogonal projection; the dimension
+    is the nullity of the d_a-column projected system, from one SVD.  The
+    identity lies in both spans, so a nullity below 1 is a rank error; the
+    output is re-verified to be closed under products and adjoints.  Both
+    failures raise NumericalInstabilityError with the measured defect.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
+    if a.dimension > b.dimension:
+        a, b = b, a
     n = a.ambient_dim
-    va, vb = a.vectors(), b.vectors()
-    null = _null_rows(np.concatenate([va, -vb], axis=1), n, tol, "paired system")
+    rows_a = a.basis.reshape(a.dimension, n * n)
+    rows_b = b.basis.reshape(b.dimension, n * n)
+    bh = rows_b.conj().T
+    resid = rows_a - (rows_a @ bh) @ rows_b
+    resid -= (resid @ bh) @ rows_b
+    null = _null_rows(resid.T, n, tol, "projected system")
     if len(null) < 1:
         raise NumericalInstabilityError(
             "intersection lost the identity; rank decision is suspect", float(len(null))
         )
-    # Orthonormalize; V x has full rank, as V and W have orthonormal columns.
-    q, _ = np.linalg.qr(va @ null[:, : a.dimension].conj().T)
+    # Orthonormalize; x A has full rank, as A has orthonormal rows.
+    q, _ = np.linalg.qr(rows_a.T @ null.conj().T)
     out = ConcreteRealization(n, q.T.reshape(-1, n, n))
 
     defect = out.closure_defect()

@@ -157,6 +157,35 @@ class TestValidation:
         assert code == 0
         assert np.array_equal(matrix_from_json(report["result"]["center"]), center)
 
+    @pytest.mark.parametrize(
+        "command, payload, extra, pointer, shown",
+        [
+            ("density", dict(M2_PAIR, radius=float("inf")), (), "/radius", "inf"),
+            ("density", dict(M2_PAIR, radius=float("nan")), (), "/radius", "nan"),
+            ("density", dict(M2_PAIR, radius=True), (), "/radius", "True"),
+            ("dpi", dict(M2_PAIR, radius=float("inf")), (), "/radius", "inf"),
+            ("dpi", dict(M2_PAIR, radius=True), (), "/radius", "True"),
+            ("build-primitive", dict(BUILD_M2, epsilon=True), (), "/epsilon", "True"),
+            ("build-primitive", dict(BUILD_M2, epsilon=float("inf")), (), "/epsilon", "inf"),
+            ("build-primitive", dict(BUILD_M2, epsilon=10**400), (), "/epsilon", "1000"),
+            ("density", dict(M2_PAIR, tolerance=float("inf")), (), "/tolerance", "inf"),
+            ("density", dict(M2_PAIR, tolerance=False), (), "/tolerance", "False"),
+            ("density", M2_PAIR, ("--tolerance", "inf"), "/tolerance", "inf"),
+            ("dpi", M2_PAIR, ("--tolerance=-inf",), "/tolerance", "-inf"),
+        ],
+    )
+    def test_real_field_not_positive_finite_exits_1(
+        self, tmp_path, capsys, command, payload, extra, pointer, shown
+    ):
+        # booleans, infinities, NaN and integers beyond float range are
+        # rejected with a pointer before any numerics run
+        code, report, _ = run_cli(tmp_path, command, dict(payload, samples=3), extra)
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert f"{pointer}: expected a positive finite number, got {shown}" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("side", [None, 3])
     def test_probe_letter_without_valid_side_exits_1(self, tmp_path, capsys, side):
         letter = {"value": matrix_to_json(np.eye(2))}

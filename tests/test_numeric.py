@@ -35,6 +35,8 @@ from subalg.numeric import (
 
 M2_MULT2 = EmbeddedAlgebra(4, BlockStructure((2,)), (2,))
 M2M2 = EmbeddedAlgebra(4, BlockStructure((2, 2)), (1, 1))
+M4 = EmbeddedAlgebra(4, BlockStructure((4,)), (1,))
+C4 = EmbeddedAlgebra(4, BlockStructure((1,) * 4), (1,) * 4)
 
 
 def rotation(theta):
@@ -345,8 +347,10 @@ class TestIntersect:
             assert out.contains_identity()
 
     def test_wide_paired_system(self):
-        # [M4, M2+M2] in M4 pairs 16 + 8 columns against 16 rows: no QR reduction
-        m4 = realize(EmbeddedAlgebra(4, BlockStructure((4,)), (1,)))
+        # the former paired system [M4, M2+M2] was wide (16 rows, 16 + 8
+        # columns); the projected system of the smaller M2+M2 is 16 x 8 and
+        # QR-reduced to 8 x 8
+        m4 = realize(M4)
         out = intersect(m4, realize(M2M2))
         assert out.dimension == 8
         assert out.contains_identity()
@@ -369,6 +373,62 @@ class TestIntersect:
         s = np.linalg.svd(np.concatenate([r1.vectors(), r2.vectors()], axis=1), compute_uv=False)
         rank = int(np.count_nonzero(s > n * n * EPS * s[0]))
         assert intersect(r1, r2).dimension == r1.dimension + r2.dimension - rank
+
+    def test_second_projection_keeps_local_decisions_stable(self):
+        # one projection leaves rounding noise up to 35 eps in the residual of
+        # M4 against a nearby conjugate, above the noise floor of 32 eps and so
+        # inside the stability band; the second projection takes it far below
+        stats = density_experiment(M4, M4, 8, seed=11, local=(None, 1e-3))
+        assert stats.dims == (16,) * 8
+
+    @pytest.mark.parametrize("swap", [False, True])
+    @pytest.mark.parametrize("case", ["M3+M1 over M2+M2", "M2+M2 over C4"])
+    def test_output_lies_in_both_spans(self, case, swap):
+        # the solve runs over the smaller realization in either argument
+        # position; in the first case the intersection is a proper subspace of
+        # both spans
+        rng = sample_stream(23)
+        if case == "M3+M1 over M2+M2":
+            m3m1 = EmbeddedAlgebra(4, BlockStructure((3, 1)), (1, 1))
+            u = haar_unitary(4, rng)
+            big, small, dim = realize(m3m1), conjugate(realize(M2M2), u), 3
+        else:
+            # a block-diagonal w keeps w C4 w* inside M2+M2
+            w = np.zeros((4, 4), dtype=complex)
+            w[:2, :2], w[2:, 2:] = haar_unitary(2, rng), haar_unitary(2, rng)
+            big, small, dim = realize(M2M2), conjugate(realize(C4), w), 4
+        a, b = (small, big) if swap else (big, small)
+        out = intersect(a, b)
+        assert out.dimension == dim
+        assert a.project_residual(out.basis).max() < 1e-10
+        assert b.project_residual(out.basis).max() < 1e-10
+        vecs = out.vectors()
+        assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
+
+    def test_large_nontrivial_intersection(self):
+        # M16+M16 against its Haar conjugate at N = 32: the rank and closure
+        # contracts hold for a 512-dimensional realization
+        m16m16 = realize(EmbeddedAlgebra(32, BlockStructure((16, 16)), (1, 1)))
+        out = intersect(m16m16, conjugate(m16m16, haar_unitary(32, 5)))
+        assert out.dimension == 16
+        assert out.contains_identity()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_matches_paired_system_oracle(self, n):
+        # the former primitive: dim(V meet W) is the nullity of [V, -W],
+        # decided by the same rank routine
+        def paired_nullity(r1, r2):
+            system = np.concatenate([r1.vectors(), -r2.vectors()], axis=1)
+            return len(_null_rows(system, n, None, "paired system"))
+
+        algebras = enumerate_embedded_algebras(n)
+        rng = sample_stream(29, n)
+        for _ in range(6):
+            b1, b2 = (algebras[k] for k in rng.integers(len(algebras), size=2))
+            r1 = realize(b1)
+            for u in (np.eye(n), haar_unitary(n, rng), local_unitary(np.eye(n), 1e-3, rng)):
+                r2 = conjugate(realize(b2), u)
+                assert intersect(r1, r2).dimension == paired_nullity(r1, r2), (b1, b2)
 
     def test_instability_error_on_absurd_tolerance(self):
         r = realize(M2M2)
