@@ -148,9 +148,7 @@ def _fast_matrix(
     per-candidate validation cost dominates large sweeps otherwise.
     """
     m = object.__new__(MultiplicityMatrix)
-    object.__setattr__(m, "source", source)
-    object.__setattr__(m, "target", target)
-    object.__setattr__(m, "entries", entries)
+    m.__dict__.update(source=source, target=target, entries=entries)
     return m
 
 
@@ -403,67 +401,58 @@ def class_leq(a: SubalgebraClass, b: SubalgebraClass) -> bool:
 
 
 def compatible_embeddings(
-    cls: SubalgebraClass, other: EmbeddedAlgebra
+    structure: BlockStructure, ambient_mult: tuple[int, ...], other: EmbeddedAlgebra
 ) -> list[MultiplicityMatrix]:
-    """Unital injective embeddings of the class structure into ``other`` whose
-    induced ambient multiplicities agree with the class's own.
+    """Unital injective embeddings of ``structure`` into ``other`` whose induced
+    ambient multiplicities equal ``ambient_mult``.
 
-    The ambient constraint fixes the weighted column sums of the embedding, so
-    it is enforced during enumeration (per-column budgets) rather than by
-    filtering afterwards; injectivity is automatic because every budget is
-    positive.  An empty list means no unitary carries the class into ``other``.
-    The answer depends on the class only through its structure and ambient
-    multiplicities, so it is cached on those and ``other``, and shared by
-    every parent with a class of that shape; each call returns a fresh list.
+    A class depends on its parent here only through its structure and ambient
+    multiplicities, so those are the arguments.  The ambient constraint fixes
+    the weighted column sums of the embedding: row i, weighted by
+    ``other.mult[i]``, spends from one budget per column, and every budget
+    must reach zero.  Injectivity is automatic because every budget is
+    positive.  Rows are chosen top to bottom, and the row-suffixes that
+    complete a (row index, remaining budgets) state are built once per state
+    and shared by every prefix that reaches it; the memo lives for one call.
+    The output order is lexicographic on the row-major flattened entries.  An
+    empty list means no unitary carries the structure into ``other``.
     """
-    if cls.parent.ambient_dim != other.ambient_dim:
+    ambient_mult = _int_tuple(ambient_mult)
+    if len(ambient_mult) != structure.num_blocks:
+        raise ShapeMismatchError("multiplicity row length does not match block count")
+    if any(m < 1 for m in ambient_mult):
+        raise ValueError(f"ambient multiplicities must be >= 1, got {ambient_mult}")
+    if sum(m * n for m, n in zip(ambient_mult, structure.blocks)) != other.ambient_dim:
         raise DomainError("ambient dimensions differ")
-    return list(_compatible_embeddings(cls.structure, cls.ambient_mult(), other))
-
-
-@lru_cache(maxsize=None)
-def _compatible_embeddings(
-    source: BlockStructure, budgets: tuple[int, ...], other: EmbeddedAlgebra
-) -> tuple[MultiplicityMatrix, ...]:
-    """``compatible_embeddings`` of a structure whose wanted weighted column
-    sums (its ambient multiplicities, all >= 1) are ``budgets``."""
     target = other.structure
-    weights = other.mult  # column sum weights, one per target block
-    delta = source.blocks
-    per_row = [_weighted_rows(delta, size) for size in target.blocks]
-    if any(not rows for rows in per_row):
-        return ()
-    rows_n = len(per_row)
-    cols = source.num_blocks
-    # largest contribution rows i..end can still make to column j
-    max_entry = [
-        [target.blocks[i] // delta[j] for j in range(cols)] for i in range(rows_n)
-    ]
-    suffix = [[0] * cols for _ in range(rows_n + 1)]
-    for i in range(rows_n - 1, -1, -1):
-        for j in range(cols):
-            suffix[i][j] = suffix[i + 1][j] + weights[i] * max_entry[i][j]
+    weights = other.mult  # column budget weights, one per target block
+    per_row = [_weighted_rows(structure.blocks, size) for size in target.blocks]
+    last = len(per_row) - 1
+    memo = {}  # (row index, remaining budgets) -> row-suffixes that spend them exactly
 
-    out: list[MultiplicityMatrix] = []
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(i: int, remaining: tuple[int, ...]) -> None:
-        if any(r > s for r, s in zip(remaining, suffix[i])):
-            return
-        if i == rows_n:
-            out.append(_fast_matrix(source, target, tuple(chosen)))
-            return
+    def suffixes(i: int, remaining: tuple[int, ...]):
+        key = (i, remaining)
+        found = memo.get(key)
+        if found is not None:
+            return found
         w = weights[i]
-        for row in per_row[i]:
-            nxt = tuple(r - w * v for r, v in zip(remaining, row))
-            if any(r < 0 for r in nxt):
-                continue
-            chosen.append(row)
-            rec(i + 1, nxt)
-            chosen.pop()
+        if i == last:
+            # the budgets already weight-sum to w * target.blocks[i], so the
+            # last row is forced: remaining / w, when that divides evenly
+            row = tuple(r // w for r in remaining)
+            out = ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
+        else:
+            out = []
+            for row in per_row[i]:
+                nxt = tuple(r - w * v for r, v in zip(remaining, row))
+                if min(nxt) < 0:
+                    continue
+                out.extend((row,) + tail for tail in suffixes(i + 1, nxt))
+            out = tuple(out)
+        memo[key] = out
+        return out
 
-    rec(0, budgets)
-    return tuple(out)
+    return [_fast_matrix(structure, target, entries) for entries in suffixes(0, ambient_mult)]
 
 
 def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:

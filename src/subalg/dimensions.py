@@ -11,6 +11,7 @@ optimization bounds used by the non-simple case analysis live here too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .algebra import (
     BlockStructure,
@@ -80,18 +81,37 @@ def orbit_dims(
 ) -> list[int]:
     """Dimensions of the orbit pieces of unitaries carrying the class into b2.
 
-    One entry per compatible embedding mu(b2, B):
-    sum of squared ambient multiplicities of B, plus dim U(b2), minus the sum
-    of the squared entries of mu.  Empty when no unitary can carry B into b2.
+    One entry per compatible embedding mu(b2, B), in the order of
+    ``compatible_embeddings``: sum of squared ambient multiplicities of B,
+    plus dim U(b2), minus the sum of the squared entries of mu.  Empty when no
+    unitary can carry B into b2.  The list depends on the class only through
+    its structure and ambient multiplicities, so it is read from a table
+    built once per (structure, ambient multiplicities, b2) and shared by every
+    parent with a class of that shape; each call returns a fresh list.
     """
     _check_parent(b1, cls)
-    commutant_dim = sum(m * m for m in cls.ambient_mult())
-    u2 = b2.structure.algebra_dim()
-    dims = []
-    for emb in compatible_embeddings(cls, b2):
-        sq = sum(e * e for row in emb.entries for e in row)
-        dims.append(commutant_dim + u2 - sq)
-    return dims
+    return list(_orbit_dims(cls.structure, cls.ambient_mult(), b2))
+
+
+class _RowSquares(dict):
+    """Sum of squared entries of each row looked up, computed on first lookup."""
+
+    def __missing__(self, row: tuple[int, ...]) -> int:
+        value = self[row] = sum(v * v for v in row)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _orbit_dims(
+    structure: BlockStructure, ambient_mult: tuple[int, ...], b2: EmbeddedAlgebra
+) -> tuple[int, ...]:
+    base = sum(m * m for m in ambient_mult) + b2.structure.algebra_dim()
+    # the embeddings share a few distinct rows, so each row is squared once
+    row_sq = _RowSquares().__getitem__
+    return tuple(
+        base - sum(map(row_sq, emb.entries))
+        for emb in compatible_embeddings(structure, ambient_mult, b2)
+    )
 
 
 def d_value(

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subalg import algebra
+from subalg import dimensions
 from subalg.algebra import (
     BlockStructure,
     EmbeddedAlgebra,
@@ -31,6 +31,7 @@ from subalg.algebra import (
     gcd_embedding_bound,
     relative_commutant,
 )
+from subalg.dimensions import orbit_dims
 from subalg.errors import DomainError, ShapeMismatchError
 
 M2 = BlockStructure((2,))
@@ -406,6 +407,10 @@ def full_class_leq(a, b):
     )
 
 
+def compatible(cls, other):
+    return compatible_embeddings(cls.structure, cls.ambient_mult(), other)
+
+
 class TestCompatibleEmbeddings:
     def test_unique_c2(self):
         b1 = EmbeddedAlgebra(4, M2, (2,))
@@ -413,7 +418,7 @@ class TestCompatibleEmbeddings:
         cls = next(
             c for c in enumerate_subalgebra_classes(b1) if c.structure.blocks == (1, 1)
         )
-        embs = compatible_embeddings(cls, b2)
+        embs = compatible(cls, b2)
         assert [e.entries for e in embs] == [((1, 1),)]
 
     def test_incompatible_pair_is_empty(self):
@@ -421,19 +426,28 @@ class TestCompatibleEmbeddings:
         b1 = EmbeddedAlgebra(6, M3, (2,))
         b2 = EmbeddedAlgebra(6, M2, (3,))
         cls = SubalgebraClass(b1, C2, MultiplicityMatrix(C2, M3, ((1, 2),)))
-        assert compatible_embeddings(cls, b2) == []
+        assert compatible(cls, b2) == []
 
     def test_unit_always_unique(self):
         b1 = EmbeddedAlgebra(4, M2, (2,))
         b2 = EmbeddedAlgebra(4, M2M2, (1, 1))
         cls = next(c for c in enumerate_subalgebra_classes(b1) if c.is_trivial())
-        embs = compatible_embeddings(cls, b2)
+        embs = compatible(cls, b2)
         assert len(embs) == 1
         assert embs[0].entries == ((2,), (2,))
 
+    def test_rejects_bad_multiplicities(self):
+        masa = EmbeddedAlgebra(4, BlockStructure((1, 1, 1, 1)), (1, 1, 1, 1))
+        with pytest.raises(ShapeMismatchError):
+            compatible_embeddings(C2, (2, 2, 0), masa)
+        with pytest.raises(ValueError):
+            compatible_embeddings(C2, (4, 0), masa)
+        with pytest.raises(DomainError):
+            compatible_embeddings(C2, (2, 1), masa)
+
 
 class TestCompatibleEmbeddingCache:
-    """The compatible embeddings are cached on (structure, ambient multiplicities, B2)."""
+    """The orbit dimensions are tabled on (structure, ambient multiplicities, B2)."""
 
     masa = EmbeddedAlgebra(4, BlockStructure((1, 1, 1, 1)), (1, 1, 1, 1))
 
@@ -448,7 +462,8 @@ class TestCompatibleEmbeddingCache:
         assert in_m2.ambient_mult() == whole.ambient_mult() == (2, 2)
         return in_m2, whole
 
-    def oracle(self, cls, other):
+    @staticmethod
+    def oracle(cls, other):
         """Filter the full enumeration by the induced ambient multiplicities."""
         return [
             e.entries
@@ -456,45 +471,69 @@ class TestCompatibleEmbeddingCache:
             if e.apply_to_row(other.mult) == cls.ambient_mult()
         ]
 
+    @staticmethod
+    def orbit_formula(cls, other, entries):
+        """sum m^2 + dim U(B2) - sum mu^2, one entry per compatible embedding."""
+        base = sum(m * m for m in cls.ambient_mult()) + other.structure.algebra_dim()
+        return [base - sum(e * e for row in mu for e in row) for mu in entries]
+
     def test_shared_across_parents(self):
-        algebra._compatible_embeddings.cache_clear()
+        dimensions._orbit_dims.cache_clear()
         in_m2, whole = self.two_parents()
-        first = compatible_embeddings(in_m2, self.masa)
-        second = compatible_embeddings(whole, self.masa)
+        first = orbit_dims(in_m2.parent, in_m2, self.masa)
+        second = orbit_dims(whole.parent, whole, self.masa)
         assert first == second
-        assert [e.entries for e in first] == self.oracle(in_m2, self.masa)
+        assert first == self.orbit_formula(in_m2, self.masa, self.oracle(in_m2, self.masa))
         assert len(first) == 6
-        info = algebra._compatible_embeddings.cache_info()
-        assert (info.hits, info.currsize) == (1, 1)
+        info = dimensions._orbit_dims.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
     def test_returns_a_fresh_list(self):
         in_m2, _ = self.two_parents()
-        first = compatible_embeddings(in_m2, self.masa)
+        first = orbit_dims(in_m2.parent, in_m2, self.masa)
+        expected = list(first)
         first.clear()
-        again = compatible_embeddings(in_m2, self.masa)
+        again = orbit_dims(in_m2.parent, in_m2, self.masa)
         assert again is not first
-        assert [e.entries for e in again] == self.oracle(in_m2, self.masa)
+        assert again == expected
 
     def test_ambient_mismatch_raises_when_warm(self):
         in_m2, _ = self.two_parents()
-        compatible_embeddings(in_m2, self.masa)
         other = EmbeddedAlgebra(6, M2, (3,))
+        dimensions._orbit_dims.cache_clear()
+        with pytest.raises(DomainError):
+            orbit_dims(in_m2.parent, in_m2, other)
+        orbit_dims(in_m2.parent, in_m2, self.masa)
         for _ in range(2):
             with pytest.raises(DomainError):
-                compatible_embeddings(in_m2, other)
+                orbit_dims(in_m2.parent, in_m2, other)
+            with pytest.raises(DomainError):
+                compatible(in_m2, other)
 
     def test_module_cache_sweep_empties_it(self):
         # the same sweep that a cold benchmark pass makes over every subalg module
         in_m2, _ = self.two_parents()
-        compatible_embeddings(in_m2, self.masa)
-        assert algebra._compatible_embeddings.cache_info().currsize > 0
+        orbit_dims(in_m2.parent, in_m2, self.masa)
+        assert dimensions._orbit_dims.cache_info().currsize > 0
         for name, module in list(sys.modules.items()):
             if not name.startswith("subalg."):
                 continue
             for value in vars(module).values():
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-        assert algebra._compatible_embeddings.cache_info().currsize == 0
+        assert dimensions._orbit_dims.cache_info().currsize == 0
+
+    def test_matches_oracle_small_n(self):
+        # every class of every embedded algebra at N <= 5, against every B2:
+        # the embeddings in order, and the orbit dimensions entry by entry
+        for n in range(1, 6):
+            algebras = enumerate_embedded_algebras(n)
+            for b1 in algebras:
+                for cls in enumerate_subalgebra_classes(b1):
+                    for b2 in algebras:
+                        expected = self.oracle(cls, b2)
+                        assert [e.entries for e in compatible(cls, b2)] == expected
+                        assert orbit_dims(b1, cls, b2) == self.orbit_formula(cls, b2, expected)
 
 
 class TestGcdBound:
@@ -515,7 +554,7 @@ class TestGcdBound:
                         continue
                     k1, k2 = b1.structure.blocks[0], b2.structure.blocks[0]
                     for cls in enumerate_subalgebra_classes(b1):
-                        if compatible_embeddings(cls, b2):
+                        if compatible(cls, b2):
                             assert gcd_embedding_bound(cls.structure, k1, k2)
 
 

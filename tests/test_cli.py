@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness: configs, exit codes, reports."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -561,3 +562,38 @@ class TestReportDeterminism:
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
         assert report["result"]["seed"] == 99
+
+
+# Two N = 6 pairs: (3,3) against (2,2,2), covered case 4, whose orbit lists hold
+# several distinct values each; and M3 (x) 1_2 against itself, covered case 1,
+# whose audit carries a simple-class comparison.
+PINNED_PAIRS = {
+    "case4": {"algebras": [{"blocks": [3, 3], "mult": [1, 1]},
+                           {"blocks": [2, 2, 2], "mult": [1, 1, 1]}], "ambient": 6, "seed": 1},
+    "case1": {"algebras": [{"blocks": [3], "mult": [2]},
+                           {"blocks": [3], "mult": [2]}], "ambient": 6, "seed": 1},
+}
+
+
+# (pair, command) -> (size in bytes, sha256) of the report
+PINNED_REPORTS = {
+    ("case4", "dims"): (
+        38321, "ffce02a4bb3bef3417734827ae84a42bdbe2d8e0a8a13fb0407bf08701bc7ea7"),
+    ("case4", "thm41-check"): (
+        25279, "37316aa1338f9b79776aaf3d4fcaec80e116692263a1f974f62d9bccfd54e25c"),
+    ("case1", "dims"): (
+        2474, "a9fc1d832b8d2a5cfabd8e4b5c5e7d9ee87dda3d4c2a4b53508cc9163955743c"),
+    ("case1", "thm41-check"): (
+        1831, "fc636f75127e9e03669cfb1155f1a7a0ba31b3d6aff9306cb1e0d5429f8a0152"),
+}
+
+
+@pytest.mark.parametrize("pair, command", list(PINNED_REPORTS))
+def test_symbolic_reports_pinned(tmp_path, monkeypatch, pair, command):
+    # the whole report, orbit_dims lists and their order included, is frozen
+    # byte for byte; a relative --out keeps the echoed config path fixed
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "config.json", PINNED_PAIRS[pair])
+    assert main([command, "--config", "config.json", "--out", "report.json"]) == 0
+    data = (tmp_path / "report.json").read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_REPORTS[pair, command]

@@ -188,17 +188,16 @@ class TestHypothesisAudit:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_sweep_covered_pairs_larger(self, n):
-        # same sweep at N = 7, 8; pairs where both factors have >= 4 central
-        # summands are skipped (their compatible-embedding enumerations blow up
-        # combinatorially; the N <= 6 sweep already covers that shape)
+        # same sweep at N = 7, 8 over every ordered pair, C^8 against C^8 included
         algebras = enumerate_embedded_algebras(n)
+        covered = 0
         for b1 in algebras:
             for b2 in algebras:
-                if b1.structure.center_dim() >= 4 and b2.structure.center_dim() >= 4:
-                    continue
                 audit = audit_density_hypotheses(b1, b2)
                 if audit.covered:
+                    covered += 1
                     assert audit.all_pass, (str(b1), str(b2))
+        assert covered == {7: 3, 8: 26}[n]
 
 
 class TestLagrangeMin:
