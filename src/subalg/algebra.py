@@ -344,6 +344,15 @@ class SubalgebraClass:
     def key(self):
         return canonical_embedding_key(self.structure, self.embedding.entries)
 
+    def to_json_dict(self) -> dict:
+        return {
+            "structure": list(self.structure.blocks),
+            "embedding": {
+                "shape": list(self.embedding.shape),
+                "entries": [e for row in self.embedding.entries for e in row],
+            },
+        }
+
     def __str__(self) -> str:
         return f"[{self.structure}] in {self.parent}"
 
@@ -463,9 +472,7 @@ def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:
     return bool(enumerate_unital_embeddings(structure, BlockStructure((g,)), canonical=True))
 
 
-def enumerate_embedded_algebras(
-    ambient_dim: int, include_full: bool = True
-) -> list[EmbeddedAlgebra]:
+def enumerate_embedded_algebras(ambient_dim: int) -> list[EmbeddedAlgebra]:
     """All embedded algebras in M_N, one canonical representative per isomorphism type.
 
     Canonical means blocks sorted descending and, among equal-size blocks,
@@ -486,7 +493,5 @@ def enumerate_embedded_algebras(
     for pairs in rec(ambient_dim, (ambient_dim, ambient_dim)):
         blocks = tuple(n for n, _ in pairs)
         mult = tuple(m for _, m in pairs)
-        alg = EmbeddedAlgebra(ambient_dim, BlockStructure(blocks), mult)
-        if include_full or not alg.is_full():
-            out.append(alg)
+        out.append(EmbeddedAlgebra(ambient_dim, BlockStructure(blocks), mult))
     return out

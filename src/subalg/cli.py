@@ -268,6 +268,8 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
         elif cmd == "density" and config.center is not None:
             diags.extend(_unitary_diagnostics(config.center, "/center", config.ambient))
+    if config.center is not None and (cmd != "density" or config.radius is None):
+        diags.append(("/center", "a center is accepted only by density, with a radius"))
 
     if cmd in ("rcp-balance", "dpi") and len(algebras) >= 2 and not diags:
         dims = [
@@ -350,38 +352,32 @@ def _embedded(config: ExperimentConfig, index: int) -> EmbeddedAlgebra:
     )
 
 
-def _class_json(cls) -> dict:
-    return {
-        "structure": list(cls.structure.blocks),
-        "embedding": {
-            "shape": list(cls.embedding.shape),
-            "entries": [e for row in cls.embedding.entries for e in row],
-        },
-    }
-
-
 def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
     """Execute a validated config; returns (exit code, report dict, optional CSV text)."""
     cmd = config.command
     status = "ok"
     exit_code = 0
     csv_text = None
+    if cmd in _NEEDS_AMBIENT:  # algebras embedded in M_ambient
+        b1 = _embedded(config, 0)
+        if cmd in _TWO_ALGEBRAS:
+            b2 = _embedded(config, 1)
+    elif cmd in _TWO_ALGEBRAS:  # the free-product commands: two factors on one space
+        a1, a2 = config.algebras[0], config.algebras[1]
+        alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
 
     if cmd == "enumerate":
-        b1 = _embedded(config, 0)
         classes = enumerate_subalgebra_classes(b1)
-        result = {"count": len(classes), "classes": [_class_json(c) for c in classes]}
+        result = {"count": len(classes), "classes": [c.to_json_dict() for c in classes]}
 
     elif cmd == "dims":
-        b1, b2 = _embedded(config, 0), _embedded(config, 1)
         rows = []
         for cls in enumerate_subalgebra_classes(b1):
             rep = dim_report(b1, cls, b2)
-            rows.append({**_class_json(cls), **rep.to_json_dict()})
+            rows.append({**cls.to_json_dict(), **rep.to_json_dict()})
         result = {"classes": rows}
 
     elif cmd == "thm41-check":
-        b1, b2 = _embedded(config, 0), _embedded(config, 1)
         audit = audit_density_hypotheses(b1, b2)
         result = audit.to_json_dict()
         if not audit.covered:
@@ -389,25 +385,15 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
             exit_code = 2
 
     elif cmd == "density":
-        b1, b2 = _embedded(config, 0), _embedded(config, 1)
         local = None
         if config.radius is not None:
-            center = (
-                matrix_from_json(config.center, "/center")
-                if config.center is not None
-                else None
-            )
+            center = None if config.center is None else matrix_from_json(config.center, "/center")
             local = (center, float(config.radius))
         stats = density_experiment(
             b1, b2, config.samples, config.seed, local=local, tol=config.tolerance
         )
-        result = stats.to_json_dict()
-        if config.format == "csv":
-            csv_text = stats_csv(stats.csv_rows())
 
     elif cmd == "rcp-balance":
-        a1, a2 = config.algebras[0], config.algebras[1]
-        alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
         balance = rcp_balance(alg1, a1["mult"], alg2, a2["mult"])
         result = {
             "balance": balance.to_json_dict(),
@@ -422,8 +408,6 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
         }
 
     elif cmd == "dpi":
-        a1, a2 = config.algebras[0], config.algebras[1]
-        alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
         dim = sum(m * n for m, n in zip(a1["mult"], alg1.blocks))
         u = (
             matrix_from_json(config.u, "/u")
@@ -434,13 +418,8 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
         stats = dpi_probe(
             rep, config.samples, config.seed, local_radius=config.radius, tol=config.tolerance
         )
-        result = stats.to_json_dict()
-        if config.format == "csv":
-            csv_text = stats_csv(stats.csv_rows())
 
     elif cmd == "build-primitive":
-        a1, a2 = config.algebras[0], config.algebras[1]
-        alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
         stages = [(tuple(s[0]), tuple(s[1])) for s in config.stages]
         probe = load_probe_file(config.probe) if config.probe is not None else []
         try:
@@ -467,6 +446,11 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
 
     else:  # pragma: no cover - guarded by validation
         raise ConfigError(f"unknown command {cmd!r}")
+
+    if cmd in _NEEDS_SAMPLES:
+        result = stats.to_json_dict()
+        if config.format == "csv":
+            csv_text = stats_csv(stats.csv_rows())
 
     report = {
         "version": __version__,

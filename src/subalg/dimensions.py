@@ -198,11 +198,7 @@ class ClassVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "structure": list(self.cls.structure.blocks),
-            "embedding": {
-                "shape": list(self.cls.embedding.shape),
-                "entries": [e for row in self.cls.embedding.entries for e in row],
-            },
+            **self.cls.to_json_dict(),
             "abelian": self.cls.is_abelian(),
             "verdict": self.verdict,
             **self.report.to_json_dict(),

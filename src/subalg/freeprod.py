@@ -24,13 +24,11 @@ from .numeric import (
     DensityStats,
     amplified_commutant,
     amplify,
-    tally_dims,
     commutant_basis,
     default_tolerance,
-    exp_skew,
-    haar_unitary,
+    local_unitary,
     model_matrix_units,
-    random_skew_direction,
+    sample_dims,
     sample_stream,
 )
 
@@ -308,25 +306,19 @@ def dpi_probe(
     local_radius: float | None = None,
     tol: float | None = None,
 ) -> DensityStats:
-    """Sample perturbations on top of rep.u and tally joint commutant dimensions.
+    """Sample perturbations w on top of rep.u and tally joint commutant dimensions.
 
-    Global mode composes a Haar unitary with rep.u; local mode composes a
-    unitary within ``local_radius`` of the identity, so the total perturbation
-    stays near rep.u.  trivial_count counts the irreducible outcomes.
+    Each draw of ``sample_dims`` (a Haar unitary, or a local step of
+    ``local_radius`` about the identity) is composed as w @ rep.u, so local
+    perturbations stay near rep.u.  trivial_count counts the irreducible
+    outcomes.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    n = rep.dim
-    dims = []
-    for i in range(samples):
-        rng = sample_stream(seed, i)
-        if local_radius is None:
-            w = haar_unitary(n, rng)
-        else:
-            w = exp_skew(local_radius * random_skew_direction(n, rng))
-        dims.append(joint_commutant_dim(rep.with_unitary(w @ rep.u), tol=tol))
-    center = rep.u if local_radius is not None else None
-    return tally_dims(dims, seed, local_radius, center)
+
+    def step(w):
+        return joint_commutant_dim(rep.with_unitary(w @ rep.u), tol=tol)
+
+    dims = sample_dims(rep.dim, samples, seed, local_radius, step)
+    return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
 
 
 @dataclass(frozen=True)
@@ -487,13 +479,13 @@ def _search_stage_unitary(
     def jc_dim(w):
         return _joint_dim(alg1, segs1, alg2, segs2, w @ prev_u, tol)
 
-    best = jc_dim(np.eye(dim))
+    eye = np.eye(dim, dtype=complex)
+    best = jc_dim(eye)
     if best == 1:
-        return np.eye(dim, dtype=complex), 0, 1
+        return eye, 0, 1
     radius = budget / 2.0
     for attempt in range(max_tries):
-        rng = sample_stream(seed, stage, attempt)
-        w = exp_skew(radius * random_skew_direction(dim, rng))
+        w = local_unitary(eye, radius, sample_stream(seed, stage, attempt))
         d = jc_dim(w)
         best = min(best, d)
         if d == 1:

@@ -13,6 +13,7 @@ NumericalInstabilityError is raised instead of guessing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,6 +289,28 @@ def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -
     return center @ exp_skew(radius * random_skew_direction(n, rng))
 
 
+def sample_dims(n: int, samples: int, seed: int, radius: float | None, step) -> tuple[int, ...]:
+    """The dimensions ``step(w)`` over ``samples`` seeded draws of an n x n unitary w.
+
+    Draw i uses the RNG stream derived from (seed, i), so the tally does not
+    depend on execution order.  Without a radius w is Haar; with one, w is
+    the local step ``local_unitary(I, radius, rng)`` and the caller composes
+    it with its own center, on its own side.  Raises ValueError unless
+    samples >= 1 and a given radius is positive and finite.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise ValueError(f"local mode needs a positive finite radius, got {radius!r}")
+    eye = np.eye(n, dtype=complex)
+    dims = []
+    for i in range(samples):
+        rng = sample_stream(seed, i)
+        w = haar_unitary(n, rng) if radius is None else local_unitary(eye, radius, rng)
+        dims.append(step(w))
+    return tuple(dims)
+
+
 def commutant_basis(
     gens, tol: float | None = None, within: ConcreteRealization | None = None
 ) -> ConcreteRealization:
@@ -325,10 +348,7 @@ def commutant_basis(
 
 
 def intersect(
-    a: ConcreteRealization,
-    b: ConcreteRealization,
-    tol: float | None = None,
-    closure_tol: float = DEFAULT_CLOSURE_TOL,
+    a: ConcreteRealization, b: ConcreteRealization, tol: float | None = None
 ) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
@@ -340,8 +360,9 @@ def intersect(
     rounding stays at the level of one orthogonal projection; the dimension
     is the nullity of the d_a-column projected system, from one SVD.  The
     identity lies in both spans, so a nullity below 1 is a rank error; the
-    output is re-verified to be closed under products and adjoints.  Both
-    failures raise NumericalInstabilityError with the measured defect.
+    output is re-verified to be closed under products and adjoints to within
+    DEFAULT_CLOSURE_TOL.  Both failures raise NumericalInstabilityError with
+    the measured defect.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
@@ -363,24 +384,33 @@ def intersect(
     out = ConcreteRealization(n, q.T.reshape(-1, n, n))
 
     defect = out.closure_defect()
-    if defect > closure_tol:
+    if defect > DEFAULT_CLOSURE_TOL:
         raise NumericalInstabilityError(
             "intersection span is not closed under product/adjoint", defect
         )
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class DensityStats:
-    """Tally of intersection dimensions over sampled perturbing unitaries."""
+    """Dimensions tallied over sampled perturbing unitaries; every count is read off ``dims``."""
 
-    samples: int
-    trivial_count: int
-    dims_histogram: dict[int, int]
+    dims: tuple[int, ...]
     seed: int
     radius: float | None
     center: np.ndarray | None
-    dims: tuple[int, ...]
+
+    @property
+    def samples(self) -> int:
+        return len(self.dims)
+
+    @property
+    def trivial_count(self) -> int:
+        return self.dims.count(1)
+
+    @property
+    def dims_histogram(self) -> dict[int, int]:
+        return {d: self.dims.count(d) for d in sorted(set(self.dims))}
 
     @property
     def min_dim(self) -> int:
@@ -392,7 +422,7 @@ class DensityStats:
         return {
             "samples": self.samples,
             "trivial_count": self.trivial_count,
-            "dims_histogram": {str(k): v for k, v in sorted(self.dims_histogram.items())},
+            "dims_histogram": {str(k): v for k, v in self.dims_histogram.items()},
             "seed": self.seed,
             "radius": self.radius,
             "center": None if self.center is None else matrix_to_json(self.center),
@@ -400,22 +430,7 @@ class DensityStats:
         }
 
     def csv_rows(self):
-        return [(i, d) for i, d in enumerate(self.dims)]
-
-
-def tally_dims(dims: list[int], seed: int, radius, center) -> DensityStats:
-    hist: dict[int, int] = {}
-    for d in dims:
-        hist[d] = hist.get(d, 0) + 1
-    return DensityStats(
-        samples=len(dims),
-        trivial_count=hist.get(1, 0),
-        dims_histogram=hist,
-        seed=seed,
-        radius=radius,
-        center=center,
-        dims=tuple(dims),
-    )
+        return list(enumerate(self.dims))
 
 
 def density_experiment(
@@ -428,31 +443,24 @@ def density_experiment(
 ) -> DensityStats:
     """Sample unitaries u and tally dim(B1 meet u B2 u*).
 
-    Global mode draws Haar unitaries; local mode draws
-    center @ exp(radius * K) for random unit-norm skew-Hermitian directions K.
-    Sample i uses the RNG stream derived from (seed, i), so the tally does not
-    depend on execution order.
+    Global mode draws Haar unitaries u; local mode draws u = center @ w for
+    local steps w of the given radius (``sample_dims``), the center
+    defaulting to the identity.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
-    if samples < 1:
-        raise ValueError("need at least one sample")
     n = b1.ambient_dim
-    center = None
-    radius = None
+    center = radius = None
     if local is not None:
         center, radius = local
-        if radius is None or radius <= 0:
-            raise ValueError("local mode needs a positive radius")
+        if radius is None:
+            raise ValueError("local mode needs a radius")
         center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
     r1 = realize(b1)
     r2 = realize(b2)
-    dims = []
-    for i in range(samples):
-        rng = sample_stream(seed, i)
-        if center is None:
-            u = haar_unitary(n, rng)
-        else:
-            u = local_unitary(center, radius, rng)
-        dims.append(intersect(r1, conjugate(r2, u), tol=tol).dimension)
-    return tally_dims(dims, seed, radius, center)
+
+    def step(w):
+        u = w if center is None else center @ w
+        return intersect(r1, conjugate(r2, u), tol=tol).dimension
+
+    return DensityStats(sample_dims(n, samples, seed, radius, step), seed, radius, center)

@@ -159,6 +159,26 @@ class TestValidation:
         assert np.array_equal(matrix_from_json(report["result"]["center"]), center)
 
     @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("density", dict(M2_PAIR, samples=5)),
+            ("dpi", dict(M2_PAIR, samples=5)),
+            ("dpi", dict(M2_PAIR, samples=5, radius=1e-3)),
+            ("build-primitive", BUILD_M2),
+        ],
+    )
+    def test_center_without_density_radius_exits_1(self, tmp_path, capsys, command, payload):
+        # a center applies only to local density; anywhere else it would be
+        # dropped without a word (global density would report no center)
+        payload = dict(payload, center=matrix_to_json(np.eye(4)))
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert code == 1
+        assert report is None
+        assert "/center: a center is accepted only by density, with a radius" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
         "command, payload, extra, pointer, shown",
         [
             ("density", dict(M2_PAIR, radius=float("inf")), (), "/radius", "inf"),
@@ -566,12 +586,27 @@ class TestReportDeterminism:
 
 # Two N = 6 pairs: (3,3) against (2,2,2), covered case 4, whose orbit lists hold
 # several distinct values each; and M3 (x) 1_2 against itself, covered case 1,
-# whose audit carries a simple-class comparison.
+# whose audit carries a simple-class comparison.  The Monte-Carlo entries run
+# density (M2 (x) 1_2 against C^2 (2,2)) and dpi (C^2 (2,2) against M2 (2)),
+# global and local, at two seeds: their reports hold only integer dims and
+# echoed inputs, so they are the same on every platform.
+MC_DENSITY = {"algebras": [{"blocks": [2], "mult": [2]}, {"blocks": [1, 1], "mult": [2, 2]}],
+              "ambient": 4, "samples": 6}
+MC_DPI = {"algebras": [{"blocks": [1, 1], "mult": [2, 2]}, {"blocks": [2], "mult": [2]}],
+          "samples": 6}
 PINNED_PAIRS = {
     "case4": {"algebras": [{"blocks": [3, 3], "mult": [1, 1]},
                            {"blocks": [2, 2, 2], "mult": [1, 1, 1]}], "ambient": 6, "seed": 1},
     "case1": {"algebras": [{"blocks": [3], "mult": [2]},
                            {"blocks": [3], "mult": [2]}], "ambient": 6, "seed": 1},
+    "density-s1": dict(MC_DENSITY, seed=1),
+    "density-local-s1": dict(MC_DENSITY, seed=1, radius=1e-3),
+    "dpi-s1": dict(MC_DPI, seed=1),
+    "dpi-local-s1": dict(MC_DPI, seed=1, radius=1e-3),
+    "density-s7": dict(MC_DENSITY, seed=7),
+    "density-local-s7": dict(MC_DENSITY, seed=7, radius=1e-3),
+    "dpi-s7": dict(MC_DPI, seed=7),
+    "dpi-local-s7": dict(MC_DPI, seed=7, radius=1e-3),
 }
 
 
@@ -585,6 +620,22 @@ PINNED_REPORTS = {
         2474, "a9fc1d832b8d2a5cfabd8e4b5c5e7d9ee87dda3d4c2a4b53508cc9163955743c"),
     ("case1", "thm41-check"): (
         1831, "fc636f75127e9e03669cfb1155f1a7a0ba31b3d6aff9306cb1e0d5429f8a0152"),
+    ("density-s1", "density"): (
+        853, "4dceb76ba70ac7104f4170576ecba75b5e6ec2d5d8c8975f69e450144a5ba669"),
+    ("density-local-s1", "density"): (
+        1728, "e76b3eb9df4dab3f97784e7ab41b10957292de00dfa753ff2f5ca2858795eae5"),
+    ("dpi-s1", "dpi"): (
+        848, "152b265882a49347838a04a293e41844243804c67f39a75b44f6da37271c3a31"),
+    ("dpi-local-s1", "dpi"): (
+        1723, "a6332e436309201d2c9b6c329934b9eea606a51f9c8f9266ef50ca6ac6858061"),
+    ("density-s7", "density"): (
+        853, "13a3e3d19c062cb55d5a091b37e7af52aa04abda055d47a49af46000882cdb0e"),
+    ("density-local-s7", "density"): (
+        1728, "06c57cfac0f11a10c24313afd847561b9d23fd32b3ea27ee5ff8fa01e0f70661"),
+    ("dpi-s7", "dpi"): (
+        848, "cdeea69cb4121fb3537961cf333d7fcfb85a7b62f22fd508f078f790a044cfae"),
+    ("dpi-local-s7", "dpi"): (
+        1723, "926d962554c618c899b86b2e3fe43673a58b5753f5370907607238cbbf411d88"),
 }
 
 
@@ -597,3 +648,36 @@ def test_symbolic_reports_pinned(tmp_path, monkeypatch, pair, command):
     assert main([command, "--config", "config.json", "--out", "report.json"]) == 0
     data = (tmp_path / "report.json").read_bytes()
     assert (len(data), hashlib.sha256(data).hexdigest()) == PINNED_REPORTS[pair, command]
+
+
+# Per stage (dim, tries, irreducible, balance) of two seeded builds of C^2
+# against M2: the benchmark's eight equal stages, and three stages of which
+# the last two fail the RCP condition and are padded.  The floats of a build
+# depend on the BLAS, so only these integers and flags are pinned.
+_BALANCED_6 = {"s": 3, "padding1": [0, 2], "padding2": [1], "copies": [1, 1],
+               "final_mult1": [3, 3], "final_mult2": [3], "final_dim": 6}
+_BALANCED_10 = {"s": 5, "padding1": [2, 0], "padding2": [1], "copies": [1, 1],
+                "final_mult1": [5, 5], "final_mult2": [5], "final_dim": 10}
+PINNED_BUILDS = {
+    "eight-stages": (
+        [[[1, 1], [1]]] * 8,
+        [(2, 0, True, None)] + [(d, 1, True, None) for d in range(4, 17, 2)],
+    ),
+    "rcp-balanced": (
+        [[[1, 1], [1]], [[2, 0], [1]], [[0, 2], [1]]],
+        [(2, 0, True, None), (6, 1, True, _BALANCED_6), (10, 1, True, _BALANCED_10)],
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("build", list(PINNED_BUILDS))
+def test_build_stages_pinned(tmp_path, build, seed):
+    stages, expected = PINNED_BUILDS[build]
+    payload = {"algebras": [{"blocks": [1, 1]}, {"blocks": [2]}], "stages": stages,
+               "epsilon": 0.5, "seed": seed}
+    code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+    assert code == 0
+    got = [(s["dim"], s["tries"], s["irreducible"], s["balance"])
+           for s in report["result"]["stages"]]
+    assert got == expected

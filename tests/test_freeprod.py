@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from subalg.algebra import BlockStructure, enumerate_embedded_algebras
+from subalg.algebra import BlockStructure, EmbeddedAlgebra, enumerate_embedded_algebras
 from subalg.errors import SearchExhaustedError, ShapeMismatchError
 from subalg.freeprod import (
     FreeElement,
@@ -23,6 +23,7 @@ from subalg.freeprod import (
 from subalg.numeric import (
     amplify,
     commutant_basis,
+    density_experiment,
     haar_unitary,
     intersect,
     local_unitary,
@@ -297,8 +298,6 @@ class TestIrreducibility:
 
     def test_joint_commutant_equals_commutant_intersection(self):
         # same answer through the two-commutants route
-        from subalg.algebra import EmbeddedAlgebra
-
         rep = RepPair(C2, (2, 2), C2, (2, 2), haar_unitary(4, 13))
         e = EmbeddedAlgebra(4, C2, (2, 2))
         r = realize(e)
@@ -393,6 +392,20 @@ class TestDpiProbe:
         stats = dpi_probe(rep, 10, seed=2, local_radius=1e-3)
         assert stats.trivial_count == 10
         assert stats.radius == 1e-3
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("radius", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("probe", ["density", "dpi"])
+def test_radius_not_positive_finite_raises(probe, radius):
+    # both probes draw through one sampler, which rejects the radius before
+    # any numpy work: a NaN or infinite radius would end in LinAlgError
+    with pytest.raises(ValueError, match="positive finite radius"):
+        if probe == "density":
+            b = EmbeddedAlgebra(4, M2, (2,))
+            density_experiment(b, b, 2, seed=1, local=(None, radius))
+        else:
+            dpi_probe(RepPair(C2, (1, 1), C2, (1, 1), np.eye(2)), 2, 1, local_radius=radius)
 
 
 class TestStagedBuild:

@@ -11,9 +11,9 @@ import subalg
 
 SRC = str(pathlib.Path(subalg.__file__).resolve().parents[1])
 
-# Small configs that reach every former scipy call site: local density
-# (local_unitary), local dpi (the dpi_probe exponential) and a build whose
-# second stage is RCP-balanced and needs a random search step.
+# Small configs that reach every former scipy call site, the exponential in
+# local_unitary: local density, local dpi and a build whose second stage is
+# RCP-balanced and needs a random search step.
 NO_SCIPY_CONFIGS = [
     (
         "density",
