@@ -36,6 +36,8 @@ from .freeprod import (
 from .numeric import amplify, default_tolerance, density_experiment
 from .serialize import (
     canonical_json,
+    is_finite_real,
+    is_number,
     load_probe_file,
     matrix_from_json,
     stats_csv,
@@ -53,7 +55,6 @@ COMMANDS = (
 
 _NEEDS_AMBIENT = {"enumerate", "dims", "thm41-check", "density"}
 _NEEDS_SAMPLES = {"density", "dpi"}
-_TWO_ALGEBRAS = {"dims", "thm41-check", "density", "rcp-balance", "dpi", "build-primitive"}
 
 
 @dataclass
@@ -81,29 +82,15 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"}
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _positive_finite_diagnostics(value, pointer: str) -> list[tuple[str, str]]:
-    """Diagnostics for a real field that must be a positive finite number.
-
-    Booleans are rejected although Python counts them as integers, and so is
-    an integer too large to convert to a float.
-    """
-    try:
-        ok = (
-            isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and 0.0 < float(value) < math.inf
-        )
-    except OverflowError:
-        ok = False
-    return [] if ok else [(pointer, f"expected a positive finite number, got {value!r}")]
+    """Diagnostics for a real field that must be a positive finite number (not a bool)."""
+    if is_finite_real(value) and value > 0:
+        return []
+    return [(pointer, f"expected a positive finite number, got {value!r}")]
 
 
-def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
-    """Diagnostics for a config matrix that must be an n x n unitary.
+def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[tuple[str, str]]]:
+    """A config matrix that must be an n x n unitary, and its diagnostics.
 
     The unitarity defect ||M*M - I||_F may be at most 10 * N^2 * eps, the upper
     end of the window in which every rank decision is checked for stability;
@@ -112,13 +99,14 @@ def _unitary_diagnostics(obj, pointer: str, n: int) -> list[tuple[str, str]]:
     try:
         mat = matrix_from_json(obj, pointer)
     except ConfigError as exc:
-        return list(exc.diagnostics)
+        return None, list(exc.diagnostics)
     if mat.shape != (n, n):
-        return [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
-    defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n)))
+        return None, [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an infinite defect
+        defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n)))
     if not defect <= 10.0 * default_tolerance(n, 1.0):
-        return [(pointer, f"not unitary (defect {defect:.3e})")]
-    return []
+        return None, [(pointer, f"not unitary (defect {defect:.3e})")]
+    return mat, []
 
 
 def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str, str]]:
@@ -126,7 +114,8 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
 
     ``blocks`` maps the index of each algebra with a valid block list to that
     list.  Row i of a stage must have one entry per block of algebra i, and
-    the two rows of a stage must fill the same dimension.
+    the two rows of a stage must fill the same dimension, nonzero in the
+    first stage.
     """
     diags = []
     for k, stage in enumerate(stages):
@@ -139,7 +128,7 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
             continue
         dims = []
         for i, row in enumerate(stage):
-            bad = [j for j, m in enumerate(row) if not _is_int(m) or m < 0]
+            bad = [j for j, m in enumerate(row) if not is_number(m, int) or m < 0]
             for j in bad:
                 diags.append(
                     (f"/stages/{k}/{i}/{j}", f"expected a nonnegative integer, got {row[j]!r}")
@@ -160,21 +149,23 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
             diags.append(
                 (f"/stages/{k}", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
             )
+        elif k == 0 and dims == [0, 0]:  # later stages may add nothing
+            diags.append(("/stages/0", "the first stage fills dimension 0"))
     return diags
 
 
-def _probe_diagnostics(path, blocks: dict[int, list]) -> list[tuple[str, str]]:
-    """Diagnostics for the probe file and its letter values (``blocks`` as for stages)."""
+def _parse_probe(path, blocks: dict[int, list]) -> tuple[list, list[tuple[str, str]]]:
+    """The probe file's elements and diagnostics for them (``blocks`` as for stages)."""
     if not isinstance(path, str):
-        return [("/probe", f"expected a file path, got {path!r}")]
+        return [], [("/probe", f"expected a file path, got {path!r}")]
     try:
         probe = load_probe_file(path)
     except ConfigError as exc:
-        return list(exc.diagnostics)
+        return [], list(exc.diagnostics)
     except OSError as exc:
-        return [("/probe", f"cannot read {path!r}: {exc.strerror}")]
-    except ValueError as exc:  # not JSON, or not UTF-8 text
-        return [("/probe", f"{path!r} is not a JSON file: {exc}")]
+        return [], [("/probe", f"cannot read {path!r}: {exc.strerror}")]
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        return [], [("/probe", f"{path!r} is not a JSON file: {exc}")]
     diags = []
     for i, element in enumerate(probe):
         for t, (_, word) in enumerate(element.terms):
@@ -183,7 +174,17 @@ def _probe_diagnostics(path, blocks: dict[int, list]) -> list[tuple[str, str]]:
                 if k in blocks:
                     at = f"/elements/{i}/terms/{t}/word/{j}/value"
                     diags += _model_diagnostics(letter.value, blocks[k], f"/algebras/{k}", at)
-    return diags
+        # Every evaluation of the element has norm at most ``scale``; a build's
+        # residuals and Lipschitz bounds stay below 4 (longest word + 1) scale.
+        # Entrywise 1-norms, of coefficients too, overflow to inf, never raise.
+        with np.errstate(over="ignore"):
+            norms = [[float(np.abs(v).sum()) for _, v in word] for _, word in element.terms]
+        scale = sum(
+            (abs(c.real) + abs(c.imag)) * math.prod(n) for (c, _), n in zip(element.terms, norms)
+        )
+        if not math.isfinite(4 * (max(map(len, norms), default=0) + 1) * scale):
+            diags.append((f"/elements/{i}", f"too large to evaluate (norm bound {scale:.3e})"))
+    return probe, diags
 
 
 def _model_diagnostics(value, blocks: list, algebra: str, pointer: str) -> list[tuple[str, str]]:
@@ -202,20 +203,26 @@ def _model_diagnostics(value, blocks: list, algebra: str, pointer: str) -> list[
     return []
 
 
-def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
-    """Every invariant violation as a (json-pointer, message) diagnostic."""
+def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
+    """The config's parsed values, and every violation as a (json-pointer, message).
+
+    ``parsed`` holds ``algebras``, a (BlockStructure, mult tuple or None) per
+    spec, the ``density`` ``center``, the ``dpi`` ``u`` (the identity when
+    absent) and the ``probe`` elements; ``run`` needs it without diagnostics.
+    """
+    parsed: dict = {"algebras": [], "center": None, "u": None, "probe": []}
     diags: list[tuple[str, str]] = list(config.diagnostics)
     cmd = config.command
     if cmd not in COMMANDS:
         diags.append(("/command", f"unknown command {cmd!r}"))
-        return diags
+        return parsed, diags
 
     if config.seed is None:
         diags.append(("/seed", "seed is required; wall-clock seeding is not supported"))
-    elif not _is_int(config.seed) or config.seed < 0:
+    elif not is_number(config.seed, int) or config.seed < 0:
         diags.append(("/seed", "seed must be a nonnegative integer"))
 
-    want = 2 if cmd in _TWO_ALGEBRAS else 1
+    want = 1 if cmd == "enumerate" else 2
     algebras = config.algebras
     if not isinstance(algebras, list):
         diags.append(("/algebras", "expected a list"))
@@ -231,7 +238,7 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
             continue
         blocks = spec.get("blocks")
         if not isinstance(blocks, list) or not blocks or any(
-            not _is_int(b) or b < 1 for b in blocks
+            not is_number(b, int) or b < 1 for b in blocks
         ):
             diags.append((f"/algebras/{i}/blocks", "blocks must be a list of positive integers"))
             continue
@@ -240,9 +247,11 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         if mult is None:
             if needs_mult:
                 diags.append((f"/algebras/{i}/mult", "multiplicity row is required"))
+            else:
+                parsed["algebras"].append((BlockStructure(tuple(blocks)), None))
             continue
         if not isinstance(mult, list) or len(mult) != len(blocks) or any(
-            not _is_int(m) for m in mult
+            not is_number(m, int) for m in mult
         ):
             diags.append(
                 (f"/algebras/{i}/mult", "mult must be an integer list matching blocks")
@@ -251,41 +260,45 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
         if cmd in _NEEDS_AMBIENT:
             if any(m < 1 for m in mult):
                 diags.append((f"/algebras/{i}/mult", "ambient multiplicities must be >= 1"))
-            elif _is_int(config.ambient) and config.ambient is not None:
+            elif is_number(config.ambient, int):
                 total = sum(m * n for m, n in zip(mult, blocks))
                 if total != config.ambient:
-                    diags.append(
-                        (
-                            f"/algebras/{i}/mult",
-                            f"multiplicities fill dimension {total}, not ambient {config.ambient}",
-                        )
-                    )
+                    message = f"multiplicities fill dimension {total}, not ambient {config.ambient}"
+                    diags.append((f"/algebras/{i}/mult", message))
         elif any(m < 0 for m in mult):
             diags.append((f"/algebras/{i}/mult", "multiplicities must be nonnegative"))
+        parsed["algebras"].append((BlockStructure(tuple(blocks)), tuple(mult)))
 
     if cmd in _NEEDS_AMBIENT:
-        if not _is_int(config.ambient) or config.ambient is None or config.ambient < 1:
+        if not is_number(config.ambient, int) or config.ambient < 1:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
         elif cmd == "density" and config.center is not None:
-            diags.extend(_unitary_diagnostics(config.center, "/center", config.ambient))
+            parsed["center"], found = _parse_unitary(config.center, "/center", config.ambient)
+            diags += found
     if config.center is not None and (cmd != "density" or config.radius is None):
         diags.append(("/center", "a center is accepted only by density, with a radius"))
+    if config.u is not None and cmd != "dpi":
+        diags.append(("/u", "a u is accepted only by dpi"))
 
     if cmd in ("rcp-balance", "dpi") and len(algebras) >= 2 and not diags:
         dims = [
-            sum(m * n for m, n in zip(spec["mult"], spec["blocks"]))
-            for spec in algebras[:2]
+            sum(m * n for m, n in zip(mult, structure.blocks))
+            for structure, mult in parsed["algebras"][:2]
         ]
         if dims[0] != dims[1]:
             diags.append(
                 ("/algebras/1/mult", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
             )
-        elif cmd == "dpi" and config.u is not None:
-            diags.extend(_unitary_diagnostics(config.u, "/u", dims[0]))
+        elif cmd == "dpi" and dims[0] == 0:
+            diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
+        elif cmd == "dpi" and config.u is None:
+            parsed["u"] = np.eye(dims[0], dtype=complex)
+        elif cmd == "dpi":
+            parsed["u"], found = _parse_unitary(config.u, "/u", dims[0])
+            diags += found
 
-    if cmd in _NEEDS_SAMPLES:
-        if not _is_int(config.samples) or config.samples is None or config.samples < 1:
-            diags.append(("/samples", "samples must be an integer >= 1"))
+    if cmd in _NEEDS_SAMPLES and not (is_number(config.samples, int) and config.samples >= 1):
+        diags.append(("/samples", "samples must be an integer >= 1"))
 
     if config.radius is not None:
         diags.extend(_positive_finite_diagnostics(config.radius, "/radius"))
@@ -296,10 +309,11 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
             diags.extend(_stage_diagnostics(config.stages, valid_blocks))
-        if not _is_int(config.max_tries) or config.max_tries < 1:
+        if not is_number(config.max_tries, int) or config.max_tries < 1:
             diags.append(("/max_tries", "max_tries must be a positive integer"))
         if config.probe is not None:
-            diags.extend(_probe_diagnostics(config.probe, valid_blocks))
+            parsed["probe"], found = _parse_probe(config.probe, valid_blocks)
+            diags += found
 
     if config.out is not None and not isinstance(config.out, str):
         diags.append(("/out", f"expected a file path, got {config.out!r}"))
@@ -312,7 +326,7 @@ def validate(config: ExperimentConfig) -> list[tuple[str, str]]:
     if config.tolerance is not None:
         diags.extend(_positive_finite_diagnostics(config.tolerance, "/tolerance"))
 
-    return diags
+    return parsed, diags
 
 
 def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
@@ -345,61 +359,48 @@ def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
     return config
 
 
-def _embedded(config: ExperimentConfig, index: int) -> EmbeddedAlgebra:
-    spec = config.algebras[index]
-    return EmbeddedAlgebra(
-        config.ambient, BlockStructure(tuple(spec["blocks"])), tuple(spec["mult"])
-    )
-
-
-def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
-    """Execute a validated config; returns (exit code, report dict, optional CSV text)."""
+def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
+    """Execute a config on ``validate``'s values; returns (exit code, report, CSV or None)."""
     cmd = config.command
     status = "ok"
     exit_code = 0
     csv_text = None
     if cmd in _NEEDS_AMBIENT:  # algebras embedded in M_ambient
-        b1 = _embedded(config, 0)
-        if cmd in _TWO_ALGEBRAS:
-            b2 = _embedded(config, 1)
-    elif cmd in _TWO_ALGEBRAS:  # the free-product commands: two factors on one space
-        a1, a2 = config.algebras[0], config.algebras[1]
-        alg1, alg2 = BlockStructure(tuple(a1["blocks"])), BlockStructure(tuple(a2["blocks"]))
+        b = [EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"]]
+    else:  # the free-product commands: two factors on one space
+        (alg1, mult1), (alg2, mult2) = parsed["algebras"][:2]
 
     if cmd == "enumerate":
-        classes = enumerate_subalgebra_classes(b1)
+        classes = enumerate_subalgebra_classes(b[0])
         result = {"count": len(classes), "classes": [c.to_json_dict() for c in classes]}
 
     elif cmd == "dims":
         rows = []
-        for cls in enumerate_subalgebra_classes(b1):
-            rep = dim_report(b1, cls, b2)
+        for cls in enumerate_subalgebra_classes(b[0]):
+            rep = dim_report(b[0], cls, b[1])
             rows.append({**cls.to_json_dict(), **rep.to_json_dict()})
         result = {"classes": rows}
 
     elif cmd == "thm41-check":
-        audit = audit_density_hypotheses(b1, b2)
+        audit = audit_density_hypotheses(b[0], b[1])
         result = audit.to_json_dict()
         if not audit.covered:
             status = "not-covered"
             exit_code = 2
 
     elif cmd == "density":
-        local = None
-        if config.radius is not None:
-            center = None if config.center is None else matrix_from_json(config.center, "/center")
-            local = (center, float(config.radius))
+        local = None if config.radius is None else (parsed["center"], float(config.radius))
         stats = density_experiment(
-            b1, b2, config.samples, config.seed, local=local, tol=config.tolerance
+            b[0], b[1], config.samples, config.seed, local=local, tol=config.tolerance
         )
 
     elif cmd == "rcp-balance":
-        balance = rcp_balance(alg1, a1["mult"], alg2, a2["mult"])
+        balance = rcp_balance(alg1, mult1, alg2, mult2)
         result = {
             "balance": balance.to_json_dict(),
             "before": [
-                rcp_check(alg1, a1["mult"]).to_json_dict(),
-                rcp_check(alg2, a2["mult"]).to_json_dict(),
+                rcp_check(alg1, mult1).to_json_dict(),
+                rcp_check(alg2, mult2).to_json_dict(),
             ],
             "after": [
                 rcp_check(alg1, balance.final_mult1).to_json_dict(),
@@ -408,27 +409,19 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
         }
 
     elif cmd == "dpi":
-        dim = sum(m * n for m, n in zip(a1["mult"], alg1.blocks))
-        u = (
-            matrix_from_json(config.u, "/u")
-            if config.u is not None
-            else np.eye(dim, dtype=complex)
-        )
-        rep = RepPair(alg1, tuple(a1["mult"]), alg2, tuple(a2["mult"]), u)
+        rep = RepPair(alg1, mult1, alg2, mult2, parsed["u"])
         stats = dpi_probe(
             rep, config.samples, config.seed, local_radius=config.radius, tol=config.tolerance
         )
 
     elif cmd == "build-primitive":
-        stages = [(tuple(s[0]), tuple(s[1])) for s in config.stages]
-        probe = load_probe_file(config.probe) if config.probe is not None else []
         try:
             build = staged_build(
                 alg1,
                 alg2,
-                stages,
+                config.stages,
                 float(config.epsilon),
-                probe,
+                parsed["probe"],
                 config.seed,
                 max_tries=config.max_tries,
                 tol=config.tolerance,
@@ -443,9 +436,6 @@ def run(config: ExperimentConfig) -> tuple[int, dict, str | None]:
                 "best_dim": exc.best_dim,
                 "tries": exc.tries,
             }
-
-    else:  # pragma: no cover - guarded by validation
-        raise ConfigError(f"unknown command {cmd!r}")
 
     if cmd in _NEEDS_SAMPLES:
         result = stats.to_json_dict()
@@ -488,23 +478,18 @@ def main(argv=None) -> int:
         print(str(exc), file=sys.stderr)
         return 1
 
-    diags = validate(config)
+    parsed, diags = validate(config)
     if diags:
         for pointer, message in diags:
             print(f"{pointer}: {message}", file=sys.stderr)
         return 1
 
     try:
-        exit_code, report, csv_text = run(config)
+        exit_code, report, csv_text = run(config, parsed)
     except NumericalInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 4
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        for pointer, message in exc.diagnostics:
-            print(f"{pointer}: {message}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:  # a config that validate should have rejected
         print(str(exc), file=sys.stderr)
         return 1
 

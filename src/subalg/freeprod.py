@@ -310,12 +310,13 @@ def dpi_probe(
 
     Each draw of ``sample_dims`` (a Haar unitary, or a local step of
     ``local_radius`` about the identity) is composed as w @ rep.u, so local
-    perturbations stay near rep.u.  trivial_count counts the irreducible
-    outcomes.
+    perturbations stay near rep.u.  The product is not checked for unitarity
+    again: its rounding can carry a u at the edge of RepPair's bound past it.
+    trivial_count counts the irreducible outcomes.
     """
 
     def step(w):
-        return joint_commutant_dim(rep.with_unitary(w @ rep.u), tol=tol)
+        return _joint_dim(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], w @ rep.u, tol)
 
     dims = sample_dims(rep.dim, samples, seed, local_radius, step)
     return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)

@@ -28,13 +28,22 @@ def _malformed(pointer: str, message: str, what: str = "matrix") -> ConfigError:
     return ConfigError(f"malformed {what}", [(pointer, message)])
 
 
-def _is_num(v, kind=(int, float)) -> bool:
+def is_number(v, kind=(int, float)) -> bool:
+    """True for an instance of ``kind`` that is not a bool (Python counts bools as ints)."""
     return isinstance(v, kind) and not isinstance(v, bool)
 
 
+def is_finite_real(v) -> bool:
+    """True for an int or float, not a bool, that converts to a finite float."""
+    try:
+        return is_number(v) and math.isfinite(v)
+    except OverflowError:  # an integer beyond float range
+        return False
+
+
 def _is_pair(v) -> bool:
-    """True for a [re, im] list of two real numbers."""
-    return isinstance(v, list) and len(v) == 2 and all(map(_is_num, v))
+    """True for a [re, im] list of two finite reals."""
+    return isinstance(v, list) and len(v) == 2 and all(map(is_finite_real, v))
 
 
 def matrix_from_json(obj, pointer: str = "") -> np.ndarray:
@@ -42,7 +51,7 @@ def matrix_from_json(obj, pointer: str = "") -> np.ndarray:
     if not isinstance(obj, dict) or "shape" not in obj or not isinstance(obj.get("data"), list):
         raise _malformed(pointer, "expected {shape, data}")
     shape, data = obj["shape"], obj["data"]
-    if not isinstance(shape, list) or not all(_is_num(s, int) and s >= 0 for s in shape):
+    if not isinstance(shape, list) or not all(is_number(s, int) and s >= 0 for s in shape):
         raise _malformed(
             pointer + "/shape", f"expected a list of nonnegative integers, got {shape!r}"
         )
@@ -91,6 +100,9 @@ def free_element_from_json(obj, pointer: str = "") -> FreeElement:
             side = _expect(letter, dict, at).get("side")
             if isinstance(side, bool) or side not in (1, 2):
                 raise _malformed(at + "/side", f"expected 1 or 2, got {side!r}", "probe file")
+            if word and word[-1].side == side:
+                message = f"consecutive letters must alternate sides, got {side} after {side}"
+                raise _malformed(at + "/side", message, "probe file")
             word.append(Letter(int(side), matrix_from_json(letter.get("value"), at + "/value")))
         terms.append((complex(coeff[0], coeff[1]), tuple(word)))
     return FreeElement(tuple(terms))

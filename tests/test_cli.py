@@ -1,10 +1,18 @@
 """End-to-end tests of the command-line harness: configs, exit codes, reports."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subalg
 from subalg.cli import main
@@ -76,6 +84,10 @@ class TestMatrixSerialization:
             ({"shape": [1, True], "data": [[1, 0]]}, "/m/shape"),
             ({"shape": [1, 1], "data": [[1, 0], [0, 0]]}, "/m/data"),
             ({"data": [[1, 0]]}, "/m"),
+            # an entry is a pair only if both parts convert to finite floats
+            ({"shape": [1, 1], "data": [[10**400, 0]]}, "/m/data/0"),
+            ({"shape": [1, 1], "data": [[0, float("nan")]]}, "/m/data/0"),
+            ({"shape": [1, 1], "data": [[float("-inf"), 0]]}, "/m/data/0"),
         ],
     )
     def test_malformed_matrix_raises_config_error(self, obj, pointer):
@@ -258,6 +270,45 @@ class TestValidation:
                 probe_with_value(matrix_to_json(np.eye(3))),
                 "/elements/0/terms/0/word/0/value: expected 2x2 for /algebras/0, got shape [3, 3]",
             ),
+            (
+                probe_with_value({"shape": [1, 1], "data": [[10**400, 0]]}),
+                "/elements/0/terms/0/word/0/value/data/0: expected [re, im], got [1000",
+            ),
+            (
+                probe_with_value({"shape": [2, 2], "data": [[float("nan"), 0]] + [[0, 0]] * 3}),
+                "/elements/0/terms/0/word/0/value/data/0: expected [re, im], got [nan, 0]",
+            ),
+            (
+                probe_with_value({"shape": [2, 2], "data": [[0, 0], [float("inf"), 0]] * 2}),
+                "/elements/0/terms/0/word/0/value/data/1: expected [re, im], got [inf, 0]",
+            ),
+            (
+                {"elements": [{"terms": [{"coeff": [10**400, 0]}]}]},
+                "/elements/0/terms/0/coeff: expected [re, im], got [1000",
+            ),
+            (
+                {"elements": [{"terms": [{"coeff": [float("nan"), 0.0]}]}]},
+                "/elements/0/terms/0/coeff: expected [re, im], got [nan, 0.0]",
+            ),
+            (
+                {"elements": [{"terms": [{"word": [
+                    {"side": 1, "value": matrix_to_json(np.eye(2))},
+                    {"side": 1, "value": matrix_to_json(np.eye(2))},
+                ]}]}]},
+                "/elements/0/terms/0/word/1/side: consecutive letters must alternate sides",
+            ),
+            (
+                # finite entries whose products overflow
+                {"elements": [{"terms": [{"word": [
+                    {"side": 1, "value": matrix_to_json(1e300 * np.eye(2))},
+                    {"side": 2, "value": matrix_to_json(1e300 * np.eye(2))},
+                ]}]}]},
+                "/elements/0: too large to evaluate (norm bound inf)",
+            ),
+            (
+                {"elements": [{"terms": [{"coeff": [1.7e308, 1.7e308]}]}]},
+                "/elements/0: too large to evaluate (norm bound inf)",
+            ),
         ],
     )
     def test_malformed_probe_exits_1(self, tmp_path, capsys, probe, message):
@@ -267,7 +318,9 @@ class TestValidation:
         code, report, _ = run_cli(tmp_path, "build-primitive", payload)
         assert code == 1
         assert report is None
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "not a JSON file" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["enumerate", "density", "dpi", "build-primitive"])
     def test_algebras_not_a_list_exits_1(self, tmp_path, capsys, command):
@@ -353,6 +406,33 @@ class TestValidation:
         assert report is None
         assert "/u: not unitary (defect" in capsys.readouterr().err
 
+        # local dpi composes each step w with u: the rounding in w @ u must not
+        # be checked against the bound again (u's defect is 99.9% of it)
+        u = (1 + 0.999 * bound / (2 * np.sqrt(n))) * np.eye(n)
+        assert 0.99 * bound < np.linalg.norm(u.conj().T @ u - np.eye(n)) <= bound
+        local = dict(pair, samples=8, radius=1e-3, u=matrix_to_json(u))
+        (tmp_path / "local").mkdir()
+        code, report, _ = run_cli(tmp_path / "local", "dpi", local)
+        assert code == 0
+        assert report["result"]["dims"] == [12] * 8
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("density", dict(M2_PAIR, samples=3)),
+            ("dims", M2_PAIR),
+            ("rcp-balance", M2_PAIR),
+            ("build-primitive", BUILD_M2),
+        ],
+    )
+    def test_u_outside_dpi_exits_1(self, tmp_path, capsys, command, payload):
+        # only dpi perturbs by u; anywhere else it would be echoed and ignored
+        u = matrix_to_json(np.diag([2.0, 1.0, 1.0, 1.0]))
+        code, report, _ = run_cli(tmp_path, command, dict(payload, u=u))
+        assert code == 1
+        assert report is None
+        assert "/u: a u is accepted only by dpi" in capsys.readouterr().err
+
     @pytest.mark.parametrize("radius", [None, 1e-3])
     @pytest.mark.parametrize(
         "algebra, dim",
@@ -380,6 +460,14 @@ class TestValidation:
         assert code == 0
         assert report["result"]["dims"] == [dim] * 8
 
+    def test_dpi_on_dimension_0_exits_1(self, tmp_path, capsys):
+        payload = {"algebras": [{"blocks": [1, 1], "mult": [0, 0]}, {"blocks": [2], "mult": [0]}],
+                   "samples": 2, "seed": 1}
+        code, report, _ = run_cli(tmp_path, "dpi", payload)
+        assert code == 1
+        assert report is None
+        assert "/algebras/0/mult: dpi needs a nonzero dimension, got 0" in capsys.readouterr().err
+
     def test_dpi_unitary_u_accepted(self, tmp_path):
         payload = dict(M2_PAIR, samples=3, u=matrix_to_json(haar_unitary(4, 8)))
         del payload["ambient"]
@@ -394,6 +482,7 @@ class TestValidation:
             ([[[1], [1.5]]], "/stages/0/1/0: expected a nonnegative integer, got 1.5"),
             ([[[1, 1], [1]]], "/stages/0/0: expected 1 entries, one per block of /algebras/0"),
             ([[[2], [1]]], "/stages/0: factor dimensions differ: 4 vs 2"),
+            ([[[0], [0]], [[1], [1]]], "/stages/0: the first stage fills dimension 0"),
         ],
     )
     def test_bad_stage_row_exits_1(self, tmp_path, capsys, stages, message):
@@ -408,6 +497,110 @@ class TestValidation:
         code, _, _ = run_cli(tmp_path, "enumerate", payload)
         assert code == 1
         assert "/command" in capsys.readouterr().err
+
+
+# One small valid config per command.  The build-primitive probe is a
+# document of its own, written next to the config.
+_EYE4 = matrix_to_json(np.eye(4))
+_PROBE = {"elements": [{"terms": [{"coeff": [1.0, 0.0], "word": [
+    {"side": 2, "value": matrix_to_json(np.array([[0, 1], [1, 0]]))},
+    {"side": 1, "value": matrix_to_json(np.diag([1, -1]))},
+]}]}]}
+VALID_CONFIGS = {
+    "enumerate": {"algebras": [{"blocks": [2], "mult": [2]}], "ambient": 4, "seed": 7},
+    "dims": M2_PAIR,
+    "thm41-check": M2_PAIR,
+    "density": dict(M2_PAIR, samples=2, radius=1e-3, center=_EYE4, format="json"),
+    "rcp-balance": {"algebras": [{"blocks": [1, 1], "mult": [2, 2]},
+                                 {"blocks": [2], "mult": [2]}], "seed": 1},
+    "dpi": {"algebras": [{"blocks": [2], "mult": [2]}, {"blocks": [2], "mult": [2]}],
+            "samples": 2, "radius": 1e-3, "u": _EYE4, "seed": 5},
+    "build-primitive": {"algebras": [{"blocks": [1, 1]}, {"blocks": [2]}],
+                        "stages": [[[1, 1], [1]]], "epsilon": 0.5, "seed": 11,
+                        "max_tries": 4, "probe": "probe.json"},
+}
+_DELETE = object()
+_POOL = [
+    _DELETE, None, True, False, 0, -1, 1, 2, 0.5, float("nan"), float("inf"),
+    float("-inf"), 1e300, 10**400, "x", "", [], {}, [1, 0], [[1, 0]], [float("nan"), 0],
+    [10**400, 0], {"shape": [1, 1], "data": [[1, 0]]},
+]
+# "pointer: message" from validation, or "file:line:col: message" from parsing
+_DIAGNOSTIC = re.compile(r"^(/\S*|\S+:\d+:\d+): \S")
+
+
+def _paths(doc, prefix=()):
+    """Every key and index path below the root of a JSON document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield prefix + (key,)
+            yield from _paths(value, prefix + (key,))
+
+
+def _mutate(doc, path, value):
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = copy.deepcopy(value)
+
+
+class TestBoundary:
+    @pytest.mark.parametrize(
+        "command, counts", [("build-primitive", (1, 0)), ("dpi", (0, 1)), ("density", (0, 1))]
+    )
+    def test_each_config_value_is_parsed_once(self, tmp_path, monkeypatch, command, counts):
+        # validate parses the probe file, u and center; run reuses its values
+        calls = {"load_probe_file": 0, "matrix_from_json": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(subalg.cli, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(subalg.cli, name, counted)
+        (tmp_path / "probe.json").write_text(json.dumps(_PROBE))
+        payload = dict(VALID_CONFIGS[command])
+        if "probe" in payload:
+            payload["probe"] = str(tmp_path / "probe.json")
+        code, _, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        assert (calls["load_probe_file"], calls["matrix_from_json"]) == counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(command=st.sampled_from(sorted(VALID_CONFIGS)), data=st.data())
+    def test_mutated_config_decides_or_exits_1_with_diagnostics(self, command, data):
+        # One or two entries of a valid config or probe file replaced or
+        # deleted: the run decides (exit 0, 2 or 3) or exits 1 with one
+        # diagnostic per line, never with a traceback or a bare message.
+        # Counts (samples, max_tries) are not set to 10**400: that is a
+        # well-formed request for a run that does not end.
+        with tempfile.TemporaryDirectory() as tmp:
+            docs = {"config": copy.deepcopy(VALID_CONFIGS[command])}
+            if "probe" in docs["config"]:
+                docs["config"]["probe"] = str(Path(tmp, "probe.json"))
+                docs["probe"] = copy.deepcopy(_PROBE)
+            for _ in range(data.draw(st.integers(1, 2), label="mutations")):
+                name = data.draw(st.sampled_from(sorted(docs)), label="document")
+                paths = list(_paths(docs[name]))
+                if not paths:
+                    continue
+                path = data.draw(st.sampled_from(paths), label="path")
+                value = data.draw(st.sampled_from(_POOL), label="value")
+                if path in (("samples",), ("max_tries",)) and value == 10**400:
+                    continue
+                _mutate(docs[name], path, value)
+            Path(tmp, "probe.json").write_text(json.dumps(docs.get("probe", _PROBE)))
+            config = Path(tmp, "config.json")
+            config.write_text(json.dumps(docs["config"]))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(config), "--out", str(Path(tmp, "r"))])
+        assert code in (0, 1, 2, 3), (code, err.getvalue())
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert lines and all(_DIAGNOSTIC.match(line) for line in lines), lines
 
 
 class TestCommands:
