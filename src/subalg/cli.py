@@ -56,6 +56,10 @@ COMMANDS = (
 _NEEDS_AMBIENT = {"enumerate", "dims", "thm41-check", "density"}
 _NEEDS_SAMPLES = {"density", "dpi"}
 
+# Largest accepted ``samples`` and ``max_tries``: a larger count asks for a
+# run that does not end in any useful time, so it is refused as malformed.
+MAX_COUNT = 10**6
+
 
 @dataclass
 class ExperimentConfig:
@@ -87,6 +91,13 @@ def _positive_finite_diagnostics(value, pointer: str) -> list[tuple[str, str]]:
     if is_finite_real(value) and value > 0:
         return []
     return [(pointer, f"expected a positive finite number, got {value!r}")]
+
+
+def _count_diagnostics(value, name: str) -> list[tuple[str, str]]:
+    """Diagnostics for the count field ``name``, an integer from 1 to MAX_COUNT."""
+    if is_number(value, int) and 1 <= value <= MAX_COUNT:
+        return []
+    return [(f"/{name}", f"{name} must be an integer from 1 to {MAX_COUNT}")]
 
 
 def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[tuple[str, str]]]:
@@ -297,8 +308,8 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             parsed["u"], found = _parse_unitary(config.u, "/u", dims[0])
             diags += found
 
-    if cmd in _NEEDS_SAMPLES and not (is_number(config.samples, int) and config.samples >= 1):
-        diags.append(("/samples", "samples must be an integer >= 1"))
+    if cmd in _NEEDS_SAMPLES:
+        diags.extend(_count_diagnostics(config.samples, "samples"))
 
     if config.radius is not None:
         diags.extend(_positive_finite_diagnostics(config.radius, "/radius"))
@@ -309,8 +320,7 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
             diags.extend(_stage_diagnostics(config.stages, valid_blocks))
-        if not is_number(config.max_tries, int) or config.max_tries < 1:
-            diags.append(("/max_tries", "max_tries must be a positive integer"))
+        diags.extend(_count_diagnostics(config.max_tries, "max_tries"))
         if config.probe is not None:
             parsed["probe"], found = _parse_probe(config.probe, valid_blocks)
             diags += found

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .algebra import (
     BlockStructure,
@@ -255,6 +256,69 @@ class HypothesisAudit:
         }
 
 
+class _AbelianEntry(NamedTuple):
+    """A nontrivial abelian class of a parent and its values that do not depend on b2."""
+
+    cls: SubalgebraClass
+    ambient_mult: tuple[int, ...]
+    stab_dim: int
+    class_dim: int
+    key: tuple
+
+
+class _SimpleEntry(NamedTuple):
+    """A simple nonabelian class of a parent, with its C^2 splits ((x, k - x), C^2 key)."""
+
+    cls: SubalgebraClass
+    ambient_mult: tuple[int, ...]
+    class_dim: int
+    splits: tuple[tuple[tuple[int, int], tuple], ...]
+
+
+@lru_cache(maxsize=None)
+def _class_table(
+    b1: EmbeddedAlgebra,
+) -> tuple[tuple[_AbelianEntry, ...], tuple[_SimpleEntry, ...]]:
+    """Per-class data of b1 that every audit against a second algebra reads.
+
+    The abelian entries are the nontrivial abelian classes and the simple
+    entries the simple nonabelian ones, each in class order.  A simple class
+    M_k keeps one split x + (k - x) per distinct canonical key of the C^2 it
+    contains, the first x in ascending order.
+    """
+    abelian, simple = [], []
+    c2 = BlockStructure((1, 1))
+    for cls in enumerate_subalgebra_classes(b1):
+        if cls.is_abelian():
+            if cls.is_trivial():
+                continue
+            rel = relative_commutant(cls.embedding)
+            entry = _AbelianEntry(
+                cls,
+                cls.ambient_mult(),
+                _stab_dim(cls, rel),
+                _class_dim(b1, cls, rel),
+                cls.key(),
+            )
+            abelian.append(entry)
+        elif cls.structure.is_simple():
+            k = cls.structure.blocks[0]
+            splits = {}  # C^2 key -> first split with that key
+            for x in range(1, k):
+                split = MultiplicityMatrix(c2, cls.structure, ((x, k - x),))
+                composed = compose_multiplicities(cls.embedding, split)
+                splits.setdefault(canonical_embedding_key(c2, composed.entries), (x, k - x))
+            rel = relative_commutant(cls.embedding)
+            entry = _SimpleEntry(
+                cls,
+                cls.ambient_mult(),
+                _class_dim(b1, cls, rel),
+                tuple((split, key) for key, split in splits.items()),
+            )
+            simple.append(entry)
+    return tuple(abelian), tuple(simple)
+
+
 def audit_density_hypotheses(
     b1: EmbeddedAlgebra, b2: EmbeddedAlgebra
 ) -> HypothesisAudit:
@@ -264,52 +328,44 @@ def audit_density_hypotheses(
     (or reports it uncovered), then checks every abelian class other than the
     scalars whose orbit set is nonempty, and for simple nonabelian classes
     checks the reduction d(B) <= d(C) against every abelian C^2 inside B
-    whenever dim U(b1) + dim U(b2) <= N^2.
+    whenever dim U(b1) + dim U(b2) <= N^2.  What does not depend on b2 is
+    read from a table built once per b1.
     """
     case = classify_pair(b1, b2)
     n_sq = b1.ambient_dim * b1.ambient_dim
     if case is None:
         return HypothesisAudit(None, n_sq, ())
 
-    classes = enumerate_subalgebra_classes(b1)
+    abelian, simple = _class_table(b1)
 
     rows = []
-    for cls in classes:
-        if not cls.is_abelian() or cls.is_trivial():
-            continue
-        report = dim_report(b1, cls, b2)
-        if report.d_value is None:
+    d_by_key = {}
+    for entry in abelian:
+        dims = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
+        d = entry.class_dim + max(dims) if dims else None
+        if d is None:
             verdict = "no-embedding"
-        elif report.d_value < n_sq:
+        elif d < n_sq:
             verdict = "ok"
         else:
             verdict = "violated"
-        rows.append(ClassVerdict(cls, report, verdict))
+        report = DimReport(entry.stab_dim, entry.class_dim, dims, d, n_sq)
+        rows.append(ClassVerdict(entry.cls, report, verdict))
+        d_by_key[entry.key] = d
 
     comparisons = []
     if b1.structure.algebra_dim() + b2.structure.algebra_dim() <= n_sq:
         # every C^2 class is abelian and nontrivial, so its d is already in a row
-        d_by_key = {row.cls.key(): row.report.d_value for row in rows}
-        c2 = BlockStructure((1, 1))
-        for cls in classes:
-            if not cls.structure.is_simple() or cls.is_abelian():
+        for entry in simple:
+            dims = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
+            if not dims:
                 continue
-            d_b = d_value(b1, cls, b2)
-            if d_b is None:
-                continue
-            k = cls.structure.blocks[0]
-            seen_keys = set()
-            for x in range(1, k):
-                split = MultiplicityMatrix(c2, cls.structure, ((x, k - x),))
-                composed = compose_multiplicities(cls.embedding, split)
-                key = canonical_embedding_key(c2, composed.entries)
-                if key in seen_keys:
-                    continue
-                seen_keys.add(key)
+            d_b = entry.class_dim + max(dims)
+            for split, key in entry.splits:
                 d_c = d_by_key[key]
                 ok = d_c is not None and d_b <= d_c
                 comparisons.append(
-                    SimpleClassComparison(cls.structure.blocks, (x, k - x), d_b, d_c, ok)
+                    SimpleClassComparison(entry.cls.structure.blocks, split, d_b, d_c, ok)
                 )
 
     return HypothesisAudit(case, n_sq, tuple(rows), tuple(comparisons))

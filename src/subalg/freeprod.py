@@ -114,21 +114,27 @@ def _rep_dim(alg: BlockStructure, mult) -> int:
 
 def evaluate(rep: RepPair, x: FreeElement) -> np.ndarray:
     """Evaluate a free-product element under the pair perturbed by rep.u."""
-    return _evaluate_segments(
-        rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], rep.u, x, rep.dim
-    )
+    terms = _amplified_terms(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], x)
+    return _evaluate_terms(terms, rep.u, rep.dim)
 
 
-def _evaluate_segments(alg1, segs1, alg2, segs2, u, x: FreeElement, dim: int) -> np.ndarray:
+def _amplified_terms(alg1, segs1, alg2, segs2, x: FreeElement):
+    """The terms of x as (coeff, [(side, letter amplified over its factor's segments)])."""
+    factors = {1: (alg1.blocks, segs1), 2: (alg2.blocks, segs2)}
+    return [
+        (coeff, [(side, amplify(value, *factors[side])) for side, value in word])
+        for coeff, word in x.terms
+    ]
+
+
+def _evaluate_terms(terms, u, dim: int) -> np.ndarray:
+    """Sum of the amplified words of ``_amplified_terms``, second-factor letters conjugated by u."""
     uh = u.conj().T
     acc = np.zeros((dim, dim), dtype=complex)
-    for coeff, word in x.terms:
+    for coeff, word in terms:
         m = np.eye(dim, dtype=complex)
-        for letter in word:
-            if letter.side == 1:
-                m = m @ amplify(letter.value, alg1.blocks, segs1)
-            else:
-                m = m @ (u @ amplify(letter.value, alg2.blocks, segs2) @ uh)
+        for side, a in word:
+            m = m @ a if side == 1 else m @ (u @ a @ uh)
         acc += coeff * m
     return acc
 
@@ -260,34 +266,46 @@ def _segment_generators(alg: BlockStructure, segments) -> np.ndarray:
     return amplify(model_matrix_units(alg), alg.blocks, segments)
 
 
-def _joint_dim(alg1, segs1, alg2, segs2, u, tol) -> int:
-    """Dimension of the commutant of A1 together with u A2 u^-1 (both amplified).
+def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
+    """The decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
-    The solve runs inside the smaller of the two known amplified commutants.
-    Inside A1' the unknown X must commute with u g u^-1 for the units g of
-    A2; inside A2' the unknown u^-1 X u must commute with u^-1 g u for the
-    units g of A1, which gives the same dimension.  The inverse is used, not
-    u*: a u that is unitary only to within validate's bound still maps the
-    units onto an exactly similar algebra (u I u^-1 = I, idempotents stay
-    idempotent), so its unitarity defect does not land in the stability band
-    of the rank decision.  The last diagonal unit is left out: the units sum
-    to the identity, which commutes with everything.
+    Both factors are amplified over their segments.  The solve runs inside
+    the smaller of the two known amplified commutants.  Inside A1' the
+    unknown X must commute with u g u^-1 for the units g of A2; inside A2'
+    the unknown u^-1 X u must commute with u^-1 g u for the units g of A1,
+    which gives the same dimension.  The inverse is used, not u*: a u that is
+    unitary only to within validate's bound still maps the units onto an
+    exactly similar algebra (u I u^-1 = I, idempotents stay idempotent), so
+    its unitarity defect does not land in the stability band of the rank
+    decision.  The last diagonal unit is left out: the units sum to the
+    identity, which commutes with everything.  The commutant and the unit
+    stack depend only on the layout, so they are built once, here; each
+    decision forms the inverse, the conjugated stack and the solve.
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
     dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
-    u_inv = np.linalg.inv(u)
     if dim1 <= dim2:
         within = amplified_commutant(alg1.blocks, segs1)
-        gens = u @ _segment_generators(alg2, segs2)[:-1] @ u_inv
+        units = _segment_generators(alg2, segs2)[:-1]
+
+        def decide(u):
+            gens = u @ units @ np.linalg.inv(u)
+            return commutant_basis(gens, tol=tol, within=within).dimension
+
     else:
         within = amplified_commutant(alg2.blocks, segs2)
-        gens = u_inv @ _segment_generators(alg1, segs1)[:-1] @ u
-    return commutant_basis(gens, tol=tol, within=within).dimension
+        units = _segment_generators(alg1, segs1)[:-1]
+
+        def decide(u):
+            gens = np.linalg.inv(u) @ units @ u
+            return commutant_basis(gens, tol=tol, within=within).dimension
+
+    return decide
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
-    return _joint_dim(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], rep.u, tol)
+    return _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)(rep.u)
 
 
 def irreducibility_check(rep: RepPair, tol: float | None = None) -> bool:
@@ -315,10 +333,8 @@ def dpi_probe(
     trivial_count counts the irreducible outcomes.
     """
 
-    def step(w):
-        return _joint_dim(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], w @ rep.u, tol)
-
-    dims = sample_dims(rep.dim, samples, seed, local_radius, step)
+    decide = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    dims = sample_dims(rep.dim, samples, seed, local_radius, lambda w: decide(w @ rep.u))
     return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
 
 
@@ -396,6 +412,7 @@ def staged_build(
     if not stages:
         raise ValueError("need at least one stage")
 
+    lipschitz = [lipschitz_bound(x) for x in probe]
     segs1: list[tuple[int, ...]] = []
     segs2: list[tuple[int, ...]] = []
     dim = 0
@@ -441,7 +458,7 @@ def staged_build(
         new_u = u_k @ prev_u
         bound = float(np.linalg.norm(u_k - np.eye(dim), 2))
         residuals, bounds = _probe_consistency(
-            alg1, segs1, alg2, segs2, new_u, prev_u, probe, dim, bound
+            alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, dim, bound
         )
         built_stages.append(
             Stage(k, dim, u_k, bound, tries, True, balance, residuals, bounds)
@@ -477,8 +494,10 @@ def _search_stage_unitary(
     (unitary or None, tries used, best commutant dimension seen).
     """
 
+    decide = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
+
     def jc_dim(w):
-        return _joint_dim(alg1, segs1, alg2, segs2, w @ prev_u, tol)
+        return decide(w @ prev_u)
 
     eye = np.eye(dim, dtype=complex)
     best = jc_dim(eye)
@@ -496,15 +515,16 @@ def _search_stage_unitary(
     return None, max_tries, best
 
 
-def _probe_consistency(alg1, segs1, alg2, segs2, new_u, prev_u, probe, dim, bound):
+def _probe_consistency(alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, dim, bound):
     """Check each probe element moved by at most its Lipschitz bound times ||u_k - I||."""
     residuals = []
     bounds = []
-    for x in probe:
-        after = _evaluate_segments(alg1, segs1, alg2, segs2, new_u, x, dim)
-        before = _evaluate_segments(alg1, segs1, alg2, segs2, prev_u, x, dim)
+    for x, lip in zip(probe, lipschitz):
+        terms = _amplified_terms(alg1, segs1, alg2, segs2, x)
+        after = _evaluate_terms(terms, new_u, dim)
+        before = _evaluate_terms(terms, prev_u, dim)
         moved = float(np.linalg.norm(after - before, 2))
-        allowed = lipschitz_bound(x) * bound
+        allowed = lip * bound
         if moved > allowed + 1e-9:
             raise NumericalInstabilityError(
                 "probe element moved beyond its Lipschitz bound", moved - allowed

@@ -29,6 +29,9 @@ EPS = float(np.finfo(np.float64).eps)
 # singular value.
 DEFAULT_CLOSURE_TOL = 1e-9
 
+# Products per chunk of the closure check (ConcreteRealization.closure_defect).
+CLOSURE_CHUNK = 512
+
 
 def default_tolerance(n: int, smax: float) -> float:
     """Scale-aware rank cutoff: N^2 * machine epsilon * largest singular value."""
@@ -121,12 +124,22 @@ class ConcreteRealization:
         return np.linalg.norm(flat - recon, axis=1)
 
     def closure_defect(self) -> float:
-        """Largest residual of adjoints and pairwise products outside the span."""
-        adj = np.transpose(self.basis.conj(), (0, 2, 1))
-        prods = self.basis[:, None] @ self.basis[None]
-        prods = prods.reshape(-1, self.ambient_dim, self.ambient_dim)
-        res = self.project_residual(np.concatenate([adj, prods]))
-        return float(res.max())
+        """Largest residual of adjoints and pairwise products outside the span.
+
+        The products are formed a few left factors at a time, at most
+        max(CLOSURE_CHUNK, d) per chunk, and the running maximum is kept, so
+        memory grows like that chunk times N^2, not like all d^2 products.
+        """
+        n = self.ambient_dim
+        step = max(1, CLOSURE_CHUNK // self.dimension)
+        worst = 0.0
+        for start in range(0, self.dimension, step):
+            left = self.basis[start : start + step]
+            adj = np.transpose(left.conj(), (0, 2, 1))
+            prods = (left[:, None] @ self.basis[None]).reshape(-1, n, n)
+            res = self.project_residual(np.concatenate([adj, prods]))
+            worst = max(worst, float(res.max()))
+        return worst
 
     def contains_identity(self, tol: float = 1e-10) -> bool:
         eye = np.eye(self.ambient_dim, dtype=complex)[None]

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subalg
-from subalg.cli import main
+from subalg.cli import MAX_COUNT, ExperimentConfig, main, validate
 from subalg.serialize import (
     free_element_from_json,
     free_element_to_json,
@@ -218,6 +218,31 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"{pointer}: expected a positive finite number, got {shown}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [MAX_COUNT + 1, 10**9, 10**400])
+    @pytest.mark.parametrize(
+        "command, payload, field",
+        [
+            ("density", dict(M2_PAIR, samples=3), "samples"),
+            ("dpi", dict(M2_PAIR, samples=3), "samples"),
+            ("build-primitive", BUILD_M2, "max_tries"),
+        ],
+    )
+    def test_count_above_cap_exits_1(self, tmp_path, capsys, command, payload, field, value):
+        # a count past the cap is a request for a run that does not end
+        code, report, _ = run_cli(tmp_path, command, dict(payload, **{field: value}))
+        assert code == 1
+        assert report is None
+        err = capsys.readouterr().err
+        assert f"/{field}: {field} must be an integer from 1 to {MAX_COUNT}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["density", "dpi", "build-primitive"])
+    def test_count_at_cap_validates(self, command):
+        field = "max_tries" if command == "build-primitive" else "samples"
+        payload = dict(VALID_CONFIGS[command], probe=None, **{field: MAX_COUNT})
+        config = ExperimentConfig(command=command, **payload)
+        assert validate(config)[1] == []
 
     @pytest.mark.parametrize("side", [None, 3])
     def test_probe_letter_without_valid_side_exits_1(self, tmp_path, capsys, side):
@@ -574,8 +599,6 @@ class TestBoundary:
         # One or two entries of a valid config or probe file replaced or
         # deleted: the run decides (exit 0, 2 or 3) or exits 1 with one
         # diagnostic per line, never with a traceback or a bare message.
-        # Counts (samples, max_tries) are not set to 10**400: that is a
-        # well-formed request for a run that does not end.
         with tempfile.TemporaryDirectory() as tmp:
             docs = {"config": copy.deepcopy(VALID_CONFIGS[command])}
             if "probe" in docs["config"]:
@@ -588,8 +611,6 @@ class TestBoundary:
                     continue
                 path = data.draw(st.sampled_from(paths), label="path")
                 value = data.draw(st.sampled_from(_POOL), label="value")
-                if path in (("samples",), ("max_tries",)) and value == 10**400:
-                    continue
                 _mutate(docs[name], path, value)
             Path(tmp, "probe.json").write_text(json.dumps(docs.get("probe", _PROBE)))
             config = Path(tmp, "config.json")

@@ -5,18 +5,27 @@ commutants) in test_acceptance; here the frozen integers from worked small
 cases are asserted, together with the structural invariants of the module.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subalg import dimensions
 from subalg.algebra import (
     BlockStructure,
     EmbeddedAlgebra,
+    MultiplicityMatrix,
+    canonical_embedding_key,
+    compose_multiplicities,
     enumerate_embedded_algebras,
     enumerate_subalgebra_classes,
 )
 from subalg.dimensions import (
+    ClassVerdict,
+    HypothesisAudit,
+    SimpleClassComparison,
     audit_density_hypotheses,
     box_max,
     class_dim,
@@ -198,6 +207,76 @@ class TestHypothesisAudit:
                     covered += 1
                     assert audit.all_pass, (str(b1), str(b2))
         assert covered == {7: 3, 8: 26}[n]
+
+
+def audit_per_pair(b1, b2):
+    """The audit recomputed from the public per-class helpers, every value per pair."""
+    case = classify_pair(b1, b2)
+    n_sq = b1.ambient_dim**2
+    if case is None:
+        return HypothesisAudit(None, n_sq, ())
+    classes = enumerate_subalgebra_classes(b1)
+    rows = []
+    for cls in classes:
+        if not cls.is_abelian() or cls.is_trivial():
+            continue
+        report = dim_report(b1, cls, b2)
+        if report.d_value is None:
+            verdict = "no-embedding"
+        else:
+            verdict = "ok" if report.d_value < n_sq else "violated"
+        rows.append(ClassVerdict(cls, report, verdict))
+    comparisons = []
+    if b1.structure.algebra_dim() + b2.structure.algebra_dim() <= n_sq:
+        d_by_key = {row.cls.key(): row.report.d_value for row in rows}
+        c2 = BlockStructure((1, 1))
+        for cls in classes:
+            if not cls.structure.is_simple() or cls.is_abelian():
+                continue
+            d_b = d_value(b1, cls, b2)
+            if d_b is None:
+                continue
+            k = cls.structure.blocks[0]
+            seen = set()
+            for x in range(1, k):
+                split = MultiplicityMatrix(c2, cls.structure, ((x, k - x),))
+                composed = compose_multiplicities(cls.embedding, split)
+                key = canonical_embedding_key(c2, composed.entries)
+                if key in seen:
+                    continue
+                seen.add(key)
+                d_c = d_by_key[key]
+                ok = d_c is not None and d_b <= d_c
+                comparisons.append(
+                    SimpleClassComparison(cls.structure.blocks, (x, k - x), d_b, d_c, ok)
+                )
+    return HypothesisAudit(case, n_sq, tuple(rows), tuple(comparisons))
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_audit_equals_per_pair_recomputation(self, n):
+        # the per-parent table changes where values are computed, never a value
+        algebras = enumerate_embedded_algebras(n)
+        for b1 in algebras:
+            for b2 in algebras:
+                assert audit_density_hypotheses(b1, b2) == audit_per_pair(b1, b2), (
+                    str(b1),
+                    str(b2),
+                )
+
+    def test_clearing_module_caches_empties_the_table(self):
+        # the benchmark starts each pass cold by clearing every cache_clear-able
+        # callable of the subalg modules; the class table must be one of them
+        b = EmbeddedAlgebra(4, M2, (2,))
+        audit_density_hypotheses(b, b)
+        assert dimensions._class_table.cache_info().currsize > 0
+        for name, module in list(sys.modules.items()):
+            if name.startswith("subalg."):
+                for value in vars(module).values():
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+        assert dimensions._class_table.cache_info().currsize == 0
 
 
 class TestLagrangeMin:

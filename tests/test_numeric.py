@@ -1,5 +1,7 @@
 """Tests for realizations, Haar sampling, commutants, intersections, and density runs."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,9 +14,11 @@ from subalg.algebra import (
     enumerate_subalgebra_classes,
     relative_commutant,
 )
+import subalg.numeric
 from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
     EPS,
+    ConcreteRealization,
     _null_rows,
     _svd_right,
     amplified_commutant,
@@ -178,6 +182,37 @@ class TestConjugate:
         ref = float(r.project_residual(np.concatenate([adj, prods])).max())
         assert abs(r.closure_defect() - ref) < 1e-13
         assert ref < 1e-12
+
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 512])
+    def test_chunked_closure_defect_finds_the_worst_product(self, monkeypatch, chunk):
+        # an orthonormal span that is not an algebra: its worst residual sits
+        # in one chunk or another, and the running max must find it
+        rng = np.random.default_rng(3)
+        z = rng.standard_normal((36, 9)) + 1j * rng.standard_normal((36, 9))
+        q, _ = np.linalg.qr(z)
+        r = ConcreteRealization(6, q.T.reshape(9, 6, 6))
+        adj = np.transpose(r.basis.conj(), (0, 2, 1))
+        prods = np.einsum("aij,bjk->abik", r.basis, r.basis).reshape(-1, 6, 6)
+        ref = float(r.project_residual(np.concatenate([adj, prods])).max())
+        monkeypatch.setattr(subalg.numeric, "CLOSURE_CHUNK", chunk)
+        assert abs(r.closure_defect() - ref) < 1e-13
+        assert ref > 0.1
+
+    def test_closure_defect_memory_is_bounded(self):
+        # M12 against a local conjugate of itself meets in all of M12 (d = 144):
+        # the d^2 products at once peaked near 276 MiB, chunks stay under 32 MiB
+        m12 = realize(EmbeddedAlgebra(12, BlockStructure((12,)), (1,)))
+        u = local_unitary(np.eye(12, dtype=complex), 1e-3, sample_stream(3, 0))
+        r = intersect(m12, conjugate(m12, u))
+        assert r.dimension == 144
+        tracemalloc.start()
+        try:
+            defect = r.closure_defect()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect < 1e-9
+        assert peak < 32 * 2**20, peak / 2**20
 
 
 class TestExpSkew:
