@@ -3,18 +3,22 @@
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  Commutants are solved as nullspaces of stacked
 commutator systems, inside a known subspace (such as the commutant of an
-amplified stack) when one is given, and subspace intersections as the
-nullspace of the twice-projected residual (I - W W*) V of the smaller
-realization V against the larger W.  Every rank decision is made by one
-routine, from one SVD, at a scale-aware tolerance with a built-in stability
-check: if shrinking or growing the tolerance tenfold changes the decision, a
-NumericalInstabilityError is raised instead of guessing.
+amplified stack) when one is given.  Subspace intersections are the
+nullspace of the residual of the smaller realization V against the larger
+W: when W is an unconjugated matrix-unit realization, that residual is read
+by gathers in real coordinates of the complement of W, and otherwise it is
+the twice-projected dense residual (I - W W*) V.  Every rank decision is
+made by one routine, from one SVD, at a scale-aware tolerance with a
+built-in stability check: if shrinking or growing the tolerance tenfold
+changes the decision, a NumericalInstabilityError is raised instead of
+guessing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -93,17 +97,121 @@ def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str) -> np.n
     return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
 
 
+def _helmert(m: int) -> np.ndarray:
+    """Orthonormal (m-1) x m rows orthogonal to the all-ones vector.
+
+    Row k-1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1)), with k ones.
+    """
+    h = np.tri(m - 1, m)
+    k = np.arange(1, m)
+    h[k - 1, k] = -k
+    return h / np.sqrt(k * (k + 1.0))[:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class UnitLayout:
+    """Where the matrix units of a realization sit in the flat N x N matrix.
+
+    Unit k is a 0/1 matrix supported on ``copies[k]`` flat indices (its
+    amplified copies), listed unit by unit in ``support``; distinct units
+    have disjoint supports, and ``partner[k]`` is the unit supported on the
+    transpose of unit k's support (k itself for a diagonal unit).
+    """
+
+    n: int
+    support: np.ndarray
+    copies: np.ndarray
+    partner: np.ndarray
+
+    @classmethod
+    def of_units(cls, units: np.ndarray) -> UnitLayout:
+        """Layout of a stack of 0/1 matrix units with disjoint supports."""
+        d, n = units.shape[0], units.shape[1]
+        unit, support = np.nonzero(units.reshape(d, n * n))
+        copies = np.bincount(unit, minlength=d)
+        owner = np.full(n * n, -1)
+        owner[support] = unit
+        row, col = np.divmod(support[np.cumsum(copies) - copies], n)
+        return cls(n, support, copies, owner[col * n + row])
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Indices of the units on the diagonal (their own partners)."""
+        return np.flatnonzero(self.partner == np.arange(len(self.partner)))
+
+    @cached_property
+    def upper(self) -> np.ndarray:
+        """Indices of the units above the diagonal, one of each transpose pair."""
+        first = self.support[np.cumsum(self.copies) - self.copies]
+        row, col = np.divmod(first, self.n)
+        return np.flatnonzero(row < col)
+
+    @cached_property
+    def _gathers(self):
+        """Columns of the float64 view of a flat stack that carry the complement coordinates.
+
+        In that view the real and imaginary parts of flat entry f are columns
+        2f and 2f + 1.  Returns the columns of the off-pattern entries above
+        the diagonal, and per copy count m >= 2 the (units, m) columns of the
+        unit supports with their per-row scales and the Helmert rows.
+        """
+        n = self.n
+        covered = np.zeros(n * n, dtype=bool)
+        covered[self.support] = True
+        row, col = np.triu_indices(n, 1)
+        off = row * n + col
+        off = off[~covered[off]]
+        starts = np.cumsum(self.copies) - self.copies
+        groups = []
+        for m in np.unique(self.copies[self.copies > 1]):
+            diag = self.diagonal[self.copies[self.diagonal] == m]
+            upper = self.upper[self.copies[self.upper] == m]
+            on_diag = self.support[starts[diag][:, None] + np.arange(m)]
+            above = self.support[starts[upper][:, None] + np.arange(m)]
+            cols = np.concatenate([2 * on_diag, 2 * above, 2 * above + 1])
+            scale = np.concatenate([np.ones(len(diag)), np.full(2 * len(upper), np.sqrt(2.0))])
+            groups.append((cols, scale[:, None], _helmert(int(m)).T))
+        return np.concatenate([2 * off, 2 * off + 1]), groups
+
+    def complement_coordinates(self, herm: np.ndarray) -> np.ndarray:
+        """Real isometric coordinates of the residuals of Hermitian rows against the span.
+
+        ``herm`` is a d x N^2 stack of flattened Hermitian matrices X.  The
+        span is *-closed, so the residual of X is Hermitian and is read off
+        the entries on and above the diagonal: sqrt(2) Re and sqrt(2) Im of
+        each off-pattern entry above the diagonal (the diagonal lies in the
+        pattern, as the span holds the identity), and the Helmert
+        (orthonormal sum-zero) coordinates of the entries of each unit with
+        m >= 2 copies, real for a diagonal unit and split into sqrt(2) Re and
+        sqrt(2) Im above the diagonal.  That is N^2 - dim coordinates, and
+        their Euclidean norm is the trace norm of the residual.
+        """
+        f = herm.view(np.float64)
+        off, groups = self._gathers
+        coords = f[:, off]
+        coords *= np.sqrt(2.0)
+        if not groups:
+            return coords
+        parts = [coords]
+        for cols, scale, helmert in groups:
+            parts.append(((f[:, cols] * scale) @ helmert).reshape(len(f), -1))
+        return np.concatenate(parts, axis=1)
+
+
 @dataclass
 class ConcreteRealization:
     """A numerically materialized subalgebra of M_N.
 
     ``basis`` is a stack of N x N complex matrices orthonormal under the trace
     inner product; it also generates the algebra.  The identity always lies in
-    the span.
+    the span.  ``layout`` is set when the basis is w E_k w* for the
+    normalized matrix units E_k it records, with w = I unless ``conjugated``.
     """
 
     ambient_dim: int
     basis: np.ndarray
+    layout: UnitLayout | None = None
+    conjugated: bool = False
 
     @property
     def dimension(self) -> int:
@@ -235,13 +343,13 @@ def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
 
 
 def _realization(n: int, units: np.ndarray) -> ConcreteRealization:
-    """Realization spanned by a stack of amplified matrix units.
+    """Realization spanned by a stack of amplified matrix units, with their layout.
 
     The basis is the same stack normalized to unit trace norm (distinct units
     have disjoint support, so they are orthogonal already).
     """
     norms = np.linalg.norm(units, axis=(1, 2))
-    return ConcreteRealization(n, units / norms[:, None, None])
+    return ConcreteRealization(n, units / norms[:, None, None], UnitLayout.of_units(units))
 
 
 def realize(emb: EmbeddedAlgebra) -> ConcreteRealization:
@@ -264,8 +372,8 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
-    """Conjugated copy u A u* of a realization; orthonormality is preserved."""
-    return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T)
+    """Conjugated copy u A u* of a realization; orthonormality and the layout are kept."""
+    return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T, real.layout, True)
 
 
 def haar_unitary(n: int, seed) -> np.ndarray:
@@ -360,41 +468,91 @@ def commutant_basis(
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
+def _hermitian_rows(real: ConcreteRealization) -> np.ndarray:
+    """Hermitian orthonormal basis of a laid-out realization's span, as d x N^2 rows.
+
+    With Y_k the basis elements, the transpose partner of Y_k is Y_k*, so the
+    span has the basis Y_kk (diagonal units), (Y_k + Y_k*)/sqrt 2 and
+    i(Y_k - Y_k*)/sqrt 2 (one unit k of each pair above the diagonal).  The
+    rows are written in place into one array.
+    """
+    layout = real.layout
+    flat = real.basis.reshape(real.dimension, -1)
+    diag, upper = layout.diagonal, layout.upper
+    rows = np.empty_like(flat)
+    sym, skew = np.split(rows[len(diag) :], 2)
+    np.take(flat, diag, axis=0, out=rows[: len(diag)])
+    np.take(flat, upper, axis=0, out=sym)
+    adjoint = flat[layout.partner[upper]]
+    np.subtract(sym, adjoint, out=skew)
+    sym += adjoint
+    sym *= 1.0 / np.sqrt(2.0)
+    skew *= 1j / np.sqrt(2.0)
+    return rows
+
+
 def intersect(
     a: ConcreteRealization, b: ConcreteRealization, tol: float | None = None
 ) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
     Solved over the smaller realization, called ``a`` (the two are swapped
-    when ``a`` is larger).  With A and B the bases as rows, a combination
-    x A lies in span B exactly when the residual x (A - (A B*) B) vanishes,
-    and the singular values of that residual are the sines of the principal
-    angles between the spans.  The projection is applied twice, so its
-    rounding stays at the level of one orthogonal projection; the dimension
-    is the nullity of the d_a-column projected system, from one SVD.  The
-    identity lies in both spans, so a nullity below 1 is a rank error; the
-    output is re-verified to be closed under products and adjoints to within
-    DEFAULT_CLOSURE_TOL.  Both failures raise NumericalInstabilityError with
-    the measured defect.
+    when ``a`` is larger, or when they tie and only ``b`` is conjugated).
+    With A and B the bases as rows, a combination x A lies in span B exactly
+    when the residual of x A against span B vanishes, and the singular values
+    of the residual map are the sines of the principal angles between the
+    spans; the dimension is the nullity of that d_a-column system, from one
+    SVD.
+
+    When both sides record a matrix-unit layout and ``b`` is unconjugated,
+    A is first recombined into a Hermitian orthonormal basis of its span
+    (``_hermitian_rows``), and the residual is read by gathers in real
+    isometric coordinates of the complement of span B
+    (``UnitLayout.complement_coordinates``): both spans are *-closed, so
+    this real N^2 - d_b by d_a system has the singular values of the complex
+    residual, its real null rows times the Hermitian basis are already an
+    orthonormal basis of the intersection, and with d_b = N^2 the whole of
+    span A is the answer.  Otherwise (no layout on a side, or ``b``
+    conjugated) the residual is x (A - (A B*) B), with the projection
+    applied twice so its rounding stays at the level of one orthogonal
+    projection, and the null combinations are orthonormalized by QR.
+
+    The identity lies in both spans, so a nullity below 1 is a rank error;
+    the output is re-verified to be closed under products and adjoints to
+    within DEFAULT_CLOSURE_TOL.  Both failures raise
+    NumericalInstabilityError with the measured defect.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
-    if a.dimension > b.dimension:
+    if a.dimension > b.dimension or (
+        a.dimension == b.dimension and b.conjugated and not a.conjugated
+    ):
         a, b = b, a
     n = a.ambient_dim
-    rows_a = a.basis.reshape(a.dimension, n * n)
-    rows_b = b.basis.reshape(b.dimension, n * n)
-    bh = rows_b.conj().T
-    resid = rows_a - (rows_a @ bh) @ rows_b
-    resid -= (resid @ bh) @ rows_b
-    null = _null_rows(resid.T, n, tol, "projected system")
+    gather = a.layout is not None and b.layout is not None and not b.conjugated
+    if gather:
+        rows = _hermitian_rows(a)
+        system = b.layout.complement_coordinates(rows)
+        if system.shape[1]:
+            null = _null_rows(system.T, n, tol, "projected system")
+        else:
+            null = np.eye(a.dimension)
+    else:
+        rows = a.basis.reshape(a.dimension, n * n)
+        rows_b = b.basis.reshape(b.dimension, n * n)
+        bh = rows_b.conj().T
+        resid = rows - (rows @ bh) @ rows_b
+        resid -= (resid @ bh) @ rows_b
+        null = _null_rows(resid.T, n, tol, "projected system").conj()
     if len(null) < 1:
         raise NumericalInstabilityError(
             "intersection lost the identity; rank decision is suspect", float(len(null))
         )
-    # Orthonormalize; x A has full rank, as A has orthonormal rows.
-    q, _ = np.linalg.qr(rows_a.T @ null.conj().T)
-    out = ConcreteRealization(n, q.T.reshape(-1, n, n))
+    span = null @ rows
+    if not gather:
+        # Orthonormalize; x A has full rank, as A has orthonormal rows.
+        span = np.linalg.qr(span.T)[0].T
+    out = ConcreteRealization(n, span.reshape(-1, n, n))
 
     defect = out.closure_defect()
     if defect > DEFAULT_CLOSURE_TOL:

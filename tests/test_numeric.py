@@ -34,6 +34,7 @@ from subalg.numeric import (
     random_skew_direction,
     realize,
     realize_class,
+    sample_dims,
     sample_stream,
 )
 
@@ -41,6 +42,7 @@ M2_MULT2 = EmbeddedAlgebra(4, BlockStructure((2,)), (2,))
 M2M2 = EmbeddedAlgebra(4, BlockStructure((2, 2)), (1, 1))
 M4 = EmbeddedAlgebra(4, BlockStructure((4,)), (1,))
 C4 = EmbeddedAlgebra(4, BlockStructure((1,) * 4), (1,) * 4)
+SCALAR4 = EmbeddedAlgebra(4, BlockStructure((1,)), (4,))
 
 
 def rotation(theta):
@@ -469,6 +471,168 @@ class TestIntersect:
         r = realize(M2M2)
         with pytest.raises(NumericalInstabilityError):
             intersect(r, conjugate(r, haar_unitary(4, 1)), tol=0.5)
+
+
+def without_layout(r):
+    """The same basis with no recorded layout, so intersect takes the dense path."""
+    return ConcreteRealization(r.ambient_dim, r.basis)
+
+
+def decide(a, b):
+    try:
+        return intersect(a, b).dimension
+    except NumericalInstabilityError:
+        return "unstable"
+
+
+@pytest.fixture
+def null_systems(monkeypatch):
+    """The systems that intersect hands to the rank routine, in call order."""
+    seen = []
+
+    def spy(system, n, tol, what):
+        seen.append(system)
+        return _null_rows(system, n, tol, what)
+
+    monkeypatch.setattr(subalg.numeric, "_null_rows", spy)
+    return seen
+
+
+class TestGatherPath:
+    def test_layout_is_recorded_and_carried(self):
+        r = realize(M2_MULT2)
+        assert r.layout is not None and not r.conjugated
+        c = conjugate(r, haar_unitary(4, 1))
+        assert c.layout is r.layout and c.conjugated
+        assert np.array_equal(r.layout.copies, [2] * 4)
+        # units (p, q) of M2: e11 and e22 are their own partners, e12 <-> e21
+        assert list(r.layout.partner) == [0, 2, 1, 3]
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_matches_dense_path_on_every_ordered_pair(self, n):
+        # oracle: the same bases without a layout go through the projected
+        # dense residual; the gather path runs whenever dim B2 <= dim B1
+        algebras = enumerate_embedded_algebras(n)
+        unitaries = [
+            haar_unitary(n, 1),
+            haar_unitary(n, 2),
+            local_unitary(np.eye(n), 1e-3, sample_stream(1, n)),
+        ]
+        for b1 in algebras:
+            r1 = realize(b1)
+            for b2 in algebras:
+                r2 = realize(b2)
+                for u in unitaries:
+                    c = conjugate(r2, u)
+                    fast = decide(r1, c)
+                    assert fast == decide(without_layout(r1), without_layout(c)), (b1, b2)
+                    if r2.dimension > r1.dimension or fast == "unstable":
+                        continue
+                    out = intersect(r1, c)
+                    basis = out.basis
+                    vecs = out.vectors()
+                    assert np.abs(vecs.conj().T @ vecs - np.eye(fast)).max() < 1e-12
+                    assert np.abs(basis - np.swapaxes(basis.conj(), 1, 2)).max() < 1e-12
+                    assert out.contains_identity()
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_realize_class_layouts_match_dense_path(self, n):
+        # classes embed twice (into the parent's model, then into M_N): their
+        # layouts drive the gathers both as the solved and as the residual side
+        u = haar_unitary(n, 3)
+        for parent in enumerate_embedded_algebras(n):
+            whole = realize(parent)
+            for cls in enumerate_subalgebra_classes(parent):
+                sub = realize_class(parent, cls.embedding)
+                for a, b in ((sub, conjugate(sub, u)), (whole, conjugate(sub, u))):
+                    assert decide(a, b) == decide(without_layout(a), without_layout(b))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_gathered_system_has_the_sines_of_the_principal_angles(self, n, null_systems):
+        # the real gathered system and the complex projected residual have the
+        # same singular values, so a tolerance bounds the same sines on both
+        # paths; the local conjugate puts some of them near 1e-3
+        algebras = enumerate_embedded_algebras(n)
+        for u in (haar_unitary(n, 1), local_unitary(np.eye(n), 1e-3, sample_stream(2, n))):
+            for b1 in algebras:
+                r1 = realize(b1)
+                for b2 in algebras:
+                    r2 = realize(b2)
+                    if r2.dimension > r1.dimension:
+                        continue
+                    c = conjugate(r2, u)
+                    null_systems.clear()
+                    if decide(r1, c) == "unstable":
+                        continue
+                    # a full side (B1 = M_N) leaves an empty complement and no system
+                    gathered = [s for s in null_systems if s.dtype == np.float64]
+                    assert len(gathered) == len(null_systems) == (r1.dimension < n * n)
+                    decide(without_layout(r1), without_layout(c))
+                    dense = np.linalg.svd(null_systems[-1], compute_uv=False)
+                    padded = np.zeros_like(dense)
+                    if gathered:
+                        sines = np.linalg.svd(gathered[0], compute_uv=False)
+                        padded[: len(sines)] = sines
+                    assert np.abs(padded - dense).max() < 1e-12, (b1, b2)
+
+    def test_full_side_has_an_empty_complement(self, null_systems):
+        # M4 is all of M_4: every sample keeps all of u (M2 x 1_2) u*, with no SVD
+        stats = density_experiment(M4, M2_MULT2, 5, seed=3)
+        assert stats.dims == (4,) * 5
+        assert null_systems == []
+
+    @pytest.mark.parametrize("b1", [SCALAR4, M2M2, C4])
+    def test_scalar_side_decides_one(self, b1, null_systems):
+        assert density_experiment(b1, SCALAR4, 4, seed=2).dims == (1,) * 4
+        # the scalar side is the smaller (or tied) conjugated side: real systems
+        # of N^2 - dim B1 rows, one column
+        assert [s.shape for s in null_systems] == [(16 - realize(b1).dimension, 1)] * 4
+        assert all(s.dtype == np.float64 for s in null_systems)
+
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_tie_solves_over_the_conjugated_side(self, swap, null_systems):
+        # C4 and M2 x 1_2 both have dimension 4: the solve runs over the
+        # conjugate, against the gathered complement of C4 (16 - 4 rows)
+        pair = (realize(C4), conjugate(realize(M2_MULT2), haar_unitary(4, 7)))
+        out = intersect(*(pair[::-1] if swap else pair))
+        assert out.dimension == 1
+        assert [(s.shape, s.dtype) for s in null_systems] == [((12, 4), np.float64)]
+
+    def test_smaller_unconjugated_side_takes_the_dense_path(self, null_systems):
+        # dim B1 = 4 < dim B2 = 8: the only unconjugated side is the smaller one
+        stats = density_experiment(M2_MULT2, M2M2, 6, seed=5)
+        r1, r2 = without_layout(realize(M2_MULT2)), without_layout(realize(M2M2))
+        oracle = sample_dims(4, 6, 5, None, lambda w: intersect(r1, conjugate(r2, w)).dimension)
+        assert stats.dims == oracle == (1,) * 6
+        assert all(s.dtype == np.complex128 for s in null_systems)
+
+    def test_density_with_a_center(self):
+        # a non-identity center, parsed and checked for unitarity as a config
+        # value is, conjugates the second side by center @ w
+        from subalg.cli import _parse_unitary
+        from subalg.serialize import matrix_to_json
+
+        center, diagnostics = _parse_unitary(matrix_to_json(haar_unitary(4, 3)), "/center", 4)
+        assert diagnostics == []
+        stats = density_experiment(M2M2, M2M2, 6, seed=5, local=(center, 1e-3))
+        r = without_layout(realize(M2M2))
+        oracle = sample_dims(
+            4, 6, 5, 1e-3, lambda w: intersect(r, conjugate(r, center @ w)).dimension
+        )
+        assert stats.dims == oracle
+        assert min(stats.dims) >= 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_ill_conditioned_local_control(self, seed):
+        # M8 + M8 against a local conjugate at N = 16: at radius 1e-4 the
+        # intersection is 8; at 1e-6 the closure check measures a defect of a
+        # few 1e-9 (6.7e-9 and 4.1e-9 for seeds 1 and 2, on either path) and
+        # raises instead of returning the basis; the 1e-9 bound is unchanged
+        m8m8 = EmbeddedAlgebra(16, BlockStructure((8, 8)), (1, 1))
+        assert density_experiment(m8m8, m8m8, 2, seed, local=(None, 1e-4)).dims == (8, 8)
+        with pytest.raises(NumericalInstabilityError, match="not closed") as info:
+            density_experiment(m8m8, m8m8, 2, seed, local=(None, 1e-6))
+        assert 1e-9 < info.value.defect < 1e-7
 
 
 class TestDensityExperiment:
