@@ -270,7 +270,8 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     """The decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
     Both factors are amplified over their segments.  The solve runs inside
-    the smaller of the two known amplified commutants.  Inside A1' the
+    the smaller of the two known amplified commutants (the sides are
+    swapped when A2' is the smaller, not on a tie).  Inside A1' the
     unknown X must commute with u g u^-1 for the units g of A2; inside A2'
     the unknown u^-1 X u must commute with u^-1 g u for the units g of A1,
     which gives the same dimension.  The inverse is used, not u*: a u that is
@@ -284,21 +285,16 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
     dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
-    if dim1 <= dim2:
-        within = amplified_commutant(alg1.blocks, segs1)
-        units = _segment_generators(alg2, segs2)[:-1]
+    swap = dim1 > dim2
+    if swap:
+        alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
+    within = amplified_commutant(alg1.blocks, segs1)
+    units = _segment_generators(alg2, segs2)[:-1]
 
-        def decide(u):
-            gens = u @ units @ np.linalg.inv(u)
-            return commutant_basis(gens, tol=tol, within=within).dimension
-
-    else:
-        within = amplified_commutant(alg2.blocks, segs2)
-        units = _segment_generators(alg1, segs1)[:-1]
-
-        def decide(u):
-            gens = np.linalg.inv(u) @ units @ u
-            return commutant_basis(gens, tol=tol, within=within).dimension
+    def decide(u):
+        inv = np.linalg.inv(u)
+        gens = inv @ units @ u if swap else u @ units @ inv
+        return commutant_basis(gens, tol=tol, within=within).dimension
 
     return decide
 

@@ -3,11 +3,13 @@
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  Commutants are solved as nullspaces of stacked
 commutator systems, inside a known subspace (such as the commutant of an
-amplified stack) when one is given.  Subspace intersections are the
-nullspace of the residual of the smaller realization V against the larger
-W: when W is an unconjugated matrix-unit realization, that residual is read
-by gathers in real coordinates of the complement of W, and otherwise it is
-the twice-projected dense residual (I - W W*) V.  Every rank decision is
+amplified stack) when one is given.  Realizations of matrix-unit
+algebras are built once with a Hermitian basis and record where their units
+sit.  Subspace intersections are the nullspace of the residual of the
+smaller realization V against the larger W, with one solve and one tail:
+when W is an unconjugated matrix-unit realization, that residual is read by
+gathers in real coordinates of the complement of W, and otherwise it is the
+twice-projected dense residual (I - W W*) V.  Every rank decision is
 made by one routine, from one SVD, at a scale-aware tolerance with a
 built-in stability check: if shrinking or growing the tolerance tenfold
 changes the decision, a NumericalInstabilityError is raised instead of
@@ -204,8 +206,9 @@ class ConcreteRealization:
 
     ``basis`` is a stack of N x N complex matrices orthonormal under the trace
     inner product; it also generates the algebra.  The identity always lies in
-    the span.  ``layout`` is set when the basis is w E_k w* for the
-    normalized matrix units E_k it records, with w = I unless ``conjugated``.
+    the span.  ``layout`` is set when the basis is w H w* for the Hermitian
+    recombination H of the matrix units it records (``_realization``), with
+    w = I unless ``conjugated``; such a basis is Hermitian.
     """
 
     ambient_dim: int
@@ -345,11 +348,31 @@ def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
 def _realization(n: int, units: np.ndarray) -> ConcreteRealization:
     """Realization spanned by a stack of amplified matrix units, with their layout.
 
-    The basis is the same stack normalized to unit trace norm (distinct units
-    have disjoint support, so they are orthogonal already).
+    The basis is the Hermitian recombination of the units E_k, normalized to
+    unit trace norm: E_kk for the diagonal units, then (E_k + E_k*)/sqrt 2
+    and i(E_k - E_k*)/sqrt 2 for one unit k of each transpose pair above
+    the diagonal, where E_k* is k's partner.  Distinct units have disjoint
+    supports, so these are orthonormal.  The rows are written in place into
+    one array by unbuffered gathers, so the build holds the unit stack and
+    the basis and nothing else of their size.
     """
-    norms = np.linalg.norm(units, axis=(1, 2))
-    return ConcreteRealization(n, units / norms[:, None, None], UnitLayout.of_units(units))
+    layout = UnitLayout.of_units(units)
+    d = units.shape[0]
+    flat = units.reshape(d, n * n)
+    diag, upper = layout.diagonal, layout.upper
+    rows = np.empty_like(flat)
+    sym, skew = np.split(rows[len(diag) :], 2)
+    np.take(flat, diag, axis=0, out=rows[: len(diag)], mode="clip")
+    np.take(flat, upper, axis=0, out=sym, mode="clip")
+    np.take(flat, layout.partner[upper], axis=0, out=skew, mode="clip")
+    sym += skew
+    skew *= -2.0
+    skew += sym
+    scale = 1.0 / np.sqrt(layout.copies[np.concatenate([diag, upper, upper])])
+    scale[len(diag) :] /= np.sqrt(2.0)
+    rows *= scale[:, None]
+    skew *= 1j
+    return ConcreteRealization(n, rows.reshape(d, n, n), layout)
 
 
 def realize(emb: EmbeddedAlgebra) -> ConcreteRealization:
@@ -372,7 +395,7 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
-    """Conjugated copy u A u* of a realization; orthonormality and the layout are kept."""
+    """Conjugated copy u A u* of a realization; orthonormality, Hermitian bases, layout kept."""
     return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T, real.layout, True)
 
 
@@ -468,29 +491,6 @@ def commutant_basis(
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
-def _hermitian_rows(real: ConcreteRealization) -> np.ndarray:
-    """Hermitian orthonormal basis of a laid-out realization's span, as d x N^2 rows.
-
-    With Y_k the basis elements, the transpose partner of Y_k is Y_k*, so the
-    span has the basis Y_kk (diagonal units), (Y_k + Y_k*)/sqrt 2 and
-    i(Y_k - Y_k*)/sqrt 2 (one unit k of each pair above the diagonal).  The
-    rows are written in place into one array.
-    """
-    layout = real.layout
-    flat = real.basis.reshape(real.dimension, -1)
-    diag, upper = layout.diagonal, layout.upper
-    rows = np.empty_like(flat)
-    sym, skew = np.split(rows[len(diag) :], 2)
-    np.take(flat, diag, axis=0, out=rows[: len(diag)])
-    np.take(flat, upper, axis=0, out=sym)
-    adjoint = flat[layout.partner[upper]]
-    np.subtract(sym, adjoint, out=skew)
-    sym += adjoint
-    sym *= 1.0 / np.sqrt(2.0)
-    skew *= 1j / np.sqrt(2.0)
-    return rows
-
-
 def intersect(
     a: ConcreteRealization, b: ConcreteRealization, tol: float | None = None
 ) -> ConcreteRealization:
@@ -504,18 +504,20 @@ def intersect(
     spans; the dimension is the nullity of that d_a-column system, from one
     SVD.
 
-    When both sides record a matrix-unit layout and ``b`` is unconjugated,
-    A is first recombined into a Hermitian orthonormal basis of its span
-    (``_hermitian_rows``), and the residual is read by gathers in real
+    The rows of A are its basis as it stands; a realization with a layout
+    carries a Hermitian basis, built once by ``realize``.  Only the residual
+    operator depends on the sides.  When both record a matrix-unit layout
+    and ``b`` is unconjugated, the residual is read by gathers in real
     isometric coordinates of the complement of span B
     (``UnitLayout.complement_coordinates``): both spans are *-closed, so
     this real N^2 - d_b by d_a system has the singular values of the complex
-    residual, its real null rows times the Hermitian basis are already an
-    orthonormal basis of the intersection, and with d_b = N^2 the whole of
+    residual, and with d_b = N^2 the complement is empty and the whole of
     span A is the answer.  Otherwise (no layout on a side, or ``b``
     conjugated) the residual is x (A - (A B*) B), with the projection
     applied twice so its rounding stays at the level of one orthogonal
-    projection, and the null combinations are orthonormalized by QR.
+    projection.  Either way the null rows are orthonormal, so their
+    combinations of the orthonormal rows of A are an orthonormal basis of
+    the intersection with no QR.
 
     The identity lies in both spans, so a nullity below 1 is a rank error;
     the output is re-verified to be closed under products and adjoints to
@@ -529,29 +531,24 @@ def intersect(
     ):
         a, b = b, a
     n = a.ambient_dim
-    gather = a.layout is not None and b.layout is not None and not b.conjugated
-    if gather:
-        rows = _hermitian_rows(a)
+    rows = a.basis.reshape(a.dimension, n * n)
+    if a.layout is not None and b.layout is not None and not b.conjugated:
         system = b.layout.complement_coordinates(rows)
-        if system.shape[1]:
-            null = _null_rows(system.T, n, tol, "projected system")
-        else:
-            null = np.eye(a.dimension)
     else:
-        rows = a.basis.reshape(a.dimension, n * n)
         rows_b = b.basis.reshape(b.dimension, n * n)
         bh = rows_b.conj().T
-        resid = rows - (rows @ bh) @ rows_b
-        resid -= (resid @ bh) @ rows_b
-        null = _null_rows(resid.T, n, tol, "projected system").conj()
+        system = rows - (rows @ bh) @ rows_b
+        system -= (system @ bh) @ rows_b
+    if system.shape[1]:
+        null = _null_rows(system.T, n, tol, "projected system").conj()
+    else:
+        null = np.eye(a.dimension)
     if len(null) < 1:
         raise NumericalInstabilityError(
             "intersection lost the identity; rank decision is suspect", float(len(null))
         )
+    # orthonormal null rows times the orthonormal rows of A are orthonormal
     span = null @ rows
-    if not gather:
-        # Orthonormalize; x A has full rank, as A has orthonormal rows.
-        span = np.linalg.qr(span.T)[0].T
     out = ConcreteRealization(n, span.reshape(-1, n, n))
 
     defect = out.closure_defect()
@@ -616,7 +613,10 @@ def density_experiment(
 
     Global mode draws Haar unitaries u; local mode draws u = center @ w for
     local steps w of the given radius (``sample_dims``), the center
-    defaulting to the identity.
+    defaulting to the identity.  The smaller side is the one conjugated:
+    with dim B1 < dim B2 each sample intersects u* B1 u with B2, of the same
+    dimension, so the larger side of every sample is the unconjugated one
+    whose residual ``intersect`` gathers.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -632,6 +632,8 @@ def density_experiment(
 
     def step(w):
         u = w if center is None else center @ w
+        if r1.dimension < r2.dimension:
+            return intersect(conjugate(r1, u.conj().T), r2, tol=tol).dimension
         return intersect(r1, conjugate(r2, u), tol=tol).dimension
 
     return DensityStats(sample_dims(n, samples, seed, radius, step), seed, radius, center)

@@ -26,6 +26,7 @@ from subalg.numeric import (
     commutant_basis,
     conjugate,
     density_experiment,
+    embed_model,
     exp_skew,
     haar_unitary,
     intersect,
@@ -74,6 +75,42 @@ class TestRealize:
             assert np.allclose(gram, np.eye(r.dimension), atol=1e-12)
             assert r.closure_defect() < 1e-12
             assert r.contains_identity()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_hermitian_basis_spans_the_units(self, n):
+        # the basis is built once, Hermitian and orthonormal, and spans the
+        # normalized stack of amplified matrix units, rebuilt here
+        def check(r, units):
+            flat = units.reshape(len(units), n * n)
+            flat = flat / np.linalg.norm(flat, axis=1)[:, None]
+            vecs = r.vectors()
+            assert vecs.shape == flat.T.shape
+            assert np.abs(vecs.conj().T @ vecs - np.eye(r.dimension)).max() < 1e-12
+            assert np.abs(r.basis - np.swapaxes(r.basis.conj(), 1, 2)).max() < 1e-12
+            assert np.abs(flat.T - vecs @ (vecs.conj().T @ flat.T)).max() < 1e-12
+
+        for parent in enumerate_embedded_algebras(n):
+            row = parent.ambient_row()
+            check(realize(parent), embed_model(row, model_matrix_units(parent.structure)))
+            for cls in enumerate_subalgebra_classes(parent):
+                units = model_matrix_units(cls.embedding.source)
+                units = embed_model(row, embed_model(cls.embedding, units))
+                check(realize_class(parent, cls.embedding), units)
+
+    def test_build_holds_three_unit_stacks(self):
+        # M24 + M24 at N = 48: the model units, the amplified units and the
+        # basis, written in place by unbuffered gathers; a buffered gather
+        # or a concatenated build peaks near 3.5 or 5 stacks
+        m24m24 = EmbeddedAlgebra(48, BlockStructure((24, 24)), (1, 1))
+        stack = m24m24.structure.algebra_dim() * 48**2 * 16
+        tracemalloc.start()
+        try:
+            r = realize(m24m24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.dimension == 1152
+        assert peak <= 3.2 * stack, peak / stack
 
     def test_realize_class_lives_inside_parent(self):
         parent = realize(M2M2)
@@ -478,11 +515,17 @@ def without_layout(r):
     return ConcreteRealization(r.ambient_dim, r.basis)
 
 
-def decide(a, b):
+def attempt(a, b):
+    """intersect(a, b), or None when it raises NumericalInstabilityError."""
     try:
-        return intersect(a, b).dimension
+        return intersect(a, b)
     except NumericalInstabilityError:
-        return "unstable"
+        return None
+
+
+def decide(a, b):
+    out = attempt(a, b)
+    return "unstable" if out is None else out.dimension
 
 
 @pytest.fixture
@@ -511,7 +554,8 @@ class TestGatherPath:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_dense_path_on_every_ordered_pair(self, n):
         # oracle: the same bases without a layout go through the projected
-        # dense residual; the gather path runs whenever dim B2 <= dim B1
+        # dense residual; the gather path runs whenever dim B2 <= dim B1.
+        # Neither path orthonormalizes its output by QR.
         algebras = enumerate_embedded_algebras(n)
         unitaries = [
             haar_unitary(n, 1),
@@ -524,16 +568,20 @@ class TestGatherPath:
                 r2 = realize(b2)
                 for u in unitaries:
                     c = conjugate(r2, u)
-                    fast = decide(r1, c)
-                    assert fast == decide(without_layout(r1), without_layout(c)), (b1, b2)
-                    if r2.dimension > r1.dimension or fast == "unstable":
+                    fast = attempt(r1, c)
+                    dense = attempt(without_layout(r1), without_layout(c))
+                    assert (fast is None) == (dense is None), (b1, b2)
+                    if fast is None:
                         continue
-                    out = intersect(r1, c)
-                    basis = out.basis
-                    vecs = out.vectors()
-                    assert np.abs(vecs.conj().T @ vecs - np.eye(fast)).max() < 1e-12
-                    assert np.abs(basis - np.swapaxes(basis.conj(), 1, 2)).max() < 1e-12
-                    assert out.contains_identity()
+                    assert fast.dimension == dense.dimension, (b1, b2)
+                    for out in (fast, dense):
+                        vecs = out.vectors()
+                        gram = vecs.conj().T @ vecs
+                        assert np.abs(gram - np.eye(out.dimension)).max() < 1e-12, (b1, b2)
+                        assert out.contains_identity()
+                    if r2.dimension <= r1.dimension:
+                        basis = fast.basis
+                        assert np.abs(basis - np.swapaxes(basis.conj(), 1, 2)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_realize_class_layouts_match_dense_path(self, n):
@@ -598,13 +646,14 @@ class TestGatherPath:
         assert out.dimension == 1
         assert [(s.shape, s.dtype) for s in null_systems] == [((12, 4), np.float64)]
 
-    def test_smaller_unconjugated_side_takes_the_dense_path(self, null_systems):
-        # dim B1 = 4 < dim B2 = 8: the only unconjugated side is the smaller one
+    def test_smaller_side_is_conjugated_and_gathered(self, null_systems):
+        # dim B1 = 4 < dim B2 = 8: density conjugates B1 by u* and gathers its
+        # residual against the unconjugated B2, real systems of 16 - 8 rows
         stats = density_experiment(M2_MULT2, M2M2, 6, seed=5)
+        assert [(s.shape, s.dtype) for s in null_systems] == [((8, 4), np.float64)] * 6
         r1, r2 = without_layout(realize(M2_MULT2)), without_layout(realize(M2M2))
         oracle = sample_dims(4, 6, 5, None, lambda w: intersect(r1, conjugate(r2, w)).dimension)
         assert stats.dims == oracle == (1,) * 6
-        assert all(s.dtype == np.complex128 for s in null_systems)
 
     def test_density_with_a_center(self):
         # a non-identity center, parsed and checked for unitarity as a config
