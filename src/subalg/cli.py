@@ -463,19 +463,18 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command as a positional choice, then the shared options."""
     parser = argparse.ArgumentParser(
         prog="subalg",
         description="Subalgebra dimension counting and perturbation experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="path to a JSON experiment config")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed (u64)")
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--out", default=None, help="report output path (default: stdout)")
-        p.add_argument("--tolerance", type=float, default=None, help="rank tolerance override")
-        p.add_argument("--format", choices=("json", "csv"), default=None)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to a JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="master RNG seed (u64)")
+    parser.add_argument("--samples", type=int, default=None)
+    parser.add_argument("--out", default=None, help="report output path (default: stdout)")
+    parser.add_argument("--tolerance", type=float, default=None, help="rank tolerance override")
+    parser.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
 
 

@@ -8,6 +8,16 @@ Lipschitz bound in the perturbing unitary, the rank-of-central-projections
 the joint commutant, Monte-Carlo probing of how densely perturbations are
 irreducible (DPI), and a staged builder that direct-sums representations while
 keeping every stage irreducible within a shrinking perturbation budget.
+
+Irreducibility is decided for a stack of unitaries at once: one call forms
+the inverses, the conjugated units and the commutant systems of the stack,
+with one stacked QR and SVD (``numeric.commutant_basis``), and yields the
+dimensions in index order.  DPI decides its draws a stack at a time; the
+staged search decides its attempts in stacks of 1, 2, 4, ... and stops at
+the first success in attempt order, never deciding the attempts after it.
+A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
+item when a single system is larger, and results are bit-identical to
+deciding one unitary at a time.
 """
 
 from __future__ import annotations
@@ -21,15 +31,17 @@ import numpy as np
 from .algebra import BlockStructure
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from .numeric import (
+    DRAW_MATRICES,
     DensityStats,
     amplified_commutant,
     amplify,
     commutant_basis,
     default_tolerance,
-    local_unitary,
+    local_unitaries,
     model_matrix_units,
     sample_dims,
     sample_stream,
+    stack_size,
 )
 
 
@@ -267,7 +279,7 @@ def _segment_generators(alg: BlockStructure, segments) -> np.ndarray:
 
 
 def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
-    """The decision u -> dimension of the commutant of A1 together with u A2 u^-1.
+    """The stacked decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
     Both factors are amplified over their segments.  The solve runs inside
     the smaller of the two known amplified commutants (the sides are
@@ -280,8 +292,16 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     its unitarity defect does not land in the stability band of the rank
     decision.  The last diagonal unit is left out: the units sum to the
     identity, which commutes with everything.  The commutant and the unit
-    stack depend only on the layout, so they are built once, here; each
-    decision forms the inverse, the conjugated stack and the solve.
+    stack depend only on the layout, so they are built once, here.
+
+    Returns ``(decide, stack)``.  ``decide`` takes a stack of unitaries
+    (k, N, N) and forms the inverses, the conjugated units and the
+    commutant systems of all k at once, with one QR and one SVD
+    (``commutant_basis``); it yields the k dimensions in index order, each
+    decided only when reached.  ``stack`` is the most items one call should
+    take: each item holds its draw, the unitary and its inverse, the g
+    conjugated units and the system of d * g matrices, and ``stack_size``
+    caps the stack at a fixed byte budget.
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
     dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
@@ -291,17 +311,19 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     within = amplified_commutant(alg1.blocks, segs1)
     units = _segment_generators(alg2, segs2)[:-1]
 
-    def decide(u):
-        inv = np.linalg.inv(u)
+    def decide(us):
+        u, inv = us[:, None], np.linalg.inv(us)[:, None]
         gens = inv @ units @ u if swap else u @ units @ inv
-        return commutant_basis(gens, tol=tol, within=within).dimension
+        return (c.dimension for c in commutant_basis(gens, tol=tol, within=within))
 
-    return decide
+    g = len(units)
+    return decide, stack_size(DRAW_MATRICES + 2 + g + within.dimension * g, within.ambient_dim)
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
-    return _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)(rep.u)
+    decide, _ = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    return next(decide(rep.u[None]))
 
 
 def irreducibility_check(rep: RepPair, tol: float | None = None) -> bool:
@@ -329,8 +351,10 @@ def dpi_probe(
     trivial_count counts the irreducible outcomes.
     """
 
-    decide = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
-    dims = sample_dims(rep.dim, samples, seed, local_radius, lambda w: decide(w @ rep.u))
+    decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    dims = sample_dims(
+        rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack
+    )
     return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
 
 
@@ -485,29 +509,30 @@ def _search_stage_unitary(
 ):
     """Find u with ||u - I|| < budget making the cumulative pair irreducible.
 
-    Tries the identity first, then random directions at a radius that starts
-    at half the budget and halves after every 32 failures.  Returns
-    (unitary or None, tries used, best commutant dimension seen).
+    Tries the identity first, then random directions: attempt a draws from
+    the stream (seed, stage, a) at a radius that starts at half the budget
+    and halves after every 32 attempts.  The attempts are decided in stacks
+    of 1, 2, 4, ... (at most the kernel's stack size), and the first success
+    in attempt order ends the search; the attempts after it in its stack are
+    never decided.  Returns (unitary or None, tries used, best commutant
+    dimension seen).
     """
 
-    decide = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
-
-    def jc_dim(w):
-        return decide(w @ prev_u)
-
+    decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
     eye = np.eye(dim, dtype=complex)
-    best = jc_dim(eye)
+    best = next(decide(eye[None] @ prev_u))
     if best == 1:
         return eye, 0, 1
-    radius = budget / 2.0
-    for attempt in range(max_tries):
-        w = local_unitary(eye, radius, sample_stream(seed, stage, attempt))
-        d = jc_dim(w)
-        best = min(best, d)
-        if d == 1:
-            return w, attempt + 1, 1
-        if (attempt + 1) % 32 == 0:
-            radius /= 2.0
+    start, size = 0, 1
+    while start < max_tries:
+        attempts = range(start, min(start + size, start + cap, max_tries))
+        radii = [budget / 2.0 / 2.0 ** (a // 32) for a in attempts]
+        ws = local_unitaries(eye, radii, [sample_stream(seed, stage, a) for a in attempts])
+        for attempt, w, d in zip(attempts, ws, decide(ws @ prev_u)):
+            best = min(best, d)
+            if d == 1:
+                return w, attempt + 1, 1
+        start, size = attempts.stop, 2 * size
     return None, max_tries, best
 
 

@@ -14,6 +14,14 @@ made by one routine, from one SVD, at a scale-aware tolerance with a
 built-in stability check: if shrinking or growing the tolerance tenfold
 changes the decision, a NumericalInstabilityError is raised instead of
 guessing.
+
+Random unitaries and commutants inside a known subspace are also made in
+stacks (k, N, N): one stacked QR, eigendecomposition or SVD serves the k
+items, running the same LAPACK call on each as on one matrix, so a stacked
+result is bit-identical to the items made one at a time.  The rank routine
+then decides the items in index order, each only when it is reached.  A
+stack holds at most STACK_BYTES (32 MiB) of draws, generators and systems
+(``stack_size``), and never less than one item.
 """
 
 from __future__ import annotations
@@ -37,6 +45,16 @@ DEFAULT_CLOSURE_TOL = 1e-9
 
 # Products per chunk of the closure check (ConcreteRealization.closure_defect).
 CLOSURE_CHUNK = 512
+
+# Bytes a stack of draws and decisions may hold (stack_size): the draws,
+# their conjugated generators and their commutant systems.  An item larger
+# than this is decided alone, as the N = 48 dpi samples are.
+STACK_BYTES = 1 << 25
+
+# N x N complex matrices one draw holds at the peak of a stack of draws
+# (sample_dims): the Ginibre stack, its scaled and skew copies, the factors
+# of the QR or the eigendecomposition, and the draw of the stack before.
+DRAW_MATRICES = 8
 
 
 def default_tolerance(n: int, smax: float) -> float:
@@ -66,15 +84,17 @@ def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A tall m (more rows than columns) is first reduced to the square R of its
     QR factorization: m = QR with Q having orthonormal columns, so R has the
     same singular values and right singular vectors as m, and the SVD never
-    forms the rows x rows left factor of m.
+    forms the rows x rows left factor of m.  A stack of matrices (k, rows,
+    cols) takes one stacked QR and one stacked SVD, which run the same LAPACK
+    calls on each item as on a matrix alone.
     """
-    if m.shape[0] > m.shape[1]:
+    if m.shape[-2] > m.shape[-1]:
         m = np.linalg.qr(m, mode="r")
     _, s, vh = np.linalg.svd(m)
     return s, vh
 
 
-def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str) -> np.ndarray:
+def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str):
     """Rows of ``vh`` spanning the (conjugated) nullspace of system, from one SVD.
 
     The rank counts singular values above ``tol`` (default
@@ -84,19 +104,28 @@ def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str) -> np.n
     system of pure rounding noise (s_max near eps) has a floor too, times a
     size that grows like the rounding of products of n x n unitaries.
     Values underneath it are exact zeros and cannot make a decision ambiguous.
+
+    For a stack of systems (k, rows, cols) the factorizations run once for
+    the whole stack, and the result is an iterator over the k items' rows in
+    index order: each item is decided, and raises, only when it is reached,
+    so a caller that stops at an item never decides the ones after it.
     """
     s, vh = _svd_right(system)
-    scale = max(float(s[0]), 1.0)
-    cutoff = default_tolerance(n, scale) if tol is None else tol
-    floor = 8.0 * max(n, 4) * EPS * scale
-    lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
-    ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
-    if ambiguous.size:
-        raise NumericalInstabilityError(
-            f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
-            float(ambiguous.max()),
-        )
-    return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
+
+    def decide(s, vh):
+        scale = max(float(s[0]), 1.0)
+        cutoff = default_tolerance(n, scale) if tol is None else tol
+        floor = 8.0 * max(n, 4) * EPS * scale
+        lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
+        ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
+        if ambiguous.size:
+            raise NumericalInstabilityError(
+                f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
+                float(ambiguous.max()),
+            )
+        return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
+
+    return decide(s, vh) if system.ndim == 2 else map(decide, s, vh)
 
 
 def _helmert(m: int) -> np.ndarray:
@@ -399,65 +428,100 @@ def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
     return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T, real.layout, True)
 
 
-def haar_unitary(n: int, seed) -> np.ndarray:
-    """Haar-distributed random unitary via QR of a complex Ginibre matrix.
+def _ginibre(n: int, rngs) -> np.ndarray:
+    """Stack of complex Ginibre matrices (unit variance entries), one per RNG stream."""
+    z = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for rng in rngs]
+    return np.stack(z) / np.sqrt(2.0)
 
-    The triangular factor's diagonal phases are normalized so the distribution
-    is exactly Haar; deterministic for a fixed seed.
+
+def haar_unitaries(n: int, rngs) -> np.ndarray:
+    """Stack of Haar-distributed unitaries, one per RNG stream, via one stacked QR.
+
+    The triangular factors' diagonal phases are normalized so the
+    distribution is exactly Haar.  Draw i depends on ``rngs[i]`` alone: the
+    stacked QR runs the same LAPACK call on each item as a QR of one matrix.
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    rng = _as_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    q, r = np.linalg.qr(_ginibre(n, rngs))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(n: int, seed) -> np.ndarray:
+    """Haar-distributed random unitary via QR of a complex Ginibre matrix; seeded, deterministic."""
+    return haar_unitaries(n, [_as_rng(seed)])[0]
+
+
+def _skew_directions(z: np.ndarray) -> np.ndarray:
+    """The skew-Hermitian parts of a stack of matrices, scaled to unit operator norm."""
+    k = (z - np.swapaxes(z.conj(), -1, -2)) / 2.0
+    return k / np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None]
 
 
 def random_skew_direction(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random skew-Hermitian matrix of unit operator norm."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    k = (z - z.conj().T) / 2.0
-    return k / np.linalg.norm(k, 2)
+    return _skew_directions(_ginibre(n, [rng]))[0]
 
 
 def exp_skew(k: np.ndarray) -> np.ndarray:
-    """exp(k) for a skew-Hermitian k: V diag(exp(i lam)) V*, with (lam, V) = eigh(-ik)."""
+    """exp(k) for a skew-Hermitian k (or a stack): V diag(exp(i lam)) V*, (lam, V) = eigh(-ik)."""
     lam, v = np.linalg.eigh(-1j * k)
-    return (v * np.exp(1j * lam)) @ v.conj().T
+    return (v * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
+def local_unitaries(center: np.ndarray, radius, rngs) -> np.ndarray:
+    """Stack of unitaries at distance about ``radius`` from ``center``, one per RNG stream.
+
+    Each is center @ exp(radius K) along a random direction K drawn from its
+    own stream; ``radius`` is one number or one per stream.
+    """
+    n = center.shape[0]
+    radius = np.reshape(radius, (-1, 1, 1))
+    return center @ exp_skew(radius * _skew_directions(_ginibre(n, rngs)))
 
 
 def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Unitary at distance about ``radius`` from ``center`` along a random direction."""
-    n = center.shape[0]
-    return center @ exp_skew(radius * random_skew_direction(n, rng))
+    return local_unitaries(center, radius, [rng])[0]
 
 
-def sample_dims(n: int, samples: int, seed: int, radius: float | None, step) -> tuple[int, ...]:
-    """The dimensions ``step(w)`` over ``samples`` seeded draws of an n x n unitary w.
+def stack_size(matrices: int, n: int) -> int:
+    """How many items fit in STACK_BYTES, at least one.
+
+    Each item holds ``matrices`` complex n x n matrices and its RNG stream
+    (under 1 KiB).
+    """
+    return max(1, STACK_BYTES // (16 * n * n * matrices + 1024))
+
+
+def sample_dims(
+    n: int, samples: int, seed: int, radius: float | None, step, stack: int = 1
+) -> tuple[int, ...]:
+    """The dimensions ``step`` yields over ``samples`` seeded draws of an n x n unitary w.
 
     Draw i uses the RNG stream derived from (seed, i), so the tally does not
-    depend on execution order.  Without a radius w is Haar; with one, w is
-    the local step ``local_unitary(I, radius, rng)`` and the caller composes
-    it with its own center, on its own side.  Raises ValueError unless
-    samples >= 1 and a given radius is positive and finite.
+    depend on execution order.  The draws are made ``stack`` at a time as a
+    (k, n, n) stack, and ``step`` yields one dimension per item, in index
+    order.  Without a radius w is Haar; with one, w is the local step
+    ``local_unitary(I, radius, rng)`` and the caller composes it with its own
+    center, on its own side.  Raises ValueError unless samples >= 1 and a
+    given radius is positive and finite.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"local mode needs a positive finite radius, got {radius!r}")
     eye = np.eye(n, dtype=complex)
-    dims = []
-    for i in range(samples):
-        rng = sample_stream(seed, i)
-        w = haar_unitary(n, rng) if radius is None else local_unitary(eye, radius, rng)
-        dims.append(step(w))
+    dims: list[int] = []
+    for start in range(0, samples, stack):
+        rngs = [sample_stream(seed, i) for i in range(start, min(start + stack, samples))]
+        ws = haar_unitaries(n, rngs) if radius is None else local_unitaries(eye, radius, rngs)
+        dims.extend(step(ws))
     return tuple(dims)
 
 
-def commutant_basis(
-    gens, tol: float | None = None, within: ConcreteRealization | None = None
-) -> ConcreteRealization:
+def commutant_basis(gens, tol: float | None = None, within: ConcreteRealization | None = None):
     """Orthonormal basis of the joint commutant {X : X A_g = A_g X for all g}.
 
     With ``within`` (an orthonormal realization known to hold the answer,
@@ -468,20 +532,36 @@ def commutant_basis(
     condition reads (A kron I - I kron A^T) vec(X) = 0 over all of M_N,
     an N^2-column system.  Either system is QR-reduced to its square triangle
     when tall, and the nullspace is read off one SVD at a stable rank cutoff.
+
+    With ``within``, ``gens`` may also be a stack (k, g, N, N) of k generator
+    sets: one system build, QR and SVD serve the whole stack, and the result
+    is an iterator over the k commutants in index order, each rank decision
+    made only when its item is reached (``_null_rows``).
     """
     if within is not None:
         n, basis = within.ambient_dim, within.basis
         if not len(gens):
             return within
-        d = len(basis)
-        # row k of the transposed system is E_k A - A E_k for every A in turn
-        system = np.empty((d, len(gens), n, n), dtype=complex)
-        for i, a in enumerate(gens):
-            np.matmul(basis, a, out=system[:, i])
-            system[:, i] -= a @ basis
-        null = _null_rows(system.reshape(d, -1).T, n, tol, "commutant system")
-        coeff = null.conj() @ basis.reshape(d, n * n)
-        return ConcreteRealization(n, coeff.reshape(-1, n, n))
+        gens = np.asarray(gens)
+        one = gens.ndim == 3
+        stack = gens[None] if one else gens
+        k, g, d = len(stack), stack.shape[1], len(basis)
+        if not g:
+            out = iter([within] * k)
+        else:
+            # row j of an item's transposed system is E_j A - A E_j for its every A in turn
+            system = np.empty((k, d, g, n, n), dtype=complex)
+            for i in range(g):
+                a = stack[:, i, None]
+                np.matmul(basis, a, out=system[:, :, i])
+                system[:, :, i] -= a @ basis
+            system = system.reshape(k, d, -1).transpose(0, 2, 1)
+            flat = basis.reshape(d, n * n)
+            out = (
+                ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
+                for null in _null_rows(system, n, tol, "commutant system")
+            )
+        return next(out) if one else out
     if not len(gens):
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
@@ -616,7 +696,8 @@ def density_experiment(
     defaulting to the identity.  The smaller side is the one conjugated:
     with dim B1 < dim B2 each sample intersects u* B1 u with B2, of the same
     dimension, so the larger side of every sample is the unconjugated one
-    whose residual ``intersect`` gathers.
+    whose residual ``intersect`` gathers.  The draws come a stack at a time
+    (``sample_dims``), and each is intersected on its own.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -630,10 +711,12 @@ def density_experiment(
     r1 = realize(b1)
     r2 = realize(b2)
 
-    def step(w):
+    def one(w):
         u = w if center is None else center @ w
         if r1.dimension < r2.dimension:
             return intersect(conjugate(r1, u.conj().T), r2, tol=tol).dimension
         return intersect(r1, conjugate(r2, u), tol=tol).dimension
 
-    return DensityStats(sample_dims(n, samples, seed, radius, step), seed, radius, center)
+    stack = stack_size(DRAW_MATRICES, n)
+    dims = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)
+    return DensityStats(dims, seed, radius, center)

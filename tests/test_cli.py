@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness: configs, exit codes, reports."""
 
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subalg
-from subalg.cli import MAX_COUNT, ExperimentConfig, main, validate
+from subalg.cli import COMMANDS, MAX_COUNT, ExperimentConfig, build_parser, main, validate
 from subalg.serialize import (
     free_element_from_json,
     free_element_to_json,
@@ -895,3 +896,57 @@ def test_build_stages_pinned(tmp_path, build, seed):
     got = [(s["dim"], s["tries"], s["irreducible"], s["balance"])
            for s in report["result"]["stages"]]
     assert got == expected
+
+
+def subcommand_parser():
+    """The reference: one subparser per command, each with the six options."""
+    parser = argparse.ArgumentParser(prog="subalg")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--samples", type=int, default=None)
+        p.add_argument("--out", default=None)
+        p.add_argument("--tolerance", type=float, default=None)
+        p.add_argument("--format", choices=("json", "csv"), default=None)
+    return parser
+
+
+OPTION_VALUES = [
+    (),
+    ("--seed", "12"),
+    ("--samples", "3"),
+    ("--out", "report.json"),
+    ("--tolerance", "1e-9"),
+    ("--format", "csv"),
+    ("--format", "json"),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("option", OPTION_VALUES, ids=lambda o: o[0] if o else "none")
+    def test_flat_parser_matches_subcommands(self, command, option):
+        argv = [command, "--config", "c.json", *option]
+        got = vars(build_parser().parse_args(argv))
+        assert got == vars(subcommand_parser().parse_args(argv))
+        assert set(got) == {"command", "config", "seed", "samples", "out", "tolerance", "format"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["dpi"],
+            ["nope", "--config", "c.json"],
+            ["dpi", "--config", "c.json", "--format", "xml"],
+            ["dpi", "--config", "c.json", "--seed", "x"],
+            ["dpi", "--config", "c.json", "--bogus"],
+            ["dpi", "density", "--config", "c.json"],
+        ],
+    )
+    def test_argparse_errors_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "usage: subalg" in capsys.readouterr().err

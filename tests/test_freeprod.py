@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import subalg
 from subalg.algebra import BlockStructure, EmbeddedAlgebra, enumerate_embedded_algebras
-from subalg.errors import SearchExhaustedError, ShapeMismatchError
+from subalg.errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from subalg.freeprod import (
     FreeElement,
     Letter,
@@ -19,10 +20,16 @@ from subalg.freeprod import (
     rcp_check,
     rcp_check_pair,
     staged_build,
+    _segment_generators,
+    _total_mult,
 )
 from subalg.numeric import (
+    DRAW_MATRICES,
+    EPS,
+    amplified_commutant,
     amplify,
     commutant_basis,
+    default_tolerance,
     density_experiment,
     haar_unitary,
     intersect,
@@ -485,3 +492,254 @@ class TestStagedBuild:
     def test_stage_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             staged_build(M2, M2, [((1,), (2,))], 0.5, [], seed=0)
+
+
+# The sequential reference: the free-product decisions as they were made one
+# unitary at a time, from numpy calls on single matrices only.  It shares the
+# layout helpers (amplified_commutant, the segment units) with the library,
+# not its draws, systems or rank decisions.
+
+
+def sequential_haar(n, rng):
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+def sequential_local(center, radius, rng):
+    n = center.shape[0]
+    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
+    k = (z - z.conj().T) / 2.0
+    k = radius * (k / np.linalg.norm(k, 2))
+    lam, v = np.linalg.eigh(-1j * k)
+    return center @ ((v * np.exp(1j * lam)) @ v.conj().T)
+
+
+def sequential_null_rows(system, n, tol, what):
+    if system.shape[0] > system.shape[1]:
+        system = np.linalg.qr(system, mode="r")
+    _, s, vh = np.linalg.svd(system)
+    scale = max(float(s[0]), 1.0)
+    cutoff = default_tolerance(n, scale) if tol is None else tol
+    floor = 8.0 * max(n, 4) * EPS * scale
+    lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
+    ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
+    if ambiguous.size:
+        raise NumericalInstabilityError(
+            f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
+            float(ambiguous.max()),
+        )
+    return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
+
+
+def sequential_kernel(alg1, segs1, alg2, segs2, tol):
+    """u -> joint commutant dimension, one unitary per call."""
+    dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
+    dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
+    swap = dim1 > dim2
+    if swap:
+        alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
+    within = amplified_commutant(alg1.blocks, segs1)
+    units = _segment_generators(alg2, segs2)[:-1]
+    n, basis = within.ambient_dim, within.basis
+
+    def decide(u):
+        if not len(units):
+            return within.dimension
+        inv = np.linalg.inv(u)
+        gens = inv @ units @ u if swap else u @ units @ inv
+        d = len(basis)
+        system = np.empty((d, len(gens), n, n), dtype=complex)
+        for i, a in enumerate(gens):
+            np.matmul(basis, a, out=system[:, i])
+            system[:, i] -= a @ basis
+        return len(sequential_null_rows(system.reshape(d, -1).T, n, tol, "commutant system"))
+
+    return decide
+
+
+def sequential_search(alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol):
+    decide = sequential_kernel(alg1, segs1, alg2, segs2, tol)
+    eye = np.eye(dim, dtype=complex)
+    best = decide(eye @ prev_u)
+    if best == 1:
+        return eye, 0, 1
+    radius = budget / 2.0
+    for attempt in range(max_tries):
+        w = sequential_local(eye, radius, sample_stream(seed, stage, attempt))
+        d = decide(w @ prev_u)
+        best = min(best, d)
+        if d == 1:
+            return w, attempt + 1, 1
+        if (attempt + 1) % 32 == 0:
+            radius /= 2.0
+    return None, max_tries, best
+
+
+def sequential_dpi(rep, samples, seed, local_radius=None, tol=None):
+    decide = sequential_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    eye = np.eye(rep.dim, dtype=complex)
+    dims = []
+    for i in range(samples):
+        rng = sample_stream(seed, i)
+        if local_radius is None:
+            w = sequential_haar(rep.dim, rng)
+        else:
+            w = sequential_local(eye, local_radius, rng)
+        dims.append(decide(w @ rep.u))
+    return tuple(dims)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the (message, defect) of the NumericalInstabilityError it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except NumericalInstabilityError as exc:
+        return str(exc), exc.defect
+
+
+# Byte budgets: the default, one item per stack, and three items of the N = 4
+# exhausted search (one unit inside an 8-dimensional commutant), which leaves
+# partial last stacks there and in dpi at N = 3, 4 (one item per stack above).
+BUDGETS = [None, 1, 3 * 16 * 4 * 4 * (DRAW_MATRICES + 2 + 1 + 8 * 1)]
+
+
+@pytest.fixture(params=BUDGETS, ids=["default", "one", "small"])
+def budget(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(subalg.numeric, "STACK_BYTES", request.param)
+    return request.param
+
+
+def build_outcome(*args, **kwargs):
+    """Per-stage (tries, u, dim) of a staged build, or its SearchExhaustedError fields."""
+    try:
+        build = staged_build(*args, **kwargs)
+    except SearchExhaustedError as exc:
+        return ("exhausted", exc.stage, exc.dim, exc.best_dim, exc.tries)
+    return [(s.tries, s.u, s.dim, s.bound) for s in build.stages]
+
+
+def assert_same_build(got, want):
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    assert len(got) == len(want)
+    for (tries, u, dim, bound), (tries_ref, u_ref, dim_ref, bound_ref) in zip(got, want):
+        assert (tries, dim, bound) == (tries_ref, dim_ref, bound_ref)
+        assert np.array_equal(u, u_ref)  # bitwise
+
+
+class TestStackedDecisions:
+    @pytest.mark.parametrize("seed", [1, 7, 61])
+    def test_eight_stage_build_matches_sequential_search(self, seed, budget, monkeypatch):
+        args = (C2, M2, [((1, 1), (1,))] * 8, 0.5, [], seed)
+        got = build_outcome(*args)
+        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        assert_same_build(got, build_outcome(*args))
+
+    @pytest.mark.parametrize("seed", [3, 61])
+    def test_exhausted_search_matches_sequential_search(self, seed, budget, monkeypatch):
+        # 70 tries: stacks 1, 2, 4, ..., 32 end at attempt 62, and the last
+        # stack holds attempts 63..69, so stacks cross the halvings at 32 and 64
+        draws = []
+        stacked = subalg.freeprod.local_unitaries
+
+        def spy(center, radii, rngs):
+            draws.append(stacked(center, radii, rngs))
+            return draws[-1]
+
+        monkeypatch.setattr(subalg.freeprod, "local_unitaries", spy)
+        args = (C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], seed)
+        got = build_outcome(*args, max_tries=70)
+        assert got == ("exhausted", 2, 4, 2, 70)
+        # every failed draw of stage 2 (budget 0.5 / 8) is the sequential one, bit for bit
+        want = [
+            sequential_local(np.eye(4), 0.5 / 8 / 2 / 2 ** (a // 32), sample_stream(seed, 2, a))
+            for a in range(70)
+        ]
+        stage2 = np.concatenate([w for w in draws if w.shape[1:] == (4, 4)])
+        assert np.array_equal(stage2, np.stack(want))
+        if budget is None:
+            assert [len(w) for w in draws if w.shape[1:] == (4, 4)] == [1, 2, 4, 8, 16, 32, 7]
+        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        assert got == build_outcome(*args, max_tries=70)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    @pytest.mark.parametrize("radius", [None, 1e-3])
+    def test_dpi_matches_sequential_samples(self, n, radius, budget):
+        # C^2 against C^3 (generically irreducible from N = 6 on, reducible below)
+        # and C^2 against C^2 (never irreducible with a multiplicity above one)
+        rng = sample_stream(404, n)
+        thirds = (n // 3, n // 3, n - 2 * (n // 3))
+        reps = [
+            RepPair(C2, (n // 2, n - n // 2), BlockStructure((1, 1, 1)), thirds, np.eye(n)),
+            RepPair(C2, (n - n // 2, n // 2), C2, (n // 2, n - n // 2), haar_unitary(n, rng)),
+        ]
+        for rep in reps:
+            got = outcome(lambda: dpi_probe(rep, 7, n, local_radius=radius).dims)
+            assert got == sequential_dpi(rep, 7, n, local_radius=radius)
+
+    def test_first_unstable_dpi_sample_raises_as_before(self, budget):
+        # at tol 1e-6 and radius 5e-5, samples 2 and 5 of seed 5 are unstable,
+        # with different defects; the first in index order is the one raised
+        rep = RepPair(C2, (2, 2), C2, (2, 2), np.eye(4))
+        decide = sequential_kernel(C2, [(2, 2)], C2, [(2, 2)], 1e-6)
+        draws = [sequential_local(np.eye(4), 5e-5, sample_stream(5, i)) for i in range(10)]
+        outcomes = [outcome(decide, w) for w in draws]
+        unstable = {i: o for i, o in enumerate(outcomes) if o != 2}
+        assert sorted(unstable) == [2, 5] and unstable[2] != unstable[5]
+        assert outcome(dpi_probe, rep, 10, 5, local_radius=5e-5, tol=1e-6) == unstable[2]
+
+    @pytest.mark.parametrize(
+        "draws, tries",
+        [
+            # attempt 2 alone would raise at tol 1e-6, but the stack of attempts
+            # 1 and 2 succeeds at 1: the sequential search never reached 2
+            (["fail", "success", "unstable"], 2),
+            (["fail", "unstable", "success"], None),
+            # the stack of attempts 3..6 succeeds at 4 and 5; 4 comes first
+            (["fail", "fail", "fail", "fail", "success", "other", "fail"], 5),
+        ],
+    )
+    def test_first_success_in_attempt_order_ends_the_search(self, draws, tries, monkeypatch):
+        unitaries = {
+            "fail": np.eye(2, dtype=complex),
+            "success": rotation(1e-2),
+            "other": rotation(2e-2),
+            "unstable": rotation(1e-6),
+        }
+        with pytest.raises(NumericalInstabilityError):
+            joint_commutant_dim(RepPair(C2, (1, 1), C2, (1, 1), unitaries["unstable"]), tol=1e-6)
+        queue = iter(draws)
+
+        def fake_local_unitaries(center, radii, rngs):
+            return np.stack([unitaries[next(queue)] for _ in rngs])
+
+        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
+        args = (C2, C2, [((1, 1), (1, 1))], 0.5, [], 1)
+        if tries is None:
+            with pytest.raises(NumericalInstabilityError):
+                staged_build(*args, tol=1e-6)
+            return
+        (stage,) = staged_build(*args, tol=1e-6).stages
+        assert stage.tries == tries
+        assert np.array_equal(stage.u, unitaries["success"])
+
+    def test_scalar_factor_decides_through_the_stack(self, monkeypatch):
+        # C (4) against C^2 (2, 2): the solve runs inside C^2's commutant, and
+        # the scalar side leaves an empty generator stack per item
+        shapes = []
+        stacked = subalg.freeprod.commutant_basis
+
+        def spy(gens, **kwargs):
+            shapes.append(np.shape(gens))
+            return stacked(gens, **kwargs)
+
+        monkeypatch.setattr(subalg.freeprod, "commutant_basis", spy)
+        rep = RepPair(BlockStructure((1,)), (4,), C2, (2, 2), np.eye(4))
+        assert joint_commutant_dim(rep) == 8
+        assert dpi_probe(rep, 3, 1).dims == (8, 8, 8)
+        assert dpi_probe(rep, 3, 1, local_radius=1e-3).dims == (8, 8, 8)
+        assert shapes == [(1, 0, 4, 4), (3, 0, 4, 4), (3, 0, 4, 4)]

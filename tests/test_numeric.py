@@ -28,8 +28,10 @@ from subalg.numeric import (
     density_experiment,
     embed_model,
     exp_skew,
+    haar_unitaries,
     haar_unitary,
     intersect,
+    local_unitaries,
     local_unitary,
     model_matrix_units,
     random_skew_direction,
@@ -375,6 +377,52 @@ class TestSvdRight:
         assert np.linalg.norm(m @ null.T, 2) <= bound
 
 
+class TestStacks:
+    def test_null_rows_decides_each_item_when_reached(self):
+        # singular values (1, 0.5, 0), (1, 1e-6, 0) and (1, 1, 1) behind
+        # random rotations: at tol 1e-6 item 1 is ambiguous, so the stack
+        # raises when item 1 is reached, not before
+        rng = sample_stream(8)
+        svals = [(1.0, 0.5, 0.0), (1.0, 1e-6, 0.0), (1.0, 1.0, 1.0)]
+        stack = np.stack(
+            [haar_unitary(5, rng)[:, :3] @ np.diag(s) @ haar_unitary(3, rng) for s in svals]
+        )
+        items = _null_rows(stack, 5, 1e-6, "stack")
+        first = next(items)
+        assert np.array_equal(first, _null_rows(stack[0], 5, 1e-6, "stack"))  # bitwise
+        assert first.shape == (1, 3)
+        with pytest.raises(NumericalInstabilityError, match="unstable") as info:
+            next(items)
+        assert info.value.defect == pytest.approx(1e-6)
+        assert len(_null_rows(stack[2], 5, 1e-6, "stack")) == 0
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stacked_draws_equal_single_draws(self, n):
+        # each item depends on its own stream alone, bit for bit
+        keys = range(5)
+        haar = haar_unitaries(n, [sample_stream(4, i) for i in keys])
+        radii = [1e-3 * 2.0**-i for i in keys]
+        center = haar_unitary(n, 9)
+        local = local_unitaries(center, radii, [sample_stream(5, i) for i in keys])
+        for i in keys:
+            assert np.array_equal(haar[i], haar_unitary(n, sample_stream(4, i)))
+            assert np.array_equal(local[i], local_unitary(center, radii[i], sample_stream(5, i)))
+
+    def test_commutant_stack_matches_single_solves(self):
+        # C^2 (2, 2) inside M_4 against a stack of conjugated M2 (2) units
+        within = amplified_commutant((1, 1), [(2, 2)])
+        units = amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)])
+        local = local_unitary(np.eye(4), 1e-2, sample_stream(2))
+        us = np.stack([np.eye(4), haar_unitary(4, 1), local])
+        gens = us[:, None] @ units @ np.swapaxes(us.conj(), -1, -2)[:, None]
+        stacked = list(commutant_basis(gens, within=within))
+        gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
+        kronecker = [commutant_basis([*gens1, *g]).dimension for g in gens]
+        assert [c.dimension for c in stacked] == kronecker == [4, 1, 1]
+        for g, c in zip(gens, stacked):
+            assert np.array_equal(c.basis, commutant_basis(g, within=within).basis)
+
+
 class TestIntersect:
     def test_self_intersection(self):
         r = realize(M2M2)
@@ -652,7 +700,9 @@ class TestGatherPath:
         stats = density_experiment(M2_MULT2, M2M2, 6, seed=5)
         assert [(s.shape, s.dtype) for s in null_systems] == [((8, 4), np.float64)] * 6
         r1, r2 = without_layout(realize(M2_MULT2)), without_layout(realize(M2M2))
-        oracle = sample_dims(4, 6, 5, None, lambda w: intersect(r1, conjugate(r2, w)).dimension)
+        oracle = sample_dims(
+            4, 6, 5, None, lambda ws: [intersect(r1, conjugate(r2, w)).dimension for w in ws]
+        )
         assert stats.dims == oracle == (1,) * 6
 
     def test_density_with_a_center(self):
@@ -666,7 +716,7 @@ class TestGatherPath:
         stats = density_experiment(M2M2, M2M2, 6, seed=5, local=(center, 1e-3))
         r = without_layout(realize(M2M2))
         oracle = sample_dims(
-            4, 6, 5, 1e-3, lambda w: intersect(r, conjugate(r, center @ w)).dimension
+            4, 6, 5, 1e-3, lambda ws: [intersect(r, conjugate(r, center @ w)).dimension for w in ws]
         )
         assert stats.dims == oracle
         assert min(stats.dims) >= 2
@@ -718,3 +768,21 @@ class TestDensityExperiment:
     def test_csv_rows(self):
         stats = density_experiment(M2_MULT2, M2_MULT2, 4, seed=0)
         assert stats.csv_rows() == [(i, d) for i, d in enumerate(stats.dims)]
+
+
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("radius", [None, 1e-3])
+def test_draw_stacks_stay_within_the_byte_budget(n, radius, monkeypatch):
+    # three stacks and a bit of draws under a 4 MiB budget peak below the
+    # budget; one stack of all of them would peak at about 4 to 5 times it
+    monkeypatch.setattr(subalg.numeric, "STACK_BYTES", 1 << 22)
+    stack = subalg.numeric.stack_size(subalg.numeric.DRAW_MATRICES, n)
+    samples = 3 * stack + 5
+    tracemalloc.start()
+    try:
+        dims = sample_dims(n, samples, 1, radius, lambda ws: [1] * len(ws), stack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dims == (1,) * samples
+    assert peak < 1 << 22
