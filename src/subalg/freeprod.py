@@ -300,7 +300,9 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     (``commutant_basis``); it yields the k dimensions in index order, each
     decided only when reached.  ``stack`` is the most items one call should
     take: each item holds its draw, the unitary and its inverse, the g
-    conjugated units and the system of d * g matrices, and ``stack_size``
+    conjugated units, the system of d * g matrices and the copy of it that
+    the QR makes, and d matrices more for a product temporary and the
+    d x d triangle and SVD factors (d^2 <= d N^2 entries); ``stack_size``
     caps the stack at a fixed byte budget.
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
@@ -316,8 +318,8 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
         gens = inv @ units @ u if swap else u @ units @ inv
         return (c.dimension for c in commutant_basis(gens, tol=tol, within=within))
 
-    g = len(units)
-    return decide, stack_size(DRAW_MATRICES + 2 + g + within.dimension * g, within.ambient_dim)
+    g, d = len(units), within.dimension
+    return decide, stack_size(DRAW_MATRICES + 2 + g + d + 2 * d * g, within.ambient_dim)
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
@@ -511,7 +513,8 @@ def _search_stage_unitary(
 
     Tries the identity first, then random directions: attempt a draws from
     the stream (seed, stage, a) at a radius that starts at half the budget
-    and halves after every 32 attempts.  The attempts are decided in stacks
+    and is halved after every 32 attempts (down to 0.0, never overflowing,
+    however many attempts are allowed).  The attempts are decided in stacks
     of 1, 2, 4, ... (at most the kernel's stack size), and the first success
     in attempt order ends the search; the attempts after it in its stack are
     never decided.  Returns (unitary or None, tries used, best commutant
@@ -523,10 +526,14 @@ def _search_stage_unitary(
     best = next(decide(eye[None] @ prev_u))
     if best == 1:
         return eye, 0, 1
-    start, size = 0, 1
+    start, size, radius = 0, 1, budget / 2.0
     while start < max_tries:
         attempts = range(start, min(start + size, start + cap, max_tries))
-        radii = [budget / 2.0 / 2.0 ** (a // 32) for a in attempts]
+        radii = []
+        for a in attempts:
+            radii.append(radius)
+            if (a + 1) % 32 == 0:
+                radius /= 2.0
         ws = local_unitaries(eye, radii, [sample_stream(seed, stage, a) for a in attempts])
         for attempt, w, d in zip(attempts, ws, decide(ws @ prev_u)):
             best = min(best, d)

@@ -20,8 +20,8 @@ stacks (k, N, N): one stacked QR, eigendecomposition or SVD serves the k
 items, running the same LAPACK call on each as on one matrix, so a stacked
 result is bit-identical to the items made one at a time.  The rank routine
 then decides the items in index order, each only when it is reached.  A
-stack holds at most STACK_BYTES (32 MiB) of draws, generators and systems
-(``stack_size``), and never less than one item.
+stack holds at most STACK_BYTES (32 MiB) of draws, generators, systems and
+their factorizations (``stack_size``), and never less than one item.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ DEFAULT_CLOSURE_TOL = 1e-9
 CLOSURE_CHUNK = 512
 
 # Bytes a stack of draws and decisions may hold (stack_size): the draws,
-# their conjugated generators and their commutant systems.  An item larger
+# their conjugated generators, their commutant systems and the systems' QR
+# copies.  An item larger
 # than this is decided alone, as the N = 48 dpi samples are.
 STACK_BYTES = 1 << 25
 
@@ -94,8 +95,9 @@ def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str):
-    """Rows of ``vh`` spanning the (conjugated) nullspace of system, from one SVD.
+def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
+    """Per system of a stack (k, rows, cols), the rows of ``vh`` spanning its
+    (conjugated) nullspace, from one SVD.
 
     The rank counts singular values above ``tol`` (default
     ``default_tolerance(n, s_max)``) and must not change at tol/10 or 10*tol.
@@ -105,12 +107,12 @@ def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str):
     size that grows like the rounding of products of n x n unitaries.
     Values underneath it are exact zeros and cannot make a decision ambiguous.
 
-    For a stack of systems (k, rows, cols) the factorizations run once for
-    the whole stack, and the result is an iterator over the k items' rows in
-    index order: each item is decided, and raises, only when it is reached,
-    so a caller that stops at an item never decides the ones after it.
+    The factorizations run once for the whole stack, and the result is an
+    iterator over the k items' rows in index order: each item is decided, and
+    raises, only when it is reached, so a caller that stops at an item never
+    decides the ones after it.  A single system is a stack of one.
     """
-    s, vh = _svd_right(system)
+    s, vh = _svd_right(systems)
 
     def decide(s, vh):
         scale = max(float(s[0]), 1.0)
@@ -125,7 +127,7 @@ def _null_rows(system: np.ndarray, n: int, tol: float | None, what: str):
             )
         return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
 
-    return decide(s, vh) if system.ndim == 2 else map(decide, s, vh)
+    return map(decide, s, vh)
 
 
 def _helmert(m: int) -> np.ndarray:
@@ -496,7 +498,7 @@ def stack_size(matrices: int, n: int) -> int:
 
 
 def sample_dims(
-    n: int, samples: int, seed: int, radius: float | None, step, stack: int = 1
+    n: int, samples: int, seed: int, radius: float | None, step, stack: int
 ) -> tuple[int, ...]:
     """The dimensions ``step`` yields over ``samples`` seeded draws of an n x n unitary w.
 
@@ -533,41 +535,36 @@ def commutant_basis(gens, tol: float | None = None, within: ConcreteRealization 
     an N^2-column system.  Either system is QR-reduced to its square triangle
     when tall, and the nullspace is read off one SVD at a stable rank cutoff.
 
-    With ``within``, ``gens`` may also be a stack (k, g, N, N) of k generator
-    sets: one system build, QR and SVD serve the whole stack, and the result
-    is an iterator over the k commutants in index order, each rank decision
-    made only when its item is reached (``_null_rows``).
+    With ``within``, ``gens`` is a stack (k, g, N, N) of k generator sets (a
+    single set is a stack of one): one system build, QR and SVD serve the
+    whole stack, and the result is an iterator over the k commutants in index
+    order, each rank decision made only when its item is reached
+    (``_null_rows``).
     """
     if within is not None:
         n, basis = within.ambient_dim, within.basis
-        if not len(gens):
-            return within
-        gens = np.asarray(gens)
-        one = gens.ndim == 3
-        stack = gens[None] if one else gens
-        k, g, d = len(stack), stack.shape[1], len(basis)
+        k, g = np.shape(gens)[:2]
         if not g:
-            out = iter([within] * k)
-        else:
-            # row j of an item's transposed system is E_j A - A E_j for its every A in turn
-            system = np.empty((k, d, g, n, n), dtype=complex)
-            for i in range(g):
-                a = stack[:, i, None]
-                np.matmul(basis, a, out=system[:, :, i])
-                system[:, :, i] -= a @ basis
-            system = system.reshape(k, d, -1).transpose(0, 2, 1)
-            flat = basis.reshape(d, n * n)
-            out = (
-                ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-                for null in _null_rows(system, n, tol, "commutant system")
-            )
-        return next(out) if one else out
+            return iter([within] * k)
+        d = len(basis)
+        # row j of an item's transposed system is E_j A - A E_j for its every A in turn
+        system = np.empty((k, d, g, n, n), dtype=complex)
+        for i in range(g):
+            a = gens[:, i, None]
+            np.matmul(basis, a, out=system[:, :, i])
+            system[:, :, i] -= a @ basis
+        system = system.reshape(k, d, -1).transpose(0, 2, 1)
+        flat = basis.reshape(d, n * n)
+        return (
+            ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
+            for null in _null_rows(system, n, tol, "commutant system")
+        )
     if not len(gens):
         raise ValueError("need at least one generator")
     n = gens[0].shape[0]
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    null = _null_rows(np.concatenate(rows), n, tol, "commutant system")
+    null = next(_null_rows(np.concatenate(rows)[None], n, tol, "commutant system"))
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
@@ -620,7 +617,7 @@ def intersect(
         system = rows - (rows @ bh) @ rows_b
         system -= (system @ bh) @ rows_b
     if system.shape[1]:
-        null = _null_rows(system.T, n, tol, "projected system").conj()
+        null = next(_null_rows(system.T[None], n, tol, "projected system")).conj()
     else:
         null = np.eye(a.dimension)
     if len(null) < 1:

@@ -1,5 +1,7 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from subalg.freeprod import (
     rcp_check,
     rcp_check_pair,
     staged_build,
+    _joint_dim_kernel,
     _segment_generators,
     _total_mult,
 )
@@ -559,6 +562,16 @@ def sequential_kernel(alg1, segs1, alg2, segs2, tol):
     return decide
 
 
+def halving_radii(budget, tries):
+    """The radius of each attempt: half the budget, halved after every 32 attempts."""
+    radius, radii = budget / 2.0, []
+    for attempt in range(tries):
+        radii.append(radius)
+        if (attempt + 1) % 32 == 0:
+            radius /= 2.0
+    return radii
+
+
 def sequential_search(alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol):
     decide = sequential_kernel(alg1, segs1, alg2, segs2, tol)
     eye = np.eye(dim, dtype=complex)
@@ -600,9 +613,10 @@ def outcome(fn, *args, **kwargs):
 
 
 # Byte budgets: the default, one item per stack, and three items of the N = 4
-# exhausted search (one unit inside an 8-dimensional commutant), which leaves
-# partial last stacks there and in dpi at N = 3, 4 (one item per stack above).
-BUDGETS = [None, 1, 3 * 16 * 4 * 4 * (DRAW_MATRICES + 2 + 1 + 8 * 1)]
+# exhausted search (one unit inside an 8-dimensional commutant, stack_size's
+# count of DRAW_MATRICES + 2 + g + d + 2 d g matrices and 1 KiB per item),
+# which leaves a partial last stack there and in the small dpi runs.
+BUDGETS = [None, 1, 3 * (16 * 4 * 4 * (DRAW_MATRICES + 2 + 1 + 8 + 2 * 8 * 1) + 1024)]
 
 
 @pytest.fixture(params=BUDGETS, ids=["default", "one", "small"])
@@ -656,8 +670,8 @@ class TestStackedDecisions:
         assert got == ("exhausted", 2, 4, 2, 70)
         # every failed draw of stage 2 (budget 0.5 / 8) is the sequential one, bit for bit
         want = [
-            sequential_local(np.eye(4), 0.5 / 8 / 2 / 2 ** (a // 32), sample_stream(seed, 2, a))
-            for a in range(70)
+            sequential_local(np.eye(4), radius, sample_stream(seed, 2, a))
+            for a, radius in enumerate(halving_radii(0.5 / 8, 70))
         ]
         stage2 = np.concatenate([w for w in draws if w.shape[1:] == (4, 4)])
         assert np.array_equal(stage2, np.stack(want))
@@ -727,6 +741,30 @@ class TestStackedDecisions:
         assert stage.tries == tries
         assert np.array_equal(stage.u, unitaries["success"])
 
+    def test_radius_halves_past_the_range_of_a_float(self, monkeypatch):
+        # 34,400 tries halve the radius 1,075 times: from 1/16 it is subnormal
+        # from attempt 32,608 on (where 2.0 ** (a // 32) overflows, at
+        # attempt 32,768, it is 2^-1028) and 0.0 from attempt 34,272 on, and
+        # the search still ends exhausted.  Draws and decisions are faked, so
+        # only the search loop runs.
+        radii = []
+
+        def fake_local_unitaries(center, rs, rngs):
+            radii.extend(rs)
+            return np.broadcast_to(center, (len(rs), *center.shape))
+
+        def fake_kernel(*args):
+            return (lambda us: iter([2] * len(us))), 4096
+
+        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
+        monkeypatch.setattr(subalg.freeprod, "sample_stream", lambda *key: None)
+        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", fake_kernel)
+        with pytest.raises(SearchExhaustedError) as info:
+            staged_build(C2, C2, [((1, 1), (1, 1))], 0.5, [], 1, max_tries=34400)
+        assert (info.value.stage, info.value.best_dim, info.value.tries) == (1, 2, 34400)
+        assert radii == halving_radii(0.5 / 4, 34400)
+        assert radii[32768] == 2.0**-1028 and radii[34271] > 0.0 == radii[34272]
+
     def test_scalar_factor_decides_through_the_stack(self, monkeypatch):
         # C (4) against C^2 (2, 2): the solve runs inside C^2's commutant, and
         # the scalar side leaves an empty generator stack per item
@@ -743,3 +781,28 @@ class TestStackedDecisions:
         assert dpi_probe(rep, 3, 1).dims == (8, 8, 8)
         assert dpi_probe(rep, 3, 1, local_radius=1e-3).dims == (8, 8, 8)
         assert shapes == [(1, 0, 4, 4), (3, 0, 4, 4), (3, 0, 4, 4)]
+
+
+@pytest.mark.parametrize(
+    "alg1, mult1, mult2",
+    [(C2, (6, 6), (6,)), (BlockStructure((1, 1, 1)), (4, 4, 4), (6,))],
+    ids=["C2-M2", "C3-M2"],
+)
+def test_decision_stacks_stay_within_the_byte_budget(alg1, mult1, mult2, monkeypatch):
+    # dpi at N = 12 against M2 (6) under a 2 MiB budget: three stacks and a bit
+    # of draws and decisions peak below the budget.  The systems and their QR
+    # copies dominate; a count without the copy stacks 2.7 to 4 times as many
+    # items and peaks at about twice the budget.
+    monkeypatch.setattr(subalg.numeric, "STACK_BYTES", 1 << 21)
+    rep = RepPair(alg1, mult1, M2, mult2, np.eye(12))
+    _, stack = _joint_dim_kernel(alg1, [mult1], M2, [mult2], None)
+    samples = 3 * stack + 2
+    dpi_probe(rep, 1, 1)  # the first draw imports numpy.random's generator modules
+    tracemalloc.start()
+    try:
+        stats = dpi_probe(rep, samples, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.trivial_count == samples
+    assert peak < 1 << 21
