@@ -2,8 +2,6 @@
 trivial-intersection experiments, and staged construction of irreducible
 perturbed free-product representations."""
 
-from types import ModuleType as _ModuleType
-
 __version__ = "0.1.0"
 
 from .algebra import (
@@ -51,13 +49,11 @@ from .freeprod import (
     StagedBuild,
     dpi_probe,
     evaluate,
-    irreducibility_check,
     joint_commutant_dim,
     lipschitz_bound,
     pad_multiplicities,
     rcp_balance,
     rcp_check,
-    rcp_check_pair,
     staged_build,
 )
 from .numeric import (
@@ -72,10 +68,18 @@ from .numeric import (
     realize_class,
 )
 
-# Importing the names above also binds the submodules; they stay reachable as
-# attributes but are not part of the star-import surface.
-__all__ = sorted(
-    name
-    for name, value in globals().items()
-    if not name.startswith("_") and not isinstance(value, _ModuleType)
-)
+# The submodules stay reachable as attributes but are not star-exported.
+__all__ = [
+    "BlockStructure", "ConcreteRealization", "ConfigError", "DensityStats", "DimReport",
+    "DomainError", "EmbeddedAlgebra", "FreeElement", "HypothesisAudit", "Letter",
+    "MultiplicityMatrix", "NumericalInstabilityError", "RcpBalance", "RcpReport", "RepPair",
+    "SearchExhaustedError", "ShapeMismatchError", "Stage", "StagedBuild", "SubalgebraClass",
+    "audit_density_hypotheses", "box_max", "center_restriction", "class_dim", "class_leq",
+    "classify_pair", "commutant_basis", "compatible_embeddings", "compose_multiplicities",
+    "conjugate", "d_value", "density_experiment", "dim_report", "dpi_probe",
+    "enumerate_embedded_algebras", "enumerate_subalgebra_classes",
+    "enumerate_unital_embeddings", "evaluate", "gcd_embedding_bound", "haar_unitary",
+    "intersect", "joint_commutant_dim", "lagrange_min", "lipschitz_bound", "orbit_dims",
+    "pad_multiplicities", "rcp_balance", "rcp_check", "realize", "realize_class",
+    "relative_commutant", "stab_dim", "staged_build",
+]

@@ -231,21 +231,21 @@ def _weighted_rows(weights: tuple[int, ...], total: int) -> tuple[tuple[int, ...
 
 
 def enumerate_unital_embeddings(
-    source: BlockStructure, target: BlockStructure, *, canonical: bool = False
+    source: BlockStructure, target: BlockStructure
 ) -> list[MultiplicityMatrix]:
-    """All unital injective multiplicity matrices source -> target.
+    """The canonical unital injective multiplicity matrices source -> target.
+
+    Canonical means that the columns are lexicographically nondecreasing
+    across every adjacent pair of equal-size source blocks: one member per
+    orbit under relabeling equal adjacent blocks, and for a descending source
+    exactly the matrices that ``canonical_embedding_key`` leaves fixed.
 
     Rows are independent (row i must weight-sum to the i-th target block size),
     so candidates are enumerated per row and combined depth-first with a
     column-coverage prune: a partial choice dies as soon as the remaining rows
     cannot touch every still-empty column.  The output order is lexicographic
     on the row-major flattened entries, which keeps golden tests stable.
-
-    With ``canonical=True`` only matrices whose columns are lexicographically
-    nondecreasing across every adjacent pair of equal-size source blocks are
-    kept: one member per orbit under relabeling equal adjacent blocks, and for
-    a descending source exactly the matrices that ``canonical_embedding_key``
-    leaves fixed.  The pruning is done row by row: a pair stays tied while its
+    The canonical pruning is done row by row: a pair stays tied while its
     two columns agree so far, a row with ``row[j] > row[j+1]`` on a tied pair
     is skipped, and the pair drops out once ``row[j] < row[j+1]``.
     """
@@ -265,7 +265,7 @@ def enumerate_unital_embeddings(
         suffix[i] = suffix[i + 1] + maxcov[i]
     # adjacent equal-size source columns; a pair stays tied while its entries agree
     blocks = source.blocks
-    ties = tuple(j for j in range(cols - 1) if blocks[j] == blocks[j + 1]) if canonical else ()
+    ties = tuple(j for j in range(cols - 1) if blocks[j] == blocks[j + 1])
 
     out: list[MultiplicityMatrix] = []
     chosen: list[tuple[int, ...]] = []
@@ -332,9 +332,6 @@ class SubalgebraClass:
         """Multiplicity row of the class representative inside the ambient M_N."""
         return self.embedding.apply_to_row(self.parent.mult)
 
-    def ambient_embedding(self) -> MultiplicityMatrix:
-        return compose_multiplicities(self.parent.ambient_row(), self.embedding)
-
     def is_abelian(self) -> bool:
         return self.structure.is_abelian()
 
@@ -376,7 +373,7 @@ def _cached_classes(parent: EmbeddedAlgebra) -> tuple[SubalgebraClass, ...]:
     classes = []
     for blocks in _descending_structures(total, max_block):
         structure = BlockStructure(blocks)
-        for emb in enumerate_unital_embeddings(structure, parent.structure, canonical=True):
+        for emb in enumerate_unital_embeddings(structure, parent.structure):
             classes.append(SubalgebraClass(parent, structure, emb))
     return tuple(classes)
 
@@ -402,7 +399,7 @@ def class_leq(a: SubalgebraClass, b: SubalgebraClass) -> bool:
     # relabeling equal source blocks permutes the composed columns alike, so
     # one embedding per relabeling orbit decides the question
     target_key = a.key()
-    for emb in enumerate_unital_embeddings(a.structure, b.structure, canonical=True):
+    for emb in enumerate_unital_embeddings(a.structure, b.structure):
         composed = compose_multiplicities(b.embedding, emb)
         if canonical_embedding_key(a.structure, composed.entries) == target_key:
             return True
@@ -469,7 +466,7 @@ def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:
     if k1 < 1 or k2 < 1:
         raise ValueError("block sizes must be positive")
     g = math.gcd(k1, k2)
-    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,)), canonical=True))
+    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,))))
 
 
 def enumerate_embedded_algebras(ambient_dim: int) -> list[EmbeddedAlgebra]:

@@ -4,8 +4,8 @@ A run is described by a JSON config file; a handful of flags can override the
 config.  Every report embeds the fully resolved config and the library
 version, and identical (config, seed) pairs produce byte-identical reports.
 
-Exit codes: 0 success, 1 malformed config, 2 hypothesis not covered,
-3 search exhausted, 4 numerical instability.
+Exit codes: 0 success, 1 malformed config or command line, 2 hypothesis not
+covered, 3 search exhausted, 4 numerical instability.
 """
 
 from __future__ import annotations
@@ -462,9 +462,15 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
     return exit_code, report, csv_text
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # exit 1, as every other malformed input does, not 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     """One flat parser: the command as a positional choice, then the shared options."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="subalg",
         description="Subalgebra dimension counting and perturbation experiments",
     )

@@ -115,14 +115,16 @@ def _orbit_dims(
     )
 
 
+def _d(cdim: int, dims) -> int | None:
+    """d(B): the class dimension plus the largest orbit dimension; None when no orbit exists."""
+    return cdim + max(dims) if dims else None
+
+
 def d_value(
     b1: EmbeddedAlgebra, cls: SubalgebraClass, b2: EmbeddedAlgebra
 ) -> int | None:
     """class_dim plus the largest orbit dimension; None when no orbit exists."""
-    dims = orbit_dims(b1, cls, b2)
-    if not dims:
-        return None
-    return class_dim(b1, cls) + max(dims)
+    return _d(class_dim(b1, cls), orbit_dims(b1, cls, b2))
 
 
 def dim_report(
@@ -131,9 +133,8 @@ def dim_report(
     dims = tuple(orbit_dims(b1, cls, b2))
     rel = relative_commutant(cls.embedding)
     cdim = _class_dim(b1, cls, rel)
-    d = cdim + max(dims) if dims else None
     n = b1.ambient_dim
-    return DimReport(_stab_dim(cls, rel), cdim, dims, d, n * n)
+    return DimReport(_stab_dim(cls, rel), cdim, dims, _d(cdim, dims), n * n)
 
 
 def lagrange_min(r: list[float]) -> tuple[float, tuple[float, ...]]:
@@ -342,7 +343,7 @@ def audit_density_hypotheses(
     d_by_key = {}
     for entry in abelian:
         dims = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
-        d = entry.class_dim + max(dims) if dims else None
+        d = _d(entry.class_dim, dims)
         if d is None:
             verdict = "no-embedding"
         elif d < n_sq:
@@ -357,10 +358,9 @@ def audit_density_hypotheses(
     if b1.structure.algebra_dim() + b2.structure.algebra_dim() <= n_sq:
         # every C^2 class is abelian and nontrivial, so its d is already in a row
         for entry in simple:
-            dims = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
-            if not dims:
+            d_b = _d(entry.class_dim, _orbit_dims(entry.cls.structure, entry.ambient_mult, b2))
+            if d_b is None:
                 continue
-            d_b = entry.class_dim + max(dims)
             for split, key in entry.splits:
                 d_c = d_by_key[key]
                 ok = d_c is not None and d_b <= d_c

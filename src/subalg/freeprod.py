@@ -111,9 +111,6 @@ class RepPair:
     def dim(self) -> int:
         return _rep_dim(self.algebra1, self.mult1)
 
-    def with_unitary(self, u: np.ndarray) -> "RepPair":
-        return RepPair(self.algebra1, self.mult1, self.algebra2, self.mult2, u)
-
     def factor(self, side: int, a: np.ndarray) -> np.ndarray:
         """Image of a block-model element under the (unperturbed) factor representation."""
         alg, mult = (self.algebra1, self.mult1) if side == 1 else (self.algebra2, self.mult2)
@@ -194,12 +191,6 @@ def rcp_check(alg: BlockStructure, mult) -> RcpReport:
         raise ShapeMismatchError("multiplicity row length does not match block count")
     ranks = tuple(m * n for m, n in zip(mult, alg.blocks))
     return RcpReport((ranks,))
-
-
-def rcp_check_pair(rep: RepPair) -> RcpReport:
-    r1 = rcp_check(rep.algebra1, rep.mult1)
-    r2 = rcp_check(rep.algebra2, rep.mult2)
-    return RcpReport(r1.rank_lists + r2.rank_lists)
 
 
 def pad_multiplicities(mult, q) -> tuple[int, ...]:
@@ -316,7 +307,7 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
         gens = inv @ units @ u if swap else u @ units @ inv
-        return (c.dimension for c in commutant_basis(gens, tol=tol, within=within))
+        return (c.dimension for c in commutant_basis(gens, within, tol))
 
     g, d = len(units), within.dimension
     return decide, stack_size(DRAW_MATRICES + 2 + g + d + 2 * d * g, within.ambient_dim)
@@ -326,15 +317,6 @@ def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
     decide, _ = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
     return next(decide(rep.u[None]))
-
-
-def irreducibility_check(rep: RepPair, tol: float | None = None) -> bool:
-    """True when the perturbed pair has scalar joint commutant.
-
-    Equivalently the commutant of the first factor meets the conjugated
-    commutant of the second factor in the scalars only.
-    """
-    return joint_commutant_dim(rep, tol=tol) == 1
 
 
 def dpi_probe(

@@ -2,18 +2,16 @@
 
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  Commutants are solved as nullspaces of stacked
-commutator systems, inside a known subspace (such as the commutant of an
-amplified stack) when one is given.  Realizations of matrix-unit
-algebras are built once with a Hermitian basis and record where their units
-sit.  Subspace intersections are the nullspace of the residual of the
-smaller realization V against the larger W, with one solve and one tail:
-when W is an unconjugated matrix-unit realization, that residual is read by
-gathers in real coordinates of the complement of W, and otherwise it is the
-twice-projected dense residual (I - W W*) V.  Every rank decision is
-made by one routine, from one SVD, at a scale-aware tolerance with a
-built-in stability check: if shrinking or growing the tolerance tenfold
-changes the decision, a NumericalInstabilityError is raised instead of
-guessing.
+commutator systems inside a known subspace that holds them (such as the
+commutant of an amplified stack).  Realizations of matrix-unit algebras are
+built once with a Hermitian basis and record where their units sit.
+Subspace intersections are the nullspace of the residual of one such
+realization V against an unconjugated one W, with one solve and one tail:
+that residual is read by gathers in real coordinates of the complement of W.
+Every rank decision is made by one routine, from one SVD, at a scale-aware
+tolerance with a built-in stability check: if shrinking or growing the
+tolerance tenfold changes the decision, a NumericalInstabilityError is
+raised instead of guessing.
 
 Random unitaries and commutants inside a known subspace are also made in
 stacks (k, N, N): one stacked QR, eigendecomposition or SVD serves the k
@@ -48,8 +46,8 @@ CLOSURE_CHUNK = 512
 
 # Bytes a stack of draws and decisions may hold (stack_size): the draws,
 # their conjugated generators, their commutant systems and the systems' QR
-# copies.  An item larger
-# than this is decided alone, as the N = 48 dpi samples are.
+# copies.  An item larger than this is decided alone, as the N = 48 dpi
+# samples are.
 STACK_BYTES = 1 << 25
 
 # N x N complex matrices one draw holds at the peak of a stack of draws
@@ -61,12 +59,6 @@ DRAW_MATRICES = 8
 def default_tolerance(n: int, smax: float) -> float:
     """Scale-aware rank cutoff: N^2 * machine epsilon * largest singular value."""
     return n * n * EPS * max(smax, 1.0)
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -251,11 +243,6 @@ class ConcreteRealization:
     def dimension(self) -> int:
         return self.basis.shape[0]
 
-    def vectors(self) -> np.ndarray:
-        """Basis as columns of an N^2 x d matrix (row-major vectorization)."""
-        d, n = self.basis.shape[0], self.ambient_dim
-        return self.basis.reshape(d, n * n).T
-
     def project_residual(self, mats: np.ndarray) -> np.ndarray:
         """Frobenius distance of each given matrix from the span of the basis."""
         n = self.ambient_dim
@@ -282,10 +269,6 @@ class ConcreteRealization:
             res = self.project_residual(np.concatenate([adj, prods]))
             worst = max(worst, float(res.max()))
         return worst
-
-    def contains_identity(self, tol: float = 1e-10) -> bool:
-        eye = np.eye(self.ambient_dim, dtype=complex)[None]
-        return float(self.project_residual(eye)[0]) <= tol
 
 
 def model_matrix_units(structure: BlockStructure) -> np.ndarray:
@@ -452,18 +435,13 @@ def haar_unitaries(n: int, rngs) -> np.ndarray:
 
 def haar_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed random unitary via QR of a complex Ginibre matrix; seeded, deterministic."""
-    return haar_unitaries(n, [_as_rng(seed)])[0]
+    return haar_unitaries(n, [np.random.default_rng(seed)])[0]
 
 
 def _skew_directions(z: np.ndarray) -> np.ndarray:
     """The skew-Hermitian parts of a stack of matrices, scaled to unit operator norm."""
     k = (z - np.swapaxes(z.conj(), -1, -2)) / 2.0
     return k / np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None]
-
-
-def random_skew_direction(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random skew-Hermitian matrix of unit operator norm."""
-    return _skew_directions(_ginibre(n, [rng]))[0]
 
 
 def exp_skew(k: np.ndarray) -> np.ndarray:
@@ -492,9 +470,9 @@ def stack_size(matrices: int, n: int) -> int:
     """How many items fit in STACK_BYTES, at least one.
 
     Each item holds ``matrices`` complex n x n matrices and its RNG stream
-    (under 1 KiB).
+    (about 1.2 KiB under tracemalloc, counted as 1.5 KiB).
     """
-    return max(1, STACK_BYTES // (16 * n * n * matrices + 1024))
+    return max(1, STACK_BYTES // (16 * n * n * matrices + 1536))
 
 
 def sample_dims(
@@ -519,53 +497,44 @@ def sample_dims(
     for start in range(0, samples, stack):
         rngs = [sample_stream(seed, i) for i in range(start, min(start + stack, samples))]
         ws = haar_unitaries(n, rngs) if radius is None else local_unitaries(eye, radius, rngs)
+        del rngs  # spent: freed before the next stack draws its own streams
         dims.extend(step(ws))
     return tuple(dims)
 
 
-def commutant_basis(gens, tol: float | None = None, within: ConcreteRealization | None = None):
-    """Orthonormal basis of the joint commutant {X : X A_g = A_g X for all g}.
+def commutant_basis(gens, within: ConcreteRealization, tol: float | None = None):
+    """Orthonormal bases of the joint commutants of generator sets, solved inside ``within``.
 
-    With ``within`` (an orthonormal realization known to hold the answer,
-    such as ``amplified_commutant``) the unknowns are the coefficients c of
-    X = sum_k c_k E_k over its basis E_k: the system has one column
-    vec(E_k A - A E_k) per basis element, stacked over the generators, and
-    with no generators the answer is ``within`` itself.  Without it, the
-    condition reads (A kron I - I kron A^T) vec(X) = 0 over all of M_N,
-    an N^2-column system.  Either system is QR-reduced to its square triangle
-    when tall, and the nullspace is read off one SVD at a stable rank cutoff.
+    ``within`` is an orthonormal realization known to hold every commutant
+    {X : X A = A X for all A in a set}, such as ``amplified_commutant``.  The
+    unknowns are the coefficients c of X = sum_k c_k E_k over its basis E_k:
+    the system has one column vec(E_k A - A E_k) per basis element, stacked
+    over the generators, and with no generators the answer is ``within``
+    itself.  The system is QR-reduced to its square triangle when tall, and
+    the nullspace is read off one SVD at a stable rank cutoff.
 
-    With ``within``, ``gens`` is a stack (k, g, N, N) of k generator sets (a
-    single set is a stack of one): one system build, QR and SVD serve the
-    whole stack, and the result is an iterator over the k commutants in index
-    order, each rank decision made only when its item is reached
-    (``_null_rows``).
+    ``gens`` is a stack (k, g, N, N) of k generator sets (a single set is a
+    stack of one): one system build, QR and SVD serve the whole stack, and
+    the result is an iterator over the k commutants in index order, each rank
+    decision made only when its item is reached (``_null_rows``).
     """
-    if within is not None:
-        n, basis = within.ambient_dim, within.basis
-        k, g = np.shape(gens)[:2]
-        if not g:
-            return iter([within] * k)
-        d = len(basis)
-        # row j of an item's transposed system is E_j A - A E_j for its every A in turn
-        system = np.empty((k, d, g, n, n), dtype=complex)
-        for i in range(g):
-            a = gens[:, i, None]
-            np.matmul(basis, a, out=system[:, :, i])
-            system[:, :, i] -= a @ basis
-        system = system.reshape(k, d, -1).transpose(0, 2, 1)
-        flat = basis.reshape(d, n * n)
-        return (
-            ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-            for null in _null_rows(system, n, tol, "commutant system")
-        )
-    if not len(gens):
-        raise ValueError("need at least one generator")
-    n = gens[0].shape[0]
-    eye = np.eye(n)
-    rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    null = next(_null_rows(np.concatenate(rows)[None], n, tol, "commutant system"))
-    return ConcreteRealization(n, null.conj().reshape(-1, n, n))
+    n, basis = within.ambient_dim, within.basis
+    k, g = np.shape(gens)[:2]
+    if not g:
+        return iter([within] * k)
+    d = len(basis)
+    # row j of an item's transposed system is E_j A - A E_j for its every A in turn
+    system = np.empty((k, d, g, n, n), dtype=complex)
+    for i in range(g):
+        a = gens[:, i, None]
+        np.matmul(basis, a, out=system[:, :, i])
+        system[:, :, i] -= a @ basis
+    system = system.reshape(k, d, -1).transpose(0, 2, 1)
+    flat = basis.reshape(d, n * n)
+    return (
+        ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
+        for null in _null_rows(system, n, tol, "commutant system")
+    )
 
 
 def intersect(
@@ -573,28 +542,22 @@ def intersect(
 ) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
-    Solved over the smaller realization, called ``a`` (the two are swapped
-    when ``a`` is larger, or when they tie and only ``b`` is conjugated).
-    With A and B the bases as rows, a combination x A lies in span B exactly
-    when the residual of x A against span B vanishes, and the singular values
-    of the residual map are the sines of the principal angles between the
-    spans; the dimension is the nullity of that d_a-column system, from one
-    SVD.
+    Preconditions: one side, called ``b``, is an unconjugated realization
+    with a layout (``realize``, ``realize_class``), and the other, ``a``,
+    carries a layout too (possibly ``conjugate``d), so its basis is
+    Hermitian.  When both sides are unconjugated, ``b`` is the larger (the
+    second argument on a tie).  Any other pair raises ValueError.
 
-    The rows of A are its basis as it stands; a realization with a layout
-    carries a Hermitian basis, built once by ``realize``.  Only the residual
-    operator depends on the sides.  When both record a matrix-unit layout
-    and ``b`` is unconjugated, the residual is read by gathers in real
-    isometric coordinates of the complement of span B
-    (``UnitLayout.complement_coordinates``): both spans are *-closed, so
-    this real N^2 - d_b by d_a system has the singular values of the complex
-    residual, and with d_b = N^2 the complement is empty and the whole of
-    span A is the answer.  Otherwise (no layout on a side, or ``b``
-    conjugated) the residual is x (A - (A B*) B), with the projection
-    applied twice so its rounding stays at the level of one orthogonal
-    projection.  Either way the null rows are orthonormal, so their
-    combinations of the orthonormal rows of A are an orthonormal basis of
-    the intersection with no QR.
+    With A and B the bases as rows, a combination x A lies in span B exactly
+    when the residual of x A against span B vanishes.  That residual is read
+    by gathers in real isometric coordinates of the complement of span B
+    (``UnitLayout.complement_coordinates``): both spans are *-closed, so this
+    real N^2 - d_b by d_a system has the singular values of the complex
+    residual, the sines of the principal angles between the spans, and the
+    dimension is its nullity, from one SVD.  With d_b = N^2 the complement is
+    empty and the whole of span A is the answer.  The null rows are
+    orthonormal, so their combinations of the orthonormal rows of A are an
+    orthonormal basis of the intersection with no QR.
 
     The identity lies in both spans, so a nullity below 1 is a rank error;
     the output is re-verified to be closed under products and adjoints to
@@ -603,21 +566,19 @@ def intersect(
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
-    if a.dimension > b.dimension or (
-        a.dimension == b.dimension and b.conjugated and not a.conjugated
+    if a.layout is not None and not a.conjugated and (
+        b.layout is None or b.conjugated or a.dimension > b.dimension
     ):
         a, b = b, a
+    if a.layout is None or b.layout is None or b.conjugated:
+        raise ValueError(
+            "intersect needs an unconjugated realization with a layout and a second with a layout"
+        )
     n = a.ambient_dim
     rows = a.basis.reshape(a.dimension, n * n)
-    if a.layout is not None and b.layout is not None and not b.conjugated:
-        system = b.layout.complement_coordinates(rows)
-    else:
-        rows_b = b.basis.reshape(b.dimension, n * n)
-        bh = rows_b.conj().T
-        system = rows - (rows @ bh) @ rows_b
-        system -= (system @ bh) @ rows_b
+    system = b.layout.complement_coordinates(rows)
     if system.shape[1]:
-        null = next(_null_rows(system.T[None], n, tol, "projected system")).conj()
+        null = next(_null_rows(system.T[None], n, tol, "projected system"))
     else:
         null = np.eye(a.dimension)
     if len(null) < 1:
@@ -656,10 +617,6 @@ class DensityStats:
     @property
     def dims_histogram(self) -> dict[int, int]:
         return {d: self.dims.count(d) for d in sorted(set(self.dims))}
-
-    @property
-    def min_dim(self) -> int:
-        return min(self.dims)
 
     def to_json_dict(self) -> dict:
         from .serialize import matrix_to_json

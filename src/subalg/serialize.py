@@ -63,21 +63,6 @@ def matrix_from_json(obj, pointer: str = "") -> np.ndarray:
     return np.array([complex(re, im) for re, im in data], dtype=complex).reshape(shape)
 
 
-def free_element_to_json(x: FreeElement) -> dict:
-    return {
-        "terms": [
-            {
-                "coeff": [float(c.real), float(c.imag)],
-                "word": [
-                    {"side": letter.side, "value": matrix_to_json(letter.value)}
-                    for letter in word
-                ],
-            }
-            for c, word in x.terms
-        ]
-    }
-
-
 def _expect(obj, kind: type, pointer: str):
     """obj itself when it is a dict (kind=dict) or list (kind=list), else a ConfigError."""
     if not isinstance(obj, kind):

@@ -33,6 +33,7 @@ from subalg.algebra import (
 )
 from subalg.dimensions import orbit_dims
 from subalg.errors import DomainError, ShapeMismatchError
+from oracles import all_unital_embeddings
 
 M2 = BlockStructure((2,))
 M3 = BlockStructure((3,))
@@ -125,9 +126,9 @@ class TestCompose:
         for s1, s2, s3, s4 in itertools.product(structures, repeat=4):
             if not (s1.model_dim() <= s2.model_dim() <= s3.model_dim() <= s4.model_dim() <= 6):
                 continue
-            for c in enumerate_unital_embeddings(s1, s2):
-                for b in enumerate_unital_embeddings(s2, s3):
-                    for a in enumerate_unital_embeddings(s3, s4):
+            for c in all_unital_embeddings(s1, s2):
+                for b in all_unital_embeddings(s2, s3):
+                    for a in all_unital_embeddings(s3, s4):
                         lhs = compose_multiplicities(a, compose_multiplicities(b, c))
                         rhs = compose_multiplicities(compose_multiplicities(a, b), c)
                         assert lhs.entries == rhs.entries
@@ -204,13 +205,16 @@ class TestEnumerateEmbeddings:
         assert [e.entries for e in embs] == [((1, 1),)]
 
     def test_c2_into_m2m2_matches_bruteforce(self):
-        embs = enumerate_unital_embeddings(C2, M2M2)
-        got = {e.entries for e in embs}
-        assert got == brute_force_embeddings(C2, M2M2)
-        assert ((1, 1), (1, 1)) in got
-        assert ((2, 0), (0, 2)) in got
-        assert ((0, 2), (2, 0)) in got
-        assert ((2, 0), (1, 1)) in got
+        full = {e.entries for e in all_unital_embeddings(C2, M2M2)}
+        assert full == brute_force_embeddings(C2, M2M2)
+        assert ((1, 1), (1, 1)) in full
+        assert ((2, 0), (0, 2)) in full
+        assert ((0, 2), (2, 0)) in full
+        assert ((2, 0), (1, 1)) in full
+        # the two equal blocks of C2 are relabeled: one member per orbit is kept
+        got = {e.entries for e in enumerate_unital_embeddings(C2, M2M2)}
+        assert got == {e for e in full if adjacent_equal_columns_sorted(C2, e)}
+        assert ((0, 2), (2, 0)) in got and ((2, 0), (0, 2)) not in got
 
     def test_empty_when_impossible(self):
         assert enumerate_unital_embeddings(C2, C1) == []
@@ -224,8 +228,10 @@ class TestEnumerateEmbeddings:
         ],
     )
     def test_agrees_with_bruteforce(self, source, target):
+        full = brute_force_embeddings(source, target)
+        assert {e.entries for e in all_unital_embeddings(source, target)} == full
         got = {e.entries for e in enumerate_unital_embeddings(source, target)}
-        assert got == brute_force_embeddings(source, target)
+        assert got == {e for e in full if adjacent_equal_columns_sorted(source, e)}
 
     def test_deterministic_lexicographic_order(self):
         embs = enumerate_unital_embeddings(C2, M2M2)
@@ -239,8 +245,8 @@ class TestEnumerateEmbeddings:
     )
     def test_canonical_is_the_canonical_subsequence(self, source, target):
         source, target = BlockStructure(tuple(source)), BlockStructure(tuple(target))
-        full = enumerate_unital_embeddings(source, target)
-        canon = enumerate_unital_embeddings(source, target, canonical=True)
+        full = all_unital_embeddings(source, target)
+        canon = enumerate_unital_embeddings(source, target)
         assert [e.entries for e in canon] == [
             e.entries for e in full if adjacent_equal_columns_sorted(source, e.entries)
         ]
@@ -277,7 +283,7 @@ def independent_class_count(parent):
         if not blocks:
             continue
         structure = BlockStructure(blocks)
-        for emb in enumerate_unital_embeddings(structure, parent.structure):
+        for emb in all_unital_embeddings(structure, parent.structure):
             best = None
             for perm in itertools.permutations(range(len(blocks))):
                 if tuple(blocks[p] for p in perm) != blocks:
@@ -302,7 +308,7 @@ def deduplicated_classes(parent):
     seen = {}
     for blocks in structures(parent.structure.model_dim(), max(parent.structure.blocks)):
         structure = BlockStructure(blocks)
-        for emb in enumerate_unital_embeddings(structure, parent.structure):
+        for emb in all_unital_embeddings(structure, parent.structure):
             key = canonical_embedding_key(structure, emb.entries)
             if key not in seen:
                 canon = MultiplicityMatrix(BlockStructure(key[0]), parent.structure, key[1])
@@ -386,7 +392,7 @@ class TestClassOrder:
                     assert le == full_class_leq(classes[i], classes[j])
                 for cls, k1, k2 in itertools.product(classes, range(1, n + 1), range(1, n + 1)):
                     g = BlockStructure((math.gcd(k1, k2),))
-                    expected = bool(enumerate_unital_embeddings(cls.structure, g))
+                    expected = bool(all_unital_embeddings(cls.structure, g))
                     assert gcd_embedding_bound(cls.structure, k1, k2) == expected
                 for i in range(len(classes)):
                     assert rel[(i, i)]
@@ -403,7 +409,7 @@ def full_class_leq(a, b):
     return any(
         canonical_embedding_key(a.structure, compose_multiplicities(b.embedding, e).entries)
         == a.key()
-        for e in enumerate_unital_embeddings(a.structure, b.structure)
+        for e in all_unital_embeddings(a.structure, b.structure)
     )
 
 
@@ -467,7 +473,7 @@ class TestCompatibleEmbeddingCache:
         """Filter the full enumeration by the induced ambient multiplicities."""
         return [
             e.entries
-            for e in enumerate_unital_embeddings(cls.structure, other.structure)
+            for e in all_unital_embeddings(cls.structure, other.structure)
             if e.apply_to_row(other.mult) == cls.ambient_mult()
         ]
 

@@ -19,13 +19,13 @@ import subalg
 from subalg.cli import COMMANDS, MAX_COUNT, ExperimentConfig, build_parser, main, validate
 from subalg.serialize import (
     free_element_from_json,
-    free_element_to_json,
     matrix_from_json,
     matrix_to_json,
 )
 from subalg.freeprod import FreeElement, Letter
 from subalg.errors import ConfigError
 from subalg.numeric import default_tolerance, haar_unitary
+from oracles import free_element_to_json
 
 
 def write_config(path, payload):
@@ -945,8 +945,15 @@ class TestParser:
             ["dpi", "density", "--config", "c.json"],
         ],
     )
-    def test_argparse_errors_exit_2(self, argv, capsys):
+    def test_argparse_errors_exit_1(self, argv, capsys):
+        # a usage error is a malformed input (1), never a decided "not covered" (2)
         with pytest.raises(SystemExit) as info:
             main(argv)
-        assert info.value.code == 2
+        assert info.value.code == 1
         assert "usage: subalg" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "usage: subalg" in capsys.readouterr().out

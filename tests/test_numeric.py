@@ -34,11 +34,19 @@ from subalg.numeric import (
     local_unitaries,
     local_unitary,
     model_matrix_units,
-    random_skew_direction,
     realize,
     realize_class,
     sample_dims,
     sample_stream,
+)
+from oracles import (
+    ambient_embedding,
+    contains_identity,
+    dense_intersect,
+    dense_residual,
+    kronecker_commutant,
+    random_skew_direction,
+    vectors,
 )
 
 M2_MULT2 = EmbeddedAlgebra(4, BlockStructure((2,)), (2,))
@@ -53,6 +61,11 @@ def rotation(theta):
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def whole(n):
+    """All of M_n, the known commutant of the scalars: a ``within`` holding every commutant."""
+    return amplified_commutant((1,), [(n,)])
+
+
 class TestRealize:
     def test_diagonal_projections(self):
         r = realize(EmbeddedAlgebra(2, BlockStructure((1, 1)), (1, 1)))
@@ -62,7 +75,8 @@ class TestRealize:
     def test_m2_mult2(self):
         r = realize(M2_MULT2)
         assert r.dimension == 4
-        assert commutant_basis(list(r.basis)).dimension == 4
+        assert kronecker_commutant(list(r.basis)).dimension == 4
+        assert next(commutant_basis(r.basis[None], within=whole(4))).dimension == 4
 
     def test_scalars_in_m3(self):
         r = realize(EmbeddedAlgebra(3, BlockStructure((1,)), (3,)))
@@ -72,11 +86,11 @@ class TestRealize:
     def test_basis_orthonormal_and_closed(self):
         for alg in enumerate_embedded_algebras(4):
             r = realize(alg)
-            vecs = r.vectors()
+            vecs = vectors(r)
             gram = vecs.conj().T @ vecs
             assert np.allclose(gram, np.eye(r.dimension), atol=1e-12)
             assert r.closure_defect() < 1e-12
-            assert r.contains_identity()
+            assert contains_identity(r)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_hermitian_basis_spans_the_units(self, n):
@@ -85,7 +99,7 @@ class TestRealize:
         def check(r, units):
             flat = units.reshape(len(units), n * n)
             flat = flat / np.linalg.norm(flat, axis=1)[:, None]
-            vecs = r.vectors()
+            vecs = vectors(r)
             assert vecs.shape == flat.T.shape
             assert np.abs(vecs.conj().T @ vecs - np.eye(r.dimension)).max() < 1e-12
             assert np.abs(r.basis - np.swapaxes(r.basis.conj(), 1, 2)).max() < 1e-12
@@ -194,13 +208,13 @@ class TestAmplifiedCommutant:
         for blocks, rows in layouts:
             units = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
             known = amplified_commutant(blocks, rows)
-            vecs = known.vectors()
+            vecs = vectors(known)
             # orthonormal, with dimension sum_j (sum_r m_rj)^2
             assert np.abs(vecs.conj().T @ vecs - np.eye(known.dimension)).max() < 1e-15
             totals = [sum(row[j] for row in rows) for j in range(len(blocks))]
             assert known.dimension == sum(m * m for m in totals)
             # same span as the Kronecker commutant of the amplified matrix units
-            ref = commutant_basis(list(units)).vectors()
+            ref = vectors(kronecker_commutant(list(units)))
             assert ref.shape == vecs.shape, (blocks, rows)
             assert np.linalg.norm(ref - vecs @ (vecs.conj().T @ ref)) < 1e-12, (blocks, rows)
 
@@ -212,7 +226,7 @@ class TestConjugate:
         c = conjugate(r, u)
         ref = np.einsum("ij,ajk,kl->ail", u, r.basis, u.conj().T)
         assert np.abs(c.basis - ref).max() < 1e-13
-        vecs = c.vectors()
+        vecs = vectors(c)
         assert np.abs(vecs.conj().T @ vecs - np.eye(c.dimension)).max() < 1e-13
 
     def test_closure_defect_matches_einsum_form(self):
@@ -295,11 +309,14 @@ class TestHaarUnitary:
 
 class TestCommutant:
     def test_full_matrix_units_give_scalars(self):
-        gens = list(realize(EmbeddedAlgebra(3, BlockStructure((3,)), (1,))).basis)
-        assert commutant_basis(gens).dimension == 1
+        gens = realize(EmbeddedAlgebra(3, BlockStructure((3,)), (1,))).basis
+        assert kronecker_commutant(list(gens)).dimension == 1
+        assert next(commutant_basis(gens[None], within=whole(3))).dimension == 1
 
     def test_identity_gives_everything(self):
-        assert commutant_basis([np.eye(3, dtype=complex)]).dimension == 9
+        eye = np.eye(3, dtype=complex)
+        assert kronecker_commutant([eye]).dimension == 9
+        assert next(commutant_basis(eye[None, None], within=whole(3))).dimension == 9
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rounded_identity_gives_everything(self, n):
@@ -307,8 +324,9 @@ class TestCommutant:
         # noise (s_max near eps); the rank floor keeps the scale of unit inputs
         rng = sample_stream(3, n)
         for u in (haar_unitary(n, rng), local_unitary(np.eye(n), 1e-3, rng)):
-            gens = [np.eye(n, dtype=complex), u @ np.eye(n) @ u.conj().T]
-            assert commutant_basis(gens).dimension == n * n
+            gens = np.stack([np.eye(n, dtype=complex), u @ np.eye(n) @ u.conj().T])
+            assert kronecker_commutant(list(gens)).dimension == n * n
+            assert next(commutant_basis(gens[None], within=whole(n))).dimension == n * n
 
     def test_matches_multiplicity_formula(self):
         # numeric commutant dimension == sum of squared entries, for every
@@ -317,9 +335,10 @@ class TestCommutant:
             for parent in enumerate_embedded_algebras(n):
                 for cls in enumerate_subalgebra_classes(parent):
                     sub = realize_class(parent, cls.embedding)
-                    ambient = cls.ambient_embedding()
-                    expected = relative_commutant(ambient).algebra_dim()
-                    assert commutant_basis(list(sub.basis)).dimension == expected
+                    expected = relative_commutant(ambient_embedding(cls)).algebra_dim()
+                    assert kronecker_commutant(list(sub.basis)).dimension == expected
+                    got = next(commutant_basis(sub.basis[None], within=whole(n)))
+                    assert got.dimension == expected
 
     def test_within_without_generators_is_within(self):
         known = amplified_commutant((1, 1), [(2, 1)])
@@ -333,18 +352,20 @@ class TestCommutant:
         u = haar_unitary(4, rng) if seed % 2 else local_unitary(np.eye(4), 1e-2, rng)
         gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
         gens2 = u @ amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)]) @ u.conj().T
-        ref = commutant_basis([*gens1, *gens2])
+        ref = vectors(kronecker_commutant([*gens1, *gens2]))
         got = next(commutant_basis(gens2[None], within=amplified_commutant((1, 1), [(2, 2)])))
-        assert got.dimension == ref.dimension
-        vecs = got.vectors()
+        assert got.dimension == ref.shape[1]
+        vecs = vectors(got)
         assert np.abs(vecs.conj().T @ vecs - np.eye(got.dimension)).max() < 1e-12
-        assert np.linalg.norm(ref.vectors() - vecs @ (vecs.conj().T @ ref.vectors())) < 1e-10
+        assert np.linalg.norm(ref - vecs @ (vecs.conj().T @ ref)) < 1e-10
 
     def test_commutant_is_an_algebra(self):
         r = realize(M2_MULT2)
-        comm = commutant_basis(list(r.basis))
-        assert comm.closure_defect() < 1e-10
-        assert comm.contains_identity()
+        solved = next(commutant_basis(r.basis[None], whole(4)))
+        for comm in (kronecker_commutant(list(r.basis)), solved):
+            assert comm.dimension == 4
+            assert comm.closure_defect() < 1e-10
+            assert contains_identity(comm)
 
 
 class TestSvdRight:
@@ -418,7 +439,7 @@ class TestStacks:
         gens = us[:, None] @ units @ np.swapaxes(us.conj(), -1, -2)[:, None]
         stacked = list(commutant_basis(gens, within=within))
         gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
-        kronecker = [commutant_basis([*gens1, *g]).dimension for g in gens]
+        kronecker = [kronecker_commutant([*gens1, *g]).dimension for g in gens]
         assert [c.dimension for c in stacked] == kronecker == [4, 1, 1]
         for g, c in zip(gens, stacked):
             assert np.array_equal(c.basis, next(commutant_basis(g[None], within=within)).basis)
@@ -467,16 +488,16 @@ class TestIntersect:
         for seed in range(8):
             out = intersect(r1, conjugate(r1, haar_unitary(4, seed)))
             assert out.dimension >= 1
-            assert out.contains_identity()
+            assert contains_identity(out)
 
     def test_wide_paired_system(self):
         # the former paired system [M4, M2+M2] was wide (16 rows, 16 + 8
-        # columns); the projected system of the smaller M2+M2 is 16 x 8 and
-        # QR-reduced to 8 x 8
+        # columns); the gathered complement of the larger M4 is empty, and the
+        # dense oracle's residual of M2+M2 is 16 x 8, QR-reduced to 8 x 8
         m4 = realize(M4)
-        out = intersect(m4, realize(M2M2))
-        assert out.dimension == 8
-        assert out.contains_identity()
+        for out in (intersect(m4, realize(M2M2)), dense_intersect(m4, realize(M2M2))):
+            assert out.dimension == 8
+            assert contains_identity(out)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -493,21 +514,29 @@ class TestIntersect:
         rng = np.random.default_rng(seed)
         u = haar_unitary(n, rng) if radius is None else local_unitary(np.eye(n), radius, rng)
         r1, r2 = realize(b1), conjugate(realize(b2), u)
-        s = np.linalg.svd(np.concatenate([r1.vectors(), r2.vectors()], axis=1), compute_uv=False)
+        s = np.linalg.svd(np.concatenate([vectors(r1), vectors(r2)], axis=1), compute_uv=False)
         rank = int(np.count_nonzero(s > n * n * EPS * s[0]))
         assert intersect(r1, r2).dimension == r1.dimension + r2.dimension - rank
 
     def test_second_projection_keeps_local_decisions_stable(self):
-        # one projection leaves rounding noise up to 35 eps in the residual of
-        # M4 against a nearby conjugate, above the noise floor of 32 eps and so
-        # inside the stability band; the second projection takes it far below
+        # density gathers against the full unconjugated M4, an empty complement.
+        # In the dense oracle one projection leaves rounding noise up to 35 eps
+        # in the residual of M4 against a nearby conjugate, above the noise
+        # floor of 32 eps and so inside the stability band; the second
+        # projection takes it far below
         stats = density_experiment(M4, M4, 8, seed=11, local=(None, 1e-3))
         assert stats.dims == (16,) * 8
+        r = realize(M4)
+        oracle = sample_dims(
+            4, 8, 11, 1e-3, lambda ws: [dense_intersect(r, conjugate(r, w)).dimension for w in ws],
+            stack=1,
+        )
+        assert oracle == stats.dims
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("case", ["M3+M1 over M2+M2", "M2+M2 over C4"])
     def test_output_lies_in_both_spans(self, case, swap):
-        # the solve runs over the smaller realization in either argument
+        # the solve runs over the conjugated realization in either argument
         # position; in the first case the intersection is a proper subspace of
         # both spans
         rng = sample_stream(23)
@@ -525,7 +554,7 @@ class TestIntersect:
         assert out.dimension == dim
         assert a.project_residual(out.basis).max() < 1e-10
         assert b.project_residual(out.basis).max() < 1e-10
-        vecs = out.vectors()
+        vecs = vectors(out)
         assert np.abs(vecs.conj().T @ vecs - np.eye(dim)).max() < 1e-12
 
     def test_large_nontrivial_intersection(self):
@@ -534,14 +563,14 @@ class TestIntersect:
         m16m16 = realize(EmbeddedAlgebra(32, BlockStructure((16, 16)), (1, 1)))
         out = intersect(m16m16, conjugate(m16m16, haar_unitary(32, 5)))
         assert out.dimension == 16
-        assert out.contains_identity()
+        assert contains_identity(out)
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_matches_paired_system_oracle(self, n):
         # the former primitive: dim(V meet W) is the nullity of [V, -W],
         # decided by the same rank routine
         def paired_nullity(r1, r2):
-            system = np.concatenate([r1.vectors(), -r2.vectors()], axis=1)
+            system = np.concatenate([vectors(r1), -vectors(r2)], axis=1)
             return len(next(_null_rows(system[None], n, None, "paired system")))
 
         algebras = enumerate_embedded_algebras(n)
@@ -558,22 +587,27 @@ class TestIntersect:
         with pytest.raises(NumericalInstabilityError):
             intersect(r, conjugate(r, haar_unitary(4, 1)), tol=0.5)
 
+    def test_pairs_without_a_gathered_side_raise(self):
+        # intersect gathers against an unconjugated side with a layout and
+        # solves over a side with a layout; any other pair is refused
+        r = realize(M2M2)
+        c = conjugate(r, haar_unitary(4, 1))
+        comm = next(commutant_basis(r.basis[None], whole(4)))  # no layout
+        for a, b in ((c, c), (r, comm), (comm, r), (comm, comm), (c, comm)):
+            with pytest.raises(ValueError, match="layout"):
+                intersect(a, b)
 
-def without_layout(r):
-    """The same basis with no recorded layout, so intersect takes the dense path."""
-    return ConcreteRealization(r.ambient_dim, r.basis)
 
-
-def attempt(a, b):
-    """intersect(a, b), or None when it raises NumericalInstabilityError."""
+def attempt(a, b, how=intersect):
+    """how(a, b), or None when it raises NumericalInstabilityError."""
     try:
-        return intersect(a, b)
+        return how(a, b)
     except NumericalInstabilityError:
         return None
 
 
-def decide(a, b):
-    out = attempt(a, b)
+def decide(a, b, how=intersect):
+    out = attempt(a, b, how)
     return "unstable" if out is None else out.dimension
 
 
@@ -602,9 +636,9 @@ class TestGatherPath:
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_dense_path_on_every_ordered_pair(self, n):
-        # oracle: the same bases without a layout go through the projected
-        # dense residual; the gather path runs whenever dim B2 <= dim B1.
-        # Neither path orthonormalizes its output by QR.
+        # oracle: the projected dense residual over the smaller side; intersect
+        # gathers against the unconjugated B1 and solves over the conjugate,
+        # larger or not.  Neither orthonormalizes its output by QR.
         algebras = enumerate_embedded_algebras(n)
         unitaries = [
             haar_unitary(n, 1),
@@ -618,19 +652,18 @@ class TestGatherPath:
                 for u in unitaries:
                     c = conjugate(r2, u)
                     fast = attempt(r1, c)
-                    dense = attempt(without_layout(r1), without_layout(c))
+                    dense = attempt(r1, c, dense_intersect)
                     assert (fast is None) == (dense is None), (b1, b2)
                     if fast is None:
                         continue
                     assert fast.dimension == dense.dimension, (b1, b2)
                     for out in (fast, dense):
-                        vecs = out.vectors()
+                        vecs = vectors(out)
                         gram = vecs.conj().T @ vecs
                         assert np.abs(gram - np.eye(out.dimension)).max() < 1e-12, (b1, b2)
-                        assert out.contains_identity()
-                    if r2.dimension <= r1.dimension:
-                        basis = fast.basis
-                        assert np.abs(basis - np.swapaxes(basis.conj(), 1, 2)).max() < 1e-12
+                        assert contains_identity(out)
+                    basis = fast.basis
+                    assert np.abs(basis - np.swapaxes(basis.conj(), 1, 2)).max() < 1e-12
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_realize_class_layouts_match_dense_path(self, n):
@@ -642,7 +675,7 @@ class TestGatherPath:
             for cls in enumerate_subalgebra_classes(parent):
                 sub = realize_class(parent, cls.embedding)
                 for a, b in ((sub, conjugate(sub, u)), (whole, conjugate(sub, u))):
-                    assert decide(a, b) == decide(without_layout(a), without_layout(b))
+                    assert decide(a, b) == decide(a, b, dense_intersect)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_gathered_system_has_the_sines_of_the_principal_angles(self, n, null_systems):
@@ -664,8 +697,7 @@ class TestGatherPath:
                     # a full side (B1 = M_N) leaves an empty complement and no system
                     gathered = [s for s in null_systems if s.dtype == np.float64]
                     assert len(gathered) == len(null_systems) == (r1.dimension < n * n)
-                    decide(without_layout(r1), without_layout(c))
-                    dense = np.linalg.svd(null_systems[-1], compute_uv=False)
+                    dense = np.linalg.svd(dense_residual(c, r1), compute_uv=False)
                     padded = np.zeros_like(dense)
                     if gathered:
                         sines = np.linalg.svd(gathered[0], compute_uv=False)
@@ -700,9 +732,9 @@ class TestGatherPath:
         # residual against the unconjugated B2, real systems of 16 - 8 rows
         stats = density_experiment(M2_MULT2, M2M2, 6, seed=5)
         assert [(s.shape, s.dtype) for s in null_systems] == [((8, 4), np.float64)] * 6
-        r1, r2 = without_layout(realize(M2_MULT2)), without_layout(realize(M2M2))
+        r1, r2 = realize(M2_MULT2), realize(M2M2)
         oracle = sample_dims(
-            4, 6, 5, None, lambda ws: [intersect(r1, conjugate(r2, w)).dimension for w in ws],
+            4, 6, 5, None, lambda ws: [dense_intersect(r1, conjugate(r2, w)).dimension for w in ws],
             stack=1,
         )
         assert stats.dims == oracle == (1,) * 6
@@ -716,9 +748,10 @@ class TestGatherPath:
         center, diagnostics = _parse_unitary(matrix_to_json(haar_unitary(4, 3)), "/center", 4)
         assert diagnostics == []
         stats = density_experiment(M2M2, M2M2, 6, seed=5, local=(center, 1e-3))
-        r = without_layout(realize(M2M2))
+        r = realize(M2M2)
         oracle = sample_dims(
-            4, 6, 5, 1e-3, lambda ws: [intersect(r, conjugate(r, center @ w)).dimension for w in ws],
+            4, 6, 5, 1e-3,
+            lambda ws: [dense_intersect(r, conjugate(r, center @ w)).dimension for w in ws],
             stack=1,
         )
         assert stats.dims == oracle
@@ -746,7 +779,7 @@ class TestDensityExperiment:
     def test_never_trivial_for_two_projections(self):
         stats = density_experiment(M2M2, M2M2, 25, seed=7)
         assert stats.trivial_count == 0
-        assert stats.min_dim == 2
+        assert min(stats.dims) == 2
 
     def test_local_mode_near_identity(self):
         stats = density_experiment(
@@ -773,11 +806,13 @@ class TestDensityExperiment:
         assert stats.csv_rows() == [(i, d) for i, d in enumerate(stats.dims)]
 
 
-@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("n", [2, 4, 16])
 @pytest.mark.parametrize("radius", [None, 1e-3])
 def test_draw_stacks_stay_within_the_byte_budget(n, radius, monkeypatch):
     # three stacks and a bit of draws under a 4 MiB budget peak below the
-    # budget; one stack of all of them would peak at about 4 to 5 times it
+    # budget; one stack of all of them would peak at about 4 to 5 times it.
+    # At N = 2 the RNG streams outweigh the matrices: the allowance counts
+    # each one, and a stack's streams are freed before the next stack draws
     monkeypatch.setattr(subalg.numeric, "STACK_BYTES", 1 << 22)
     stack = subalg.numeric.stack_size(subalg.numeric.DRAW_MATRICES, n)
     samples = 3 * stack + 5

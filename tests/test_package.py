@@ -1,5 +1,7 @@
 """Tests for the package's public surface and its runtime dependencies."""
 
+import ast
+import importlib
 import json
 import os
 import pathlib
@@ -10,6 +12,24 @@ import types
 import subalg
 
 SRC = str(pathlib.Path(subalg.__file__).resolve().parents[1])
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+# The package's public names, pinned: a name the commands do not reach does
+# not come back into ``__all__`` without this list changing too.
+PUBLIC = [
+    "BlockStructure", "ConcreteRealization", "ConfigError", "DensityStats", "DimReport",
+    "DomainError", "EmbeddedAlgebra", "FreeElement", "HypothesisAudit", "Letter",
+    "MultiplicityMatrix", "NumericalInstabilityError", "RcpBalance", "RcpReport", "RepPair",
+    "SearchExhaustedError", "ShapeMismatchError", "Stage", "StagedBuild", "SubalgebraClass",
+    "audit_density_hypotheses", "box_max", "center_restriction", "class_dim", "class_leq",
+    "classify_pair", "commutant_basis", "compatible_embeddings", "compose_multiplicities",
+    "conjugate", "d_value", "density_experiment", "dim_report", "dpi_probe",
+    "enumerate_embedded_algebras", "enumerate_subalgebra_classes",
+    "enumerate_unital_embeddings", "evaluate", "gcd_embedding_bound", "haar_unitary",
+    "intersect", "joint_commutant_dim", "lagrange_min", "lipschitz_bound", "orbit_dims",
+    "pad_multiplicities", "rcp_balance", "rcp_check", "realize", "realize_class",
+    "relative_commutant", "stab_dim", "staged_build",
+]
 
 # Small configs that reach every former scipy call site, the exponential in
 # local_unitary: local density, local dpi and a build whose second stage is
@@ -73,6 +93,30 @@ def run_python(code, *args, cwd):
 def test_all_exports_no_modules():
     modules = [name for name in subalg.__all__ if isinstance(getattr(subalg, name), types.ModuleType)]
     assert modules == []
+
+
+def test_all_is_pinned_and_resolves():
+    assert subalg.__all__ == PUBLIC
+    assert all(hasattr(subalg, name) for name in PUBLIC)
+
+
+def traced_targets():
+    """The (module, attribute) pairs of perfbench's tracer, read from its source, not run."""
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TARGETS")
+
+
+def test_traced_targets_resolve():
+    # the traced benchmark run wraps each of these by name and fails without it
+    targets = traced_targets()
+    assert targets
+    for module, attr in targets:
+        owner = importlib.import_module(f"subalg.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), (module, attr)
 
 
 def test_import_loads_no_scipy(tmp_path):
