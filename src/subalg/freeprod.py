@@ -10,14 +10,18 @@ irreducible (DPI), and a staged builder that direct-sums representations while
 keeping every stage irreducible within a shrinking perturbation budget.
 
 Irreducibility is decided for a stack of unitaries at once: one call forms
-the inverses, the conjugated units and the commutant systems of the stack,
-with one stacked QR and SVD (``numeric.commutant_basis``), and yields the
-dimensions in index order.  DPI decides its draws a stack at a time; the
-staged search decides its attempts in stacks of 1, 2, 4, ... and stops at
-the first success in attempt order, never deciding the attempts after it.
+the inverses, the conjugated units and the gathered commutant systems of the
+stack, with one stacked QR and one values-only SVD
+(``numeric.commutant_basis``), and yields the dimensions in index order.
+DPI decides its draws a stack at a time; the staged search decides its
+attempts in stacks of 1, 2, 4, ... and stops at the first success in attempt
+order, never deciding the attempts after it.  A stage that enlarges an
+earlier pair decides the identity only once its attempts are exhausted: the
+identity keeps that pair as a direct summand, which is never irreducible.
 A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
 item when a single system is larger, and results are bit-identical to
-deciding one unitary at a time.
+deciding one unitary at a time.  The probe check of a stage amplifies the
+probe letters once per side and measures every move with one stacked norm.
 """
 
 from __future__ import annotations
@@ -123,29 +127,42 @@ def _rep_dim(alg: BlockStructure, mult) -> int:
 
 def evaluate(rep: RepPair, x: FreeElement) -> np.ndarray:
     """Evaluate a free-product element under the pair perturbed by rep.u."""
-    terms = _amplified_terms(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], x)
-    return _evaluate_terms(terms, rep.u, rep.dim)
+    return _evaluations(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], [x], [rep.u])[0, 0]
 
 
-def _amplified_terms(alg1, segs1, alg2, segs2, x: FreeElement):
-    """The terms of x as (coeff, [(side, letter amplified over its factor's segments)])."""
-    factors = {1: (alg1.blocks, segs1), 2: (alg2.blocks, segs2)}
-    return [
-        (coeff, [(side, amplify(value, *factors[side])) for side, value in word])
-        for coeff, word in x.terms
-    ]
+def _evaluations(alg1, segs1, alg2, segs2, elements, us) -> np.ndarray:
+    """The elements evaluated under the pair perturbed by each u of ``us``.
 
-
-def _evaluate_terms(terms, u, dim: int) -> np.ndarray:
-    """Sum of the amplified words of ``_amplified_terms``, second-factor letters conjugated by u."""
-    uh = u.conj().T
-    acc = np.zeros((dim, dim), dtype=complex)
-    for coeff, word in terms:
-        m = np.eye(dim, dtype=complex)
-        for side, a in word:
-            m = m @ a if side == 1 else m @ (u @ a @ uh)
-        acc += coeff * m
-    return acc
+    The letters of all elements are amplified over their factor's segments
+    with one ``amplify`` per side, and the second-factor letters are
+    conjugated by each u in one stacked product u a u*; each word is then
+    multiplied out from the left, from the identity.  Returns the stack
+    (len(us), len(elements), N, N).
+    """
+    letters = {1: [], 2: []}
+    for x in elements:
+        for _, word in x.terms:
+            for side, value in word:
+                letters[side].append(value)
+    amplified = {}
+    for side, alg, segs in ((1, alg1, segs1), (2, alg2, segs2)):
+        s = alg.model_dim()
+        for value in letters[side]:
+            if value.shape != (s, s):
+                raise ShapeMismatchError(f"expected {s}x{s} model elements, got {value.shape}")
+        amplified[side] = amplify(np.reshape(letters[side], (-1, s, s)), alg.blocks, segs)
+    dim = amplified[1].shape[-1]
+    out = np.zeros((len(us), len(elements), dim, dim), dtype=complex)
+    for values, u in zip(out, us):
+        # the letters in the order they were collected
+        images = {1: iter(amplified[1]), 2: iter(u @ amplified[2] @ u.conj().T)}
+        for acc, x in zip(values, elements):
+            for coeff, word in x.terms:
+                m = np.eye(dim, dtype=complex)
+                for side, _ in word:
+                    m = m @ next(images[side])
+                acc += coeff * m
+    return out
 
 
 def lipschitz_bound(x: FreeElement) -> float:
@@ -286,15 +303,16 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     stack depend only on the layout, so they are built once, here.
 
     Returns ``(decide, stack)``.  ``decide`` takes a stack of unitaries
-    (k, N, N) and forms the inverses, the conjugated units and the
-    commutant systems of all k at once, with one QR and one SVD
+    (k, N, N) and forms the inverses, the conjugated units and the gathered
+    commutant systems of all k at once, with one QR and one values-only SVD
     (``commutant_basis``); it yields the k dimensions in index order, each
     decided only when reached.  ``stack`` is the most items one call should
     take: each item holds its draw, the unitary and its inverse, the g
     conjugated units, the system of d * g matrices and the copy of it that
-    the QR makes, and d matrices more for a product temporary and the
-    d x d triangle and SVD factors (d^2 <= d N^2 entries); ``stack_size``
-    caps the stack at a fixed byte budget.
+    the QR makes, and, at most, the two gather temporaries of the system
+    build (g * e / N matrices each, for the e basis entries of the known
+    commutant) and the d x d triangle; ``stack_size`` caps the stack at a
+    fixed byte budget.
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
     dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
@@ -307,10 +325,11 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
         gens = inv @ units @ u if swap else u @ units @ inv
-        return (c.dimension for c in commutant_basis(gens, within, tol))
+        return commutant_basis(gens, within, tol)
 
-    g, d = len(units), within.dimension
-    return decide, stack_size(DRAW_MATRICES + 2 + g + d + 2 * d * g, within.ambient_dim)
+    g, d, n = len(units), within.dimension, within.ambient_dim
+    extra = -(-(2 * g * len(within.element) * n + d * d) // (n * n))
+    return decide, stack_size(DRAW_MATRICES + 2 + g + 2 * d * g + extra, n)
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
@@ -404,12 +423,15 @@ def staged_build(
     """Direct-sum the given representation stages, perturbing each into irreducibility.
 
     At stage k the budget for the new perturbation is epsilon / 2^(k+1); the
-    identity is tried first, then random local unitaries whose radius halves
-    after every 32 failed tries.  When the cumulative pair fails the RCP
-    condition it is padded (rcp_balance) before searching.  Each stage checks,
-    on the probe set, that the new evaluation moved by at most the Lipschitz
-    bound times the perturbation size.  Raises SearchExhaustedError when a
-    stage finds no irreducible perturbation within max_tries.
+    search tries random local unitaries whose radius halves after every 32
+    failed tries.  The identity is tried before them at stage 1 and at a
+    stage that adds no dimension, and otherwise only after they are
+    exhausted: it keeps the earlier pair as a direct summand.  When the
+    cumulative pair fails the RCP condition it is padded (rcp_balance) before
+    searching.  Each stage checks, on the probe set, that the new evaluation
+    moved by at most the Lipschitz bound times the perturbation size.
+    Raises SearchExhaustedError when a stage finds no irreducible
+    perturbation within max_tries.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -434,6 +456,7 @@ def staged_build(
             )
         segs1.append(m1)
         segs2.append(m2)
+        earlier = dim
         dim += add1
         prev_u = _extend(cumulative_u, dim)
 
@@ -452,9 +475,13 @@ def staged_build(
             prev_u = _extend(prev_u, balance.final_dim)
             dim = balance.final_dim
 
+        # The identity keeps an earlier pair that this stage enlarges as a
+        # direct summand, which is never irreducible: it is decided last.
+        identity_first = earlier == 0 or dim == earlier
         budget = epsilon / 2 ** (k + 1)
         u_k, tries, best = _search_stage_unitary(
-            alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol
+            alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol,
+            identity_first,
         )
         if u_k is None:
             raise SearchExhaustedError(k, dim, best, tries)
@@ -462,7 +489,7 @@ def staged_build(
         new_u = u_k @ prev_u
         bound = float(np.linalg.norm(u_k - np.eye(dim), 2))
         residuals, bounds = _probe_consistency(
-            alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, dim, bound
+            alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, bound
         )
         built_stages.append(
             Stage(k, dim, u_k, bound, tries, True, balance, residuals, bounds)
@@ -489,25 +516,29 @@ def _total_mult(segments, width: int) -> tuple[int, ...]:
 
 
 def _search_stage_unitary(
-    alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol
+    alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol, identity_first
 ):
     """Find u with ||u - I|| < budget making the cumulative pair irreducible.
 
-    Tries the identity first, then random directions: attempt a draws from
-    the stream (seed, stage, a) at a radius that starts at half the budget
-    and is halved after every 32 attempts (down to 0.0, never overflowing,
-    however many attempts are allowed).  The attempts are decided in stacks
-    of 1, 2, 4, ... (at most the kernel's stack size), and the first success
-    in attempt order ends the search; the attempts after it in its stack are
-    never decided.  Returns (unitary or None, tries used, best commutant
-    dimension seen).
+    Tries the identity first when ``identity_first``, then random directions:
+    attempt a draws from the stream (seed, stage, a) at a radius that starts
+    at half the budget and is halved after every 32 attempts (down to 0.0,
+    never overflowing, however many attempts are allowed).  The attempts are
+    decided in stacks of 1, 2, 4, ... (at most the kernel's stack size), and
+    the first success in attempt order ends the search; the attempts after
+    it in its stack are never decided.  Without ``identity_first`` the
+    identity is decided only when the attempts are exhausted, so the best
+    dimension still counts it.  Returns (unitary or None, tries used, best
+    commutant dimension seen).
     """
 
     decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
     eye = np.eye(dim, dtype=complex)
-    best = next(decide(eye[None] @ prev_u))
-    if best == 1:
-        return eye, 0, 1
+    best = math.inf
+    if identity_first:
+        best = next(decide(prev_u[None]))
+        if best == 1:
+            return eye, 0, 1
     start, size, radius = 0, 1, budget / 2.0
     while start < max_tries:
         attempts = range(start, min(start + size, start + cap, max_tries))
@@ -522,23 +553,23 @@ def _search_stage_unitary(
             if d == 1:
                 return w, attempt + 1, 1
         start, size = attempts.stop, 2 * size
+    if not identity_first:
+        best = min(best, next(decide(prev_u[None])))
     return None, max_tries, best
 
 
-def _probe_consistency(alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, dim, bound):
-    """Check each probe element moved by at most its Lipschitz bound times ||u_k - I||."""
-    residuals = []
-    bounds = []
-    for x, lip in zip(probe, lipschitz):
-        terms = _amplified_terms(alg1, segs1, alg2, segs2, x)
-        after = _evaluate_terms(terms, new_u, dim)
-        before = _evaluate_terms(terms, prev_u, dim)
-        moved = float(np.linalg.norm(after - before, 2))
-        allowed = lip * bound
-        if moved > allowed + 1e-9:
+def _probe_consistency(alg1, segs1, alg2, segs2, new_u, prev_u, probe, lipschitz, bound):
+    """Check each probe element moved by at most its Lipschitz bound times ||u_k - I||.
+
+    The probe set is evaluated after and before with one ``_evaluations``,
+    and the moves are measured with one stacked operator norm.
+    """
+    after, before = _evaluations(alg1, segs1, alg2, segs2, probe, [new_u, prev_u])
+    moved = np.linalg.norm(after - before, 2, axis=(1, 2)).tolist()
+    bounds = [lip * bound for lip in lipschitz]
+    for move, allowed in zip(moved, bounds):
+        if move > allowed + 1e-9:
             raise NumericalInstabilityError(
-                "probe element moved beyond its Lipschitz bound", moved - allowed
+                "probe element moved beyond its Lipschitz bound", move - allowed
             )
-        residuals.append(moved)
-        bounds.append(allowed)
-    return tuple(residuals), tuple(bounds)
+    return tuple(moved), tuple(bounds)

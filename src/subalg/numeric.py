@@ -1,25 +1,28 @@
 """Concrete matrix realizations, random unitaries, and numerical intersection experiments.
 
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
-trace inner product.  Commutants are solved as nullspaces of stacked
-commutator systems inside a known subspace that holds them (such as the
-commutant of an amplified stack).  Realizations of matrix-unit algebras are
-built once with a Hermitian basis and record where their units sit.
-Subspace intersections are the nullspace of the residual of one such
-realization V against an unconjugated one W, with one solve and one tail:
-that residual is read by gathers in real coordinates of the complement of W.
-Every rank decision is made by one routine, from one SVD, at a scale-aware
-tolerance with a built-in stability check: if shrinking or growing the
-tolerance tenfold changes the decision, a NumericalInstabilityError is
-raised instead of guessing.
+trace inner product.  Commutant dimensions are the nullities of stacked
+commutator systems inside the known commutant of an amplified stack, whose
+basis elements are scaled partial permutations: the systems are gathered
+from rows and columns of the generators, with no product formed and no
+dense basis held.  Realizations of matrix-unit algebras are built once with
+a Hermitian basis and record where their units sit.  Subspace intersections
+are the nullspace of the residual of one such realization V against an
+unconjugated one W, with one solve and one tail: that residual is read by
+gathers in real coordinates of the complement of W.  Every rank decision is
+made from one SVD at a scale-aware tolerance with a built-in stability check
+(``_stable_rank``): if shrinking or growing the tolerance tenfold changes
+the decision, a NumericalInstabilityError is raised instead of guessing.
+An intersection needs its null vectors, so its SVD forms the right factor;
+a commutant dimension reads the singular values alone.
 
-Random unitaries and commutants inside a known subspace are also made in
-stacks (k, N, N): one stacked QR, eigendecomposition or SVD serves the k
-items, running the same LAPACK call on each as on one matrix, so a stacked
-result is bit-identical to the items made one at a time.  The rank routine
-then decides the items in index order, each only when it is reached.  A
-stack holds at most STACK_BYTES (32 MiB) of draws, generators, systems and
-their factorizations (``stack_size``), and never less than one item.
+Random unitaries and commutant dimensions are also made in stacks (k, N, N):
+one stacked QR, eigendecomposition or SVD serves the k items, running the
+same LAPACK call on each as on one matrix, so a stacked result is
+bit-identical to the items made one at a time.  The rank decisions then
+take the items in index order, each only when it is reached.  A stack holds
+at most STACK_BYTES (32 MiB) of draws, generators, systems and their
+factorizations (``stack_size``), and never less than one item.
 """
 
 from __future__ import annotations
@@ -71,25 +74,27 @@ def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=key))
 
 
-def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and the full square right factor ``vh`` of m, with no left factor.
+def _triangle(m: np.ndarray) -> np.ndarray:
+    """m itself, or the square R of m = QR when m (or a stack of m) is tall.
 
-    A tall m (more rows than columns) is first reduced to the square R of its
-    QR factorization: m = QR with Q having orthonormal columns, so R has the
-    same singular values and right singular vectors as m, and the SVD never
-    forms the rows x rows left factor of m.  A stack of matrices (k, rows,
-    cols) takes one stacked QR and one stacked SVD, which run the same LAPACK
-    calls on each item as on a matrix alone.
+    Q has orthonormal columns, so R has the singular values and the right
+    singular vectors of m, and no rows x rows left factor is ever formed.  A
+    stack of matrices (k, rows, cols) takes one stacked QR, which runs the
+    same LAPACK call on each item as on a matrix alone.
     """
     if m.shape[-2] > m.shape[-1]:
         m = np.linalg.qr(m, mode="r")
-    _, s, vh = np.linalg.svd(m)
+    return m
+
+
+def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Singular values and the full square right factor ``vh`` of m (or a stack), no left factor."""
+    _, s, vh = np.linalg.svd(_triangle(m))
     return s, vh
 
 
-def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
-    """Per system of a stack (k, rows, cols), the rows of ``vh`` spanning its
-    (conjugated) nullspace, from one SVD.
+def _stable_rank(s: np.ndarray, n: int, tol: float | None, what: str) -> int:
+    """The rank of one system from its singular values ``s`` (descending), at a stable cutoff.
 
     The rank counts singular values above ``tol`` (default
     ``default_tolerance(n, s_max)``) and must not change at tol/10 or 10*tol.
@@ -98,6 +103,23 @@ def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
     system of pure rounding noise (s_max near eps) has a floor too, times a
     size that grows like the rounding of products of n x n unitaries.
     Values underneath it are exact zeros and cannot make a decision ambiguous.
+    """
+    scale = max(float(s[0]), 1.0)
+    cutoff = default_tolerance(n, scale) if tol is None else tol
+    floor = 8.0 * max(n, 4) * EPS * scale
+    lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
+    ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
+    if ambiguous.size:
+        raise NumericalInstabilityError(
+            f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
+            float(ambiguous.max()),
+        )
+    return int(np.count_nonzero(s > max(cutoff, floor)))
+
+
+def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
+    """Per system of a stack (k, rows, cols), the rows of ``vh`` spanning its
+    (conjugated) nullspace, from one SVD at the stable rank (``_stable_rank``).
 
     The factorizations run once for the whole stack, and the result is an
     iterator over the k items' rows in index order: each item is decided, and
@@ -105,21 +127,20 @@ def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
     decides the ones after it.  A single system is a stack of one.
     """
     s, vh = _svd_right(systems)
+    return (v[_stable_rank(si, n, tol, what) :] for si, v in zip(s, vh))
 
-    def decide(s, vh):
-        scale = max(float(s[0]), 1.0)
-        cutoff = default_tolerance(n, scale) if tol is None else tol
-        floor = 8.0 * max(n, 4) * EPS * scale
-        lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
-        ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
-        if ambiguous.size:
-            raise NumericalInstabilityError(
-                f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
-                float(ambiguous.max()),
-            )
-        return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
 
-    return map(decide, s, vh)
+def _nullities(systems: np.ndarray, n: int, tol: float | None, what: str):
+    """Per system of a stack (k, rows, cols), the dimension of its nullspace.
+
+    The same decision as ``_null_rows``, from the singular values alone:
+    ``np.linalg.svd(..., compute_uv=False)`` of the QR triangle forms no
+    ``vh``.  The result is an iterator in index order, each item decided,
+    and raising, only when it is reached.
+    """
+    cols = systems.shape[-1]
+    s = np.linalg.svd(_triangle(systems), compute_uv=False)
+    return (cols - _stable_rank(si, n, tol, what) for si in s)
 
 
 def _helmert(m: int) -> np.ndarray:
@@ -315,16 +336,54 @@ def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
     return out
 
 
-def amplified_commutant(blocks, rows) -> ConcreteRealization:
-    """Orthonormal basis of the commutant of the image of ``amplify(., blocks, rows)``.
+@dataclass(frozen=True, eq=False)
+class AmplifiedCommutant:
+    """The commutant of an amplified stack, held as the entries of its orthonormal basis.
 
-    Every nonzero entry m = row[j] writes m copies of block j, copy c of the
-    segment at ``pos`` on the indices pos + c + m*p, p < n_j.  Over all rows
-    block j has M_j copies, and the commutant is spanned by the M_j^2 matrices
-    sum_p e(s_p, t_p) from copy t onto copy s, scaled by 1/sqrt(n_j): they
-    have disjoint supports, so the basis is orthonormal, and its dimension is
-    sum_j M_j^2.  The layout is the one ``amplify`` writes, so no permutation
-    is needed.
+    Basis element ``element[e]`` has the entry ``scale[e]`` at
+    (``row[e]``, ``col[e]``), for every entry e, and no other entries: each
+    element is a scaled partial permutation, and distinct elements have
+    disjoint supports.
+    """
+
+    ambient_dim: int
+    dimension: int
+    element: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    scale: np.ndarray
+
+    @cached_property
+    def _gathers(self):
+        """Flat indices of the gathered commutator system (``_commutator_system``).
+
+        For an element E with its entries s at (r_e, c_e), E A puts s A[c_e, c]
+        at (r_e, c) and A E puts s A[r, r_e] at (r, c_e), for every c and r.
+        Returns, for the entries e and each of the n columns c (rows r), the
+        destinations (r_e n + c) d + element[e] and sources c_e n + c of the
+        first and (r n + c_e) d + element[e] and r n + r_e of the second, and
+        the per-destination scales.
+        """
+        n, d = self.ambient_dim, self.dimension
+        line = np.arange(n)
+        elem = self.element[:, None]
+        row_dst = ((self.row[:, None] * n + line) * d + elem).ravel()
+        row_src = (self.col[:, None] * n + line).ravel()
+        col_dst = ((line * n + self.col[:, None]) * d + elem).ravel()
+        col_src = (line * n + self.row[:, None]).ravel()
+        return row_dst, row_src, col_dst, col_src, np.repeat(self.scale, n)
+
+
+def amplified_commutant(blocks, rows) -> AmplifiedCommutant:
+    """The commutant of the image of ``amplify(., blocks, rows)``, by its basis entries.
+
+    Every nonzero entry m = row[j] of every row writes m copies of block j,
+    copy c of the segment at ``pos`` on the indices pos + c + m*p, p < n_j.
+    Over all rows block j has M_j copies, and the commutant is spanned by
+    the M_j^2 matrices sum_p e(s_p, t_p) from copy t onto copy s, scaled by
+    1/sqrt(n_j): they have disjoint supports, so the basis is orthonormal,
+    and its dimension is sum_j M_j^2.  The layout is the one ``amplify``
+    writes, so no permutation is needed.
     """
     blocks = tuple(blocks)
     copies: list[list[np.ndarray]] = [[] for _ in blocks]
@@ -334,17 +393,21 @@ def amplified_commutant(blocks, rows) -> ConcreteRealization:
             end = pos + m * blocks[j]
             copies[j].extend(np.arange(pos + c, end, m) for c in range(m))
             pos = end
-    count = sum(len(c) ** 2 for c in copies)
-    basis = np.zeros((count, pos, pos), dtype=complex)
+    element, row_idx, col_idx, scale = [], [], [], []
     k = 0
     for b, idx in zip(blocks, copies):
         if not idx:
             continue
         idx = np.array(idx)
         s, t = np.divmod(np.arange(len(idx) ** 2), len(idx))
-        basis[np.arange(k, k + len(s))[:, None], idx[s], idx[t]] = 1.0 / np.sqrt(b)
+        element.append(np.repeat(np.arange(k, k + len(s)), b))
+        row_idx.append(idx[s].ravel())
+        col_idx.append(idx[t].ravel())
+        scale.append(np.full(len(s) * b, 1.0 / np.sqrt(b)))
         k += len(s)
-    return ConcreteRealization(pos, basis)
+    return AmplifiedCommutant(
+        pos, k, *(np.concatenate(parts) for parts in (element, row_idx, col_idx, scale))
+    )
 
 
 def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
@@ -502,39 +565,53 @@ def sample_dims(
     return tuple(dims)
 
 
-def commutant_basis(gens, within: ConcreteRealization, tol: float | None = None):
-    """Orthonormal bases of the joint commutants of generator sets, solved inside ``within``.
+def _commutator_system(gens, within: AmplifiedCommutant) -> np.ndarray:
+    """The commutator systems of a stack (k, g, N, N) of generator sets inside ``within``.
 
-    ``within`` is an orthonormal realization known to hold every commutant
-    {X : X A = A X for all A in a set}, such as ``amplified_commutant``.  The
-    unknowns are the coefficients c of X = sum_k c_k E_k over its basis E_k:
-    the system has one column vec(E_k A - A E_k) per basis element, stacked
-    over the generators, and with no generators the answer is ``within``
-    itself.  The system is QR-reduced to its square triangle when tall, and
-    the nullspace is read off one SVD at a stable rank cutoff.
+    Item i is the (g N^2, d) matrix whose column j is vec(E_j A - A E_j),
+    stacked over its generators A, for the basis elements E_j of ``within``.
+    Each E_j is a scaled partial permutation, so E_j A is a scaled row
+    gather and A E_j a scaled column gather of A (``AmplifiedCommutant``):
+    both are read straight into the final layout, with no product formed,
+    and every entry is the one a dense product gives.
+    """
+    k, g = np.shape(gens)[:2]
+    n, d = within.ambient_dim, within.dimension
+    flat = np.reshape(gens, (k, g, n * n))
+    row_dst, row_src, col_dst, col_src, scale = within._gathers
+    system = np.zeros((k, g, n * n * d), dtype=complex)
+    part = flat[:, :, row_src]
+    part *= scale
+    system[:, :, row_dst] = part
+    part = flat[:, :, col_src]
+    part *= scale
+    system[:, :, col_dst] -= part
+    return system.reshape(k, g * n * n, d)
+
+
+def commutant_basis(gens, within: AmplifiedCommutant, tol: float | None = None):
+    """Dimensions of the joint commutants of generator sets, solved inside ``within``.
+
+    ``within`` is a known commutant (``amplified_commutant``) that holds
+    every commutant {X : X A = A X for all A in a set}.  The unknowns are
+    the coefficients c of X = sum_j c_j E_j over its basis E_j, and the
+    system has one column vec(E_j A - A E_j) per basis element, stacked over
+    the generators (``_commutator_system``); with no generators the answer
+    is all of ``within``.  Each dimension is the system's nullity, read off
+    the singular values of its QR triangle at a stable rank cutoff
+    (``_nullities``): no basis of the commutant is formed.  The name is kept
+    because perfbench's tracer binds it.
 
     ``gens`` is a stack (k, g, N, N) of k generator sets (a single set is a
     stack of one): one system build, QR and SVD serve the whole stack, and
-    the result is an iterator over the k commutants in index order, each rank
-    decision made only when its item is reached (``_null_rows``).
+    the result is an iterator over the k dimensions in index order, each
+    rank decision made only when its item is reached.
     """
-    n, basis = within.ambient_dim, within.basis
     k, g = np.shape(gens)[:2]
     if not g:
-        return iter([within] * k)
-    d = len(basis)
-    # row j of an item's transposed system is E_j A - A E_j for its every A in turn
-    system = np.empty((k, d, g, n, n), dtype=complex)
-    for i in range(g):
-        a = gens[:, i, None]
-        np.matmul(basis, a, out=system[:, :, i])
-        system[:, :, i] -= a @ basis
-    system = system.reshape(k, d, -1).transpose(0, 2, 1)
-    flat = basis.reshape(d, n * n)
-    return (
-        ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-        for null in _null_rows(system, n, tol, "commutant system")
-    )
+        return iter([within.dimension] * k)
+    system = _commutator_system(gens, within)
+    return _nullities(system, within.ambient_dim, tol, "commutant system")
 
 
 def intersect(

@@ -1,8 +1,9 @@
 """Reference paths the tests compare the library against.
 
 Each is a slower or more general way to the same answer that the library
-itself does not take: the N^2-column Kronecker commutant, the dense
-twice-projected intersection residual, the full (not only canonical)
+itself does not take: the N^2-column Kronecker commutant, the commutant
+solved inside a known commutant from dense products and its null rows, the
+dense twice-projected intersection residual, the full (not only canonical)
 enumeration of unital embeddings, and a few small helpers that only tests
 need.  None of them is reached from ``src``.
 """
@@ -47,6 +48,50 @@ def kronecker_commutant(gens, tol=None):
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
     null = next(subalg.numeric._null_rows(np.concatenate(rows)[None], n, tol, "commutant system"))
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
+
+
+def dense_within(known):
+    """The orthonormal basis of an ``amplified_commutant``, as a dense realization."""
+    n = known.ambient_dim
+    basis = np.zeros((known.dimension, n, n), dtype=complex)
+    basis[known.element, known.row, known.col] = known.scale
+    return ConcreteRealization(n, basis)
+
+
+def dense_commutator_system(gens, known):
+    """The commutator systems of ``numeric._commutator_system``, from dense products.
+
+    Row j of an item's transposed system is E_j A - A E_j for its every
+    generator A in turn, E_j the dense basis of the known commutant.
+    """
+    basis = dense_within(known).basis
+    k, g = np.shape(gens)[:2]
+    d, n = basis.shape[:2]
+    system = np.empty((k, d, g, n, n), dtype=complex)
+    for i in range(g):
+        a = gens[:, i, None]
+        np.matmul(basis, a, out=system[:, :, i])
+        system[:, :, i] -= a @ basis
+    return system.reshape(k, d, -1).transpose(0, 2, 1)
+
+
+def dense_commutant_basis(gens, known, tol=None):
+    """Orthonormal bases of the joint commutants of a stack of generator sets inside ``known``.
+
+    The dense system of ``dense_commutator_system`` is decided by the
+    library's null-row routine, and the null rows combine the dense basis
+    of ``known``; with no generators every answer is ``known`` itself.
+    """
+    within = dense_within(known)
+    k, g = np.shape(gens)[:2]
+    if not g:
+        return iter([within] * k)
+    n, flat = within.ambient_dim, within.basis.reshape(within.dimension, -1)
+    system = dense_commutator_system(gens, known)
+    return (
+        ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
+        for null in subalg.numeric._null_rows(system, n, tol, "commutant system")
+    )
 
 
 def dense_residual(a, b):

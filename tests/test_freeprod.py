@@ -20,6 +20,7 @@ from subalg.freeprod import (
     rcp_balance,
     rcp_check,
     staged_build,
+    _extend,
     _joint_dim_kernel,
     _segment_generators,
     _total_mult,
@@ -38,7 +39,13 @@ from subalg.numeric import (
     sample_stream,
 )
 
-from oracles import dense_intersect, kronecker_commutant, rcp_check_pair, with_unitary
+from oracles import (
+    dense_commutator_system,
+    dense_intersect,
+    kronecker_commutant,
+    rcp_check_pair,
+    with_unitary,
+)
 
 M2 = BlockStructure((2,))
 C2 = BlockStructure((1, 1))
@@ -471,6 +478,36 @@ class TestStagedBuild:
             for moved, allowed in zip(stage.probe_residuals, stage.probe_bounds):
                 assert moved <= allowed + 1e-9
 
+    def test_probe_residuals_are_the_moves_of_each_element(self):
+        # the stacked check against each element evaluated alone at the
+        # single-segment stage 1 of C^2 * C^2, where evaluate sees the same
+        # layout; the identity is reducible there, so u moves
+        rng = np.random.default_rng(5)
+        a, b = random_contraction(rng, 2), random_contraction(rng, 2)
+        probe = [
+            FreeElement.word(1.0, [Letter(2, b)]),
+            FreeElement.unit(0.5),
+            FreeElement(((2.0, (Letter(1, a), Letter(2, b))), (1j, (Letter(2, a), Letter(1, b))))),
+        ]
+        (stage,) = staged_build(C2, C2, [((1, 1), (1, 1))], 0.5, probe, seed=7).stages
+        assert stage.tries > 0
+        rep = RepPair(C2, (1, 1), C2, (1, 1), np.eye(2))
+        moves = [
+            np.linalg.norm(evaluate(with_unitary(rep, stage.u), x) - evaluate(rep, x), 2)
+            for x in probe
+        ]
+        assert stage.probe_residuals == tuple(moves)
+        assert stage.probe_residuals[1] == 0.0
+
+    def test_probe_moving_past_its_bound_raises(self, monkeypatch):
+        # with every Lipschitz bound 0 the first element that moves raises
+        rng = np.random.default_rng(6)
+        probe = [FreeElement.unit(), FreeElement.word(1.0, [Letter(2, random_contraction(rng, 2))])]
+        monkeypatch.setattr(subalg.freeprod, "lipschitz_bound", lambda x: 0.0)
+        with pytest.raises(NumericalInstabilityError, match="Lipschitz bound") as info:
+            staged_build(C2, C2, [((1, 1), (1, 1))], 0.5, probe, seed=7)
+        assert info.value.defect > 1e-9
+
     def test_balancing_inserted_when_needed(self):
         # start from the unbalanced worked instance; the builder must pad it
         build = staged_build(C2, M2, [((1, 3), (2,))], 0.5, [], seed=15, max_tries=96)
@@ -496,9 +533,11 @@ class TestStagedBuild:
 
 
 # The sequential reference: the free-product decisions as they were made one
-# unitary at a time, from numpy calls on single matrices only.  It shares the
-# layout helpers (amplified_commutant, the segment units) with the library,
-# not its draws, systems or rank decisions.
+# unitary at a time, from numpy calls on single matrices only, each system
+# from dense products.  It shares the layout helpers (amplified_commutant, the
+# segment units) with the library, not its draws, systems or rank decisions.
+# Its rank decisions read the singular values alone, as the library's do, so
+# the defects of unstable decisions compare exactly.
 
 
 def sequential_haar(n, rng):
@@ -517,10 +556,10 @@ def sequential_local(center, radius, rng):
     return center @ ((v * np.exp(1j * lam)) @ v.conj().T)
 
 
-def sequential_null_rows(system, n, tol, what):
+def sequential_nullity(system, n, tol, what):
     if system.shape[0] > system.shape[1]:
         system = np.linalg.qr(system, mode="r")
-    _, s, vh = np.linalg.svd(system)
+    s = np.linalg.svd(system, compute_uv=False)
     scale = max(float(s[0]), 1.0)
     cutoff = default_tolerance(n, scale) if tol is None else tol
     floor = 8.0 * max(n, 4) * EPS * scale
@@ -531,7 +570,7 @@ def sequential_null_rows(system, n, tol, what):
             f"rank decision for {what} is unstable at tolerance {cutoff:.3e}",
             float(ambiguous.max()),
         )
-    return vh[int(np.count_nonzero(s > max(cutoff, floor))) :]
+    return system.shape[1] - int(np.count_nonzero(s > max(cutoff, floor)))
 
 
 def sequential_kernel(alg1, segs1, alg2, segs2, tol):
@@ -543,19 +582,14 @@ def sequential_kernel(alg1, segs1, alg2, segs2, tol):
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
     units = _segment_generators(alg2, segs2)[:-1]
-    n, basis = within.ambient_dim, within.basis
 
     def decide(u):
         if not len(units):
             return within.dimension
         inv = np.linalg.inv(u)
         gens = inv @ units @ u if swap else u @ units @ inv
-        d = len(basis)
-        system = np.empty((d, len(gens), n, n), dtype=complex)
-        for i, a in enumerate(gens):
-            np.matmul(basis, a, out=system[:, i])
-            system[:, i] -= a @ basis
-        return len(sequential_null_rows(system.reshape(d, -1).T, n, tol, "commutant system"))
+        system = dense_commutator_system(gens[None], within)[0]
+        return sequential_nullity(system, within.ambient_dim, tol, "commutant system")
 
     return decide
 
@@ -570,7 +604,10 @@ def halving_radii(budget, tries):
     return radii
 
 
-def sequential_search(alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol):
+def sequential_search(
+    alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol, identity_first
+):
+    """The search as it was: the identity first at every stage, whatever ``identity_first`` says."""
     decide = sequential_kernel(alg1, segs1, alg2, segs2, tol)
     eye = np.eye(dim, dtype=complex)
     best = decide(eye @ prev_u)
@@ -610,10 +647,11 @@ def outcome(fn, *args, **kwargs):
         return str(exc), exc.defect
 
 
-# Byte budgets: the default, one item per stack, and three items of the N = 4
-# exhausted search (one unit inside an 8-dimensional commutant, stack_size's
-# count of DRAW_MATRICES + 2 + g + d + 2 d g matrices and 1 KiB per item),
-# which leaves a partial last stack there and in the small dpi runs.
+# Byte budgets: the default, one item per stack, and a few items of the N = 4
+# exhausted search (one unit inside an 8-dimensional commutant of 8 entries:
+# stack_size's count of DRAW_MATRICES + 2 + g + 2 d g matrices and 8 more for
+# the gather temporaries and the triangle, with 1 KiB per item), which leaves
+# a partial last stack there and in the small dpi runs.
 BUDGETS = [None, 1, 3 * (16 * 4 * 4 * (DRAW_MATRICES + 2 + 1 + 8 + 2 * 8 * 1) + 1024)]
 
 
@@ -677,6 +715,62 @@ class TestStackedDecisions:
             assert [len(w) for w in draws if w.shape[1:] == (4, 4)] == [1, 2, 4, 8, 16, 32, 7]
         monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
         assert got == build_outcome(*args, max_tries=70)
+
+    @staticmethod
+    def decided_stacks(monkeypatch):
+        """Every stack of unitaries the staged search decides, with the stage it belongs to.
+
+        Without padding, the pair of stage k has k segments per side.
+        """
+        seen = []
+        kernel = subalg.freeprod._joint_dim_kernel
+
+        def spy(alg1, segs1, *args):
+            decide, stack = kernel(alg1, segs1, *args)
+            stage = len(segs1)
+
+            def spying(us):
+                seen.append((stage, us))
+                return decide(us)
+
+            return spying, stack
+
+        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", spy)
+        return seen
+
+    def test_identity_is_decided_only_where_it_can_succeed(self, monkeypatch):
+        # stages 2..8 each add a summand to an irreducible pair, so the
+        # identity keeps a direct sum there and is never decided; the
+        # zero-dimension stage 3 keeps its pair, and the identity ends it
+        seen = self.decided_stacks(monkeypatch)
+        stages = [((1, 1), (1,))] * 2 + [((0, 0), (0,))] + [((1, 1), (1,))] * 6
+        build = staged_build(C2, M2, stages, 0.5, [], 7)
+        assert [s.dim for s in build.stages] == [2, 4, 4, 6, 8, 10, 12, 14, 16]
+        # M2 alone is irreducible on C^2, so the identity ends stage 1 too
+        assert [s.tries == 0 for s in build.stages] == [True, False, True] + [False] * 6
+        assert np.array_equal(build.stages[2].u, np.eye(4))
+        assert sorted({stage for stage, _ in seen}) == list(range(1, 10))
+        previous = [np.zeros((0, 0))] + list(build.cumulative)
+        identity_at = [
+            stage
+            for stage, us in seen
+            if len(us) == 1 and np.array_equal(us[0], _extend(previous[stage - 1], us.shape[-1]))
+        ]
+        assert identity_at == [1, 3]
+
+    def test_exhausted_search_decides_the_identity_last(self, monkeypatch):
+        # stage 2 enlarges the pair: its 70 attempts come first, then the
+        # identity, so best_dim still counts it
+        seen = self.decided_stacks(monkeypatch)
+        with pytest.raises(SearchExhaustedError) as info:
+            staged_build(C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], 3, max_tries=70)
+        assert (info.value.stage, info.value.best_dim, info.value.tries) == (2, 2, 70)
+        stage1 = [us for stage, us in seen if stage == 1]
+        stage2 = [us for stage, us in seen if stage == 2]
+        assert sum(map(len, stage2)) == 71
+        # stage 1 ended on its first attempt u, and the last stack of stage 2 is u + I
+        (u,) = stage1[-1]
+        assert len(stage2[-1]) == 1 and np.array_equal(stage2[-1][0], _extend(u, 4))
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("radius", [None, 1e-3])

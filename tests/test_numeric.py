@@ -19,7 +19,9 @@ from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
     EPS,
     ConcreteRealization,
+    _commutator_system,
     _null_rows,
+    _nullities,
     _svd_right,
     amplified_commutant,
     amplify,
@@ -42,7 +44,10 @@ from subalg.numeric import (
 from oracles import (
     ambient_embedding,
     contains_identity,
+    dense_commutant_basis,
+    dense_commutator_system,
     dense_intersect,
+    dense_within,
     dense_residual,
     kronecker_commutant,
     random_skew_direction,
@@ -76,7 +81,7 @@ class TestRealize:
         r = realize(M2_MULT2)
         assert r.dimension == 4
         assert kronecker_commutant(list(r.basis)).dimension == 4
-        assert next(commutant_basis(r.basis[None], within=whole(4))).dimension == 4
+        assert next(commutant_basis(r.basis[None], within=whole(4))) == 4
 
     def test_scalars_in_m3(self):
         r = realize(EmbeddedAlgebra(3, BlockStructure((1,)), (3,)))
@@ -208,7 +213,7 @@ class TestAmplifiedCommutant:
         for blocks, rows in layouts:
             units = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
             known = amplified_commutant(blocks, rows)
-            vecs = vectors(known)
+            vecs = vectors(dense_within(known))
             # orthonormal, with dimension sum_j (sum_r m_rj)^2
             assert np.abs(vecs.conj().T @ vecs - np.eye(known.dimension)).max() < 1e-15
             totals = [sum(row[j] for row in rows) for j in range(len(blocks))]
@@ -311,12 +316,12 @@ class TestCommutant:
     def test_full_matrix_units_give_scalars(self):
         gens = realize(EmbeddedAlgebra(3, BlockStructure((3,)), (1,))).basis
         assert kronecker_commutant(list(gens)).dimension == 1
-        assert next(commutant_basis(gens[None], within=whole(3))).dimension == 1
+        assert next(commutant_basis(gens[None], within=whole(3))) == 1
 
     def test_identity_gives_everything(self):
         eye = np.eye(3, dtype=complex)
         assert kronecker_commutant([eye]).dimension == 9
-        assert next(commutant_basis(eye[None, None], within=whole(3))).dimension == 9
+        assert next(commutant_basis(eye[None, None], within=whole(3))) == 9
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_rounded_identity_gives_everything(self, n):
@@ -326,7 +331,7 @@ class TestCommutant:
         for u in (haar_unitary(n, rng), local_unitary(np.eye(n), 1e-3, rng)):
             gens = np.stack([np.eye(n, dtype=complex), u @ np.eye(n) @ u.conj().T])
             assert kronecker_commutant(list(gens)).dimension == n * n
-            assert next(commutant_basis(gens[None], within=whole(n))).dimension == n * n
+            assert next(commutant_basis(gens[None], within=whole(n))) == n * n
 
     def test_matches_multiplicity_formula(self):
         # numeric commutant dimension == sum of squared entries, for every
@@ -337,13 +342,14 @@ class TestCommutant:
                     sub = realize_class(parent, cls.embedding)
                     expected = relative_commutant(ambient_embedding(cls)).algebra_dim()
                     assert kronecker_commutant(list(sub.basis)).dimension == expected
-                    got = next(commutant_basis(sub.basis[None], within=whole(n)))
-                    assert got.dimension == expected
+                    assert next(commutant_basis(sub.basis[None], within=whole(n))) == expected
 
     def test_within_without_generators_is_within(self):
         known = amplified_commutant((1, 1), [(2, 1)])
         # a scalar factor leaves an empty generator set on every item of a stack
-        assert list(commutant_basis(np.empty((3, 0, 4, 4)), within=known)) == [known] * 3
+        assert list(commutant_basis(np.empty((3, 0, 4, 4)), within=known)) == [5] * 3
+        for got in dense_commutant_basis(np.empty((3, 0, 4, 4)), known):
+            assert np.array_equal(got.basis, dense_within(known).basis)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_within_matches_the_kronecker_system(self, seed):
@@ -353,7 +359,9 @@ class TestCommutant:
         gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
         gens2 = u @ amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)]) @ u.conj().T
         ref = vectors(kronecker_commutant([*gens1, *gens2]))
-        got = next(commutant_basis(gens2[None], within=amplified_commutant((1, 1), [(2, 2)])))
+        known = amplified_commutant((1, 1), [(2, 2)])
+        assert next(commutant_basis(gens2[None], within=known)) == ref.shape[1]
+        got = next(dense_commutant_basis(gens2[None], known))
         assert got.dimension == ref.shape[1]
         vecs = vectors(got)
         assert np.abs(vecs.conj().T @ vecs - np.eye(got.dimension)).max() < 1e-12
@@ -361,7 +369,8 @@ class TestCommutant:
 
     def test_commutant_is_an_algebra(self):
         r = realize(M2_MULT2)
-        solved = next(commutant_basis(r.basis[None], whole(4)))
+        assert next(commutant_basis(r.basis[None], whole(4))) == 4
+        solved = next(dense_commutant_basis(r.basis[None], whole(4)))
         for comm in (kronecker_commutant(list(r.basis)), solved):
             assert comm.dimension == 4
             assert comm.closure_defect() < 1e-10
@@ -437,12 +446,113 @@ class TestStacks:
         local = local_unitary(np.eye(4), 1e-2, sample_stream(2))
         us = np.stack([np.eye(4), haar_unitary(4, 1), local])
         gens = us[:, None] @ units @ np.swapaxes(us.conj(), -1, -2)[:, None]
-        stacked = list(commutant_basis(gens, within=within))
         gens1 = amplify(model_matrix_units(BlockStructure((1, 1))), (1, 1), [(2, 2)])
         kronecker = [kronecker_commutant([*gens1, *g]).dimension for g in gens]
-        assert [c.dimension for c in stacked] == kronecker == [4, 1, 1]
-        for g, c in zip(gens, stacked):
-            assert np.array_equal(c.basis, next(commutant_basis(g[None], within=within)).basis)
+        assert list(commutant_basis(gens, within=within)) == kronecker == [4, 1, 1]
+        assert [next(commutant_basis(g[None], within=within)) for g in gens] == kronecker
+        # the null rows of a stack are those of its items alone, bit for bit
+        for g, c in zip(gens, dense_commutant_basis(gens, within)):
+            assert np.array_equal(c.basis, next(dense_commutant_basis(g[None], within)).basis)
+
+
+def known_rank_stack(rng, rows, cols, svals):
+    """A stack of rows x cols matrices U diag(s) V*, item i with the singular values svals[i]."""
+    items = []
+    for s in svals:
+        u = haar_unitary(rows, rng)[:, : len(s)]
+        v = haar_unitary(cols, rng)[:, : len(s)]
+        items.append((u * np.asarray(s)) @ v.conj().T)
+    return np.stack(items)
+
+
+class TestGatheredSystem:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=st.integers(0, 2**32 - 1).map(lambda seed: random_layouts(seed, 1, 12)[0]),
+        k=st.integers(1, 3),
+        g=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_dense_system_bitwise(self, layout, k, g, seed):
+        # E_j A - A E_j by gathers, against the dense products over the basis;
+        # half the generators have structural zeros, as conjugated units can.
+        # Equal as values: where neither product has a term the gather leaves
+        # +0, and the dense sum of zero terms may be -0.
+        known = amplified_commutant(*layout)
+        n = known.ambient_dim
+        rng = np.random.default_rng(seed)
+        gens = rng.standard_normal((k, g, n, n)) + 1j * rng.standard_normal((k, g, n, n))
+        gens[:, ::2] *= rng.integers(0, 2, size=(k, len(range(0, g, 2)), n, n))
+        got = _commutator_system(gens, known)
+        want = dense_commutator_system(gens, known)
+        assert got.shape == want.shape == (k, g * n * n, known.dimension)
+        assert np.array_equal(got, want)
+
+
+class TestValuesOnly:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        rows=st.integers(1, 14),
+        cols=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nullity_equals_the_null_row_count(self, k, rows, cols, seed):
+        # known ranks, singular values in [0.1, 10]: one nullity per item
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(0, min(rows, cols) + 1, size=k)
+        svals = [np.sort(rng.uniform(0.1, 10.0, r))[::-1] for r in ranks]
+        stack = known_rank_stack(rng, rows, cols, svals)
+        n = max(rows, cols)
+        got = list(_nullities(stack, n, None, "test stack"))
+        assert got == [len(null) for null in _null_rows(stack, n, None, "test stack")]
+        assert got == [cols - r for r in ranks]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        k=st.integers(1, 4),
+        unstable=st.integers(0, 3),
+        ambiguous=st.floats(0.2, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unstable_items_raise_with_the_same_message(self, k, unstable, ambiguous, seed):
+        # at tol 1e-6 a singular value of ambiguous * 1e-6 lies in the band
+        # (1e-7, 1e-5]: both routines decide the items before it and raise there
+        rng = np.random.default_rng(seed)
+        svals = [(3.0, 1.0, 0.0)] * k
+        if unstable < k:
+            svals[unstable] = (3.0, ambiguous * 1e-6, 0.0)
+        stack = known_rank_stack(rng, 7, 4, svals)
+
+        def run(items):
+            got = []
+            try:
+                got.extend(items)
+            except NumericalInstabilityError as exc:
+                return got, str(exc), exc.defect
+            return got, None, None
+
+        values = run(_nullities(stack, 7, 1e-6, "test stack"))
+        rows = run(_null_rows(stack, 7, 1e-6, "test stack"))
+        assert values[0] == [len(null) for null in rows[0]] == [2] * min(unstable, k)
+        assert values[1] == rows[1]
+        if unstable < k:
+            assert values[1].startswith(
+                "rank decision for test stack is unstable at tolerance 1.000e-06 (defect "
+            )
+            assert values[2] == pytest.approx(rows[2], rel=1e-12)
+
+    def test_commutant_dimensions_form_no_right_factor(self, monkeypatch):
+        # the joint-commutant decisions read singular values only: no vh is formed
+        def refuse(m):
+            raise AssertionError("commutant_basis formed a right singular factor")
+
+        monkeypatch.setattr(subalg.numeric, "_svd_right", refuse)
+        within = amplified_commutant((1, 1), [(2, 2)])
+        units = amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)])
+        us = np.stack([np.eye(4), haar_unitary(4, 1)])
+        gens = us[:, None] @ units @ np.swapaxes(us.conj(), -1, -2)[:, None]
+        assert list(commutant_basis(gens, within=within)) == [4, 1]
 
 
 class TestIntersect:
@@ -592,7 +702,7 @@ class TestIntersect:
         # solves over a side with a layout; any other pair is refused
         r = realize(M2M2)
         c = conjugate(r, haar_unitary(4, 1))
-        comm = next(commutant_basis(r.basis[None], whole(4)))  # no layout
+        comm = next(dense_commutant_basis(r.basis[None], whole(4)))  # no layout
         for a, b in ((c, c), (r, comm), (comm, r), (comm, comm), (c, comm)):
             with pytest.raises(ValueError, match="layout"):
                 intersect(a, b)
