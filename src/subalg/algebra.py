@@ -196,12 +196,6 @@ class EmbeddedAlgebra:
                 f"fill dimension {total}, not {self.ambient_dim}"
             )
 
-    def ambient_row(self) -> MultiplicityMatrix:
-        """The embedding into the ambient matrix algebra, as a one-row multiplicity matrix."""
-        return MultiplicityMatrix(
-            self.structure, BlockStructure((self.ambient_dim,)), (self.mult,)
-        )
-
     def is_full(self) -> bool:
         return self.structure.blocks == (self.ambient_dim,)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field, fields
 
@@ -327,6 +328,13 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
 
     if config.out is not None and not isinstance(config.out, str):
         diags.append(("/out", f"expected a file path, got {config.out!r}"))
+    elif config.out:
+        folder = os.path.dirname(config.out) or "."
+        if not os.path.isdir(folder):
+            diags.append(("/out", f"cannot write {config.out!r}: no directory {folder!r}"))
+        for path in [config.out] + [config.out + ".csv"] * (config.format == "csv"):
+            if os.path.isdir(path):
+                diags.append(("/out", f"cannot write {path!r}: it is a directory"))
 
     if config.format not in ("json", "csv"):
         diags.append(("/format", "format must be 'json' or 'csv'"))
@@ -341,12 +349,16 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
 
 def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{path}: no such config file")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not a UTF-8 file (byte {exc.start}: {exc.reason})")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read the config: {exc.strerror}")
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}:1:1: config root must be a JSON object")
 
@@ -510,11 +522,15 @@ def main(argv=None) -> int:
 
     text = canonical_json(report)
     if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-        if csv_text is not None:
-            with open(config.out + ".csv", "w") as fh:
-                fh.write(csv_text)
+        try:
+            with open(config.out, "w") as fh:
+                fh.write(text)
+            if csv_text is not None:
+                with open(config.out + ".csv", "w") as fh:
+                    fh.write(csv_text)
+        except OSError as exc:  # validate checked the path, but writing can still fail
+            print(f"/out: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(text)
         if csv_text is not None:

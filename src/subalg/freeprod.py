@@ -38,11 +38,11 @@ from .numeric import (
     DRAW_MATRICES,
     DensityStats,
     amplified_commutant,
+    amplified_units,
     amplify,
     commutant_basis,
     default_tolerance,
     local_unitaries,
-    model_matrix_units,
     sample_dims,
     sample_stream,
     stack_size,
@@ -281,11 +281,6 @@ def rcp_balance(
     return RcpBalance(s, qhat1, qhat2, copies[0], copies[1], final1, final2, final_dim)
 
 
-def _segment_generators(alg: BlockStructure, segments) -> np.ndarray:
-    """Stack of the matrix units of alg, amplified over the multiplicity-row segments."""
-    return amplify(model_matrix_units(alg), alg.blocks, segments)
-
-
 def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     """The stacked decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
@@ -310,9 +305,9 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     take: each item holds its draw, the unitary and its inverse, the g
     conjugated units, the system of d * g matrices and the copy of it that
     the QR makes, and, at most, the two gather temporaries of the system
-    build (g * e / N matrices each, for the e basis entries of the known
-    commutant) and the d x d triangle; ``stack_size`` caps the stack at a
-    fixed byte budget.
+    build (g * e / N matrices each, for the e support entries of the units
+    of the known commutant) and the d x d triangle; ``stack_size`` caps the
+    stack at a fixed byte budget.
     """
     dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
     dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
@@ -320,15 +315,15 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
-    units = _segment_generators(alg2, segs2)[:-1]
+    units = amplified_units(alg2.blocks, segs2)[:-1]
 
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
         gens = inv @ units @ u if swap else u @ units @ inv
         return commutant_basis(gens, within, tol)
 
-    g, d, n = len(units), within.dimension, within.ambient_dim
-    extra = -(-(2 * g * len(within.element) * n + d * d) // (n * n))
+    g, d, n = len(units), within.dimension, within.n
+    extra = -(-(2 * g * len(within.support) * n + d * d) // (n * n))
     return decide, stack_size(DRAW_MATRICES + 2 + g + 2 * d * g + extra, n)
 
 

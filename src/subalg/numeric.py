@@ -1,16 +1,18 @@
 """Concrete matrix realizations, random unitaries, and numerical intersection experiments.
 
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
-trace inner product.  Commutant dimensions are the nullities of stacked
-commutator systems inside the known commutant of an amplified stack, whose
-basis elements are scaled partial permutations: the systems are gathered
-from rows and columns of the generators, with no product formed and no
-dense basis held.  Realizations of matrix-unit algebras are built once with
-a Hermitian basis and record where their units sit.  Subspace intersections
-are the nullspace of the residual of one such realization V against an
-unconjugated one W, with one solve and one tail: that residual is read by
-gathers in real coordinates of the complement of W.  Every rank decision is
-made from one SVD at a scale-aware tolerance with a built-in stability check
+trace inner product.  One layout (``UnitLayout``) says where the 0/1 units
+of an amplified block algebra A = sum_j M_{n_j} tensor 1_{M_j} sit, from
+the copy indices that ``amplify`` writes; its commutant
+A' = sum_j 1_{n_j} tensor M_{M_j} is the same layout of the transposed copy
+indices.  A realization is the Hermitian basis scattered from a layout.
+Commutant dimensions are the nullities of stacked commutator systems inside
+a known commutant, whose units are partial permutations: the systems are
+gathered from rows and columns of the generators, with no product formed.
+Subspace intersections are the nullspace of the residual of a realization V
+against an unconjugated one W, read by gathers in real coordinates of the
+complement of W, with one solve and one tail.  Every rank decision is made
+from one SVD at a scale-aware tolerance with a built-in stability check
 (``_stable_rank``): if shrinking or growing the tolerance tenfold changes
 the decision, a NumericalInstabilityError is raised instead of guessing.
 An intersection needs its null vectors, so its SVD forms the right factor;
@@ -33,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .algebra import BlockStructure, EmbeddedAlgebra, MultiplicityMatrix
+from .algebra import EmbeddedAlgebra, MultiplicityMatrix
 from .errors import NumericalInstabilityError, ShapeMismatchError
 
 EPS = float(np.finfo(np.float64).eps)
@@ -156,12 +158,13 @@ def _helmert(m: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class UnitLayout:
-    """Where the matrix units of a realization sit in the flat N x N matrix.
+    """Where the 0/1 units of a block algebra or its commutant sit in the flat N x N matrix.
 
-    Unit k is a 0/1 matrix supported on ``copies[k]`` flat indices (its
-    amplified copies), listed unit by unit in ``support``; distinct units
-    have disjoint supports, and ``partner[k]`` is the unit supported on the
-    transpose of unit k's support (k itself for a diagonal unit).
+    Unit k is supported on ``copies[k]`` flat indices, listed unit by unit
+    in ``support``; distinct units have disjoint supports, and
+    ``partner[k]`` is the unit supported on the transpose of unit k's
+    support (k itself for a diagonal unit).  Every layout is built by
+    ``of_copies``.
     """
 
     n: int
@@ -170,15 +173,35 @@ class UnitLayout:
     partner: np.ndarray
 
     @classmethod
-    def of_units(cls, units: np.ndarray) -> UnitLayout:
-        """Layout of a stack of 0/1 matrix units with disjoint supports."""
-        d, n = units.shape[0], units.shape[1]
-        unit, support = np.nonzero(units.reshape(d, n * n))
-        copies = np.bincount(unit, minlength=d)
-        owner = np.full(n * n, -1)
-        owner[support] = unit
-        row, col = np.divmod(support[np.cumsum(copies) - copies], n)
-        return cls(n, support, copies, owner[col * n + row])
+    def of_copies(cls, idx) -> UnitLayout:
+        """The layout of the units (j; p, q) of blocks placed at the copy indices ``idx``.
+
+        ``idx[j]`` is a (copies, n_j) array that ascends along both axes
+        (``_copy_indices``).  Unit (j; p, q), blocks in order and p, q < n_j
+        row-major, is supported on idx[j][c, p] N + idx[j][c, q] over its
+        copies c, in ascending order, so it lies above the diagonal exactly
+        when p < q; its partner is (j; q, p), and N is the number of indices.
+        A realization takes the copy indices of its blocks, and the commutant
+        of their amplification each idx[j].T (``amplified_commutant``).
+        """
+        n = sum(i.size for i in idx)
+        size = np.array([i.shape[1] for i in idx])
+        first = np.cumsum(size * size) - size * size  # the first unit of each block
+        block = np.repeat(np.arange(len(idx)), size * size)  # the block of each unit
+        p, q = np.divmod(np.arange(len(block)) - first[block], size[block])
+        copies = np.array([i.shape[0] for i in idx])[block]
+        # support entry e is copy c of unit k: row c of k's block, read at p and q
+        k = np.repeat(np.arange(len(block)), copies)
+        c = np.arange(len(k)) - (np.cumsum(copies) - copies)[k]
+        row = (np.cumsum([i.size for i in idx]) - [i.size for i in idx])[block[k]]
+        row += c * size[block[k]]
+        flat = np.concatenate([i.ravel() for i in idx])
+        support = flat[row + p[k]] * n + flat[row + q[k]]
+        return cls(n, support, copies, first[block] + q * size[block] + p)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.copies)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -187,13 +210,11 @@ class UnitLayout:
 
     @cached_property
     def upper(self) -> np.ndarray:
-        """Indices of the units above the diagonal, one of each transpose pair."""
-        first = self.support[np.cumsum(self.copies) - self.copies]
-        row, col = np.divmod(first, self.n)
-        return np.flatnonzero(row < col)
+        """Indices of the units above the diagonal: the unit (j; p, q), p < q, of each pair."""
+        return np.flatnonzero(np.arange(self.dimension) < self.partner)
 
     @cached_property
-    def _gathers(self):
+    def _complement_gathers(self):
         """Columns of the float64 view of a flat stack that carry the complement coordinates.
 
         In that view the real and imaginary parts of flat entry f are columns
@@ -219,6 +240,25 @@ class UnitLayout:
             groups.append((cols, scale[:, None], _helmert(int(m)).T))
         return np.concatenate([2 * off, 2 * off + 1]), groups
 
+    @cached_property
+    def _commutator_gathers(self):
+        """Indices of the gathered commutator system inside the span (``_commutator_system``).
+
+        Element k is unit k times 1/sqrt(copies[k]).  For an entry of it at
+        (r, c), E_k A takes row c of A to row r, and A E_k takes column r of
+        A to column c.  Returns, for both, the destinations in the flat
+        (N^2, d) system and the sources in the flat A, and their scales.
+        """
+        n, d = self.n, self.dimension
+        line = np.arange(n)
+        unit = np.repeat(np.arange(d), self.copies)[:, None]
+        row, col = np.divmod(self.support[:, None], n)
+        scale = np.repeat(1.0 / np.sqrt(self.copies), self.copies * n)
+        return (
+            ((row * n + line) * d + unit).ravel(), (col * n + line).ravel(),
+            ((line * n + col) * d + unit).ravel(), (line * n + row).ravel(), scale,
+        )
+
     def complement_coordinates(self, herm: np.ndarray) -> np.ndarray:
         """Real isometric coordinates of the residuals of Hermitian rows against the span.
 
@@ -233,7 +273,7 @@ class UnitLayout:
         their Euclidean norm is the trace norm of the residual.
         """
         f = herm.view(np.float64)
-        off, groups = self._gathers
+        off, groups = self._complement_gathers
         coords = f[:, off]
         coords *= np.sqrt(2.0)
         if not groups:
@@ -292,28 +332,15 @@ class ConcreteRealization:
         return worst
 
 
-def model_matrix_units(structure: BlockStructure) -> np.ndarray:
-    """Matrix units of every block, as a stack of matrices in the block-diagonal model."""
-    size = structure.model_dim()
-    units = np.zeros((structure.algebra_dim(), size, size), dtype=complex)
-    k = offset = 0
-    for b in structure.blocks:
-        for p in range(b):
-            for q in range(b):
-                units[k, offset + p, offset + q] = 1.0
-                k += 1
-        offset += b
-    return units
-
-
 def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
     """Block-diagonal amplification of a stack of block-model elements.
 
     ``a`` has shape (..., s, s), s the sum of ``blocks``.  Every nonzero
     entry m = row[j] of every multiplicity row, rows in order, appends the
     block a_j tensor I_m to the diagonal of the output (zero entries are
-    skipped).  The blocks are written by strided slice assignment, so every
-    entry is a copy of an entry of ``a`` or zero.
+    skipped), copy c of it on the indices of ``_copy_indices``.  The blocks
+    are written by strided slice assignment, so every entry is a copy of an
+    entry of ``a`` or zero.
     """
     blocks = tuple(blocks)
     s = sum(blocks)
@@ -336,139 +363,106 @@ def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class AmplifiedCommutant:
-    """The commutant of an amplified stack, held as the entries of its orthonormal basis.
+def _copy_indices(blocks, rows) -> list[np.ndarray]:
+    """Per block j, the (copies, n_j) indices that ``amplify(., blocks, rows)`` writes it to.
 
-    Basis element ``element[e]`` has the entry ``scale[e]`` at
-    (``row[e]``, ``col[e]``), for every entry e, and no other entries: each
-    element is a scaled partial permutation, and distinct elements have
-    disjoint supports.
-    """
-
-    ambient_dim: int
-    dimension: int
-    element: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    scale: np.ndarray
-
-    @cached_property
-    def _gathers(self):
-        """Flat indices of the gathered commutator system (``_commutator_system``).
-
-        For an element E with its entries s at (r_e, c_e), E A puts s A[c_e, c]
-        at (r_e, c) and A E puts s A[r, r_e] at (r, c_e), for every c and r.
-        Returns, for the entries e and each of the n columns c (rows r), the
-        destinations (r_e n + c) d + element[e] and sources c_e n + c of the
-        first and (r n + c_e) d + element[e] and r n + r_e of the second, and
-        the per-destination scales.
-        """
-        n, d = self.ambient_dim, self.dimension
-        line = np.arange(n)
-        elem = self.element[:, None]
-        row_dst = ((self.row[:, None] * n + line) * d + elem).ravel()
-        row_src = (self.col[:, None] * n + line).ravel()
-        col_dst = ((line * n + self.col[:, None]) * d + elem).ravel()
-        col_src = (line * n + self.row[:, None]).ravel()
-        return row_dst, row_src, col_dst, col_src, np.repeat(self.scale, n)
-
-
-def amplified_commutant(blocks, rows) -> AmplifiedCommutant:
-    """The commutant of the image of ``amplify(., blocks, rows)``, by its basis entries.
-
-    Every nonzero entry m = row[j] of every row writes m copies of block j,
-    copy c of the segment at ``pos`` on the indices pos + c + m*p, p < n_j.
-    Over all rows block j has M_j copies, and the commutant is spanned by
-    the M_j^2 matrices sum_p e(s_p, t_p) from copy t onto copy s, scaled by
-    1/sqrt(n_j): they have disjoint supports, so the basis is orthonormal,
-    and its dimension is sum_j M_j^2.  The layout is the one ``amplify``
-    writes, so no permutation is needed.
+    Every nonzero entry m = row[j] of every row, rows in order, writes m
+    copies of block j, copy c of the segment at ``pos`` on the indices
+    pos + c + m p, p < n_j.  Row c of block j's array is its c-th copy over
+    all rows, so every column ascends; a block without copies has no rows.
     """
     blocks = tuple(blocks)
-    copies: list[list[np.ndarray]] = [[] for _ in blocks]
+    idx: list[list[np.ndarray]] = [[] for _ in blocks]
     pos = 0
     for row in rows:
         for j, m in enumerate(row):
-            end = pos + m * blocks[j]
-            copies[j].extend(np.arange(pos + c, end, m) for c in range(m))
-            pos = end
-    element, row_idx, col_idx, scale = [], [], [], []
-    k = 0
-    for b, idx in zip(blocks, copies):
-        if not idx:
-            continue
-        idx = np.array(idx)
-        s, t = np.divmod(np.arange(len(idx) ** 2), len(idx))
-        element.append(np.repeat(np.arange(k, k + len(s)), b))
-        row_idx.append(idx[s].ravel())
-        col_idx.append(idx[t].ravel())
-        scale.append(np.full(len(s) * b, 1.0 / np.sqrt(b)))
-        k += len(s)
-    return AmplifiedCommutant(
-        pos, k, *(np.concatenate(parts) for parts in (element, row_idx, col_idx, scale))
-    )
+            if m:
+                idx[j].append(np.arange(pos, pos + m * blocks[j]).reshape(blocks[j], m).T)
+                pos += m * blocks[j]
+    return [np.concatenate(i) if i else np.empty((0, b), int) for i, b in zip(idx, blocks)]
 
 
-def embed_model(emb: MultiplicityMatrix, a: np.ndarray) -> np.ndarray:
-    """Map a stack of source block-model elements through a unital embedding.
+def amplified_units(blocks, rows) -> np.ndarray:
+    """The matrix units of the blocks amplified over ``rows``, as a dense 0/1 stack.
 
-    Within target block i the source blocks are laid out in order, block j
-    amplified as a_j tensor I_{mu[i, j]}; unitality makes the target blocks
-    fill the target model exactly, one after the other.
+    Unit k of the stack is unit k of the layout of the copy indices
+    (``UnitLayout.of_copies``): what ``amplify`` makes of the model's units.
     """
-    if not emb.unital():
-        raise ShapeMismatchError("embedding must be unital to fill the target exactly")
-    return amplify(a, emb.source.blocks, emb.entries)
+    layout = UnitLayout.of_copies(_copy_indices(blocks, rows))
+    d, n = layout.dimension, layout.n
+    units = np.zeros((d, n * n), dtype=complex)
+    units[np.repeat(np.arange(d), layout.copies), layout.support] = 1.0
+    return units.reshape(d, n, n)
 
 
-def _realization(n: int, units: np.ndarray) -> ConcreteRealization:
-    """Realization spanned by a stack of amplified matrix units, with their layout.
+def amplified_commutant(blocks, rows) -> UnitLayout:
+    """The commutant of the image of ``amplify(., blocks, rows)``, as a layout of its units.
+
+    Over all rows block j has M_j copies (``_copy_indices``), and the
+    commutant is spanned by the M_j^2 units sum_p e(s_p, t_p) from copy t
+    onto copy s: the layout of the transposed copy indices, whose unit
+    (j; s, t) has the n_j copies p.  Scaled by 1/sqrt(n_j) they are
+    orthonormal, as their supports are disjoint, and the dimension is
+    sum_j M_j^2.
+    """
+    return UnitLayout.of_copies([i.T for i in _copy_indices(blocks, rows)])
+
+
+def _realization(layout: UnitLayout) -> ConcreteRealization:
+    """Realization spanned by the units of a layout, with a Hermitian basis.
 
     The basis is the Hermitian recombination of the units E_k, normalized to
     unit trace norm: E_kk for the diagonal units, then (E_k + E_k*)/sqrt 2
     and i(E_k - E_k*)/sqrt 2 for one unit k of each transpose pair above
     the diagonal, where E_k* is k's partner.  Distinct units have disjoint
-    supports, so these are orthonormal.  The rows are written in place into
-    one array by unbuffered gathers, so the build holds the unit stack and
-    the basis and nothing else of their size.
+    supports, so these are orthonormal.  The entries are scattered into one
+    array of zeros, the only array of the basis's size that the build holds;
+    the partner's entries in i(E_k - E_k*)/sqrt 2 have the real part -0, as
+    in the dense recombination of the units.
     """
-    layout = UnitLayout.of_units(units)
-    d = units.shape[0]
-    flat = units.reshape(d, n * n)
-    diag, upper = layout.diagonal, layout.upper
-    rows = np.empty_like(flat)
-    sym, skew = np.split(rows[len(diag) :], 2)
-    np.take(flat, diag, axis=0, out=rows[: len(diag)], mode="clip")
-    np.take(flat, upper, axis=0, out=sym, mode="clip")
-    np.take(flat, layout.partner[upper], axis=0, out=skew, mode="clip")
-    sym += skew
-    skew *= -2.0
-    skew += sym
+    n, diag, upper = layout.n, layout.diagonal, layout.upper
+    d, lower = layout.dimension, layout.partner[upper]
     scale = 1.0 / np.sqrt(layout.copies[np.concatenate([diag, upper, upper])])
     scale[len(diag) :] /= np.sqrt(2.0)
-    rows *= scale[:, None]
-    skew *= 1j
+    row = np.empty(d, dtype=np.intp)  # the diagonal or symmetric row of each unit
+    row[diag] = np.arange(len(diag))
+    row[upper] = row[lower] = np.arange(len(diag), d - len(upper))
+    sign = np.sign(layout.partner - np.arange(d))  # 1 above the diagonal, -1 below
+    unit = np.repeat(np.arange(d), layout.copies)
+    at, sign, real = row[unit], sign[unit], 2 * layout.support
+    rows = np.zeros((d, n * n), dtype=complex)
+    f = rows.view(np.float64)
+    f[at, real] = scale[at]
+    skew = sign != 0
+    at, sign, real = at[skew] + len(upper), sign[skew], real[skew]
+    f[at, real + 1] = sign * scale[at]
+    f[at, real] = np.copysign(0.0, sign)
     return ConcreteRealization(n, rows.reshape(d, n, n), layout)
 
 
 def realize(emb: EmbeddedAlgebra) -> ConcreteRealization:
     """Block-diagonal realization of an embedded algebra inside M_N."""
-    units = model_matrix_units(emb.structure)
-    return _realization(emb.ambient_dim, embed_model(emb.ambient_row(), units))
+    return _realization(UnitLayout.of_copies(_copy_indices(emb.structure.blocks, [emb.mult])))
 
 
 def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteRealization:
     """Realize a subalgebra of ``parent`` (given by its multiplicity matrix) inside M_N.
 
-    The image lies inside the span of ``realize(parent)``: elements are first
-    embedded into the parent's block model and then amplified into the ambient.
+    The image lies inside the span of ``realize(parent)``: the copy indices
+    of ``emb`` in the parent's block model are composed through the parent's
+    own.  Copy c of source block j inside target block i, in copy c' of
+    that block, sits at the parent's indices of copy c' at c's positions;
+    the composed copies are ordered (i, c, c'), so every column ascends.
     """
     if emb.target.blocks != parent.structure.blocks:
         raise ShapeMismatchError("embedding target does not match the parent structure")
-    units = model_matrix_units(emb.source)
-    gens = embed_model(parent.ambient_row(), embed_model(emb, units))
-    return _realization(parent.ambient_dim, gens)
+    if not emb.unital():
+        raise ShapeMismatchError("embedding must be unital to fill the target exactly")
+    idx = [[] for _ in emb.source.blocks]
+    for outer, row in zip(_copy_indices(parent.structure.blocks, [parent.mult]), emb.entries):
+        for j, inner in enumerate(_copy_indices(emb.source.blocks, [row])):
+            idx[j].append(outer[:, inner].swapaxes(0, 1).reshape(-1, inner.shape[1]))
+    return _realization(UnitLayout.of_copies([np.concatenate(i) for i in idx]))
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
@@ -565,20 +559,20 @@ def sample_dims(
     return tuple(dims)
 
 
-def _commutator_system(gens, within: AmplifiedCommutant) -> np.ndarray:
+def _commutator_system(gens, within: UnitLayout) -> np.ndarray:
     """The commutator systems of a stack (k, g, N, N) of generator sets inside ``within``.
 
     Item i is the (g N^2, d) matrix whose column j is vec(E_j A - A E_j),
     stacked over its generators A, for the basis elements E_j of ``within``.
     Each E_j is a scaled partial permutation, so E_j A is a scaled row
-    gather and A E_j a scaled column gather of A (``AmplifiedCommutant``):
+    gather and A E_j a scaled column gather of A (``within``'s units):
     both are read straight into the final layout, with no product formed,
     and every entry is the one a dense product gives.
     """
     k, g = np.shape(gens)[:2]
-    n, d = within.ambient_dim, within.dimension
+    n, d = within.n, within.dimension
     flat = np.reshape(gens, (k, g, n * n))
-    row_dst, row_src, col_dst, col_src, scale = within._gathers
+    row_dst, row_src, col_dst, col_src, scale = within._commutator_gathers
     system = np.zeros((k, g, n * n * d), dtype=complex)
     part = flat[:, :, row_src]
     part *= scale
@@ -589,7 +583,7 @@ def _commutator_system(gens, within: AmplifiedCommutant) -> np.ndarray:
     return system.reshape(k, g * n * n, d)
 
 
-def commutant_basis(gens, within: AmplifiedCommutant, tol: float | None = None):
+def commutant_basis(gens, within: UnitLayout, tol: float | None = None):
     """Dimensions of the joint commutants of generator sets, solved inside ``within``.
 
     ``within`` is a known commutant (``amplified_commutant``) that holds
@@ -611,7 +605,7 @@ def commutant_basis(gens, within: AmplifiedCommutant, tol: float | None = None):
     if not g:
         return iter([within.dimension] * k)
     system = _commutator_system(gens, within)
-    return _nullities(system, within.ambient_dim, tol, "commutant system")
+    return _nullities(system, within.n, tol, "commutant system")
 
 
 def intersect(

@@ -1,11 +1,14 @@
 """Reference paths the tests compare the library against.
 
 Each is a slower or more general way to the same answer that the library
-itself does not take: the N^2-column Kronecker commutant, the commutant
-solved inside a known commutant from dense products and its null rows, the
-dense twice-projected intersection residual, the full (not only canonical)
-enumeration of unital embeddings, and a few small helpers that only tests
-need.  None of them is reached from ``src``.
+itself does not take: realizations built from dense stacks of amplified
+matrix units and their layouts found by a scan of those stacks, the known
+commutant's basis entries by per-copy index lists, the N^2-column Kronecker
+commutant, the commutant solved inside a known commutant from dense
+products and its null rows, the dense twice-projected intersection
+residual, the full (not only canonical) enumeration of unital embeddings,
+and a few small helpers that only tests need.  None of them is reached
+from ``src``.
 """
 
 import dataclasses
@@ -16,10 +19,18 @@ import operator
 import numpy as np
 
 import subalg.numeric
-from subalg.algebra import _fast_matrix, compose_multiplicities
+from subalg.algebra import BlockStructure, MultiplicityMatrix, _fast_matrix, compose_multiplicities
 from subalg.errors import NumericalInstabilityError
 from subalg.freeprod import RcpReport, rcp_check
-from subalg.numeric import DEFAULT_CLOSURE_TOL, ConcreteRealization, _ginibre, _skew_directions
+from subalg.errors import ShapeMismatchError
+from subalg.numeric import (
+    DEFAULT_CLOSURE_TOL,
+    ConcreteRealization,
+    UnitLayout,
+    _ginibre,
+    _skew_directions,
+    amplify,
+)
 from subalg.serialize import matrix_to_json
 
 
@@ -50,11 +61,127 @@ def kronecker_commutant(gens, tol=None):
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
+def model_matrix_units(structure):
+    """Matrix units of every block, as a stack of matrices in the block-diagonal model."""
+    size = structure.model_dim()
+    units = np.zeros((structure.algebra_dim(), size, size), dtype=complex)
+    k = offset = 0
+    for b in structure.blocks:
+        for p in range(b):
+            for q in range(b):
+                units[k, offset + p, offset + q] = 1.0
+                k += 1
+        offset += b
+    return units
+
+
+def ambient_row(emb):
+    """The embedding of an embedded algebra into M_N, as a one-row multiplicity matrix."""
+    return MultiplicityMatrix(emb.structure, BlockStructure((emb.ambient_dim,)), (emb.mult,))
+
+
+def embed_model(emb, a):
+    """Map a stack of source block-model elements through a unital embedding, by ``amplify``."""
+    if not emb.unital():
+        raise ShapeMismatchError("embedding must be unital to fill the target exactly")
+    return amplify(a, emb.source.blocks, emb.entries)
+
+
+def scanned_layout(units):
+    """The layout of a stack of 0/1 matrix units with disjoint supports, by a scan of the stack.
+
+    Each unit's support is its nonzero flat entries in ascending order, and
+    its partner is the unit that owns the transpose of its first entry.
+    """
+    d, n = units.shape[0], units.shape[1]
+    unit, support = np.nonzero(units.reshape(d, n * n))
+    copies = np.bincount(unit, minlength=d)
+    owner = np.full(n * n, -1)
+    owner[support] = unit
+    row, col = np.divmod(support[np.cumsum(copies) - copies], n)
+    return UnitLayout(n, support, copies, owner[col * n + row])
+
+
+def dense_realization(n, units):
+    """The Hermitian recombination of a dense stack of amplified matrix units, as gathers.
+
+    E_kk for the diagonal units, then (E_k + E_k*)/sqrt 2 and
+    i(E_k - E_k*)/sqrt 2 for each unit k whose first entry lies above the
+    diagonal, summed from rows of the stack, with the layout of
+    ``scanned_layout``.
+    """
+    layout = scanned_layout(units)
+    d = units.shape[0]
+    flat = units.reshape(d, n * n)
+    row, col = np.divmod(layout.support[np.cumsum(layout.copies) - layout.copies], n)
+    diag, upper = layout.diagonal, np.flatnonzero(row < col)
+    rows = np.empty_like(flat)
+    sym, skew = np.split(rows[len(diag) :], 2)
+    np.take(flat, diag, axis=0, out=rows[: len(diag)], mode="clip")
+    np.take(flat, upper, axis=0, out=sym, mode="clip")
+    np.take(flat, layout.partner[upper], axis=0, out=skew, mode="clip")
+    sym += skew
+    skew *= -2.0
+    skew += sym
+    scale = 1.0 / np.sqrt(layout.copies[np.concatenate([diag, upper, upper])])
+    scale[len(diag) :] /= np.sqrt(2.0)
+    rows *= scale[:, None]
+    skew *= 1j
+    return ConcreteRealization(n, rows.reshape(d, n, n), layout)
+
+
+def dense_realize(emb):
+    """``realize`` from the dense stack of the amplified matrix units."""
+    units = model_matrix_units(emb.structure)
+    return dense_realization(emb.ambient_dim, embed_model(ambient_row(emb), units))
+
+
+def dense_realize_class(parent, emb):
+    """``realize_class`` from the dense stack of the twice-amplified matrix units."""
+    units = model_matrix_units(emb.source)
+    units = embed_model(ambient_row(parent), embed_model(emb, units))
+    return dense_realization(parent.ambient_dim, units)
+
+
+def commutant_entries(blocks, rows):
+    """The entries (element, row, col, scale) of the basis of ``amplified_commutant``.
+
+    Copy c of every segment of block j is the index list pos + c + m p; the
+    basis element of blocks j's copies (s, t) has 1/sqrt(n_j) at
+    (copy s [p], copy t [p]) for every p, elements numbered block by block.
+    """
+    blocks = tuple(blocks)
+    copies = [[] for _ in blocks]
+    pos = 0
+    for row in rows:
+        for j, m in enumerate(row):
+            end = pos + m * blocks[j]
+            copies[j].extend(np.arange(pos + c, end, m) for c in range(m))
+            pos = end
+    element, row_idx, col_idx, scale = [], [], [], []
+    k = 0
+    for b, idx in zip(blocks, copies):
+        if not idx:
+            continue
+        idx = np.array(idx)
+        s, t = np.divmod(np.arange(len(idx) ** 2), len(idx))
+        element.append(np.repeat(np.arange(k, k + len(s)), b))
+        row_idx.append(idx[s].ravel())
+        col_idx.append(idx[t].ravel())
+        scale.append(np.full(len(s) * b, 1.0 / np.sqrt(b)))
+        k += len(s)
+    return tuple(np.concatenate(parts) for parts in (element, row_idx, col_idx, scale))
+
+
 def dense_within(known):
-    """The orthonormal basis of an ``amplified_commutant``, as a dense realization."""
-    n = known.ambient_dim
-    basis = np.zeros((known.dimension, n, n), dtype=complex)
-    basis[known.element, known.row, known.col] = known.scale
+    """The orthonormal basis of a layout of units (``amplified_commutant``), as a dense realization.
+
+    Basis element k is unit k scaled by 1/sqrt(copies[k]).
+    """
+    n, d = known.n, known.dimension
+    basis = np.zeros((d, n, n), dtype=complex)
+    unit = np.repeat(np.arange(d), known.copies)
+    basis[(unit, *np.divmod(known.support, n))] = np.repeat(1.0 / np.sqrt(known.copies), known.copies)
     return ConcreteRealization(n, basis)
 
 
@@ -165,7 +292,7 @@ def all_unital_embeddings(source, target):
 
 def ambient_embedding(cls):
     """Multiplicity matrix of a class representative straight into the ambient M_N."""
-    return compose_multiplicities(cls.parent.ambient_row(), cls.embedding)
+    return compose_multiplicities(ambient_row(cls.parent), cls.embedding)
 
 
 def random_skew_direction(n, rng):

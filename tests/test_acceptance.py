@@ -5,6 +5,7 @@ tolerance and wall-clock budget here; the numerical cross-checks use realized
 matrices as the independent oracle for the symbolic dimension formulas.
 """
 
+import itertools
 import json
 import time
 
@@ -295,4 +296,35 @@ def test_hypothesis_boundary_halmos_oracle():
                     mismatches.append((n, p, q, stats.dims))
     assert cases == 501
     print(f"  {cases} cases, mismatches {mismatches}")
+    budget.finish(not mismatches)
+
+
+def test_rcp_pairs_are_generically_irreducible_under_the_hypothesis():
+    # The paper's finite-dimensional core: every unordered pair of RCP layouts
+    # (each minimal central projection of a factor of the same rank) at
+    # N <= 8, scalar and full factors left out, is irreducible at 2 Haar
+    # perturbations exactly when (dim A1 - 1)(dim A2 - 1) >= 2, except C^2 * C^2,
+    # which is irreducible only at N = 2.  An observation consistent with the
+    # theorem at these N, not a proof of it.
+    budget = Budget("free-product core: RCP pairs at N <= 8 against the hypothesis", 30)
+    mismatches = []
+    pairs = 0
+    for n in range(2, 9):
+        layouts = [
+            a
+            for a in enumerate_embedded_algebras(n)
+            if len({m * b for m, b in zip(a.mult, a.structure.blocks)}) == 1
+            and a.structure.blocks not in ((1,), (n,))
+        ]
+        for a1, a2 in itertools.combinations_with_replacement(layouts, 2):
+            pairs += 1
+            rep = RepPair(a1.structure, a1.mult, a2.structure, a2.mult, np.eye(n))
+            dims = dpi_probe(rep, 2, seed=11).dims
+            hypothesis = (a1.structure.algebra_dim() - 1) * (a2.structure.algebra_dim() - 1) >= 2
+            c2c2 = a1.structure.blocks == a2.structure.blocks == (1, 1)
+            irreducible = hypothesis or (c2c2 and n == 2)
+            if not (dims == (1, 1) if irreducible else min(dims) > 1):
+                mismatches.append((str(a1), str(a2), dims))
+    assert pairs == 179
+    print(f"  {pairs} pairs, mismatches {mismatches}")
     budget.finish(not mismatches)

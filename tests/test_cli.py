@@ -361,6 +361,46 @@ class TestValidation:
         assert main(["enumerate", "--config", cfg]) == 1
         assert "/out: expected a file path, got 7" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config", ["a directory", "not UTF-8"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, config):
+        if config == "a directory":
+            path, message = tmp_path, "cannot read the config: Is a directory"
+        else:
+            path, message = tmp_path / "latin1.json", "not a UTF-8 file (byte 10: invalid"
+            path.write_bytes('{"seed": "\xe9"}'.encode("latin-1"))
+        assert main(["density", "--config", str(path)]) == 1
+        assert f"{path}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "out, csv, message",
+        [
+            ("missing/report.json", False, "no directory"),
+            ("folder", False, "it is a directory"),
+            ("report", True, "'{}.csv': it is a directory"),
+        ],
+    )
+    def test_unwritable_out_exits_1_before_running(
+        self, tmp_path, capsys, monkeypatch, out, csv, message
+    ):
+        # refused by validate, before a sample is drawn or a report written
+        (tmp_path / "folder").mkdir()
+        (tmp_path / "report.csv").mkdir()
+        monkeypatch.setattr(subalg.cli, "run", lambda *a: pytest.fail("the run started"))
+        cfg = write_config(tmp_path / "config.json", dict(M2_PAIR, samples=3))
+        path = str(tmp_path / out)
+        argv = ["density", "--config", cfg, "--out", path] + ["--format", "csv"] * csv
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("/out: cannot write ") and message.format(path) in err
+        assert not (tmp_path / "report").exists()
+
+    def test_failed_report_write_exits_1(self, tmp_path, capsys):
+        # a file name past the system's limit passes validate and fails to open
+        cfg = write_config(tmp_path / "config.json", dict(M2_PAIR, samples=3))
+        path = str(tmp_path / ("r" * 300))
+        assert main(["density", "--config", cfg, "--out", path]) == 1
+        assert capsys.readouterr().err.startswith(f"/out: cannot write {path!r}: File name too long")
+
     def test_probe_not_a_path_exits_1(self, tmp_path, capsys):
         code, report, _ = run_cli(tmp_path, "build-primitive", dict(BUILD_M2, probe=7))
         assert code == 1

@@ -22,19 +22,21 @@ from subalg.freeprod import (
     staged_build,
     _extend,
     _joint_dim_kernel,
-    _segment_generators,
     _total_mult,
 )
 from subalg.numeric import (
     DRAW_MATRICES,
     EPS,
+    _realization,
     amplified_commutant,
+    amplified_units,
     amplify,
+    conjugate,
     default_tolerance,
     density_experiment,
     haar_unitary,
+    intersect,
     local_unitary,
-    model_matrix_units,
     realize,
     sample_stream,
 )
@@ -43,6 +45,7 @@ from oracles import (
     dense_commutator_system,
     dense_intersect,
     kronecker_commutant,
+    model_matrix_units,
     rcp_check_pair,
     with_unitary,
 )
@@ -322,6 +325,32 @@ class TestIrreducibility:
         assert joint_commutant_dim(rep) == dense_intersect(c1, c2).dimension
 
 
+    def test_joint_commutant_is_the_intersection_of_the_commutant_pair(self):
+        # (A1 + u A2 u*)' = A1' meet u A2' u*: the commutant of an amplified
+        # block algebra is the layout of its transposed copy indices, realized
+        # and intersected like any other; identity, Haar and local 1e-3 u
+        rng = sample_stream(19)
+        dims = []
+        for n in range(2, 7):
+            algebras = enumerate_embedded_algebras(n)
+            commutants = [
+                _realization(amplified_commutant(a.structure.blocks, [a.mult])) for a in algebras
+            ]
+            for i in range(80):
+                j1, j2 = rng.integers(len(algebras), size=2)
+                a1, a2 = algebras[j1], algebras[j2]
+                u = (
+                    np.eye(n, dtype=complex),
+                    haar_unitary(n, rng),
+                    local_unitary(np.eye(n), 1e-3, rng),
+                )[i % 3]
+                rep = RepPair(a1.structure, a1.mult, a2.structure, a2.mult, u)
+                meet = intersect(commutants[j1], conjugate(commutants[j2], u))
+                assert joint_commutant_dim(rep) == meet.dimension, (a1, a2, i % 3)
+                dims.append(meet.dimension)
+        assert len(dims) == 400 and min(dims) == 1 and max(dims) > 16
+
+
 def kronecker_joint_dim(rep):
     """The oracle: the N^2-column Kronecker commutant of the units of both sides."""
     units1 = amplify(model_matrix_units(rep.algebra1), rep.algebra1.blocks, [rep.mult1])
@@ -581,7 +610,7 @@ def sequential_kernel(alg1, segs1, alg2, segs2, tol):
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
-    units = _segment_generators(alg2, segs2)[:-1]
+    units = amplified_units(alg2.blocks, segs2)[:-1]
 
     def decide(u):
         if not len(units):
@@ -589,7 +618,7 @@ def sequential_kernel(alg1, segs1, alg2, segs2, tol):
         inv = np.linalg.inv(u)
         gens = inv @ units @ u if swap else u @ units @ inv
         system = dense_commutator_system(gens[None], within)[0]
-        return sequential_nullity(system, within.ambient_dim, tol, "commutant system")
+        return sequential_nullity(system, within.n, tol, "commutant system")
 
     return decide
 
