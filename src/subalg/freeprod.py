@@ -473,7 +473,7 @@ def staged_build(
         # The identity keeps an earlier pair that this stage enlarges as a
         # direct summand, which is never irreducible: it is decided last.
         identity_first = earlier == 0 or dim == earlier
-        budget = epsilon / 2 ** (k + 1)
+        budget = math.ldexp(epsilon, -(k + 1))
         u_k, tries, best = _search_stage_unitary(
             alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol,
             identity_first,

@@ -29,6 +29,7 @@ factorizations (``stack_size``), and never less than one item.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -145,17 +146,6 @@ def _nullities(systems: np.ndarray, n: int, tol: float | None, what: str):
     return (cols - _stable_rank(si, n, tol, what) for si in s)
 
 
-def _helmert(m: int) -> np.ndarray:
-    """Orthonormal (m-1) x m rows orthogonal to the all-ones vector.
-
-    Row k-1 is (1, ..., 1, -k, 0, ..., 0) / sqrt(k(k+1)), with k ones.
-    """
-    h = np.tri(m - 1, m)
-    k = np.arange(1, m)
-    h[k - 1, k] = -k
-    return h / np.sqrt(k * (k + 1.0))[:, None]
-
-
 @dataclass(frozen=True, eq=False)
 class UnitLayout:
     """Where the 0/1 units of a block algebra or its commutant sit in the flat N x N matrix.
@@ -164,7 +154,10 @@ class UnitLayout:
     in ``support``; distinct units have disjoint supports, and
     ``partner[k]`` is the unit supported on the transpose of unit k's
     support (k itself for a diagonal unit).  Every layout is built by
-    ``of_copies``.
+    ``of_copies``, one run of blocks of equal shape at a time, and a
+    residual is read against it in the coordinates of its complement
+    (``complement_coordinates``), where a unit with several copies counts
+    its entries less their mean.
     """
 
     n: int
@@ -181,23 +174,20 @@ class UnitLayout:
         row-major, is supported on idx[j][c, p] N + idx[j][c, q] over its
         copies c, in ascending order, so it lies above the diagonal exactly
         when p < q; its partner is (j; q, p), and N is the number of indices.
-        A realization takes the copy indices of its blocks, and the commutant
+        Consecutive blocks of one shape are laid out together, as a run.  A
+        realization takes the copy indices of its blocks, and the commutant
         of their amplification each idx[j].T (``amplified_commutant``).
         """
         n = sum(i.size for i in idx)
-        size = np.array([i.shape[1] for i in idx])
-        first = np.cumsum(size * size) - size * size  # the first unit of each block
-        block = np.repeat(np.arange(len(idx)), size * size)  # the block of each unit
-        p, q = np.divmod(np.arange(len(block)) - first[block], size[block])
-        copies = np.array([i.shape[0] for i in idx])[block]
-        # support entry e is copy c of unit k: row c of k's block, read at p and q
-        k = np.repeat(np.arange(len(block)), copies)
-        c = np.arange(len(k)) - (np.cumsum(copies) - copies)[k]
-        row = (np.cumsum([i.size for i in idx]) - [i.size for i in idx])[block[k]]
-        row += c * size[block[k]]
-        flat = np.concatenate([i.ravel() for i in idx])
-        support = flat[row + p[k]] * n + flat[row + q[k]]
-        return cls(n, support, copies, first[block] + q * size[block] + p)
+        support, copies, partner = [], [], []
+        for (m, size), run in itertools.groupby(idx, key=np.shape):
+            i = np.stack(list(run))
+            support.append((i[..., :, None] * n + i[..., None, :]).transpose(0, 2, 3, 1).ravel())
+            units = len(i) * size * size
+            copies.append(np.full(units, m))
+            grid = np.arange(units).reshape(len(i), size, size) + sum(map(len, partner))
+            partner.append(grid.transpose(0, 2, 1).ravel())
+        return cls(n, *map(np.concatenate, (support, copies, partner)))
 
     @property
     def dimension(self) -> int:
@@ -219,8 +209,10 @@ class UnitLayout:
 
         In that view the real and imaginary parts of flat entry f are columns
         2f and 2f + 1.  Returns the columns of the off-pattern entries above
-        the diagonal, and per copy count m >= 2 the (units, m) columns of the
-        unit supports with their per-row scales and the Helmert rows.
+        the diagonal, and per copy count m >= 2 the (m, parts) columns of the
+        copies of the unit parts with their scales: the real part of each
+        diagonal unit, and the real and the imaginary part of each unit above
+        the diagonal.
         """
         n = self.n
         covered = np.zeros(n * n, dtype=bool)
@@ -233,11 +225,11 @@ class UnitLayout:
         for m in np.unique(self.copies[self.copies > 1]):
             diag = self.diagonal[self.copies[self.diagonal] == m]
             upper = self.upper[self.copies[self.upper] == m]
-            on_diag = self.support[starts[diag][:, None] + np.arange(m)]
-            above = self.support[starts[upper][:, None] + np.arange(m)]
-            cols = np.concatenate([2 * on_diag, 2 * above, 2 * above + 1])
+            on_diag = self.support[starts[diag] + np.arange(m)[:, None]]
+            above = self.support[starts[upper] + np.arange(m)[:, None]]
+            cols = np.concatenate([2 * on_diag, 2 * above, 2 * above + 1], axis=1)
             scale = np.concatenate([np.ones(len(diag)), np.full(2 * len(upper), np.sqrt(2.0))])
-            groups.append((cols, scale[:, None], _helmert(int(m)).T))
+            groups.append((cols, scale))
         return np.concatenate([2 * off, 2 * off + 1]), groups
 
     @cached_property
@@ -266,11 +258,11 @@ class UnitLayout:
         span is *-closed, so the residual of X is Hermitian and is read off
         the entries on and above the diagonal: sqrt(2) Re and sqrt(2) Im of
         each off-pattern entry above the diagonal (the diagonal lies in the
-        pattern, as the span holds the identity), and the Helmert
-        (orthonormal sum-zero) coordinates of the entries of each unit with
-        m >= 2 copies, real for a diagonal unit and split into sqrt(2) Re and
-        sqrt(2) Im above the diagonal.  That is N^2 - dim coordinates, and
-        their Euclidean norm is the trace norm of the residual.
+        pattern, as the span holds the identity), and the entries of each
+        unit with m >= 2 copies less their mean over the copies, real for a
+        diagonal unit and split into sqrt(2) Re and sqrt(2) Im above the
+        diagonal.  That is N^2 - dim coordinates plus one per such unit
+        part, and their Euclidean norm is the trace norm of the residual.
         """
         f = herm.view(np.float64)
         off, groups = self._complement_gathers
@@ -279,8 +271,10 @@ class UnitLayout:
         if not groups:
             return coords
         parts = [coords]
-        for cols, scale, helmert in groups:
-            parts.append(((f[:, cols] * scale) @ helmert).reshape(len(f), -1))
+        for cols, scale in groups:
+            copies = f[:, cols] * scale
+            copies -= copies.mean(axis=1, keepdims=True)
+            parts.append(copies.reshape(len(f), -1))
         return np.concatenate(parts, axis=1)
 
 
@@ -623,7 +617,7 @@ def intersect(
     when the residual of x A against span B vanishes.  That residual is read
     by gathers in real isometric coordinates of the complement of span B
     (``UnitLayout.complement_coordinates``): both spans are *-closed, so this
-    real N^2 - d_b by d_a system has the singular values of the complex
+    real system of d_a columns has the singular values of the complex
     residual, the sines of the principal angles between the spans, and the
     dimension is its nullity, from one SVD.  With d_b = N^2 the complement is
     empty and the whole of span A is the answer.  The null rows are

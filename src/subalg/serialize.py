@@ -94,7 +94,7 @@ def free_element_from_json(obj, pointer: str = "") -> FreeElement:
 
 
 def load_probe_file(path: str) -> list[FreeElement]:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     elements = obj.get("elements") if isinstance(obj, dict) else obj
     return [

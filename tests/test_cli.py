@@ -6,7 +6,10 @@ import copy
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -421,6 +424,24 @@ class TestValidation:
         assert report is None
         err = capsys.readouterr().err
         assert "/probe: " in err and message in err
+
+    def test_probe_file_is_read_as_utf8_under_an_ascii_locale(self, tmp_path):
+        # like the config, the probe file is UTF-8 whatever the locale says
+        probe_path = tmp_path / "probe.json"
+        probe = dict(probe_with_value(matrix_to_json(np.diag([1.0, 2.0]))), note="café")
+        probe_path.write_text(json.dumps(probe, ensure_ascii=False), encoding="utf-8")
+        cfg = write_config(tmp_path / "config.json", dict(BUILD_M2, probe=str(probe_path)))
+        out = tmp_path / "report.json"
+        src = str(Path(subalg.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        argv = ["build-primitive", "--config", cfg, "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "subalg", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        (stage,) = json.loads(out.read_text())["result"]["stages"]
+        assert len(stage["probe_residuals"]) == 1
 
     def test_probe_value_off_the_block_model_exits_1(self, tmp_path, capsys):
         # amplify reads only the diagonal blocks of C^2, so this value would act as 0

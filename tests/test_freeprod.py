@@ -556,6 +556,14 @@ class TestStagedBuild:
         assert err.best_dim == 2
         assert err.tries == 48
 
+    def test_budget_past_float_range_of_powers_of_two(self):
+        # stage k's budget is epsilon / 2^(k + 1), and 2^1024 is past float
+        # range: the 1023rd stage scales epsilon by its exponent instead
+        stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 1022
+        build = staged_build(C2, M2, stages, 0.5, [], seed=1)
+        assert len(build.stages) == 1023
+        assert all(stage.dim == 2 and stage.irreducible for stage in build.stages)
+
     def test_stage_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             staged_build(M2, M2, [((1,), (2,))], 0.5, [], seed=0)

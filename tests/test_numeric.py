@@ -1,5 +1,6 @@
 """Tests for realizations, Haar sampling, commutants, intersections, and density runs."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,9 @@ from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
     EPS,
     ConcreteRealization,
+    UnitLayout,
     _commutator_system,
+    _copy_indices,
     _null_rows,
     _nullities,
     _svd_right,
@@ -56,6 +59,7 @@ from oracles import (
     kronecker_commutant,
     model_matrix_units,
     random_skew_direction,
+    scanned_layout,
     vectors,
 )
 
@@ -253,6 +257,37 @@ class TestAmplifiedCommutant:
         for blocks, rows in layouts:
             want = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
             assert amplified_units(blocks, rows).tobytes() == want.tobytes(), (blocks, rows)
+
+    def test_layouts_of_unsorted_blocks_match_the_dense_scan(self):
+        # blocks in any order, so runs of one shape may be adjacent or split
+        # by another shape: the layouts of the copy indices and of their
+        # transposes equal the scans of the amplified model units and of the
+        # commutant's units in supports, copies and partners
+        adjacent = split = 0
+        for blocks, rows in random_layouts(47, 120):
+            idx = _copy_indices(blocks, rows)
+            known = amplified_commutant(blocks, rows)
+            element, row, col, _ = commutant_entries(blocks, rows)
+            commutant_units = np.zeros((known.dimension, known.n, known.n))
+            commutant_units[element, row, col] = 1.0
+            cases = (
+                (UnitLayout.of_copies(idx), amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)),
+                (known, commutant_units),
+            )
+            for got, units in cases:
+                copies = np.count_nonzero(units.reshape(len(units), -1), axis=1)
+                assert np.array_equal(got.copies, copies), (blocks, rows)
+                # the units of a block without copies are zero: no scan pairs them
+                paired = np.flatnonzero(copies)
+                want = scanned_layout(units[paired])
+                assert got.n == want.n
+                assert np.array_equal(got.support, want.support), (blocks, rows)
+                assert np.array_equal(got.partner[paired], paired[want.partner]), (blocks, rows)
+            for shapes in ([i.shape for i in idx], [i.T.shape for i in idx]):
+                runs = [shape for shape, _ in itertools.groupby(shapes)]
+                adjacent += len(runs) < len(shapes)
+                split += len(set(runs)) < len(runs)
+        assert (adjacent, split) == (12, 4)
 
     def test_is_the_layout_of_the_transposed_copy_indices(self):
         # unit k of the layout, scaled by 1/sqrt(copies), has exactly the
@@ -867,8 +902,12 @@ class TestGatherPath:
     def test_scalar_side_decides_one(self, b1, null_systems):
         assert density_experiment(b1, SCALAR4, 4, seed=2).dims == (1,) * 4
         # the scalar side is the smaller (or tied) conjugated side: real systems
-        # of N^2 - dim B1 rows, one column
-        assert [s.shape for s in null_systems] == [(16 - realize(b1).dimension, 1)] * 4
+        # of N^2 - dim B1 rows, plus one mean-free row for each unit of B1 with
+        # several copies (the 4 copies of the scalar unit: 16 rows), one column
+        layout = realize(b1).layout
+        rows = 16 - layout.dimension + int(np.count_nonzero(layout.copies > 1))
+        assert rows == {SCALAR4: 16, M2M2: 8, C4: 12}[b1]
+        assert [s.shape for s in null_systems] == [(rows, 1)] * 4
         assert all(s.dtype == np.float64 for s in null_systems)
 
     @pytest.mark.parametrize("swap", [False, True])
