@@ -88,7 +88,7 @@ class FreeElement:
 
 @dataclass(frozen=True)
 class RepPair:
-    """Representations of the two factors on a common space, with a perturbing unitary."""
+    """Representations of the two factors on a common nonzero space, with a perturbing unitary."""
 
     algebra1: BlockStructure
     mult1: tuple[int, ...]
@@ -97,13 +97,15 @@ class RepPair:
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "mult1", tuple(int(m) for m in self.mult1))
-        object.__setattr__(self, "mult2", tuple(int(m) for m in self.mult2))
+        object.__setattr__(self, "mult1", _mult_row(self.algebra1, self.mult1))
+        object.__setattr__(self, "mult2", _mult_row(self.algebra2, self.mult2))
         object.__setattr__(self, "u", np.asarray(self.u, dtype=complex))
         d1 = _rep_dim(self.algebra1, self.mult1)
         d2 = _rep_dim(self.algebra2, self.mult2)
         if d1 != d2:
             raise ShapeMismatchError(f"factor dimensions differ: {d1} vs {d2}")
+        if not d1:
+            raise ValueError("a representation pair needs a nonzero dimension")
         if self.u.shape != (d1, d1):
             raise ShapeMismatchError(f"perturbing unitary must be {d1}x{d1}, got {self.u.shape}")
         # cli.validate's bound 10 * N^2 * eps, never below 1e-12: a validated u passes.
@@ -115,10 +117,17 @@ class RepPair:
     def dim(self) -> int:
         return _rep_dim(self.algebra1, self.mult1)
 
-    def factor(self, side: int, a: np.ndarray) -> np.ndarray:
-        """Image of a block-model element under the (unperturbed) factor representation."""
-        alg, mult = (self.algebra1, self.mult1) if side == 1 else (self.algebra2, self.mult2)
-        return amplify(a, alg.blocks, [mult])
+
+def _mult_row(alg: BlockStructure, row) -> tuple[int, ...]:
+    """A multiplicity row of ``alg`` as ints: one nonnegative entry per block."""
+    row = tuple(int(m) for m in row)
+    if len(row) != alg.num_blocks:
+        raise ShapeMismatchError(
+            f"expected {alg.num_blocks} multiplicities, one per block, got {len(row)}"
+        )
+    if min(row) < 0:
+        raise ValueError(f"multiplicities must be nonnegative, got {row}")
+    return row
 
 
 def _rep_dim(alg: BlockStructure, mult) -> int:
@@ -203,9 +212,7 @@ def rcp_check(alg: BlockStructure, mult) -> RcpReport:
     The minimal central projection of block j has image rank mult(j) * n(j);
     the factor passes when these ranks are all equal.
     """
-    mult = tuple(int(m) for m in mult)
-    if len(mult) != alg.num_blocks:
-        raise ShapeMismatchError("multiplicity row length does not match block count")
+    mult = _mult_row(alg, mult)
     ranks = tuple(m * n for m, n in zip(mult, alg.blocks))
     return RcpReport((ranks,))
 
@@ -255,7 +262,7 @@ def rcp_balance(
     target multiplicities s * r_i(j); the two padded spaces are then equalized
     by taking copies up to the lcm of their dimensions.
     """
-    mult1, mult2 = tuple(int(m) for m in mult1), tuple(int(m) for m in mult2)
+    mult1, mult2 = _mult_row(alg1, mult1), _mult_row(alg2, mult2)
     d1 = _rep_dim(alg1, mult1)
     d2 = _rep_dim(alg2, mult2)
     if d1 != d2:
@@ -309,8 +316,8 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     of the known commutant) and the d x d triangle; ``stack_size`` caps the
     stack at a fixed byte budget.
     """
-    dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
-    dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
+    dim1 = sum(m * m for m in map(sum, zip(*segs1)))
+    dim2 = sum(m * m for m in map(sum, zip(*segs2)))
     swap = dim1 > dim2
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
@@ -424,9 +431,12 @@ def staged_build(
     exhausted: it keeps the earlier pair as a direct summand.  When the
     cumulative pair fails the RCP condition it is padded (rcp_balance) before
     searching.  Each stage checks, on the probe set, that the new evaluation
-    moved by at most the Lipschitz bound times the perturbation size.
+    moved by at most the Lipschitz bound times the perturbation size.  The
+    pair is kept as segments: the rows of each stage that places blocks and
+    of each padding, whose column sums are the total multiplicities.
     Raises SearchExhaustedError when a stage finds no irreducible
-    perturbation within max_tries.
+    perturbation within max_tries, ShapeMismatchError or ValueError for a
+    malformed multiplicity row, and ValueError for an empty first stage.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -442,21 +452,22 @@ def staged_build(
     cumulative: list[np.ndarray] = []
 
     for k, (m1, m2) in enumerate(stages, start=1):
-        m1 = tuple(int(v) for v in m1)
-        m2 = tuple(int(v) for v in m2)
+        m1, m2 = _mult_row(alg1, m1), _mult_row(alg2, m2)
         add1, add2 = _rep_dim(alg1, m1), _rep_dim(alg2, m2)
         if add1 != add2:
             raise ShapeMismatchError(
                 f"stage {k} factor dimensions differ: {add1} vs {add2}"
             )
-        segs1.append(m1)
-        segs2.append(m2)
+        if add1:  # a stage that adds no dimension places no block: no segment
+            segs1.append(m1)
+            segs2.append(m2)
+        elif k == 1:
+            raise ValueError("the first stage must have a nonzero dimension")
         earlier = dim
         dim += add1
-        prev_u = _extend(cumulative_u, dim)
 
-        total1 = _total_mult(segs1, alg1.num_blocks)
-        total2 = _total_mult(segs2, alg2.num_blocks)
+        total1 = tuple(map(sum, zip(*segs1)))
+        total2 = tuple(map(sum, zip(*segs2)))
         balance = None
         pair_ok = rcp_check(alg1, total1).passes and rcp_check(alg2, total2).passes
         if not pair_ok:
@@ -467,8 +478,8 @@ def staged_build(
                 segs1.append(pad1)
             if any(pad2):
                 segs2.append(pad2)
-            prev_u = _extend(prev_u, balance.final_dim)
             dim = balance.final_dim
+        prev_u = _extend(cumulative_u, dim)
 
         # The identity keeps an earlier pair that this stage enlarges as a
         # direct summand, which is never irreducible: it is decided last.
@@ -500,14 +511,6 @@ def _extend(u: np.ndarray, dim: int) -> np.ndarray:
     out = np.eye(dim, dtype=complex)
     out[: u.shape[0], : u.shape[0]] = u
     return out
-
-
-def _total_mult(segments, width: int) -> tuple[int, ...]:
-    total = [0] * width
-    for row in segments:
-        for j, m in enumerate(row):
-            total[j] += m
-    return tuple(total)
 
 
 def _search_stage_unitary(

@@ -3,7 +3,7 @@
 Subalgebras of M_N are materialized as orthonormal matrix bases under the
 trace inner product.  One layout (``UnitLayout``) says where the 0/1 units
 of an amplified block algebra A = sum_j M_{n_j} tensor 1_{M_j} sit, from
-the copy indices that ``amplify`` writes; its commutant
+the copy indices ``amplify`` scatters through; its commutant
 A' = sum_j 1_{n_j} tensor M_{M_j} is the same layout of the transposed copy
 indices.  A realization is the Hermitian basis scattered from a layout.
 Commutant dimensions are the nullities of stacked commutator systems inside
@@ -332,38 +332,32 @@ def amplify(a: np.ndarray, blocks, rows) -> np.ndarray:
     ``a`` has shape (..., s, s), s the sum of ``blocks``.  Every nonzero
     entry m = row[j] of every multiplicity row, rows in order, appends the
     block a_j tensor I_m to the diagonal of the output (zero entries are
-    skipped), copy c of it on the indices of ``_copy_indices``.  The blocks
-    are written by strided slice assignment, so every entry is a copy of an
-    entry of ``a`` or zero.
+    skipped).  Each block a_j is scattered through its copy indices
+    (``_copy_indices``), copy c of a_j[p, q] to (idx[j][c, p], idx[j][c, q]),
+    so every entry is a copy of an entry of ``a`` or zero.
     """
     blocks = tuple(blocks)
     s = sum(blocks)
     a = np.asarray(a)
     if a.shape[-2:] != (s, s):
         raise ShapeMismatchError(f"expected {s}x{s} model elements, got {a.shape}")
-    offsets = np.concatenate([[0], np.cumsum(blocks)])
-    dim = sum(m * n for row in rows for m, n in zip(row, blocks))
+    idx = _copy_indices(blocks, rows)
+    dim = sum(i.size for i in idx)
     out = np.zeros(a.shape[:-2] + (dim, dim), dtype=complex)
-    pos = 0
-    for row in rows:
-        for j, m in enumerate(row):
-            if m == 0:
-                continue
-            block = a[..., offsets[j] : offsets[j + 1], offsets[j] : offsets[j + 1]]
-            end = pos + m * blocks[j]
-            for c in range(m):
-                out[..., pos + c : end : m, pos + c : end : m] = block
-            pos = end
+    for start, i in zip(itertools.accumulate(blocks, initial=0), idx):
+        end = start + i.shape[1]
+        out[..., i[:, :, None], i[:, None]] = a[..., None, start:end, start:end]
     return out
 
 
 def _copy_indices(blocks, rows) -> list[np.ndarray]:
-    """Per block j, the (copies, n_j) indices that ``amplify(., blocks, rows)`` writes it to.
+    """Per block j, the (copies, n_j) indices ``amplify(., blocks, rows)`` reads to place it.
 
-    Every nonzero entry m = row[j] of every row, rows in order, writes m
-    copies of block j, copy c of the segment at ``pos`` on the indices
-    pos + c + m p, p < n_j.  Row c of block j's array is its c-th copy over
-    all rows, so every column ascends; a block without copies has no rows.
+    The one record of where amplified blocks sit.  Every nonzero entry
+    m = row[j] of every row, rows in order, places m copies of block j,
+    copy c of the segment at ``pos`` on the indices pos + c + m p, p < n_j.
+    Row c of block j's array is its c-th copy over all rows, so every
+    column ascends; a block without copies has no rows.
     """
     blocks = tuple(blocks)
     idx: list[list[np.ndarray]] = [[] for _ in blocks]

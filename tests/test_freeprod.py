@@ -1,6 +1,8 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
 import tracemalloc
+from functools import partial
+from itertools import count
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from subalg.freeprod import (
     staged_build,
     _extend,
     _joint_dim_kernel,
-    _total_mult,
 )
 from subalg.numeric import (
     DRAW_MATRICES,
@@ -106,7 +107,7 @@ class TestEvaluate:
     def test_side1_letter_ignores_u(self):
         a = np.array([[1, 2], [3, 4]], dtype=complex)
         x = FreeElement.word(1.0, [Letter(1, a)])
-        expected = self.rep.factor(1, a)
+        expected = amplify(a, M2.blocks, [(2,)])
         assert np.allclose(evaluate(self.rep, x), expected)
 
     def test_empty_word_is_identity(self):
@@ -182,6 +183,44 @@ class TestLipschitz:
             if dev > lipschitz_bound(x) * np.linalg.norm(u - v, 2):
                 violations += 1
         assert violations == 0
+
+
+ROW_ENTRIES = {
+    "RepPair": lambda row: RepPair(C2, row, M2, (1,), np.eye(2)),
+    "rcp_check": lambda row: rcp_check(C2, row),
+    "rcp_balance": lambda row: rcp_balance(C2, row, M2, (1,)),
+    "staged_build": lambda row: staged_build(C2, M2, [(row, (1,))], 0.5, [], 1),
+}
+BAD_ROWS = {
+    "short": ((2,), ShapeMismatchError),  # zip would truncate it to its first blocks
+    "long": ((1, 1, 0), ShapeMismatchError),
+    "negative": ((3, -1), ValueError),  # it fills dimension 2, as M2 (1) does
+}
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        pytest.param(partial(entry, row), error, id=f"{name}-{kind}")
+        for name, entry in ROW_ENTRIES.items()
+        for kind, (row, error) in BAD_ROWS.items()
+    ]
+    + [
+        pytest.param(
+            partial(staged_build, C2, M2, [((0, 0), (0,)), ((1, 1), (1,))], 0.5, [], 1),
+            ValueError,
+            id="staged_build-empty-first-stage",
+        ),
+        pytest.param(
+            partial(RepPair, C2, (0, 0), M2, (0,), np.zeros((0, 0))),
+            ValueError,
+            id="RepPair-zero-dimension",
+        ),
+    ],
+)
+def test_malformed_multiplicity_rows_rejected(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestRcpCheck:
@@ -564,6 +603,21 @@ class TestStagedBuild:
         assert len(build.stages) == 1023
         assert all(stage.dim == 2 and stage.irreducible for stage in build.stages)
 
+    def test_empty_stages_write_no_segment(self, monkeypatch):
+        # 200 stages that add nothing leave the pair of stage 1 as it was
+        kernel = subalg.freeprod._joint_dim_kernel
+        segments = []
+
+        def spy(alg1, segs1, alg2, segs2, tol):
+            segments.append((len(segs1), len(segs2)))
+            return kernel(alg1, segs1, alg2, segs2, tol)
+
+        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", spy)
+        stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 200
+        build = staged_build(C2, M2, stages, 0.5, [], seed=1)
+        assert [stage.dim for stage in build.stages] == [2] * 201
+        assert segments == [(1, 1)] * 201
+
     def test_stage_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
             staged_build(M2, M2, [((1,), (2,))], 0.5, [], seed=0)
@@ -612,8 +666,8 @@ def sequential_nullity(system, n, tol, what):
 
 def sequential_kernel(alg1, segs1, alg2, segs2, tol):
     """u -> joint commutant dimension, one unitary per call."""
-    dim1 = sum(m * m for m in _total_mult(segs1, alg1.num_blocks))
-    dim2 = sum(m * m for m in _total_mult(segs2, alg2.num_blocks))
+    dim1 = sum(m * m for m in map(sum, zip(*segs1)))
+    dim2 = sum(m * m for m in map(sum, zip(*segs2)))
     swap = dim1 > dim2
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
@@ -757,14 +811,15 @@ class TestStackedDecisions:
     def decided_stacks(monkeypatch):
         """Every stack of unitaries the staged search decides, with the stage it belongs to.
 
-        Without padding, the pair of stage k has k segments per side.
+        Each stage builds its kernel once, so stage k makes the k-th kernel call.
         """
         seen = []
         kernel = subalg.freeprod._joint_dim_kernel
+        stages = count(1)
 
-        def spy(alg1, segs1, *args):
-            decide, stack = kernel(alg1, segs1, *args)
-            stage = len(segs1)
+        def spy(*args):
+            decide, stack = kernel(*args)
+            stage = next(stages)
 
             def spying(us):
                 seen.append((stage, us))
