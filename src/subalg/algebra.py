@@ -10,7 +10,6 @@ module is exact integer arithmetic on immutable values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -204,24 +203,26 @@ class EmbeddedAlgebra:
         return f"{pieces} in M{self.ambient_dim}"
 
 
-def center_restriction(emb: EmbeddedAlgebra) -> EmbeddedAlgebra:
-    """Restriction to the center: the abelian algebra C^l with multiplicities m(j) * n(j)."""
-    mult = tuple(m * n for m, n in zip(emb.mult, emb.structure.blocks))
-    abelian = BlockStructure((1,) * emb.structure.num_blocks)
-    return EmbeddedAlgebra(emb.ambient_dim, abelian, mult)
-
-
 @lru_cache(maxsize=None)
-def _weighted_rows(weights: tuple[int, ...], total: int) -> tuple[tuple[int, ...], ...]:
-    """All nonnegative integer rows v with v . weights == total, lexicographically ascending."""
-    if not weights:
-        return ((),) if total == 0 else ()
-    head, rest = weights[0], weights[1:]
-    rows = []
-    for v in range(total // head + 1):
-        for tail in _weighted_rows(rest, total - v * head):
-            rows.append((v,) + tail)
-    return tuple(rows)
+def _bounded_rows(
+    weights: tuple[int, ...], total: int, bounds: tuple[int, ...]
+) -> tuple[tuple[int, ...], ...]:
+    """Nonnegative integer rows v with v . weights == total and v <= bounds entrywise.
+
+    Lexicographically ascending.  An entry past its bound is never tried, so
+    neither is any row that holds one; with every bound at ``total`` these
+    are all the rows of weighted sum ``total``.
+    """
+    head = weights[0]
+    if len(weights) == 1:
+        v, rest = divmod(total, head)
+        return ((v,),) if not rest and v <= bounds[0] else ()
+    tail_weights, tail_bounds = weights[1:], bounds[1:]
+    return tuple(
+        (v,) + tail
+        for v in range(min(total // head, bounds[0]) + 1)
+        for tail in _bounded_rows(tail_weights, total - v * head, tail_bounds)
+    )
 
 
 def enumerate_unital_embeddings(
@@ -243,7 +244,8 @@ def enumerate_unital_embeddings(
     two columns agree so far, a row with ``row[j] > row[j+1]`` on a tied pair
     is skipped, and the pair drops out once ``row[j] < row[j+1]``.
     """
-    per_row = [_weighted_rows(source.blocks, size) for size in target.blocks]
+    blocks = source.blocks
+    per_row = [_bounded_rows(blocks, size, (size,) * len(blocks)) for size in target.blocks]
     if any(not rows for rows in per_row):
         return []
     cols = source.num_blocks
@@ -258,7 +260,6 @@ def enumerate_unital_embeddings(
     for i in range(len(per_row) - 1, -1, -1):
         suffix[i] = suffix[i + 1] + maxcov[i]
     # adjacent equal-size source columns; a pair stays tied while its entries agree
-    blocks = source.blocks
     ties = tuple(j for j in range(cols - 1) if blocks[j] == blocks[j + 1])
 
     out: list[MultiplicityMatrix] = []
@@ -362,13 +363,23 @@ def _descending_structures(max_total: int, max_block: int):
 
 @lru_cache(maxsize=None)
 def _cached_classes(parent: EmbeddedAlgebra) -> tuple[SubalgebraClass, ...]:
+    """The classes of ``parent``, built without ``SubalgebraClass`` validation.
+
+    The enumerator's embeddings are unital, injective and canonical by
+    construction, and a parent's multiplicities are all positive, so every
+    induced ambient multiplicity is too: the checks of ``__post_init__``
+    hold and are not run again, as ``_fast_matrix`` skips them for the
+    matrices.
+    """
     total = parent.structure.model_dim()
     max_block = max(parent.structure.blocks)
     classes = []
     for blocks in _descending_structures(total, max_block):
         structure = BlockStructure(blocks)
         for emb in enumerate_unital_embeddings(structure, parent.structure):
-            classes.append(SubalgebraClass(parent, structure, emb))
+            cls = object.__new__(SubalgebraClass)
+            cls.__dict__.update(parent=parent, structure=structure, embedding=emb)
+            classes.append(cls)
     return tuple(classes)
 
 
@@ -386,18 +397,44 @@ def enumerate_subalgebra_classes(parent: EmbeddedAlgebra) -> list[SubalgebraClas
     return list(_cached_classes(parent))
 
 
-def class_leq(a: SubalgebraClass, b: SubalgebraClass) -> bool:
-    """Partial order on classes: a <= b iff a is realised by a subalgebra of b's representative."""
-    if a.parent != b.parent:
-        raise DomainError("classes live over different parents")
-    # relabeling equal source blocks permutes the composed columns alike, so
-    # one embedding per relabeling orbit decides the question
-    target_key = a.key()
-    for emb in enumerate_unital_embeddings(a.structure, b.structure):
-        composed = compose_multiplicities(b.embedding, emb)
-        if canonical_embedding_key(a.structure, composed.entries) == target_key:
-            return True
-    return False
+@lru_cache(maxsize=1)
+def _suffix_table(structure: BlockStructure, other: EmbeddedAlgebra):
+    """The row-suffixes of the embeddings of ``structure`` into ``other``, state by state.
+
+    Row i of an embedding, weighted by ``other.mult[i]``, spends from one
+    budget per column.  The suffixes of a state (row index i, remaining
+    budgets) are the rows i, i + 1, ... that spend the budgets exactly, and
+    they do not depend on the rows above i: one table serves every ambient
+    row that ``structure`` is asked with against ``other``.  The cache holds
+    one table, so the classes of one structure, which the enumerator lists
+    together, share it against one algebra.
+
+    Returns ``build(i, remaining)``, the suffixes of a state in lexicographic
+    order.  The states below the top row are built once and kept; the top
+    state is built on every call and not kept, since each ambient row asks
+    for it once.
+    """
+    blocks, sizes, weights = structure.blocks, other.structure.blocks, other.mult
+    last = len(sizes) - 1
+    memo = {}  # (row index >= 1, remaining budgets) -> suffixes that spend them exactly
+
+    def build(i: int, remaining: tuple[int, ...]) -> tuple:
+        w = weights[i]
+        if i == last:
+            # the budgets already weight-sum to w * sizes[i], so the last
+            # row is forced: remaining / w, when that divides evenly
+            row = tuple(r // w for r in remaining)
+            return ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
+        out = []
+        for row in _bounded_rows(blocks, sizes[i], tuple(r // w for r in remaining)):
+            nxt = tuple(r - w * v for r, v in zip(remaining, row))
+            found = memo.get((i + 1, nxt))
+            if found is None:
+                found = memo[i + 1, nxt] = build(i + 1, nxt)
+            out.extend((row,) + tail for tail in found)
+        return tuple(out)
+
+    return build
 
 
 def compatible_embeddings(
@@ -411,11 +448,14 @@ def compatible_embeddings(
     the weighted column sums of the embedding: row i, weighted by
     ``other.mult[i]``, spends from one budget per column, and every budget
     must reach zero.  Injectivity is automatic because every budget is
-    positive.  Rows are chosen top to bottom, and the row-suffixes that
-    complete a (row index, remaining budgets) state are built once per state
-    and shared by every prefix that reaches it; the memo lives for one call.
-    The output order is lexicographic on the row-major flattened entries.  An
-    empty list means no unitary carries the structure into ``other``.
+    positive.  Rows are chosen top to bottom, each among the rows that fit
+    the remaining budgets, and the row-suffixes that complete a (row index,
+    remaining budgets) state come from one table per (structure, ``other``)
+    (``_suffix_table``), shared by every ambient row and every prefix that
+    reaches the state; the table lives until a call with another key
+    replaces it, or until ``cache_clear``.  The output order is
+    lexicographic on the row-major flattened entries.  An empty list means
+    no unitary carries the structure into ``other``.
     """
     ambient_mult = _int_tuple(ambient_mult)
     if len(ambient_mult) != structure.num_blocks:
@@ -425,42 +465,8 @@ def compatible_embeddings(
     if sum(m * n for m, n in zip(ambient_mult, structure.blocks)) != other.ambient_dim:
         raise DomainError("ambient dimensions differ")
     target = other.structure
-    weights = other.mult  # column budget weights, one per target block
-    per_row = [_weighted_rows(structure.blocks, size) for size in target.blocks]
-    last = len(per_row) - 1
-    memo = {}  # (row index, remaining budgets) -> row-suffixes that spend them exactly
-
-    def suffixes(i: int, remaining: tuple[int, ...]):
-        key = (i, remaining)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        w = weights[i]
-        if i == last:
-            # the budgets already weight-sum to w * target.blocks[i], so the
-            # last row is forced: remaining / w, when that divides evenly
-            row = tuple(r // w for r in remaining)
-            out = ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
-        else:
-            out = []
-            for row in per_row[i]:
-                nxt = tuple(r - w * v for r, v in zip(remaining, row))
-                if min(nxt) < 0:
-                    continue
-                out.extend((row,) + tail for tail in suffixes(i + 1, nxt))
-            out = tuple(out)
-        memo[key] = out
-        return out
-
-    return [_fast_matrix(structure, target, entries) for entries in suffixes(0, ambient_mult)]
-
-
-def gcd_embedding_bound(structure: BlockStructure, k1: int, k2: int) -> bool:
-    """Whether the structure unitally embeds into a single block of size gcd(k1, k2)."""
-    if k1 < 1 or k2 < 1:
-        raise ValueError("block sizes must be positive")
-    g = math.gcd(k1, k2)
-    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,))))
+    suffixes = _suffix_table(structure, other)(0, ambient_mult)
+    return [_fast_matrix(structure, target, entries) for entries in suffixes]
 
 
 def enumerate_embedded_algebras(ambient_dim: int) -> list[EmbeddedAlgebra]:

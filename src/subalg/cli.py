@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 
 import numpy as np
 
@@ -28,10 +29,13 @@ from .algebra import (
 from .dimensions import audit_density_hypotheses, dim_report
 from .errors import ConfigError, NumericalInstabilityError, SearchExhaustedError
 from .freeprod import (
+    DECISION_BYTES,
     RepPair,
+    decision_bytes,
     dpi_probe,
     rcp_balance,
     rcp_check,
+    stage_layouts,
     staged_build,
 )
 from .numeric import amplify, default_tolerance, density_experiment
@@ -164,6 +168,34 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
         elif k == 0 and dims == [0, 0]:  # later stages may add nothing
             diags.append(("/stages/0", "the first stage fills dimension 0"))
     return diags
+
+
+def _decision_diagnostics(
+    alg1, segs1, alg2, segs2, dim: int, pointer: str
+) -> list[tuple[str, str]]:
+    """Diagnostics for a pair of dimension ``dim`` whose one decision is past DECISION_BYTES."""
+    size = decision_bytes(alg1, segs1, alg2, segs2)
+    if size <= DECISION_BYTES:
+        return []
+    # exact for any integer size: a float overflows past about 1e308 bytes
+    gib = Decimal(size) / 2**30
+    return [(pointer, f"one decision at dimension {dim} needs {gib:.3g} GiB, "
+                      f"past the {DECISION_BYTES >> 30} GiB cap")]
+
+
+def _stage_decision_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str, str]]:
+    """Diagnostics for the first build stage whose one decision would be past the cap.
+
+    Runs the build's integer bookkeeping (``stage_layouts``), RCP paddings
+    included, with no search; ``stages`` and both ``blocks`` lists must be
+    valid already.
+    """
+    alg1, alg2 = (BlockStructure(tuple(blocks[i])) for i in (0, 1))
+    for k, segs1, segs2, _, dim, _ in stage_layouts(alg1, alg2, stages):
+        found = _decision_diagnostics(alg1, segs1, alg2, segs2, dim, f"/stages/{k - 1}")
+        if found:
+            return found
+    return []
 
 
 def _parse_probe(path, blocks: dict[int, list]) -> tuple[list, list[tuple[str, str]]]:
@@ -303,11 +335,16 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             )
         elif cmd == "dpi" and dims[0] == 0:
             diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
-        elif cmd == "dpi" and config.u is None:
-            parsed["u"] = np.eye(dims[0], dtype=complex)
         elif cmd == "dpi":
-            parsed["u"], found = _parse_unitary(config.u, "/u", dims[0])
-            diags += found
+            (alg1, mult1), (alg2, mult2) = parsed["algebras"][:2]
+            found = _decision_diagnostics(alg1, [mult1], alg2, [mult2], dims[0], "/algebras")
+            if found:
+                diags += found
+            elif config.u is None:
+                parsed["u"] = np.eye(dims[0], dtype=complex)
+            else:
+                parsed["u"], found = _parse_unitary(config.u, "/u", dims[0])
+                diags += found
 
     if cmd in _NEEDS_SAMPLES:
         diags.extend(_count_diagnostics(config.samples, "samples"))
@@ -320,7 +357,10 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         if not isinstance(config.stages, list) or not config.stages:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
-            diags.extend(_stage_diagnostics(config.stages, valid_blocks))
+            found = _stage_diagnostics(config.stages, valid_blocks)
+            if not found and {0, 1} <= valid_blocks.keys():
+                found = _stage_decision_diagnostics(config.stages, valid_blocks)
+            diags += found
         diags.extend(_count_diagnostics(config.max_tries, "max_tries"))
         if config.probe is not None:
             parsed["probe"], found = _parse_probe(config.probe, valid_blocks)

@@ -10,6 +10,7 @@ optimization bounds used by the non-simple case analysis live here too.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -17,24 +18,28 @@ from typing import NamedTuple
 from .algebra import (
     BlockStructure,
     EmbeddedAlgebra,
-    MultiplicityMatrix,
     SubalgebraClass,
-    canonical_embedding_key,
     compatible_embeddings,
-    compose_multiplicities,
     enumerate_subalgebra_classes,
-    relative_commutant,
 )
 from .errors import DomainError
 
 
 @dataclass(frozen=True)
 class DimReport:
-    """Dimension summary for one subalgebra class measured against a second algebra."""
+    """Dimension summary for one subalgebra class measured against a second algebra.
+
+    ``orbit_dims_histogram`` holds one (orbit dimension, count) pair per
+    distinct dimension, ascending, where the count is the number of
+    compatible embeddings with that dimension; it is empty when no unitary
+    carries the class into the second algebra.  ``d_value`` is the class
+    dimension plus the largest orbit dimension.  In JSON the histogram is an
+    object ``{"<dim>": count}``, as ``density``'s ``dims_histogram``.
+    """
 
     stab_dim: int
     class_dim: int
-    orbit_dims: tuple[int, ...]
+    orbit_dims_histogram: tuple[tuple[int, int], ...]
     d_value: int | None
     ambient_sq: int
 
@@ -42,7 +47,7 @@ class DimReport:
         return {
             "stab_dim": self.stab_dim,
             "class_dim": self.class_dim,
-            "orbit_dims": list(self.orbit_dims),
+            "orbit_dims_histogram": {str(dim): count for dim, count in self.orbit_dims_histogram},
             "d": self.d_value,
             "ambient_sq": self.ambient_sq,
         }
@@ -60,21 +65,23 @@ def stab_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     the relative commutant read off the multiplicity matrix.
     """
     _check_parent(b1, cls)
-    return _stab_dim(cls, relative_commutant(cls.embedding))
+    return _stab_dim(cls.structure, cls.embedding.entries)
 
 
 def class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass) -> int:
     """Manifold dimension of the unitary-conjugation class of the subalgebra."""
     _check_parent(b1, cls)
-    return _class_dim(b1, cls, relative_commutant(cls.embedding))
+    return b1.structure.algebra_dim() - _stab_dim(cls.structure, cls.embedding.entries)
 
 
-def _stab_dim(cls: SubalgebraClass, rel: BlockStructure) -> int:
-    return cls.structure.algebra_dim() + rel.algebra_dim() - cls.structure.center_dim()
+def _stab_dim(structure: BlockStructure, entries: tuple[tuple[int, ...], ...]) -> int:
+    """The stabilizer dimension from the multiplicity rows of a unital embedding.
 
-
-def _class_dim(b1: EmbeddedAlgebra, cls: SubalgebraClass, rel: BlockStructure) -> int:
-    return b1.structure.algebra_dim() - _stab_dim(cls, rel)
+    The relative commutant has one block of size mu per nonzero entry mu
+    (``relative_commutant``), so its dimension is the sum of squared entries.
+    """
+    rel_dim = sum(e * e for row in entries for e in row)
+    return structure.algebra_dim() + rel_dim - structure.center_dim()
 
 
 def orbit_dims(
@@ -85,13 +92,12 @@ def orbit_dims(
     One entry per compatible embedding mu(b2, B), in the order of
     ``compatible_embeddings``: sum of squared ambient multiplicities of B,
     plus dim U(b2), minus the sum of the squared entries of mu.  Empty when no
-    unitary can carry B into b2.  The list depends on the class only through
-    its structure and ambient multiplicities, so it is read from a table
-    built once per (structure, ambient multiplicities, b2) and shared by every
-    parent with a class of that shape; each call returns a fresh list.
+    unitary can carry B into b2.  Each call returns a fresh list from the
+    stream that the reports fold into their histograms (``_orbit_dims``);
+    the reports keep no per-embedding list.
     """
     _check_parent(b1, cls)
-    return list(_orbit_dims(cls.structure, cls.ambient_mult(), b2))
+    return list(_orbit_dim_stream(cls.structure, cls.ambient_mult(), b2))
 
 
 class _RowSquares(dict):
@@ -102,39 +108,56 @@ class _RowSquares(dict):
         return value
 
 
-@lru_cache(maxsize=None)
-def _orbit_dims(
+def _orbit_dim_stream(
     structure: BlockStructure, ambient_mult: tuple[int, ...], b2: EmbeddedAlgebra
-) -> tuple[int, ...]:
+):
+    """The orbit dimension of each compatible embedding, in their order, as an iterator."""
     base = sum(m * m for m in ambient_mult) + b2.structure.algebra_dim()
     # the embeddings share a few distinct rows, so each row is squared once
     row_sq = _RowSquares().__getitem__
-    return tuple(
+    return (
         base - sum(map(row_sq, emb.entries))
         for emb in compatible_embeddings(structure, ambient_mult, b2)
     )
 
 
-def _d(cdim: int, dims) -> int | None:
+@lru_cache(maxsize=None)
+def _orbit_dims(
+    structure: BlockStructure, ambient_mult: tuple[int, ...], b2: EmbeddedAlgebra
+) -> tuple[tuple[int, int], ...]:
+    """The orbit dimensions as (dimension, count) pairs, ascending (``DimReport``).
+
+    Each embedding's dimension is counted as the stream passes, so no
+    per-embedding list is kept.  The histogram depends on a class only
+    through its structure and ambient multiplicities, so it is tabled once
+    per (structure, ambient multiplicities, b2) and shared by every parent
+    with a class of that shape.
+    """
+    return tuple(sorted(Counter(_orbit_dim_stream(structure, ambient_mult, b2)).items()))
+
+
+def _d(cdim: int, histogram) -> int | None:
     """d(B): the class dimension plus the largest orbit dimension; None when no orbit exists."""
-    return cdim + max(dims) if dims else None
+    return cdim + histogram[-1][0] if histogram else None
 
 
 def d_value(
     b1: EmbeddedAlgebra, cls: SubalgebraClass, b2: EmbeddedAlgebra
 ) -> int | None:
     """class_dim plus the largest orbit dimension; None when no orbit exists."""
-    return _d(class_dim(b1, cls), orbit_dims(b1, cls, b2))
+    cdim = class_dim(b1, cls)
+    return _d(cdim, _orbit_dims(cls.structure, cls.ambient_mult(), b2))
 
 
 def dim_report(
     b1: EmbeddedAlgebra, cls: SubalgebraClass, b2: EmbeddedAlgebra
 ) -> DimReport:
-    dims = tuple(orbit_dims(b1, cls, b2))
-    rel = relative_commutant(cls.embedding)
-    cdim = _class_dim(b1, cls, rel)
+    _check_parent(b1, cls)
+    histogram = _orbit_dims(cls.structure, cls.ambient_mult(), b2)
+    stab = _stab_dim(cls.structure, cls.embedding.entries)
+    cdim = b1.structure.algebra_dim() - stab
     n = b1.ambient_dim
-    return DimReport(_stab_dim(cls, rel), cdim, dims, _d(cdim, dims), n * n)
+    return DimReport(stab, cdim, histogram, _d(cdim, histogram), n * n)
 
 
 def lagrange_min(r: list[float]) -> tuple[float, tuple[float, ...]]:
@@ -286,38 +309,42 @@ def _class_table(
     entries the simple nonabelian ones, each in class order.  A simple class
     M_k keeps one split x + (k - x) per distinct canonical key of the C^2 it
     contains, the first x in ascending order.
+
+    Every value is read straight from the multiplicity rows mu of a class.
+    Its ambient multiplicities are b1's row times mu, and its stabilizer and
+    class dimensions come from the squared entries of mu (``_stab_dim``).
+    An enumerated class is canonical, so its key is (structure, mu).  The
+    C^2 split x + (k - x) of a simple class with column c embeds into b1
+    with the rows (x c_i, (k - x) c_i), canonical when x <= k - x; distinct
+    x <= k / 2 give distinct keys, and x and k - x give the same one, so the
+    splits are x = 1, ..., k // 2.
     """
     abelian, simple = [], []
-    c2 = BlockStructure((1, 1))
+    u1 = b1.structure.algebra_dim()
     for cls in enumerate_subalgebra_classes(b1):
-        if cls.is_abelian():
-            if cls.is_trivial():
-                continue
-            rel = relative_commutant(cls.embedding)
-            entry = _AbelianEntry(
-                cls,
-                cls.ambient_mult(),
-                _stab_dim(cls, rel),
-                _class_dim(b1, cls, rel),
-                cls.key(),
+        structure, entries = cls.structure, cls.embedding.entries
+        if structure.is_trivial() or not (structure.is_abelian() or structure.is_simple()):
+            continue
+        ambient = tuple(sum(m * v for m, v in zip(b1.mult, col)) for col in zip(*entries))
+        stab = _stab_dim(structure, entries)
+        if structure.is_abelian():
+            key = (structure.blocks, entries)
+            abelian.append(_AbelianEntry(cls, ambient, stab, u1 - stab, key))
+        else:
+            k = structure.blocks[0]
+            column = [row[0] for row in entries]
+            splits = tuple(
+                ((x, k - x), ((1, 1), tuple((x * c, (k - x) * c) for c in column)))
+                for x in range(1, k // 2 + 1)
             )
-            abelian.append(entry)
-        elif cls.structure.is_simple():
-            k = cls.structure.blocks[0]
-            splits = {}  # C^2 key -> first split with that key
-            for x in range(1, k):
-                split = MultiplicityMatrix(c2, cls.structure, ((x, k - x),))
-                composed = compose_multiplicities(cls.embedding, split)
-                splits.setdefault(canonical_embedding_key(c2, composed.entries), (x, k - x))
-            rel = relative_commutant(cls.embedding)
-            entry = _SimpleEntry(
-                cls,
-                cls.ambient_mult(),
-                _class_dim(b1, cls, rel),
-                tuple((split, key) for key, split in splits.items()),
-            )
-            simple.append(entry)
+            simple.append(_SimpleEntry(cls, ambient, u1 - stab, splits))
     return tuple(abelian), tuple(simple)
+
+
+@lru_cache(maxsize=None)
+def _uncovered_audit(n_sq: int) -> HypothesisAudit:
+    """The audit of every pair that no hypothesis case covers in M_N, N^2 = n_sq."""
+    return HypothesisAudit(None, n_sq, ())
 
 
 def audit_density_hypotheses(
@@ -335,22 +362,22 @@ def audit_density_hypotheses(
     case = classify_pair(b1, b2)
     n_sq = b1.ambient_dim * b1.ambient_dim
     if case is None:
-        return HypothesisAudit(None, n_sq, ())
+        return _uncovered_audit(n_sq)
 
     abelian, simple = _class_table(b1)
 
     rows = []
     d_by_key = {}
     for entry in abelian:
-        dims = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
-        d = _d(entry.class_dim, dims)
+        histogram = _orbit_dims(entry.cls.structure, entry.ambient_mult, b2)
+        d = _d(entry.class_dim, histogram)
         if d is None:
             verdict = "no-embedding"
         elif d < n_sq:
             verdict = "ok"
         else:
             verdict = "violated"
-        report = DimReport(entry.stab_dim, entry.class_dim, dims, d, n_sq)
+        report = DimReport(entry.stab_dim, entry.class_dim, histogram, d, n_sq)
         rows.append(ClassVerdict(entry.cls, report, verdict))
         d_by_key[entry.key] = d
 

@@ -20,7 +20,9 @@ earlier pair decides the identity only once its attempts are exhausted: the
 identity keeps that pair as a direct summand, which is never irreducible.
 A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
 item when a single system is larger, and results are bit-identical to
-deciding one unitary at a time.  The probe check of a stage amplifies the
+deciding one unitary at a time.  The item itself is sized from integers
+(``decision_bytes``), so a pair or a build stage whose one item would be past
+``DECISION_BYTES`` is refused before any search.  The probe check of a stage amplifies the
 probe letters once per side and measures every move with one stacked norm.
 """
 
@@ -217,16 +219,6 @@ def rcp_check(alg: BlockStructure, mult) -> RcpReport:
     return RcpReport((ranks,))
 
 
-def pad_multiplicities(mult, q) -> tuple[int, ...]:
-    """Entrywise sum of a multiplicity row and a padding row of the same length."""
-    mult, q = tuple(mult), tuple(q)
-    if len(mult) != len(q):
-        raise ShapeMismatchError(f"length mismatch: {len(mult)} vs {len(q)}")
-    if any(v < 0 for v in q):
-        raise ValueError("padding must be nonnegative")
-    return tuple(int(m) + int(v) for m, v in zip(mult, q))
-
-
 @dataclass(frozen=True)
 class RcpBalance:
     """Outcome of balancing a representation pair to satisfy the RCP condition."""
@@ -288,6 +280,49 @@ def rcp_balance(
     return RcpBalance(s, qhat1, qhat2, copies[0], copies[1], final1, final2, final_dim)
 
 
+# The most bytes one decision may hold (``decision_bytes``).  ``cli.validate``
+# refuses a dpi pair or a build stage past it before any search: its solve
+# could not be held in memory.  The largest checked config, dpi at N = 48,
+# holds about 65 MiB, and dpi at N = 96 about 1.0 GiB.
+DECISION_BYTES = 4 << 30
+
+
+def _totals(segs) -> tuple[int, ...]:
+    """The total multiplicities of segments: their column sums."""
+    return tuple(map(sum, zip(*segs)))
+
+
+def _decision_size(alg1, totals1, alg2, totals2) -> tuple[bool, int]:
+    """Whether ``_joint_dim_kernel`` swaps the sides, and how many matrices one item holds.
+
+    The solve runs inside the smaller known commutant, of dimension
+    d = sum M_j^2 over its factor's total multiplicities M_j, with
+    e = sum M_j^2 n_j support entries; the other factor gives g units, all
+    but the last diagonal one.  An item holds its draw, the unitary and its
+    inverse, the g conjugated units, the system of d * g matrices and the
+    copy of it that the QR makes, and, at most, the two gather temporaries
+    of the system build (g * e / N matrices each) and the d x d triangle.
+    The count is N x N complex matrices, from integers alone.
+    """
+    dim1 = sum(m * m for m in totals1)
+    dim2 = sum(m * m for m in totals2)
+    swap = dim1 > dim2
+    if swap:
+        alg1, totals1, alg2, dim1 = alg2, totals2, alg1, dim2
+    n = _rep_dim(alg1, totals1)
+    e = sum(m * m * b for m, b in zip(totals1, alg1.blocks))
+    g = alg2.algebra_dim() - 1
+    extra = -(-(2 * g * e * n + dim1 * dim1) // (n * n))
+    return swap, DRAW_MATRICES + 2 + g + 2 * dim1 * g + extra
+
+
+def decision_bytes(alg1, segs1, alg2, segs2) -> int:
+    """Bytes one item of the pair's decision holds: 16 N^2 per matrix of ``_decision_size``."""
+    totals1 = _totals(segs1)
+    n = _rep_dim(alg1, totals1)
+    return 16 * n * n * _decision_size(alg1, totals1, alg2, _totals(segs2))[1]
+
+
 def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     """The stacked decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
@@ -309,16 +344,10 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     commutant systems of all k at once, with one QR and one values-only SVD
     (``commutant_basis``); it yields the k dimensions in index order, each
     decided only when reached.  ``stack`` is the most items one call should
-    take: each item holds its draw, the unitary and its inverse, the g
-    conjugated units, the system of d * g matrices and the copy of it that
-    the QR makes, and, at most, the two gather temporaries of the system
-    build (g * e / N matrices each, for the e support entries of the units
-    of the known commutant) and the d x d triangle; ``stack_size`` caps the
-    stack at a fixed byte budget.
+    take: ``stack_size`` caps the stack at a fixed byte budget, counting the
+    matrices of an item by ``_decision_size``.
     """
-    dim1 = sum(m * m for m in map(sum, zip(*segs1)))
-    dim2 = sum(m * m for m in map(sum, zip(*segs2)))
-    swap = dim1 > dim2
+    swap, matrices = _decision_size(alg1, _totals(segs1), alg2, _totals(segs2))
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
@@ -329,9 +358,7 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
         gens = inv @ units @ u if swap else u @ units @ inv
         return commutant_basis(gens, within, tol)
 
-    g, d, n = len(units), within.dimension, within.n
-    extra = -(-(2 * g * len(within.support) * n + d * d) // (n * n))
-    return decide, stack_size(DRAW_MATRICES + 2 + g + 2 * d * g + extra, n)
+    return decide, stack_size(matrices, within.n)
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
@@ -361,6 +388,60 @@ def dpi_probe(
         rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack
     )
     return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
+
+
+class StageLayout(NamedTuple):
+    """The pair after one stage of a build: its segments, dimensions and RCP padding."""
+
+    index: int  # 1-based
+    segs1: list[tuple[int, ...]]
+    segs2: list[tuple[int, ...]]
+    earlier: int  # the dimension before the stage
+    dim: int
+    balance: RcpBalance | None
+
+
+def stage_layouts(alg1: BlockStructure, alg2: BlockStructure, stages):
+    """The integer bookkeeping of ``staged_build``, stage by stage, with no search.
+
+    The pair is kept as segments: the rows of each stage that places blocks
+    and of each padding, whose column sums are the total multiplicities.  A
+    stage that adds no dimension writes no segment.  When the cumulative
+    pair fails the RCP condition it is padded (``rcp_balance``).  The
+    segment lists are grown in place and yielded after every stage.  Raises
+    ShapeMismatchError or ValueError for a malformed multiplicity row, and
+    ValueError for an empty first stage.
+    """
+    segs1: list[tuple[int, ...]] = []
+    segs2: list[tuple[int, ...]] = []
+    dim = 0
+    for k, (m1, m2) in enumerate(stages, start=1):
+        m1, m2 = _mult_row(alg1, m1), _mult_row(alg2, m2)
+        add1, add2 = _rep_dim(alg1, m1), _rep_dim(alg2, m2)
+        if add1 != add2:
+            raise ShapeMismatchError(
+                f"stage {k} factor dimensions differ: {add1} vs {add2}"
+            )
+        if add1:  # a stage that adds no dimension places no block: no segment
+            segs1.append(m1)
+            segs2.append(m2)
+        elif k == 1:
+            raise ValueError("the first stage must have a nonzero dimension")
+        earlier = dim
+        dim += add1
+
+        total1, total2 = _totals(segs1), _totals(segs2)
+        balance = None
+        if not (rcp_check(alg1, total1).passes and rcp_check(alg2, total2).passes):
+            balance = rcp_balance(alg1, total1, alg2, total2)
+            pad1 = tuple(f - t for f, t in zip(balance.final_mult1, total1))
+            pad2 = tuple(f - t for f, t in zip(balance.final_mult2, total2))
+            if any(pad1):
+                segs1.append(pad1)
+            if any(pad2):
+                segs2.append(pad2)
+            dim = balance.final_dim
+        yield StageLayout(k, segs1, segs2, earlier, dim, balance)
 
 
 @dataclass(frozen=True)
@@ -428,13 +509,11 @@ def staged_build(
     search tries random local unitaries whose radius halves after every 32
     failed tries.  The identity is tried before them at stage 1 and at a
     stage that adds no dimension, and otherwise only after they are
-    exhausted: it keeps the earlier pair as a direct summand.  When the
-    cumulative pair fails the RCP condition it is padded (rcp_balance) before
-    searching.  Each stage checks, on the probe set, that the new evaluation
-    moved by at most the Lipschitz bound times the perturbation size.  The
-    pair is kept as segments: the rows of each stage that places blocks and
-    of each padding, whose column sums are the total multiplicities.
-    Raises SearchExhaustedError when a stage finds no irreducible
+    exhausted: it keeps the earlier pair as a direct summand.  The pair of
+    each stage, padded when it fails the RCP condition, comes from
+    ``stage_layouts`` before its search.  Each stage checks, on the probe
+    set, that the new evaluation moved by at most the Lipschitz bound times
+    the perturbation size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
     malformed multiplicity row, and ValueError for an empty first stage.
     """
@@ -444,41 +523,11 @@ def staged_build(
         raise ValueError("need at least one stage")
 
     lipschitz = [lipschitz_bound(x) for x in probe]
-    segs1: list[tuple[int, ...]] = []
-    segs2: list[tuple[int, ...]] = []
-    dim = 0
     cumulative_u = np.zeros((0, 0), dtype=complex)
     built_stages: list[Stage] = []
     cumulative: list[np.ndarray] = []
 
-    for k, (m1, m2) in enumerate(stages, start=1):
-        m1, m2 = _mult_row(alg1, m1), _mult_row(alg2, m2)
-        add1, add2 = _rep_dim(alg1, m1), _rep_dim(alg2, m2)
-        if add1 != add2:
-            raise ShapeMismatchError(
-                f"stage {k} factor dimensions differ: {add1} vs {add2}"
-            )
-        if add1:  # a stage that adds no dimension places no block: no segment
-            segs1.append(m1)
-            segs2.append(m2)
-        elif k == 1:
-            raise ValueError("the first stage must have a nonzero dimension")
-        earlier = dim
-        dim += add1
-
-        total1 = tuple(map(sum, zip(*segs1)))
-        total2 = tuple(map(sum, zip(*segs2)))
-        balance = None
-        pair_ok = rcp_check(alg1, total1).passes and rcp_check(alg2, total2).passes
-        if not pair_ok:
-            balance = rcp_balance(alg1, total1, alg2, total2)
-            pad1 = tuple(f - t for f, t in zip(balance.final_mult1, total1))
-            pad2 = tuple(f - t for f, t in zip(balance.final_mult2, total2))
-            if any(pad1):
-                segs1.append(pad1)
-            if any(pad2):
-                segs2.append(pad2)
-            dim = balance.final_dim
+    for k, segs1, segs2, earlier, dim, balance in stage_layouts(alg1, alg2, stages):
         prev_u = _extend(cumulative_u, dim)
 
         # The identity keeps an earlier pair that this stage enlarges as a

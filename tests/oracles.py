@@ -7,22 +7,32 @@ commutant's basis entries by per-copy index lists, the N^2-column Kronecker
 commutant, the commutant solved inside a known commutant from dense
 products and its null rows, the dense twice-projected intersection
 residual, the full (not only canonical) enumeration of unital embeddings,
-and a few small helpers that only tests need.  None of them is reached
-from ``src``.
+the compatible embeddings by a row-suffix memo built afresh in each call,
+and a few small helpers that only tests need (the class order, the
+center restriction, the gcd embedding bound, padding a multiplicity row).
+None of them is reached from ``src``.
 """
 
 import dataclasses
 import functools
 import itertools
+import math
 import operator
 
 import numpy as np
 
 import subalg.numeric
-from subalg.algebra import BlockStructure, MultiplicityMatrix, _fast_matrix, compose_multiplicities
-from subalg.errors import NumericalInstabilityError
+from subalg.algebra import (
+    BlockStructure,
+    EmbeddedAlgebra,
+    MultiplicityMatrix,
+    _fast_matrix,
+    canonical_embedding_key,
+    compose_multiplicities,
+    enumerate_unital_embeddings,
+)
+from subalg.errors import DomainError, NumericalInstabilityError, ShapeMismatchError
 from subalg.freeprod import RcpReport, rcp_check
-from subalg.errors import ShapeMismatchError
 from subalg.numeric import (
     DEFAULT_CLOSURE_TOL,
     ConcreteRealization,
@@ -288,6 +298,88 @@ def all_unital_embeddings(source, target):
         if functools.reduce(operator.or_, masks) == every:
             found.extend(itertools.product(*(g[m] for g, m in zip(groups, masks))))
     return [_fast_matrix(source, target, entries) for entries in sorted(found)]
+
+
+def compatible_embeddings(structure, ambient_mult, other):
+    """The library's compatible embeddings, by a row-suffix memo that lives for one call.
+
+    Every target row is chosen among all rows of its weighted sum, and a
+    row that overdraws a budget is filtered out.  The arguments are checked
+    as the library checks them.
+    """
+    ambient_mult = tuple(int(m) for m in ambient_mult)
+    if len(ambient_mult) != structure.num_blocks:
+        raise ShapeMismatchError("multiplicity row length does not match block count")
+    if any(m < 1 for m in ambient_mult):
+        raise ValueError(f"ambient multiplicities must be >= 1, got {ambient_mult}")
+    if sum(m * n for m, n in zip(ambient_mult, structure.blocks)) != other.ambient_dim:
+        raise DomainError("ambient dimensions differ")
+    target = other.structure
+    weights = other.mult
+    per_row = [_weighted_rows(structure.blocks, size) for size in target.blocks]
+    last = len(per_row) - 1
+    memo = {}
+
+    def suffixes(i, remaining):
+        key = (i, remaining)
+        if key not in memo:
+            w = weights[i]
+            if i == last:
+                row = tuple(r // w for r in remaining)
+                out = ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
+            else:
+                out = []
+                for row in per_row[i]:
+                    nxt = tuple(r - w * v for r, v in zip(remaining, row))
+                    if min(nxt) < 0:
+                        continue
+                    out.extend((row,) + tail for tail in suffixes(i + 1, nxt))
+                out = tuple(out)
+            memo[key] = out
+        return memo[key]
+
+    return [_fast_matrix(structure, target, entries) for entries in suffixes(0, ambient_mult)]
+
+
+def class_leq(a, b):
+    """Partial order on classes: a <= b iff a is realised by a subalgebra of b's representative.
+
+    Relabeling equal source blocks permutes the composed columns alike, so
+    one embedding per relabeling orbit decides the question.
+    """
+    if a.parent != b.parent:
+        raise DomainError("classes live over different parents")
+    target_key = a.key()
+    for emb in enumerate_unital_embeddings(a.structure, b.structure):
+        composed = compose_multiplicities(b.embedding, emb)
+        if canonical_embedding_key(a.structure, composed.entries) == target_key:
+            return True
+    return False
+
+
+def center_restriction(emb):
+    """Restriction to the center: the abelian algebra C^l with multiplicities m(j) * n(j)."""
+    mult = tuple(m * n for m, n in zip(emb.mult, emb.structure.blocks))
+    abelian = BlockStructure((1,) * emb.structure.num_blocks)
+    return EmbeddedAlgebra(emb.ambient_dim, abelian, mult)
+
+
+def gcd_embedding_bound(structure, k1, k2):
+    """Whether the structure unitally embeds into a single block of size gcd(k1, k2)."""
+    if k1 < 1 or k2 < 1:
+        raise ValueError("block sizes must be positive")
+    g = math.gcd(k1, k2)
+    return bool(enumerate_unital_embeddings(structure, BlockStructure((g,))))
+
+
+def pad_multiplicities(mult, q):
+    """Entrywise sum of a multiplicity row and a padding row of the same length."""
+    mult, q = tuple(mult), tuple(q)
+    if len(mult) != len(q):
+        raise ShapeMismatchError(f"length mismatch: {len(mult)} vs {len(q)}")
+    if any(v < 0 for v in q):
+        raise ValueError("padding must be nonnegative")
+    return tuple(int(m) + int(v) for m, v in zip(mult, q))
 
 
 def ambient_embedding(cls):

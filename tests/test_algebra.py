@@ -7,33 +7,33 @@ embeddings solved with plain numpy), never by the code paths under test.
 
 import itertools
 import math
+import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subalg import dimensions
+from subalg import algebra, dimensions
 from subalg.algebra import (
     BlockStructure,
     EmbeddedAlgebra,
     MultiplicityMatrix,
     SubalgebraClass,
     canonical_embedding_key,
-    center_restriction,
-    class_leq,
     compatible_embeddings,
     compose_multiplicities,
     enumerate_embedded_algebras,
     enumerate_subalgebra_classes,
     enumerate_unital_embeddings,
-    gcd_embedding_bound,
     relative_commutant,
 )
 from subalg.dimensions import orbit_dims
 from subalg.errors import DomainError, ShapeMismatchError
-from oracles import all_unital_embeddings
+import oracles
+from oracles import all_unital_embeddings, center_restriction, class_leq, gcd_embedding_bound
 
 M2 = BlockStructure((2,))
 M3 = BlockStructure((3,))
@@ -413,6 +413,15 @@ def full_class_leq(a, b):
     )
 
 
+def clear_subalg_caches():
+    """Empty every cache of the subalg modules, as a cold benchmark pass does."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("subalg."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 def compatible(cls, other):
     return compatible_embeddings(cls.structure, cls.ambient_mult(), other)
 
@@ -453,7 +462,7 @@ class TestCompatibleEmbeddings:
 
 
 class TestCompatibleEmbeddingCache:
-    """The orbit dimensions are tabled on (structure, ambient multiplicities, B2)."""
+    """The orbit-dimension histograms are tabled on (structure, ambient multiplicities, B2)."""
 
     masa = EmbeddedAlgebra(4, BlockStructure((1, 1, 1, 1)), (1, 1, 1, 1))
 
@@ -484,13 +493,16 @@ class TestCompatibleEmbeddingCache:
         return [base - sum(e * e for row in mu for e in row) for mu in entries]
 
     def test_shared_across_parents(self):
+        # the reports read the table; orbit_dims streams the list afresh
         dimensions._orbit_dims.cache_clear()
         in_m2, whole = self.two_parents()
-        first = orbit_dims(in_m2.parent, in_m2, self.masa)
-        second = orbit_dims(whole.parent, whole, self.masa)
+        first = dimensions.dim_report(in_m2.parent, in_m2, self.masa).orbit_dims_histogram
+        second = dimensions.dim_report(whole.parent, whole, self.masa).orbit_dims_histogram
         assert first == second
-        assert first == self.orbit_formula(in_m2, self.masa, self.oracle(in_m2, self.masa))
-        assert len(first) == 6
+        expected = self.orbit_formula(in_m2, self.masa, self.oracle(in_m2, self.masa))
+        assert orbit_dims(in_m2.parent, in_m2, self.masa) == expected
+        assert len(expected) == 6
+        assert first == tuple(sorted(Counter(expected).items()))
         info = dimensions._orbit_dims.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
@@ -519,15 +531,12 @@ class TestCompatibleEmbeddingCache:
     def test_module_cache_sweep_empties_it(self):
         # the same sweep that a cold benchmark pass makes over every subalg module
         in_m2, _ = self.two_parents()
-        orbit_dims(in_m2.parent, in_m2, self.masa)
-        assert dimensions._orbit_dims.cache_info().currsize > 0
-        for name, module in list(sys.modules.items()):
-            if not name.startswith("subalg."):
-                continue
-            for value in vars(module).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
-        assert dimensions._orbit_dims.cache_info().currsize == 0
+        dimensions._orbit_dims.cache_clear()
+        dimensions.dim_report(in_m2.parent, in_m2, self.masa)
+        memos = (dimensions._orbit_dims, algebra._suffix_table, algebra._bounded_rows)
+        assert all(memo.cache_info().currsize > 0 for memo in memos)
+        clear_subalg_caches()
+        assert all(memo.cache_info().currsize == 0 for memo in memos)
 
     def test_matches_oracle_small_n(self):
         # every class of every embedded algebra at N <= 5, against every B2:
@@ -540,6 +549,72 @@ class TestCompatibleEmbeddingCache:
                         expected = self.oracle(cls, b2)
                         assert [e.entries for e in compatible(cls, b2)] == expected
                         assert orbit_dims(b1, cls, b2) == self.orbit_formula(cls, b2, expected)
+
+
+def audit_sweep_keys(sizes, monkeypatch):
+    """Every (structure, ambient multiplicities, B2) that a cold audit sweep asks for, in order."""
+    keys = []
+
+    def record(*key):
+        keys.append(key)
+        return compatible_embeddings(*key)
+
+    clear_subalg_caches()
+    with monkeypatch.context() as patch:
+        patch.setattr(dimensions, "compatible_embeddings", record)
+        for n in sizes:
+            algebras = enumerate_embedded_algebras(n)
+            for b1 in algebras:
+                for b2 in algebras:
+                    dimensions.audit_density_hypotheses(b1, b2)
+    return keys
+
+
+class TestSuffixTable:
+    """One row-suffix table per (structure, B2) gives what a memo per call gives."""
+
+    @staticmethod
+    def assert_matches_reference(keys):
+        for structure, ambient_mult, b2 in keys:
+            got = compatible_embeddings(structure, ambient_mult, b2)
+            expected = oracles.compatible_embeddings(structure, ambient_mult, b2)
+            assert [e.entries for e in got] == [e.entries for e in expected], (
+                structure, ambient_mult, str(b2))
+            assert all(e.source == structure and e.target == b2.structure for e in got)
+
+    def test_sweep_keys_in_audit_order_and_shuffled(self, monkeypatch):
+        # a table keyed too coarsely would leak suffixes between structures,
+        # B2s or ambient rows once the keys interleave
+        keys = audit_sweep_keys(range(2, 8), monkeypatch)
+        assert len(set(keys)) == len(keys) == 377
+        clear_subalg_caches()
+        self.assert_matches_reference(keys)
+        random.Random(20).shuffle(keys)
+        clear_subalg_caches()
+        self.assert_matches_reference(keys)
+
+    def test_bounded_rows_are_the_rows_within_bounds(self):
+        for weights in [(1,), (2, 1), (1, 1, 1), (3, 2, 2, 1)]:
+            for total in range(9):
+                every = oracles._weighted_rows(weights, total)
+                for bounds in itertools.product(range(4), repeat=len(weights)):
+                    expected = [r for r in every if all(v <= b for v, b in zip(r, bounds))]
+                    assert list(algebra._bounded_rows(weights, total, bounds)) == expected
+
+
+class TestUnvalidatedClasses:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_classes_pass_validation(self, n):
+        # the enumerator skips SubalgebraClass's checks; a validating build of
+        # every class must succeed and give an equal class
+        for b1 in enumerate_embedded_algebras(n):
+            for cls in algebra._cached_classes(b1):
+                entries = cls.embedding.entries
+                emb = MultiplicityMatrix(cls.structure, b1.structure, entries)
+                checked = SubalgebraClass(b1, BlockStructure(cls.structure.blocks), emb)
+                assert checked == cls
+                assert emb.unital() and emb.injective()
+                assert cls.key() == (cls.structure.blocks, entries)
 
 
 class TestGcdBound:

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,63 @@ class TestValidation:
         payload = dict(VALID_CONFIGS[command], probe=None, **{field: MAX_COUNT})
         config = ExperimentConfig(command=command, **payload)
         assert validate(config)[1] == []
+
+    def test_build_whose_decision_cannot_fit_exits_1_before_any_search(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # C+M2 against C^3: RCP padding takes the pair from 12 to 60 to 252,
+        # where one commutant decision would hold about 81 GiB
+        def no_search(*args, **kwargs):
+            raise AssertionError("a refused config reached the staged build")
+
+        monkeypatch.setattr(subalg.cli, "staged_build", no_search)
+        payload = {
+            "algebras": [{"blocks": [1, 2]}, {"blocks": [1, 1, 1]}],
+            "stages": [[[0, 1], [0, 1, 1]]] * 2 + [[[1, 0], [0, 0, 1]]],
+            "epsilon": 0.5,
+            "seed": 40,
+        }
+        start = time.perf_counter()
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        elapsed = time.perf_counter() - start
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("/stages/2: one decision at dimension 252 needs 81.4 GiB")
+        assert elapsed < 1.0
+
+    def test_stage_past_float_range_exits_1(self, tmp_path, capsys):
+        # 10**200 copies: the decision's byte count is past float range
+        payload = {
+            "algebras": [{"blocks": [1, 1]}, {"blocks": [2]}],
+            "stages": [[[10**200, 10**200], [10**200]]],
+            "epsilon": 0.5,
+            "seed": 1,
+        }
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("/stages/0: one decision at dimension 2" + "0" * 200 + " needs ")
+        assert "e+" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("n, refused", [(48, False), (96, False), (144, True)])
+    def test_dpi_decision_cap(self, n, refused):
+        # C^2 (n/2, n/2) against C^3 (n/3, n/3, n/3): about 65 MiB at N = 48,
+        # 1.0 GiB at N = 96 and 5.0 GiB, past the 4 GiB cap, at N = 144
+        payload = {
+            "algebras": [
+                {"blocks": [1, 1], "mult": [n // 2] * 2},
+                {"blocks": [1, 1, 1], "mult": [n // 3] * 3},
+            ],
+            "samples": 4,
+            "seed": 3,
+        }
+        diags = validate(ExperimentConfig(command="dpi", **payload))[1]
+        if refused:
+            assert diags == [
+                ("/algebras", "one decision at dimension 144 needs 5.02 GiB, past the 4 GiB cap")
+            ]
+        else:
+            assert diags == []
 
     @pytest.mark.parametrize("side", [None, 3])
     def test_probe_letter_without_valid_side_exits_1(self, tmp_path, capsys, side):
@@ -703,7 +761,7 @@ class TestCommands:
         )
         assert row["stab_dim"] == 2
         assert row["class_dim"] == 2
-        assert row["orbit_dims"] == [10]
+        assert row["orbit_dims_histogram"] == {"10": 1}
         assert row["d"] == 12
 
     def test_thm41_check_covered(self, tmp_path):
@@ -889,13 +947,13 @@ PINNED_PAIRS = {
 # (pair, command) -> (size in bytes, sha256) of the report
 PINNED_REPORTS = {
     ("case4", "dims"): (
-        38321, "ffce02a4bb3bef3417734827ae84a42bdbe2d8e0a8a13fb0407bf08701bc7ea7"),
+        29126, "b06cc7a367063617784b92f25149d1cebf90ea7157137253bd778fb53c6e18d1"),
     ("case4", "thm41-check"): (
-        25279, "37316aa1338f9b79776aaf3d4fcaec80e116692263a1f974f62d9bccfd54e25c"),
+        17431, "4884a4620a991896ddd6f5c7bbf75aa91e8906fb70d9e0d29141793f953d2352"),
     ("case1", "dims"): (
-        2474, "a9fc1d832b8d2a5cfabd8e4b5c5e7d9ee87dda3d4c2a4b53508cc9163955743c"),
+        2549, "a94b0f1811241ce8b6e270302259eaaa8e26fb7a45d3b51d3236240d47eefdb0"),
     ("case1", "thm41-check"): (
-        1831, "fc636f75127e9e03669cfb1155f1a7a0ba31b3d6aff9306cb1e0d5429f8a0152"),
+        1861, "5cbc1f6eeb2d89df6b5d8a02691270dc37ca98c88efb6e9e94b385a25472e0bc"),
     ("density-s1", "density"): (
         853, "4dceb76ba70ac7104f4170576ecba75b5e6ec2d5d8c8975f69e450144a5ba669"),
     ("density-local-s1", "density"): (
@@ -917,7 +975,7 @@ PINNED_REPORTS = {
 
 @pytest.mark.parametrize("pair, command", list(PINNED_REPORTS))
 def test_symbolic_reports_pinned(tmp_path, monkeypatch, pair, command):
-    # the whole report, orbit_dims lists and their order included, is frozen
+    # the whole report, orbit-dimension histograms included, is frozen
     # byte for byte; a relative --out keeps the echoed config path fixed
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "config.json", PINNED_PAIRS[pair])

@@ -6,6 +6,7 @@ cases are asserted, together with the structural invariants of the module.
 """
 
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from subalg.algebra import (
     compose_multiplicities,
     enumerate_embedded_algebras,
     enumerate_subalgebra_classes,
+    relative_commutant,
 )
 from subalg.dimensions import (
     ClassVerdict,
@@ -120,7 +122,8 @@ class TestOrbitAndD:
     def test_dim_report_consistency(self):
         c2 = self.classes[(1, 1)]
         rep = dim_report(self.b1, c2, self.b1)
-        assert rep.d_value == rep.class_dim + max(rep.orbit_dims)
+        assert rep.orbit_dims_histogram == ((10, 1),)
+        assert rep.d_value == rep.class_dim + max(dim for dim, _ in rep.orbit_dims_histogram)
         assert rep.ambient_sq == 16
 
 
@@ -277,6 +280,68 @@ class TestClassTable:
                     if callable(getattr(value, "cache_clear", None)):
                         value.cache_clear()
         assert dimensions._class_table.cache_info().currsize == 0
+
+
+def class_table_reference(b1):
+    """``_class_table`` rebuilt through relative_commutant and compose_multiplicities."""
+    abelian, simple = [], []
+    c2 = BlockStructure((1, 1))
+    u1 = b1.structure.algebra_dim()
+    for cls in enumerate_subalgebra_classes(b1):
+        structure = cls.structure
+        stab = (
+            structure.algebra_dim()
+            + relative_commutant(cls.embedding).algebra_dim()
+            - structure.center_dim()
+        )
+        if cls.is_abelian() and not cls.is_trivial():
+            abelian.append((cls, cls.ambient_mult(), stab, u1 - stab, cls.key()))
+        elif structure.is_simple() and not cls.is_abelian():
+            k = structure.blocks[0]
+            splits = {}  # C^2 key -> first split with that key
+            for x in range(1, k):
+                split = MultiplicityMatrix(c2, structure, ((x, k - x),))
+                composed = compose_multiplicities(cls.embedding, split)
+                splits.setdefault(canonical_embedding_key(c2, composed.entries), (x, k - x))
+            pairs = tuple((split, key) for key, split in splits.items())
+            simple.append((cls, cls.ambient_mult(), u1 - stab, pairs))
+    return tuple(abelian), tuple(simple)
+
+
+class TestClassTableFromRows:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_reference_through_commutant_and_composition(self, n):
+        for b1 in enumerate_embedded_algebras(n):
+            abelian, simple = dimensions._class_table(b1)
+            assert (tuple(map(tuple, abelian)), tuple(map(tuple, simple))) == (
+                class_table_reference(b1)
+            ), str(b1)
+
+
+class TestOrbitHistograms:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rows_count_every_orbit_dimension(self, n):
+        # every covered ordered pair at N <= 6: each row's histogram is the
+        # Counter of the per-embedding list, and d reads its largest key
+        algebras = enumerate_embedded_algebras(n)
+        rows = 0
+        for b1 in algebras:
+            for b2 in algebras:
+                audit = audit_density_hypotheses(b1, b2)
+                if not audit.covered:
+                    continue
+                for row in audit.rows:
+                    rows += 1
+                    dims = orbit_dims(b1, row.cls, b2)
+                    histogram = row.report.orbit_dims_histogram
+                    assert histogram == tuple(sorted(Counter(dims).items()))
+                    if dims:
+                        assert row.report.d_value == row.report.class_dim + max(histogram)[0]
+                    else:
+                        assert row.report.d_value is None
+                    as_json = row.to_json_dict()["orbit_dims_histogram"]
+                    assert as_json == {str(d): c for d, c in Counter(dims).items()}
+        assert rows > 0
 
 
 class TestLagrangeMin:

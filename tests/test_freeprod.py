@@ -18,7 +18,6 @@ from subalg.freeprod import (
     evaluate,
     joint_commutant_dim,
     lipschitz_bound,
-    pad_multiplicities,
     rcp_balance,
     rcp_check,
     staged_build,
@@ -47,6 +46,7 @@ from oracles import (
     dense_intersect,
     kronecker_commutant,
     model_matrix_units,
+    pad_multiplicities,
     rcp_check_pair,
     with_unitary,
 )
@@ -965,6 +965,45 @@ class TestStackedDecisions:
         assert dpi_probe(rep, 3, 1).dims == (8, 8, 8)
         assert dpi_probe(rep, 3, 1, local_radius=1e-3).dims == (8, 8, 8)
         assert shapes == [(1, 0, 4, 4), (3, 0, 4, 4), (3, 0, 4, 4)]
+
+
+def counted_from_layouts(alg1, segs1, alg2, segs2):
+    """The swap and the per-item matrix count, read off the layouts the kernel builds."""
+    dims = [sum(m * m for m in map(sum, zip(*segs))) for segs in (segs1, segs2)]
+    swap = dims[0] > dims[1]
+    if swap:
+        alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
+    within = amplified_commutant(alg1.blocks, segs1)
+    g, d, n = len(amplified_units(alg2.blocks, segs2)) - 1, within.dimension, within.n
+    extra = -(-(2 * g * len(within.support) * n + d * d) // (n * n))
+    return swap, DRAW_MATRICES + 2 + g + 2 * d * g + extra
+
+
+@pytest.mark.parametrize(
+    "alg1, alg2, stages",
+    [
+        (C2, M2, [((1, 1), (1,))] * 3 + [((2, 0), (1,)), ((0, 0), (0,))]),
+        (BlockStructure((1, 2)), BlockStructure((1, 1, 1)),
+         [((0, 1), (0, 1, 1))] * 2 + [((1, 0), (0, 0, 1))]),
+        (BlockStructure((3, 1)), BlockStructure((2, 2)), [((1, 1), (1, 1)), ((0, 2), (1, 0))]),
+        (BlockStructure((1,)), C2, [((4,), (2, 2)), ((2,), (0, 2))]),
+    ],
+    ids=["C2-M2", "CM2-C3", "M3C-M2M2", "C-C2"],
+)
+def test_decision_size_is_counted_from_integers(alg1, alg2, stages):
+    # every stage layout of a build, RCP paddings and zero-copy blocks
+    # included: the integer count is the count of the kernel's layouts, and
+    # the cap in validate sizes that same count
+    dims = []
+    for layout in subalg.freeprod.stage_layouts(alg1, alg2, stages):
+        segs1, segs2 = layout.segs1, layout.segs2  # grown in place by the next stage
+        totals1, totals2 = (tuple(map(sum, zip(*segs))) for segs in (segs1, segs2))
+        swap, matrices = subalg.freeprod._decision_size(alg1, totals1, alg2, totals2)
+        assert (swap, matrices) == counted_from_layouts(alg1, segs1, alg2, segs2)
+        n = layout.dim
+        assert subalg.freeprod.decision_bytes(alg1, segs1, alg2, segs2) == 16 * n * n * matrices
+        dims.append(n)
+    assert len(dims) == len(stages)
 
 
 @pytest.mark.parametrize(

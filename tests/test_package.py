@@ -21,14 +21,13 @@ PUBLIC = [
     "DomainError", "EmbeddedAlgebra", "FreeElement", "HypothesisAudit", "Letter",
     "MultiplicityMatrix", "NumericalInstabilityError", "RcpBalance", "RcpReport", "RepPair",
     "SearchExhaustedError", "ShapeMismatchError", "Stage", "StagedBuild", "SubalgebraClass",
-    "audit_density_hypotheses", "box_max", "center_restriction", "class_dim", "class_leq",
-    "classify_pair", "commutant_basis", "compatible_embeddings", "compose_multiplicities",
-    "conjugate", "d_value", "density_experiment", "dim_report", "dpi_probe",
-    "enumerate_embedded_algebras", "enumerate_subalgebra_classes",
-    "enumerate_unital_embeddings", "evaluate", "gcd_embedding_bound", "haar_unitary",
+    "audit_density_hypotheses", "box_max", "class_dim", "classify_pair", "commutant_basis",
+    "compatible_embeddings", "compose_multiplicities", "conjugate", "d_value",
+    "density_experiment", "dim_report", "dpi_probe", "enumerate_embedded_algebras",
+    "enumerate_subalgebra_classes", "enumerate_unital_embeddings", "evaluate", "haar_unitary",
     "intersect", "joint_commutant_dim", "lagrange_min", "lipschitz_bound", "orbit_dims",
-    "pad_multiplicities", "rcp_balance", "rcp_check", "realize", "realize_class",
-    "relative_commutant", "stab_dim", "staged_build",
+    "rcp_balance", "rcp_check", "realize", "realize_class", "relative_commutant", "stab_dim",
+    "staged_build",
 ]
 
 # Small configs that reach every former scipy call site, the exponential in
