@@ -18,6 +18,8 @@ attempts in stacks of 1, 2, 4, ... and stops at the first success in attempt
 order, never deciding the attempts after it.  A stage that enlarges an
 earlier pair decides the identity only once its attempts are exhausted: the
 identity keeps that pair as a direct summand, which is never irreducible.
+A stage that adds no dimension keeps the pair that the stage before
+accepted, and decides nothing.
 A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
 item when a single system is larger, and results are bit-identical to
 deciding one unitary at a time.  The item itself is sized from integers
@@ -40,7 +42,6 @@ from .numeric import (
     DRAW_MATRICES,
     DensityStats,
     amplified_commutant,
-    amplified_units,
     amplify,
     commutant_basis,
     default_tolerance,
@@ -351,7 +352,7 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
-    units = amplified_units(alg2.blocks, segs2)[:-1]
+    units = amplify(_block_units(alg2.blocks)[:-1], alg2.blocks, segs2)
 
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
@@ -359,6 +360,20 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
         return commutant_basis(gens, within, tol)
 
     return decide, stack_size(matrices, within.n)
+
+
+def _block_units(blocks) -> np.ndarray:
+    """The units of the block model M_s, s = sum(blocks), whose row and column fall in one block.
+
+    They come in row-major order, which is block by block with the units
+    (p, q) of a block row-major: the order of the units of a layout
+    (``UnitLayout.of_copies``).
+    """
+    label = np.repeat(np.arange(len(blocks)), blocks)
+    row, col = np.nonzero(label[:, None] == label)
+    units = np.zeros((len(row), len(label), len(label)), dtype=complex)
+    units[np.arange(len(row)), row, col] = 1.0
+    return units
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
@@ -507,11 +522,13 @@ def staged_build(
 
     At stage k the budget for the new perturbation is epsilon / 2^(k+1); the
     search tries random local unitaries whose radius halves after every 32
-    failed tries.  The identity is tried before them at stage 1 and at a
-    stage that adds no dimension, and otherwise only after they are
-    exhausted: it keeps the earlier pair as a direct summand.  The pair of
-    each stage, padded when it fails the RCP condition, comes from
-    ``stage_layouts`` before its search.  Each stage checks, on the probe
+    failed tries.  The identity is tried before them at stage 1, and
+    otherwise only after they are exhausted: it keeps the earlier pair as a
+    direct summand.  A stage that adds no dimension has the segments and the
+    cumulative unitary of the stage before, a pair already decided
+    irreducible: its u_k is the identity, with no search and no decision.
+    The pair of each stage, padded when it fails the RCP condition, comes
+    from ``stage_layouts`` before its search.  Each stage checks, on the probe
     set, that the new evaluation moved by at most the Lipschitz bound times
     the perturbation size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
@@ -529,17 +546,21 @@ def staged_build(
 
     for k, segs1, segs2, earlier, dim, balance in stage_layouts(alg1, alg2, stages):
         prev_u = _extend(cumulative_u, dim)
-
-        # The identity keeps an earlier pair that this stage enlarges as a
-        # direct summand, which is never irreducible: it is decided last.
-        identity_first = earlier == 0 or dim == earlier
-        budget = math.ldexp(epsilon, -(k + 1))
-        u_k, tries, best = _search_stage_unitary(
-            alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol,
-            identity_first,
-        )
-        if u_k is None:
-            raise SearchExhaustedError(k, dim, best, tries)
+        if dim == earlier:
+            # no dimension added: the segments and the cumulative unitary are
+            # the pair the stage before accepted as irreducible
+            u_k, tries = np.eye(dim, dtype=complex), 0
+        else:
+            # Stage 1 decides the identity first.  The identity keeps an
+            # earlier pair that a later stage enlarges as a direct summand,
+            # which is never irreducible: there it is decided last.
+            budget = math.ldexp(epsilon, -(k + 1))
+            u_k, tries, best = _search_stage_unitary(
+                alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol,
+                earlier == 0,
+            )
+            if u_k is None:
+                raise SearchExhaustedError(k, dim, best, tries)
 
         new_u = u_k @ prev_u
         bound = float(np.linalg.norm(u_k - np.eye(dim), 2))

@@ -5,13 +5,17 @@ trace inner product.  One layout (``UnitLayout``) says where the 0/1 units
 of an amplified block algebra A = sum_j M_{n_j} tensor 1_{M_j} sit, from
 the copy indices ``amplify`` scatters through; its commutant
 A' = sum_j 1_{n_j} tensor M_{M_j} is the same layout of the transposed copy
-indices.  A realization is the Hermitian basis scattered from a layout.
+indices.  A realization is the Hermitian basis scattered from a layout, and its
+conjugate u A u* a record of that basis and u (``conjugate``), whose
+matrices are formed only when read.
 Commutant dimensions are the nullities of stacked commutator systems inside
 a known commutant, whose units are partial permutations: the systems are
 gathered from rows and columns of the generators, with no product formed.
 Subspace intersections are the nullspace of the residual of a realization V
 against an unconjugated one W, read by gathers in real coordinates of the
-complement of W, with one solve and one tail.  Every rank decision is made
+complement of W, with one solve and one tail; a conjugated V is gathered a
+chunk of elements at a time (CHUNK_BYTES), and only the null combinations of
+its elements are conjugated.  Every rank decision is made
 from one SVD at a scale-aware tolerance with a built-in stability check
 (``_stable_rank``): if shrinking or growing the tolerance tenfold changes
 the decision, a NumericalInstabilityError is raised instead of guessing.
@@ -47,8 +51,10 @@ EPS = float(np.finfo(np.float64).eps)
 # singular value.
 DEFAULT_CLOSURE_TOL = 1e-9
 
-# Products per chunk of the closure check (ConcreteRealization.closure_defect).
-CLOSURE_CHUNK = 512
+# Bytes of N x N complex matrices that one chunk holds: the conjugated basis
+# elements ``intersect`` gathers at a time, and the products of one chunk of
+# the closure check (ConcreteRealization.closure_defect).
+CHUNK_BYTES = 1 << 20
 
 # Bytes a stack of draws and decisions may hold (stack_size): the draws,
 # their conjugated generators, their commutant systems and the systems' QR
@@ -280,49 +286,68 @@ class UnitLayout:
 
 @dataclass
 class ConcreteRealization:
-    """A numerically materialized subalgebra of M_N.
+    """A numerically materialized subalgebra of M_N, as a record.
 
-    ``basis`` is a stack of N x N complex matrices orthonormal under the trace
-    inner product; it also generates the algebra.  The identity always lies in
-    the span.  ``layout`` is set when the basis is w H w* for the Hermitian
-    recombination H of the matrix units it records (``_realization``), with
-    w = I unless ``conjugated``; such a basis is Hermitian.
+    Its ``basis`` is a stack of N x N complex matrices orthonormal under the
+    trace inner product; it also generates the algebra, and the identity
+    always lies in the span.  The record holds ``_elements``, the basis
+    before conjugation, and ``_u``, set by ``conjugate``: the basis is then
+    u elements u*, formed only when ``basis`` is read, and otherwise the
+    elements themselves.  ``layout`` is set when the elements are the
+    Hermitian recombination of the matrix units it records
+    (``_realization``); such a basis is Hermitian.
     """
 
     ambient_dim: int
-    basis: np.ndarray
+    _elements: np.ndarray
     layout: UnitLayout | None = None
-    conjugated: bool = False
+    _u: np.ndarray | None = None
+
+    @property
+    def conjugated(self) -> bool:
+        return self._u is not None
 
     @property
     def dimension(self) -> int:
-        return self.basis.shape[0]
+        return len(self._elements)
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self._image(self._elements)
+
+    def _image(self, x: np.ndarray) -> np.ndarray:
+        """u x u* for a stack x of (combinations of) elements, or x itself when not conjugated.
+
+        Each item is formed by the same products whether the stack holds one
+        element, a chunk of them or all of them.
+        """
+        return x if self._u is None else self._u @ x @ self._u.conj().T
 
     def project_residual(self, mats: np.ndarray) -> np.ndarray:
         """Frobenius distance of each given matrix from the span of the basis."""
         n = self.ambient_dim
         flat = mats.reshape(mats.shape[0], n * n)
         bflat = self.basis.reshape(self.dimension, n * n)
-        coeff = flat @ bflat.conj().T
-        recon = coeff @ bflat
-        return np.linalg.norm(flat - recon, axis=1)
+        res = (flat @ bflat.conj().T) @ bflat
+        res -= flat
+        return np.linalg.norm(res, axis=1)
 
     def closure_defect(self) -> float:
         """Largest residual of adjoints and pairwise products outside the span.
 
-        The products are formed a few left factors at a time, at most
-        max(CLOSURE_CHUNK, d) per chunk, and the running maximum is kept, so
-        memory grows like that chunk times N^2, not like all d^2 products.
+        The adjoints are checked at once, and the products a few left factors
+        at a time, as many as keep a chunk's products within CHUNK_BYTES (at
+        least one left factor), with the running maximum kept: memory grows
+        like CHUNK_BYTES, not like all d^2 products.  An intersection of
+        dimension up to 16 at N = 16 is one chunk, and M24 + M24 against its
+        conjugate at N = 48 (d = 24) takes a chunk per left factor.
         """
-        n = self.ambient_dim
-        step = max(1, CLOSURE_CHUNK // self.dimension)
-        worst = 0.0
-        for start in range(0, self.dimension, step):
-            left = self.basis[start : start + step]
-            adj = np.transpose(left.conj(), (0, 2, 1))
-            prods = (left[:, None] @ self.basis[None]).reshape(-1, n, n)
-            res = self.project_residual(np.concatenate([adj, prods]))
-            worst = max(worst, float(res.max()))
+        n, d = self.ambient_dim, self.dimension
+        worst = float(self.project_residual(np.swapaxes(self.basis.conj(), 1, 2)).max())
+        step = max(1, CHUNK_BYTES // (16 * n * n * d))
+        for start in range(0, d, step):
+            prods = self.basis[start : start + step, None] @ self.basis[None]
+            worst = max(worst, float(self.project_residual(prods.reshape(-1, n, n)).max()))
         return worst
 
 
@@ -368,19 +393,6 @@ def _copy_indices(blocks, rows) -> list[np.ndarray]:
                 idx[j].append(np.arange(pos, pos + m * blocks[j]).reshape(blocks[j], m).T)
                 pos += m * blocks[j]
     return [np.concatenate(i) if i else np.empty((0, b), int) for i, b in zip(idx, blocks)]
-
-
-def amplified_units(blocks, rows) -> np.ndarray:
-    """The matrix units of the blocks amplified over ``rows``, as a dense 0/1 stack.
-
-    Unit k of the stack is unit k of the layout of the copy indices
-    (``UnitLayout.of_copies``): what ``amplify`` makes of the model's units.
-    """
-    layout = UnitLayout.of_copies(_copy_indices(blocks, rows))
-    d, n = layout.dimension, layout.n
-    units = np.zeros((d, n * n), dtype=complex)
-    units[np.repeat(np.arange(d), layout.copies), layout.support] = 1.0
-    return units.reshape(d, n, n)
 
 
 def amplified_commutant(blocks, rows) -> UnitLayout:
@@ -454,8 +466,15 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
-    """Conjugated copy u A u* of a realization; orthonormality, Hermitian bases, layout kept."""
-    return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T, real.layout, True)
+    """The realization u A u* of ``real``'s algebra, as a record of ``real``'s elements and u.
+
+    No basis is formed: ``basis`` makes u B u* when it is read, and
+    ``intersect`` conjugates a chunk of elements at a time.  The layout is
+    kept, and with it orthonormality and a Hermitian basis.  Conjugating a
+    conjugated realization composes the unitaries.
+    """
+    u = u if real._u is None else u @ real._u
+    return ConcreteRealization(real.ambient_dim, real._elements, real.layout, u)
 
 
 def _ginibre(n: int, rngs) -> np.ndarray:
@@ -611,11 +630,15 @@ def intersect(
     when the residual of x A against span B vanishes.  That residual is read
     by gathers in real isometric coordinates of the complement of span B
     (``UnitLayout.complement_coordinates``): both spans are *-closed, so this
-    real system of d_a columns has the singular values of the complex
+    real system of d_a rows has the singular values of the complex
     residual, the sines of the principal angles between the spans, and the
-    dimension is its nullity, from one SVD.  With d_b = N^2 the complement is
-    empty and the whole of span A is the answer.  The null rows are
-    orthonormal, so their combinations of the orthonormal rows of A are an
+    dimension is its nullity, from one SVD.  The system is the only array of
+    its size that is built: the rows of a conjugated ``a`` are formed a chunk
+    of elements at a time (CHUNK_BYTES), u A[i:j] u*, gathered and dropped,
+    and ``a.basis`` is never read.  With d_b = N^2 the complement is empty
+    and the whole of span A is the answer.  The null rows are orthonormal, so
+    their combinations of the orthonormal elements of ``a`` are orthonormal;
+    only those k combinations are conjugated, u (null A) u*, and they are an
     orthonormal basis of the intersection with no QR.
 
     The identity lies in both spans, so a nullity below 1 is a rank error;
@@ -633,20 +656,26 @@ def intersect(
         raise ValueError(
             "intersect needs an unconjugated realization with a layout and a second with a layout"
         )
-    n = a.ambient_dim
-    rows = a.basis.reshape(a.dimension, n * n)
-    system = b.layout.complement_coordinates(rows)
+    n, d = a.ambient_dim, a.dimension
+    step = max(1, CHUNK_BYTES // (16 * n * n))
+    system = None
+    for start in range(0, d, step):
+        chunk = a._image(a._elements[start : start + step])
+        coords = b.layout.complement_coordinates(chunk.reshape(len(chunk), n * n))
+        if system is None:
+            system = np.empty((d, coords.shape[1]))
+        system[start : start + len(coords)] = coords
     if system.shape[1]:
         null = next(_null_rows(system.T[None], n, tol, "projected system"))
     else:
-        null = np.eye(a.dimension)
+        null = np.eye(d)
     if len(null) < 1:
         raise NumericalInstabilityError(
             "intersection lost the identity; rank decision is suspect", float(len(null))
         )
-    # orthonormal null rows times the orthonormal rows of A are orthonormal
-    span = null @ rows
-    out = ConcreteRealization(n, span.reshape(-1, n, n))
+    # orthonormal null rows times the orthonormal elements of A are orthonormal
+    span = a._image((null @ a._elements.reshape(d, n * n)).reshape(-1, n, n))
+    out = ConcreteRealization(n, span)
 
     defect = out.closure_defect()
     if defect > DEFAULT_CLOSURE_TOL:
@@ -709,8 +738,9 @@ def density_experiment(
     defaulting to the identity.  The smaller side is the one conjugated:
     with dim B1 < dim B2 each sample intersects u* B1 u with B2, of the same
     dimension, so the larger side of every sample is the unconjugated one
-    whose residual ``intersect`` gathers.  The draws come a stack at a time
-    (``sample_dims``), and each is intersected on its own.
+    whose residual ``intersect`` gathers.  When B1 = B2 the algebra is
+    realized once and serves as both sides.  The draws come a stack at a
+    time (``sample_dims``), and each is intersected on its own.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -722,7 +752,7 @@ def density_experiment(
             raise ValueError("local mode needs a radius")
         center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
     r1 = realize(b1)
-    r2 = realize(b2)
+    r2 = r1 if b2 == b1 else realize(b2)
 
     def one(w):
         u = w if center is None else center @ w

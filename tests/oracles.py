@@ -2,7 +2,8 @@
 
 Each is a slower or more general way to the same answer that the library
 itself does not take: realizations built from dense stacks of amplified
-matrix units and their layouts found by a scan of those stacks, the known
+matrix units and their layouts found by a scan of those stacks, the
+amplified units scattered from a layout, the known
 commutant's basis entries by per-copy index lists, the N^2-column Kronecker
 commutant, the commutant solved inside a known commutant from dense
 products and its null rows, the dense twice-projected intersection
@@ -37,6 +38,7 @@ from subalg.numeric import (
     DEFAULT_CLOSURE_TOL,
     ConcreteRealization,
     UnitLayout,
+    _copy_indices,
     _ginibre,
     _skew_directions,
     amplify,
@@ -83,6 +85,19 @@ def model_matrix_units(structure):
                 k += 1
         offset += b
     return units
+
+
+def amplified_units(blocks, rows):
+    """The matrix units of the blocks amplified over ``rows``, scattered from their layout.
+
+    Unit k of the stack is unit k of the layout of the copy indices
+    (``UnitLayout.of_copies``), with a 1 on each entry of its support.
+    """
+    layout = UnitLayout.of_copies(_copy_indices(blocks, rows))
+    d, n = layout.dimension, layout.n
+    units = np.zeros((d, n * n), dtype=complex)
+    units[np.repeat(np.arange(d), layout.copies), layout.support] = 1.0
+    return units.reshape(d, n, n)
 
 
 def ambient_row(emb):

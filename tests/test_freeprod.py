@@ -29,7 +29,6 @@ from subalg.numeric import (
     EPS,
     _realization,
     amplified_commutant,
-    amplified_units,
     amplify,
     conjugate,
     default_tolerance,
@@ -42,6 +41,7 @@ from subalg.numeric import (
 )
 
 from oracles import (
+    amplified_units,
     dense_commutator_system,
     dense_intersect,
     kronecker_commutant,
@@ -603,20 +603,49 @@ class TestStagedBuild:
         assert len(build.stages) == 1023
         assert all(stage.dim == 2 and stage.irreducible for stage in build.stages)
 
-    def test_empty_stages_write_no_segment(self, monkeypatch):
+    def test_empty_stages_write_no_segment(self):
         # 200 stages that add nothing leave the pair of stage 1 as it was
+        stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 200
+        layouts = subalg.freeprod.stage_layouts(C2, M2, stages)
+        assert [(len(s1), len(s2)) for _, s1, s2, *_ in layouts] == [(1, 1)] * 201
+        build = staged_build(C2, M2, stages, 0.5, [], seed=1)
+        assert [stage.dim for stage in build.stages] == [2] * 201
+
+    def test_empty_stages_build_no_kernel(self, monkeypatch):
+        # a stage that adds nothing keeps the pair the stage before accepted:
+        # no kernel, no decision, u = I with no tries, and its probe check
+        # still runs (every element stays put)
         kernel = subalg.freeprod._joint_dim_kernel
-        segments = []
+        dims = []
 
         def spy(alg1, segs1, alg2, segs2, tol):
-            segments.append((len(segs1), len(segs2)))
+            dims.append(sum(map(sum, segs1)))
             return kernel(alg1, segs1, alg2, segs2, tol)
 
         monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", spy)
-        stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 200
-        build = staged_build(C2, M2, stages, 0.5, [], seed=1)
-        assert [stage.dim for stage in build.stages] == [2] * 201
-        assert segments == [(1, 1)] * 201
+        empty = ((0, 0), (0,))
+        stages = [((1, 1), (1,)), empty, empty, ((1, 1), (1,)), empty, ((2, 0), (1,)), empty]
+        rng = np.random.default_rng(123)
+        probe = [
+            FreeElement.word(
+                1.0, [Letter(1, random_contraction(rng, 2)), Letter(2, random_contraction(rng, 2))]
+            )
+            for _ in range(3)
+        ]
+        build = staged_build(C2, M2, stages, 0.5, probe, seed=3)
+        # stage 6 is padded to N = 8 (RCP), and the empty stage 7 keeps that pair
+        assert dims == [2, 4, 8]
+        assert [stage.dim for stage in build.stages] == [2, 2, 2, 4, 4, 8, 8]
+        for stage, (m1, _) in zip(build.stages, stages):
+            assert stage.irreducible and stage.probe_residuals
+            if m1 == empty[0]:
+                assert (stage.tries, stage.bound) == (0, 0.0)
+                assert np.array_equal(stage.u, np.eye(stage.dim))
+                assert stage.probe_residuals == (0.0,) * len(probe)
+        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", kernel)
+        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        want = build_outcome(C2, M2, stages, 0.5, probe, seed=3)
+        assert_same_build([(s.tries, s.u, s.dim, s.bound) for s in build.stages], want)
 
     def test_stage_dim_mismatch_rejected(self):
         with pytest.raises(ShapeMismatchError):
@@ -809,9 +838,11 @@ class TestStackedDecisions:
 
     @staticmethod
     def decided_stacks(monkeypatch):
-        """Every stack of unitaries the staged search decides, with the stage it belongs to.
+        """Every stack of unitaries the staged search decides, with its kernel call's number.
 
-        Each stage builds its kernel once, so stage k makes the k-th kernel call.
+        Each stage that adds dimension builds its kernel once, and a stage
+        that adds none builds no kernel: without empty stages, stage k makes
+        the k-th kernel call.
         """
         seen = []
         kernel = subalg.freeprod._joint_dim_kernel
@@ -831,9 +862,10 @@ class TestStackedDecisions:
         return seen
 
     def test_identity_is_decided_only_where_it_can_succeed(self, monkeypatch):
-        # stages 2..8 each add a summand to an irreducible pair, so the
+        # stages 2 and 4..9 each add a summand to an irreducible pair, so the
         # identity keeps a direct sum there and is never decided; the
-        # zero-dimension stage 3 keeps its pair, and the identity ends it
+        # zero-dimension stage 3 keeps the pair stage 2 accepted, with the
+        # identity and no kernel or decision
         seen = self.decided_stacks(monkeypatch)
         stages = [((1, 1), (1,))] * 2 + [((0, 0), (0,))] + [((1, 1), (1,))] * 6
         build = staged_build(C2, M2, stages, 0.5, [], 7)
@@ -841,14 +873,16 @@ class TestStackedDecisions:
         # M2 alone is irreducible on C^2, so the identity ends stage 1 too
         assert [s.tries == 0 for s in build.stages] == [True, False, True] + [False] * 6
         assert np.array_equal(build.stages[2].u, np.eye(4))
-        assert sorted({stage for stage, _ in seen}) == list(range(1, 10))
+        searched = [1, 2, 4, 5, 6, 7, 8, 9]  # the stage of each kernel call
+        assert sorted({call for call, _ in seen}) == list(range(1, 9))
         previous = [np.zeros((0, 0))] + list(build.cumulative)
         identity_at = [
-            stage
-            for stage, us in seen
-            if len(us) == 1 and np.array_equal(us[0], _extend(previous[stage - 1], us.shape[-1]))
+            searched[call - 1]
+            for call, us in seen
+            if len(us) == 1
+            and np.array_equal(us[0], _extend(previous[searched[call - 1] - 1], us.shape[-1]))
         ]
-        assert identity_at == [1, 3]
+        assert identity_at == [1]
 
     def test_exhausted_search_decides_the_identity_last(self, monkeypatch):
         # stage 2 enlarges the pair: its 70 attempts come first, then the

@@ -15,6 +15,7 @@ from subalg.algebra import (
     enumerate_subalgebra_classes,
     relative_commutant,
 )
+import subalg.freeprod
 import subalg.numeric
 from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
@@ -27,7 +28,6 @@ from subalg.numeric import (
     _nullities,
     _svd_right,
     amplified_commutant,
-    amplified_units,
     amplify,
     commutant_basis,
     conjugate,
@@ -46,6 +46,7 @@ from subalg.numeric import (
 from oracles import (
     ambient_embedding,
     ambient_row,
+    amplified_units,
     commutant_entries,
     contains_identity,
     dense_commutant_basis,
@@ -258,6 +259,17 @@ class TestAmplifiedCommutant:
             want = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
             assert amplified_units(blocks, rows).tobytes() == want.tobytes(), (blocks, rows)
 
+    def test_kernel_units_are_the_amplified_block_units(self):
+        # the free-product kernel amplifies the units of the block model: bit
+        # for bit the units scattered from the layout, zero-copy blocks included
+        layouts = random_layouts(53, 300)
+        assert any(not any(row[j] for row in rows) for b, rows in layouts for j in range(len(b)))
+        for blocks, rows in layouts:
+            units = subalg.freeprod._block_units(blocks)
+            assert units.tobytes() == model_matrix_units(BlockStructure(blocks)).tobytes()
+            got = amplify(units[:-1], blocks, rows)
+            assert got.tobytes() == amplified_units(blocks, rows)[:-1].tobytes(), (blocks, rows)
+
     def test_layouts_of_unsorted_blocks_match_the_dense_scan(self):
         # blocks in any order, so runs of one shape may be adjacent or split
         # by another shape: the layouts of the copy indices and of their
@@ -321,10 +333,11 @@ class TestConjugate:
         assert abs(r.closure_defect() - ref) < 1e-13
         assert ref < 1e-12
 
-    @pytest.mark.parametrize("chunk", [1, 5, 7, 512])
+    @pytest.mark.parametrize("chunk", [1, 5, 7, 18, 36, 512])
     def test_chunked_closure_defect_finds_the_worst_product(self, monkeypatch, chunk):
         # an orthonormal span that is not an algebra: its worst residual sits
-        # in one chunk or another, and the running max must find it
+        # in one chunk or another, and the running max must find it.  A
+        # chunk holds at most ``chunk`` 6 x 6 products' bytes
         rng = np.random.default_rng(3)
         z = rng.standard_normal((36, 9)) + 1j * rng.standard_normal((36, 9))
         q, _ = np.linalg.qr(z)
@@ -332,8 +345,16 @@ class TestConjugate:
         adj = np.transpose(r.basis.conj(), (0, 2, 1))
         prods = np.einsum("aij,bjk->abik", r.basis, r.basis).reshape(-1, 6, 6)
         ref = float(r.project_residual(np.concatenate([adj, prods])).max())
-        monkeypatch.setattr(subalg.numeric, "CLOSURE_CHUNK", chunk)
+        monkeypatch.setattr(subalg.numeric, "CHUNK_BYTES", chunk * 16 * 6 * 6)
+        rows = []
+        residual = ConcreteRealization.project_residual
+        monkeypatch.setattr(
+            ConcreteRealization, "project_residual", lambda r, m: rows.append(len(m)) or residual(r, m)
+        )
         assert abs(r.closure_defect() - ref) < 1e-13
+        # the 9 adjoints, then the products of 1, 2, 4 or all 9 left factors per chunk
+        step = {1: 1, 5: 1, 7: 1, 18: 2, 36: 4, 512: 9}[chunk]
+        assert rows == [9] + [9 * step] * (9 // step) + [9 * (9 % step)] * (9 % step > 0)
         assert ref > 0.1
 
     def test_closure_defect_memory_is_bounded(self):
@@ -818,6 +839,11 @@ class TestGatherPath:
         assert r.layout is not None and not r.conjugated
         c = conjugate(r, haar_unitary(4, 1))
         assert c.layout is r.layout and c.conjugated
+        # a record of r's elements and u: intersect conjugates chunks of the
+        # elements and the null combinations, and never forms c.basis
+        assert c._elements is r._elements and "basis" not in vars(c)
+        assert intersect(r, c).dimension == 1
+        assert "basis" not in vars(c)
         assert np.array_equal(r.layout.copies, [2] * 4)
         # units (p, q) of M2: e11 and e22 are their own partners, e12 <-> e21
         assert list(r.layout.partner) == [0, 2, 1, 3]
@@ -892,6 +918,24 @@ class TestGatherPath:
                         padded[: len(sines)] = sines
                     assert np.abs(padded - dense).max() < 1e-12, (b1, b2)
 
+    @pytest.mark.parametrize("elements", [1, 3, None])
+    def test_conjugated_chunks_gather_the_whole_basis_system(self, elements, monkeypatch, null_systems):
+        # chunks of 1 or 3 elements, or all 10 at once, gather bit for bit the
+        # coordinates of the whole conjugated basis, and the intersection's
+        # basis is the conjugate of the null combinations of the elements
+        m3m1 = realize(EmbeddedAlgebra(6, BlockStructure((3, 1)), (1, 3)))
+        b = realize(EmbeddedAlgebra(6, BlockStructure((2, 2)), (1, 2)))
+        u = haar_unitary(6, 19)
+        if elements is not None:
+            monkeypatch.setattr(subalg.numeric, "CHUNK_BYTES", elements * 16 * 6 * 6)
+        c = conjugate(m3m1, u)
+        out = intersect(b, c)
+        want = b.layout.complement_coordinates(c.basis.reshape(c.dimension, 36))
+        assert [s.tobytes() for s in null_systems] == [want.T.tobytes()]
+        null = next(_null_rows(want.T[None], 6, None, "projected system"))
+        span = null @ m3m1._elements.reshape(-1, 36)
+        assert out.basis.tobytes() == (u @ span.reshape(-1, 6, 6) @ u.conj().T).tobytes()
+
     def test_full_side_has_an_empty_complement(self, null_systems):
         # M4 is all of M_4: every sample keeps all of u (M2 x 1_2) u*, with no SVD
         stats = density_experiment(M4, M2_MULT2, 5, seed=3)
@@ -963,6 +1007,32 @@ class TestGatherPath:
 
 
 class TestDensityExperiment:
+    def test_equal_sides_are_realized_once(self, monkeypatch):
+        calls = []
+        real = subalg.numeric.realize
+        monkeypatch.setattr(subalg.numeric, "realize", lambda b: calls.append(b) or real(b))
+        assert density_experiment(M2M2, M2M2, 3, seed=7).dims == (2,) * 3
+        assert calls == [M2M2]
+        calls.clear()
+        density_experiment(M2M2, M2_MULT2, 3, seed=7)
+        assert calls == [M2M2, M2_MULT2]
+
+    def test_one_large_sample_holds_one_realization(self):
+        # M16 + M16 against itself at N = 32: one realized basis (8 MiB), the
+        # 512 x 512 real system and chunks of conjugated elements.  Holding
+        # the basis twice and the whole conjugated basis with its product
+        # temporary peaked at 49.6 MiB
+        m16m16 = EmbeddedAlgebra(32, BlockStructure((16, 16)), (1, 1))
+        density_experiment(m16m16, m16m16, 1, seed=3)  # caches and imports
+        tracemalloc.start()
+        try:
+            stats = density_experiment(m16m16, m16m16, 1, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.dims == (16,)
+        assert peak < 24 * 2**20, peak / 2**20
+
     def test_generic_trivial_for_simple_blocks(self):
         stats = density_experiment(M2_MULT2, M2_MULT2, 25, seed=7)
         assert stats.trivial_count == 25
