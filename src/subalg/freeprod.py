@@ -15,11 +15,10 @@ stack, with one stacked QR and one values-only SVD
 (``numeric.commutant_basis``), and yields the dimensions in index order.
 DPI decides its draws a stack at a time; the staged search decides its
 attempts in stacks of 1, 2, 4, ... and stops at the first success in attempt
-order, never deciding the attempts after it.  A stage that enlarges an
-earlier pair decides the identity only once its attempts are exhausted: the
-identity keeps that pair as a direct summand, which is never irreducible.
-A stage that adds no dimension keeps the pair that the stage before
-accepted, and decides nothing.
+order, never deciding the attempts after it.  The identity is decided at
+stage 1 alone: a later stage that adds dimension keeps the earlier pair as a
+direct summand under the identity, which is never irreducible, and a stage
+that adds none keeps the pair that the stage before accepted.
 A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
 item when a single system is larger, and results are bit-identical to
 deciding one unitary at a time.  The item itself is sized from integers
@@ -520,24 +519,29 @@ def staged_build(
 ) -> StagedBuild:
     """Direct-sum the given representation stages, perturbing each into irreducibility.
 
-    At stage k the budget for the new perturbation is epsilon / 2^(k+1); the
-    search tries random local unitaries whose radius halves after every 32
-    failed tries.  The identity is tried before them at stage 1, and
-    otherwise only after they are exhausted: it keeps the earlier pair as a
-    direct summand.  A stage that adds no dimension has the segments and the
-    cumulative unitary of the stage before, a pair already decided
-    irreducible: its u_k is the identity, with no search and no decision.
-    The pair of each stage, padded when it fails the RCP condition, comes
-    from ``stage_layouts`` before its search.  Each stage checks, on the probe
-    set, that the new evaluation moved by at most the Lipschitz bound times
-    the perturbation size.  Raises SearchExhaustedError when a stage finds no irreducible
+    At stage k the budget for the new perturbation is epsilon / 2^(k+1).  A
+    stage that adds dimension builds its kernel once, here.  Only stage 1
+    decides the identity, the one place it can be irreducible; later the
+    identity keeps the earlier pair as a direct summand.  When it is not
+    irreducible, ``_search_stage_unitary`` tries random local unitaries.
+    A stage that adds no dimension has the segments and the cumulative
+    unitary of the stage before, a pair already decided irreducible.  It
+    shares the default of an irreducible stage-1 identity: u_k is the
+    identity with no tries, and nothing is decided.  The pair of each stage,
+    padded when it fails the RCP condition, comes from ``stage_layouts``
+    before its search.  Each stage checks, on the probe set, that the new
+    evaluation moved by at most the Lipschitz bound times the perturbation
+    size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
-    malformed multiplicity row, and ValueError for an empty first stage.
+    malformed multiplicity row, and ValueError for an empty first stage or
+    for max_tries < 1.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not stages:
         raise ValueError("need at least one stage")
+    if max_tries < 1:
+        raise ValueError("max_tries must be at least 1")
 
     lipschitz = [lipschitz_bound(x) for x in probe]
     cumulative_u = np.zeros((0, 0), dtype=complex)
@@ -546,21 +550,17 @@ def staged_build(
 
     for k, segs1, segs2, earlier, dim, balance in stage_layouts(alg1, alg2, stages):
         prev_u = _extend(cumulative_u, dim)
-        if dim == earlier:
-            # no dimension added: the segments and the cumulative unitary are
-            # the pair the stage before accepted as irreducible
-            u_k, tries = np.eye(dim, dtype=complex), 0
-        else:
-            # Stage 1 decides the identity first.  The identity keeps an
-            # earlier pair that a later stage enlarges as a direct summand,
-            # which is never irreducible: there it is decided last.
-            budget = math.ldexp(epsilon, -(k + 1))
-            u_k, tries, best = _search_stage_unitary(
-                alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, k, max_tries, tol,
-                earlier == 0,
-            )
-            if u_k is None:
-                raise SearchExhaustedError(k, dim, best, tries)
+        u_k, tries = np.eye(dim, dtype=complex), 0
+        if dim > earlier:
+            decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
+            best = next(decide(prev_u[None])) if k == 1 else math.inf
+            if best > 1:
+                budget = math.ldexp(epsilon, -(k + 1))
+                u_k, tries, best = _search_stage_unitary(
+                    decide, cap, prev_u, budget, seed, k, max_tries, best
+                )
+                if u_k is None:
+                    raise SearchExhaustedError(k, dim, best, tries)
 
         new_u = u_k @ prev_u
         bound = float(np.linalg.norm(u_k - np.eye(dim), 2))
@@ -583,46 +583,30 @@ def _extend(u: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def _search_stage_unitary(
-    alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol, identity_first
-):
-    """Find u with ||u - I|| < budget making the cumulative pair irreducible.
+def _search_stage_unitary(decide, cap, prev_u, budget, seed, stage, max_tries, best):
+    """Find u with ||u - I|| < budget making the pair ``decide`` decides irreducible at u @ prev_u.
 
-    Tries the identity first when ``identity_first``, then random directions:
-    attempt a draws from the stream (seed, stage, a) at a radius that starts
-    at half the budget and is halved after every 32 attempts (down to 0.0,
-    never overflowing, however many attempts are allowed).  The attempts are
-    decided in stacks of 1, 2, 4, ... (at most the kernel's stack size), and
-    the first success in attempt order ends the search; the attempts after
-    it in its stack are never decided.  Without ``identity_first`` the
-    identity is decided only when the attempts are exhausted, so the best
-    dimension still counts it.  Returns (unitary or None, tries used, best
-    commutant dimension seen).
+    Attempt a draws a local step about the identity from the stream
+    (seed, stage, a), at the radius budget / 2^(1 + a // 32): half the
+    budget, halved after every 32 attempts (``ldexp`` reaches 0.0 and never
+    overflows, however many attempts are allowed).  The attempts are decided
+    in stacks of 1, 2, 4, ... (at most ``cap``), and the first success in
+    attempt order ends the search; the attempts after it in its stack are
+    never decided.  ``best`` is the smallest commutant dimension seen before
+    the search.  Returns (unitary or None, tries used, best commutant
+    dimension seen).
     """
-
-    decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
-    eye = np.eye(dim, dtype=complex)
-    best = math.inf
-    if identity_first:
-        best = next(decide(prev_u[None]))
-        if best == 1:
-            return eye, 0, 1
-    start, size, radius = 0, 1, budget / 2.0
+    start, size = 0, 1
     while start < max_tries:
         attempts = range(start, min(start + size, start + cap, max_tries))
-        radii = []
-        for a in attempts:
-            radii.append(radius)
-            if (a + 1) % 32 == 0:
-                radius /= 2.0
-        ws = local_unitaries(eye, radii, [sample_stream(seed, stage, a) for a in attempts])
+        radii = [math.ldexp(budget, -1 - a // 32) for a in attempts]
+        rngs = [sample_stream(seed, stage, a) for a in attempts]
+        ws = local_unitaries(len(prev_u), radii, rngs)
         for attempt, w, d in zip(attempts, ws, decide(ws @ prev_u)):
             best = min(best, d)
             if d == 1:
                 return w, attempt + 1, 1
         start, size = attempts.stop, 2 * size
-    if not identity_first:
-        best = min(best, next(decide(prev_u[None])))
     return None, max_tries, best
 
 

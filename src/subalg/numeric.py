@@ -514,20 +514,20 @@ def exp_skew(k: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def local_unitaries(center: np.ndarray, radius, rngs) -> np.ndarray:
-    """Stack of unitaries at distance about ``radius`` from ``center``, one per RNG stream.
+def local_unitaries(n: int, radius, rngs) -> np.ndarray:
+    """Stack of n x n unitaries at distance about ``radius`` from the identity, one per RNG stream.
 
-    Each is center @ exp(radius K) along a random direction K drawn from its
-    own stream; ``radius`` is one number or one per stream.
+    Each is exp(radius K) along a random direction K drawn from its own
+    stream; ``radius`` is one number or one per stream.  Callers compose
+    the steps with their own base.
     """
-    n = center.shape[0]
     radius = np.reshape(radius, (-1, 1, 1))
-    return center @ exp_skew(radius * _skew_directions(_ginibre(n, rngs)))
+    return exp_skew(radius * _skew_directions(_ginibre(n, rngs)))
 
 
 def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Unitary at distance about ``radius`` from ``center`` along a random direction."""
-    return local_unitaries(center, radius, [rng])[0]
+    return center @ local_unitaries(len(center), [radius], [rng])[0]
 
 
 def stack_size(matrices: int, n: int) -> int:
@@ -547,20 +547,19 @@ def sample_dims(
     Draw i uses the RNG stream derived from (seed, i), so the tally does not
     depend on execution order.  The draws are made ``stack`` at a time as a
     (k, n, n) stack, and ``step`` yields one dimension per item, in index
-    order.  Without a radius w is Haar; with one, w is the local step
-    ``local_unitary(I, radius, rng)`` and the caller composes it with its own
-    center, on its own side.  Raises ValueError unless samples >= 1 and a
+    order.  Without a radius w is Haar; with one, w is a local step about the
+    identity (``local_unitaries``) and the caller composes it with its own
+    base, on its own side.  Raises ValueError unless samples >= 1 and a
     given radius is positive and finite.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"local mode needs a positive finite radius, got {radius!r}")
-    eye = np.eye(n, dtype=complex)
     dims: list[int] = []
     for start in range(0, samples, stack):
         rngs = [sample_stream(seed, i) for i in range(start, min(start + stack, samples))]
-        ws = haar_unitaries(n, rngs) if radius is None else local_unitaries(eye, radius, rngs)
+        ws = haar_unitaries(n, rngs) if radius is None else local_unitaries(n, radius, rngs)
         del rngs  # spent: freed before the next stack draws its own streams
         dims.extend(step(ws))
     return tuple(dims)

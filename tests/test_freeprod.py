@@ -642,8 +642,7 @@ class TestStagedBuild:
                 assert (stage.tries, stage.bound) == (0, 0.0)
                 assert np.array_equal(stage.u, np.eye(stage.dim))
                 assert stage.probe_residuals == (0.0,) * len(probe)
-        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", kernel)
-        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        use_sequential_search(monkeypatch)
         want = build_outcome(C2, M2, stages, 0.5, probe, seed=3)
         assert_same_build([(s.tries, s.u, s.dim, s.bound) for s in build.stages], want)
 
@@ -724,25 +723,31 @@ def halving_radii(budget, tries):
     return radii
 
 
-def sequential_search(
-    alg1, segs1, alg2, segs2, prev_u, dim, budget, seed, stage, max_tries, tol, identity_first
-):
-    """The search as it was: the identity first at every stage, whatever ``identity_first`` says."""
+def sequential_stage_kernel(alg1, segs1, alg2, segs2, tol):
+    """``sequential_kernel`` in the shape of ``_joint_dim_kernel``: stacks of one item."""
     decide = sequential_kernel(alg1, segs1, alg2, segs2, tol)
-    eye = np.eye(dim, dtype=complex)
-    best = decide(eye @ prev_u)
-    if best == 1:
-        return eye, 0, 1
+    return (lambda us: map(decide, us)), 1
+
+
+def sequential_search(decide, cap, prev_u, budget, seed, stage, max_tries, best):
+    """The search one attempt at a time, with a running radius halved after every 32 attempts."""
+    eye = np.eye(len(prev_u), dtype=complex)
     radius = budget / 2.0
     for attempt in range(max_tries):
         w = sequential_local(eye, radius, sample_stream(seed, stage, attempt))
-        d = decide(w @ prev_u)
+        d = next(decide((w @ prev_u)[None]))
         best = min(best, d)
         if d == 1:
             return w, attempt + 1, 1
         if (attempt + 1) % 32 == 0:
             radius /= 2.0
     return None, max_tries, best
+
+
+def use_sequential_search(monkeypatch):
+    """Make staged builds decide and draw as the sequential reference does."""
+    monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", sequential_stage_kernel)
+    monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
 
 
 def sequential_dpi(rep, samples, seed, local_radius=None, tol=None):
@@ -806,7 +811,7 @@ class TestStackedDecisions:
     def test_eight_stage_build_matches_sequential_search(self, seed, budget, monkeypatch):
         args = (C2, M2, [((1, 1), (1,))] * 8, 0.5, [], seed)
         got = build_outcome(*args)
-        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        use_sequential_search(monkeypatch)
         assert_same_build(got, build_outcome(*args))
 
     @pytest.mark.parametrize("seed", [3, 61])
@@ -816,8 +821,8 @@ class TestStackedDecisions:
         draws = []
         stacked = subalg.freeprod.local_unitaries
 
-        def spy(center, radii, rngs):
-            draws.append(stacked(center, radii, rngs))
+        def spy(n, radii, rngs):
+            draws.append(stacked(n, radii, rngs))
             return draws[-1]
 
         monkeypatch.setattr(subalg.freeprod, "local_unitaries", spy)
@@ -833,7 +838,7 @@ class TestStackedDecisions:
         assert np.array_equal(stage2, np.stack(want))
         if budget is None:
             assert [len(w) for w in draws if w.shape[1:] == (4, 4)] == [1, 2, 4, 8, 16, 32, 7]
-        monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
+        use_sequential_search(monkeypatch)
         assert got == build_outcome(*args, max_tries=70)
 
     @staticmethod
@@ -884,19 +889,20 @@ class TestStackedDecisions:
         ]
         assert identity_at == [1]
 
-    def test_exhausted_search_decides_the_identity_last(self, monkeypatch):
-        # stage 2 enlarges the pair: its 70 attempts come first, then the
-        # identity, so best_dim still counts it
+    def test_exhausted_search_never_decides_the_identity(self, monkeypatch):
+        # stage 2 enlarges the pair, where the identity keeps a direct sum:
+        # it decides its 70 attempts and nothing else, and best_dim is the
+        # smallest dimension over those attempts
         seen = self.decided_stacks(monkeypatch)
         with pytest.raises(SearchExhaustedError) as info:
             staged_build(C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], 3, max_tries=70)
         assert (info.value.stage, info.value.best_dim, info.value.tries) == (2, 2, 70)
         stage1 = [us for stage, us in seen if stage == 1]
-        stage2 = [us for stage, us in seen if stage == 2]
-        assert sum(map(len, stage2)) == 71
-        # stage 1 ended on its first attempt u, and the last stack of stage 2 is u + I
+        stage2 = np.concatenate([us for stage, us in seen if stage == 2])
+        assert len(stage2) == 70
+        # stage 1 ended on its first attempt u, and u + I is none of them
         (u,) = stage1[-1]
-        assert len(stage2[-1]) == 1 and np.array_equal(stage2[-1][0], _extend(u, 4))
+        assert not any(np.array_equal(w, _extend(u, 4)) for w in stage2)
 
     @pytest.mark.parametrize("n", range(2, 13))
     @pytest.mark.parametrize("radius", [None, 1e-3])
@@ -946,7 +952,7 @@ class TestStackedDecisions:
             joint_commutant_dim(RepPair(C2, (1, 1), C2, (1, 1), unitaries["unstable"]), tol=1e-6)
         queue = iter(draws)
 
-        def fake_local_unitaries(center, radii, rngs):
+        def fake_local_unitaries(n, radii, rngs):
             return np.stack([unitaries[next(queue)] for _ in rngs])
 
         monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
@@ -967,9 +973,9 @@ class TestStackedDecisions:
         # only the search loop runs.
         radii = []
 
-        def fake_local_unitaries(center, rs, rngs):
+        def fake_local_unitaries(n, rs, rngs):
             radii.extend(rs)
-            return np.broadcast_to(center, (len(rs), *center.shape))
+            return np.broadcast_to(np.eye(n), (len(rs), n, n))
 
         def fake_kernel(*args):
             return (lambda us: iter([2] * len(us))), 4096

@@ -533,10 +533,11 @@ class TestStacks:
         haar = haar_unitaries(n, [sample_stream(4, i) for i in keys])
         radii = [1e-3 * 2.0**-i for i in keys]
         center = haar_unitary(n, 9)
-        local = local_unitaries(center, radii, [sample_stream(5, i) for i in keys])
+        local = local_unitaries(n, radii, [sample_stream(5, i) for i in keys])
         for i in keys:
             assert np.array_equal(haar[i], haar_unitary(n, sample_stream(4, i)))
-            assert np.array_equal(local[i], local_unitary(center, radii[i], sample_stream(5, i)))
+            single = local_unitary(center, radii[i], sample_stream(5, i))
+            assert np.array_equal(center @ local[i], single)
 
     def test_commutant_stack_matches_single_solves(self):
         # C^2 (2, 2) inside M_4 against a stack of conjugated M2 (2) units
