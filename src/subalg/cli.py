@@ -410,6 +410,10 @@ def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
         )
 
     keys = {f.name for f in fields(ExperimentConfig)} - {"command", "diagnostics"}
+    for key in raw:
+        if key not in keys and key != "command":
+            pointer = key.replace("~", "~0").replace("/", "~1")  # RFC 6901
+            diagnostics.append((f"/{pointer}", "unknown field"))
     config = ExperimentConfig(
         command=command,
         diagnostics=diagnostics,

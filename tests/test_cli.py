@@ -643,6 +643,22 @@ class TestValidation:
         assert code == 1
         assert "/command" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, pointer",
+        [
+            ("density", dict(M2_PAIR, samples=2, raduis=1e-3), "/raduis"),
+            ("build-primitive", dict(BUILD_M2, max_trys=4), "/max_trys"),
+            ("density", dict(M2_PAIR, samples=2, **{"a/b~c": 1}), "/a~1b~0c"),
+        ],
+    )
+    def test_unknown_field_exits_1(self, tmp_path, capsys, command, payload, pointer):
+        # a misspelled field would be dropped, and its default would run
+        # (a density run without its radius is global); the pointer escapes
+        # '~' and '/' as RFC 6901 does
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert (code, report) == (1, None)
+        assert capsys.readouterr().err == f"{pointer}: unknown field\n"
+
 
 # One small valid config per command.  The build-primitive probe is a
 # document of its own, written next to the config.

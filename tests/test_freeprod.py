@@ -1,5 +1,7 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
+import math
+import sys
 import tracemalloc
 from functools import partial
 from itertools import count
@@ -596,12 +598,29 @@ class TestStagedBuild:
         assert err.tries == 48
 
     def test_budget_past_float_range_of_powers_of_two(self):
-        # stage k's budget is epsilon / 2^(k + 1), and 2^1024 is past float
-        # range: the 1023rd stage scales epsilon by its exponent instead
+        # 1,022 stages that add nothing after stage 1: the budget
+        # epsilon / ((k + 1)(k + 2)) of stage 1023 is a normal float, where
+        # 2^(k + 1) would be past float range
         stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 1022
         build = staged_build(C2, M2, stages, 0.5, [], seed=1)
         assert len(build.stages) == 1023
         assert all(stage.dim == 2 and stage.irreducible for stage in build.stages)
+
+    def test_stage_after_a_thousand_empty_stages_adds_dimension(self):
+        # stage 1002's budget 0.5 / (1003 * 1004) is still resolvable: the
+        # stage builds within it, and the total stays below epsilon / 2
+        stages = [((1, 1), (1,))] + [((0, 0), (0,))] * 1000 + [((1, 1), (1,))]
+        build = staged_build(C2, M2, stages, 0.5, [], seed=1)
+        last = build.stages[-1]
+        assert [s.dim for s in build.stages] == [2] * 1001 + [4]
+        assert last.irreducible and last.tries > 0
+        assert 0.0 < last.bound < 0.5 / (1003 * 1004)
+        assert build.total_bound < 0.25
+
+    @pytest.mark.parametrize("max_tries", [0, -1])
+    def test_max_tries_below_one_raises(self, max_tries):
+        with pytest.raises(ValueError, match="max_tries"):
+            staged_build(C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], 1, max_tries=max_tries)
 
     def test_empty_stages_write_no_segment(self):
         # 200 stages that add nothing leave the pair of stage 1 as it was
@@ -829,10 +848,10 @@ class TestStackedDecisions:
         args = (C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], seed)
         got = build_outcome(*args, max_tries=70)
         assert got == ("exhausted", 2, 4, 2, 70)
-        # every failed draw of stage 2 (budget 0.5 / 8) is the sequential one, bit for bit
+        # every failed draw of stage 2 (budget 0.5 / 12) is the sequential one, bit for bit
         want = [
             sequential_local(np.eye(4), radius, sample_stream(seed, 2, a))
-            for a, radius in enumerate(halving_radii(0.5 / 8, 70))
+            for a, radius in enumerate(halving_radii(0.5 / 12, 70))
         ]
         stage2 = np.concatenate([w for w in draws if w.shape[1:] == (4, 4)])
         assert np.array_equal(stage2, np.stack(want))
@@ -966,11 +985,11 @@ class TestStackedDecisions:
         assert np.array_equal(stage.u, unitaries["success"])
 
     def test_radius_halves_past_the_range_of_a_float(self, monkeypatch):
-        # 34,400 tries halve the radius 1,075 times: from 1/16 it is subnormal
-        # from attempt 32,608 on (where 2.0 ** (a // 32) overflows, at
-        # attempt 32,768, it is 2^-1028) and 0.0 from attempt 34,272 on, and
-        # the search still ends exhausted.  Draws and decisions are faked, so
-        # only the search loop runs.
+        # 34,400 tries halve the radius 1,075 times: from 1/24 it is subnormal
+        # from attempt 32,576 on (2.0 ** (a // 32) would overflow at attempt
+        # 32,768) and 0.0 from attempt 34,272 on, and the search still ends
+        # exhausted.  Draws and decisions are faked, so only the search loop
+        # runs.
         radii = []
 
         def fake_local_unitaries(n, rs, rngs):
@@ -986,8 +1005,29 @@ class TestStackedDecisions:
         with pytest.raises(SearchExhaustedError) as info:
             staged_build(C2, C2, [((1, 1), (1, 1))], 0.5, [], 1, max_tries=34400)
         assert (info.value.stage, info.value.best_dim, info.value.tries) == (1, 2, 34400)
-        assert radii == halving_radii(0.5 / 4, 34400)
-        assert radii[32768] == 2.0**-1028 and radii[34271] > 0.0 == radii[34272]
+        assert radii == [math.ldexp(0.5 / 6, -1 - a // 32) for a in range(34400)]
+        # halving rounds a subnormal radius at every step, the closed form
+        # once, so the two agree up to the first subnormal radius
+        assert radii[:32576] == halving_radii(0.5 / 6, 32576)
+        assert radii[32575] >= sys.float_info.min > radii[32576]
+        assert radii[34271] > 0.0 == radii[34272]
+
+    def test_closed_form_radii_equal_the_halving_sequence(self, monkeypatch):
+        # budget 0.3 / 6, not a power of two: 300 attempts halve the radius 9
+        # times, and each closed-form radius equals the running one bit for bit
+        radii = []
+
+        def fake_local_unitaries(n, rs, rngs):
+            radii.extend(rs)
+            return np.broadcast_to(np.eye(n), (len(rs), n, n))
+
+        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
+        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", lambda *args: (
+            (lambda us: iter([2] * len(us))), 64
+        ))
+        with pytest.raises(SearchExhaustedError):
+            staged_build(C2, C2, [((1, 1), (1, 1))], 0.3, [], 1, max_tries=300)
+        assert radii == halving_radii(0.3 / 6, 300)
 
     def test_scalar_factor_decides_through_the_stack(self, monkeypatch):
         # C (4) against C^2 (2, 2): the solve runs inside C^2's commutant, and
