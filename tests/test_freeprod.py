@@ -984,12 +984,13 @@ class TestStackedDecisions:
         assert stage.tries == tries
         assert np.array_equal(stage.u, unitaries["success"])
 
-    def test_radius_halves_past_the_range_of_a_float(self, monkeypatch):
-        # 34,400 tries halve the radius 1,075 times: from 1/24 it is subnormal
-        # from attempt 32,576 on (2.0 ** (a // 32) would overflow at attempt
-        # 32,768) and 0.0 from attempt 34,272 on, and the search still ends
-        # exhausted.  Draws and decisions are faked, so only the search loop
-        # runs.
+    @staticmethod
+    def searched_radii(monkeypatch, epsilon, max_tries):
+        """The radius of each attempt of a stage-1 search with faked draws and decisions.
+
+        Only the search loop runs: every draw is the identity and every
+        decision 2, so the search exhausts at stage 1 (budget epsilon / 6).
+        """
         radii = []
 
         def fake_local_unitaries(n, rs, rngs):
@@ -1003,8 +1004,16 @@ class TestStackedDecisions:
         monkeypatch.setattr(subalg.freeprod, "sample_stream", lambda *key: None)
         monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", fake_kernel)
         with pytest.raises(SearchExhaustedError) as info:
-            staged_build(C2, C2, [((1, 1), (1, 1))], 0.5, [], 1, max_tries=34400)
-        assert (info.value.stage, info.value.best_dim, info.value.tries) == (1, 2, 34400)
+            staged_build(C2, C2, [((1, 1), (1, 1))], epsilon, [], 1, max_tries=max_tries)
+        assert (info.value.stage, info.value.best_dim, info.value.tries) == (1, 2, max_tries)
+        return radii
+
+    def test_radius_halves_past_the_range_of_a_float(self, monkeypatch):
+        # 34,400 tries halve the radius 1,075 times: from 1/24 it is subnormal
+        # from attempt 32,576 on (2.0 ** (a // 32) would overflow at attempt
+        # 32,768) and 0.0 from attempt 34,272 on, and the search still ends
+        # exhausted
+        radii = self.searched_radii(monkeypatch, 0.5, 34400)
         assert radii == [math.ldexp(0.5 / 6, -1 - a // 32) for a in range(34400)]
         # halving rounds a subnormal radius at every step, the closed form
         # once, so the two agree up to the first subnormal radius
@@ -1015,19 +1024,7 @@ class TestStackedDecisions:
     def test_closed_form_radii_equal_the_halving_sequence(self, monkeypatch):
         # budget 0.3 / 6, not a power of two: 300 attempts halve the radius 9
         # times, and each closed-form radius equals the running one bit for bit
-        radii = []
-
-        def fake_local_unitaries(n, rs, rngs):
-            radii.extend(rs)
-            return np.broadcast_to(np.eye(n), (len(rs), n, n))
-
-        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
-        monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", lambda *args: (
-            (lambda us: iter([2] * len(us))), 64
-        ))
-        with pytest.raises(SearchExhaustedError):
-            staged_build(C2, C2, [((1, 1), (1, 1))], 0.3, [], 1, max_tries=300)
-        assert radii == halving_radii(0.3 / 6, 300)
+        assert self.searched_radii(monkeypatch, 0.3, 300) == halving_radii(0.3 / 6, 300)
 
     def test_scalar_factor_decides_through_the_stack(self, monkeypatch):
         # C (4) against C^2 (2, 2): the solve runs inside C^2's commutant, and
