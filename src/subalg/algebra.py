@@ -143,8 +143,9 @@ def _fast_matrix(
 ) -> MultiplicityMatrix:
     """Construct a MultiplicityMatrix skipping validation.
 
-    Only for the enumerators, whose rows are correct by construction; the
-    per-candidate validation cost dominates large sweeps otherwise.
+    Only for the class enumerator (``enumerate_unital_embeddings``), whose
+    rows are correct by construction; the per-candidate validation cost
+    dominates large sweeps otherwise.
     """
     m = object.__new__(MultiplicityMatrix)
     m.__dict__.update(source=source, target=target, entries=entries)
@@ -398,8 +399,8 @@ def enumerate_subalgebra_classes(parent: EmbeddedAlgebra) -> list[SubalgebraClas
 
 
 @lru_cache(maxsize=1)
-def _suffix_table(structure: BlockStructure, other: EmbeddedAlgebra):
-    """The row-suffixes of the embeddings of ``structure`` into ``other``, state by state.
+def _suffix_table(structure: BlockStructure, other: EmbeddedAlgebra) -> dict:
+    """The memo of row-suffixes of the embeddings of ``structure`` into ``other``.
 
     Row i of an embedding, weighted by ``other.mult[i]``, spends from one
     budget per column.  The suffixes of a state (row index i, remaining
@@ -409,52 +410,54 @@ def _suffix_table(structure: BlockStructure, other: EmbeddedAlgebra):
     one table, so the classes of one structure, which the enumerator lists
     together, share it against one algebra.
 
-    Returns ``build(i, remaining)``, the suffixes of a state in lexicographic
-    order.  The states below the top row are built once and kept; the top
-    state is built on every call and not kept, since each ambient row asks
-    for it once.
+    The table is a plain dict (row index >= 1, remaining budgets) -> suffixes
+    that ``_suffixes`` fills, with no closure or other reference back to it:
+    ``cache_clear`` or a call with another key frees it at once.
     """
-    blocks, sizes, weights = structure.blocks, other.structure.blocks, other.mult
-    last = len(sizes) - 1
-    memo = {}  # (row index >= 1, remaining budgets) -> suffixes that spend them exactly
+    return {}
 
-    def build(i: int, remaining: tuple[int, ...]) -> tuple:
-        w = weights[i]
-        if i == last:
-            # the budgets already weight-sum to w * sizes[i], so the last
-            # row is forced: remaining / w, when that divides evenly
-            row = tuple(r // w for r in remaining)
-            return ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
-        out = []
-        for row in _bounded_rows(blocks, sizes[i], tuple(r // w for r in remaining)):
-            nxt = tuple(r - w * v for r, v in zip(remaining, row))
-            found = memo.get((i + 1, nxt))
-            if found is None:
-                found = memo[i + 1, nxt] = build(i + 1, nxt)
-            out.extend((row,) + tail for tail in found)
-        return tuple(out)
 
-    return build
+def _suffixes(
+    structure: BlockStructure, other: EmbeddedAlgebra, memo: dict, i: int, remaining: tuple
+) -> tuple:
+    """The suffixes of the state (i, ``remaining``), lexicographic, filling ``memo``.
+
+    The states below row i are built once into ``memo``; the state itself is
+    not kept, as each ambient row asks for the top state once.
+    """
+    sizes, w = other.structure.blocks, other.mult[i]
+    if i == len(sizes) - 1:
+        # the budgets already weight-sum to w * sizes[i], so the last
+        # row is forced: remaining / w, when that divides evenly
+        row = tuple(r // w for r in remaining)
+        return ((row,),) if all(r == w * v for r, v in zip(remaining, row)) else ()
+    out = []
+    for row in _bounded_rows(structure.blocks, sizes[i], tuple(r // w for r in remaining)):
+        nxt = tuple(r - w * v for r, v in zip(remaining, row))
+        found = memo.get((i + 1, nxt))
+        if found is None:
+            found = memo[i + 1, nxt] = _suffixes(structure, other, memo, i + 1, nxt)
+        out.extend((row,) + tail for tail in found)
+    return tuple(out)
 
 
 def compatible_embeddings(
     structure: BlockStructure, ambient_mult: tuple[int, ...], other: EmbeddedAlgebra
-) -> list[MultiplicityMatrix]:
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Unital injective embeddings of ``structure`` into ``other`` whose induced
-    ambient multiplicities equal ``ambient_mult``.
+    ambient multiplicities equal ``ambient_mult``, each as its tuple of rows.
 
-    A class depends on its parent here only through its structure and ambient
-    multiplicities, so those are the arguments.  The ambient constraint fixes
-    the weighted column sums of the embedding: row i, weighted by
-    ``other.mult[i]``, spends from one budget per column, and every budget
-    must reach zero.  Injectivity is automatic because every budget is
-    positive.  Rows are chosen top to bottom, each among the rows that fit
-    the remaining budgets, and the row-suffixes that complete a (row index,
-    remaining budgets) state come from one table per (structure, ``other``)
-    (``_suffix_table``), shared by every ambient row and every prefix that
-    reaches the state; the table lives until a call with another key
-    replaces it, or until ``cache_clear``.  The output order is
-    lexicographic on the row-major flattened entries.  An empty list means
+    Row i holds the multiplicities of the blocks of ``structure`` in block i
+    of ``other``: the ``entries`` of a ``MultiplicityMatrix``, which is not
+    built.  A class depends on its parent here only through its structure
+    and ambient multiplicities, so those are the arguments.  Row i, weighted
+    by ``other.mult[i]``, spends from one budget per column, and every
+    budget must reach zero; injectivity is automatic because every budget
+    is positive.  Rows are chosen top to bottom, and the row-suffixes that
+    complete a (row index, remaining budgets) state come from one table per
+    (structure, ``other``) (``_suffix_table``), shared by every ambient row
+    and every prefix that reaches the state.  The output order is
+    lexicographic on the row-major flattened entries.  An empty tuple means
     no unitary carries the structure into ``other``.
     """
     ambient_mult = _int_tuple(ambient_mult)
@@ -464,9 +467,7 @@ def compatible_embeddings(
         raise ValueError(f"ambient multiplicities must be >= 1, got {ambient_mult}")
     if sum(m * n for m, n in zip(ambient_mult, structure.blocks)) != other.ambient_dim:
         raise DomainError("ambient dimensions differ")
-    target = other.structure
-    suffixes = _suffix_table(structure, other)(0, ambient_mult)
-    return [_fast_matrix(structure, target, entries) for entries in suffixes]
+    return _suffixes(structure, other, _suffix_table(structure, other), 0, ambient_mult)
 
 
 def enumerate_embedded_algebras(ambient_dim: int) -> list[EmbeddedAlgebra]:

@@ -38,7 +38,7 @@ from .freeprod import (
     stage_layouts,
     staged_build,
 )
-from .numeric import amplify, default_tolerance, density_experiment
+from .numeric import amplify, default_tolerance, density_bytes, density_experiment
 from .serialize import (
     canonical_json,
     is_finite_real,
@@ -170,11 +170,13 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
     return diags
 
 
-def _decision_diagnostics(
-    alg1, segs1, alg2, segs2, dim: int, pointer: str
-) -> list[tuple[str, str]]:
-    """Diagnostics for a pair of dimension ``dim`` whose one decision is past DECISION_BYTES."""
-    size = decision_bytes(alg1, segs1, alg2, segs2)
+def _cap_diagnostics(size: int, dim: int, pointer: str) -> list[tuple[str, str]]:
+    """Diagnostics for a decision at dimension ``dim`` whose ``size`` bytes are past the cap.
+
+    The cap is DECISION_BYTES, and ``size`` is counted from integers:
+    ``decision_bytes`` for a dpi pair or a build stage, ``density_bytes``
+    for a density pair.
+    """
     if size <= DECISION_BYTES:
         return []
     # exact for any integer size: a float overflows past about 1e308 bytes
@@ -192,7 +194,7 @@ def _stage_decision_diagnostics(stages: list, blocks: dict[int, list]) -> list[t
     """
     alg1, alg2 = (BlockStructure(tuple(blocks[i])) for i in (0, 1))
     for k, segs1, segs2, _, dim, _ in stage_layouts(alg1, alg2, stages):
-        found = _decision_diagnostics(alg1, segs1, alg2, segs2, dim, f"/stages/{k - 1}")
+        found = _cap_diagnostics(decision_bytes(alg1, segs1, alg2, segs2), dim, f"/stages/{k - 1}")
         if found:
             return found
     return []
@@ -324,6 +326,10 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     if config.u is not None and cmd != "dpi":
         diags.append(("/u", "a u is accepted only by dpi"))
 
+    if cmd == "density" and len(algebras) >= 2 and not diags:
+        b1, b2 = (EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"][:2])
+        diags += _cap_diagnostics(density_bytes(b1, b2), config.ambient, "/algebras")
+
     if cmd in ("rcp-balance", "dpi") and len(algebras) >= 2 and not diags:
         dims = [
             sum(m * n for m, n in zip(mult, structure.blocks))
@@ -337,7 +343,8 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
         elif cmd == "dpi":
             (alg1, mult1), (alg2, mult2) = parsed["algebras"][:2]
-            found = _decision_diagnostics(alg1, [mult1], alg2, [mult2], dims[0], "/algebras")
+            size = decision_bytes(alg1, [mult1], alg2, [mult2])
+            found = _cap_diagnostics(size, dims[0], "/algebras")
             if found:
                 diags += found
             elif config.u is None:

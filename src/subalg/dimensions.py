@@ -111,13 +111,12 @@ class _RowSquares(dict):
 def _orbit_dim_stream(
     structure: BlockStructure, ambient_mult: tuple[int, ...], b2: EmbeddedAlgebra
 ):
-    """The orbit dimension of each compatible embedding, in their order, as an iterator."""
+    """The orbit dimension of each compatible embedding, read off its rows, as an iterator."""
     base = sum(m * m for m in ambient_mult) + b2.structure.algebra_dim()
     # the embeddings share a few distinct rows, so each row is squared once
     row_sq = _RowSquares().__getitem__
     return (
-        base - sum(map(row_sq, emb.entries))
-        for emb in compatible_embeddings(structure, ambient_mult, b2)
+        base - sum(map(row_sq, rows)) for rows in compatible_embeddings(structure, ambient_mult, b2)
     )
 
 

@@ -40,6 +40,8 @@ from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismat
 from .numeric import (
     DRAW_MATRICES,
     DensityStats,
+    UnitLayout,
+    _copy_indices,
     amplified_commutant,
     amplify,
     commutant_basis,
@@ -335,7 +337,8 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     unitary only to within validate's bound still maps the units onto an
     exactly similar algebra (u I u^-1 = I, idempotents stay idempotent), so
     its unitarity defect does not land in the stability band of the rank
-    decision.  The last diagonal unit is left out: the units sum to the
+    decision.  The units g are scattered from A2's layout (``UnitLayout``),
+    and the last, a diagonal unit, is left out: the units sum to the
     identity, which commutes with everything.  The commutant and the unit
     stack depend only on the layout, so they are built once, here.
 
@@ -351,7 +354,11 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     if swap:
         alg1, segs1, alg2, segs2 = alg2, segs2, alg1, segs1
     within = amplified_commutant(alg1.blocks, segs1)
-    units = amplify(_block_units(alg2.blocks)[:-1], alg2.blocks, segs2)
+    layout = UnitLayout.of_copies(_copy_indices(alg2.blocks, segs2))
+    copies, n = layout.copies[:-1], layout.n
+    units = np.zeros((len(copies), n * n), dtype=complex)
+    units[np.repeat(np.arange(len(copies)), copies), layout.support[: copies.sum()]] = 1.0
+    units = units.reshape(-1, n, n)
 
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
@@ -359,20 +366,6 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
         return commutant_basis(gens, within, tol)
 
     return decide, stack_size(matrices, within.n)
-
-
-def _block_units(blocks) -> np.ndarray:
-    """The units of the block model M_s, s = sum(blocks), whose row and column fall in one block.
-
-    They come in row-major order, which is block by block with the units
-    (p, q) of a block row-major: the order of the units of a layout
-    (``UnitLayout.of_copies``).
-    """
-    label = np.repeat(np.arange(len(blocks)), blocks)
-    row, col = np.nonzero(label[:, None] == label)
-    units = np.zeros((len(row), len(label), len(label)), dtype=complex)
-    units[np.arange(len(row)), row, col] = 1.0
-    return units
 
 
 def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:

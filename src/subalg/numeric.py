@@ -722,6 +722,21 @@ class DensityStats:
         return list(enumerate(self.dims))
 
 
+def density_bytes(b1: EmbeddedAlgebra, b2: EmbeddedAlgebra) -> int:
+    """Bytes one ``density_experiment`` on the pair holds, counted from integers.
+
+    With d1 and d2 the dimensions of the two sides and d the smaller, at
+    16 N^2 bytes an N x N complex matrix: the realized bases (d1 + d2
+    matrices), the real residual system of ``intersect`` and the copy its
+    SVD makes (d rows of at most 2 N^2 reals each), and the intersection's
+    span and its adjoints in the closure check (up to d matrices each).
+    The stack of draws (STACK_BYTES) and the chunks of conjugated elements
+    and of closure products (CHUNK_BYTES each) come on top.
+    """
+    d1, d2 = b1.structure.algebra_dim(), b2.structure.algebra_dim()
+    return 16 * b1.ambient_dim**2 * (d1 + d2 + 4 * min(d1, d2))
+
+
 def density_experiment(
     b1: EmbeddedAlgebra,
     b2: EmbeddedAlgebra,

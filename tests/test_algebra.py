@@ -5,10 +5,12 @@ Derived expected values are computed by independent oracles kept in this file
 embeddings solved with plain numpy), never by the code paths under test.
 """
 
+import gc
 import itertools
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -433,23 +435,20 @@ class TestCompatibleEmbeddings:
         cls = next(
             c for c in enumerate_subalgebra_classes(b1) if c.structure.blocks == (1, 1)
         )
-        embs = compatible(cls, b2)
-        assert [e.entries for e in embs] == [((1, 1),)]
+        assert compatible(cls, b2) == (((1, 1),),)
 
     def test_incompatible_pair_is_empty(self):
         # 3 [b1, b2] = [2, 4] has no integer solution
         b1 = EmbeddedAlgebra(6, M3, (2,))
         b2 = EmbeddedAlgebra(6, M2, (3,))
         cls = SubalgebraClass(b1, C2, MultiplicityMatrix(C2, M3, ((1, 2),)))
-        assert compatible(cls, b2) == []
+        assert compatible(cls, b2) == ()
 
     def test_unit_always_unique(self):
         b1 = EmbeddedAlgebra(4, M2, (2,))
         b2 = EmbeddedAlgebra(4, M2M2, (1, 1))
         cls = next(c for c in enumerate_subalgebra_classes(b1) if c.is_trivial())
-        embs = compatible(cls, b2)
-        assert len(embs) == 1
-        assert embs[0].entries == ((2,), (2,))
+        assert compatible(cls, b2) == (((2,), (2,)),)
 
     def test_rejects_bad_multiplicities(self):
         masa = EmbeddedAlgebra(4, BlockStructure((1, 1, 1, 1)), (1, 1, 1, 1))
@@ -547,7 +546,7 @@ class TestCompatibleEmbeddingCache:
                 for cls in enumerate_subalgebra_classes(b1):
                     for b2 in algebras:
                         expected = self.oracle(cls, b2)
-                        assert [e.entries for e in compatible(cls, b2)] == expected
+                        assert list(compatible(cls, b2)) == expected
                         assert orbit_dims(b1, cls, b2) == self.orbit_formula(cls, b2, expected)
 
 
@@ -578,9 +577,12 @@ class TestSuffixTable:
         for structure, ambient_mult, b2 in keys:
             got = compatible_embeddings(structure, ambient_mult, b2)
             expected = oracles.compatible_embeddings(structure, ambient_mult, b2)
-            assert [e.entries for e in got] == [e.entries for e in expected], (
-                structure, ambient_mult, str(b2))
-            assert all(e.source == structure and e.target == b2.structure for e in got)
+            assert list(got) == [e.entries for e in expected], (structure, ambient_mult, str(b2))
+            # each embedding is a tuple of row tuples, one per block of b2
+            assert type(got) is tuple
+            for rows in got:
+                assert type(rows) is tuple and len(rows) == b2.structure.num_blocks
+                assert all(type(row) is tuple and len(row) == structure.num_blocks for row in rows)
 
     def test_sweep_keys_in_audit_order_and_shuffled(self, monkeypatch):
         # a table keyed too coarsely would leak suffixes between structures,
@@ -592,6 +594,30 @@ class TestSuffixTable:
         random.Random(20).shuffle(keys)
         clear_subalg_caches()
         self.assert_matches_reference(keys)
+
+    def test_cleared_table_is_freed_without_the_collector(self):
+        # C^7 into the masa of M7: the 5,040 permutation matrices.  The table
+        # holds no reference back to itself, so clearing the cache frees it
+        # at once: with the cyclic collector off, nothing is left for it
+        c7 = BlockStructure((1,) * 7)
+        masa = EmbeddedAlgebra(7, c7, (1,) * 7)
+        algebra._suffix_table.cache_clear()
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            assert len(compatible_embeddings(c7, (1,) * 7, masa)) == 5040
+            held = tracemalloc.get_traced_memory()[0]
+            algebra._suffix_table.cache_clear()
+            left = tracemalloc.get_traced_memory()[0]
+            unreachable = gc.collect()
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # what stays traced is mostly tuples parked on the interpreter's free
+        # lists, which only a full collection empties
+        assert held - left > 256 << 10, (held, left)
+        assert unreachable == 0
 
     def test_bounded_rows_are_the_rows_within_bounds(self):
         for weights in [(1,), (2, 1), (1, 1, 1), (3, 2, 2, 1)]:

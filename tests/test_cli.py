@@ -306,6 +306,43 @@ class TestValidation:
         else:
             assert diags == []
 
+    def test_density_pair_past_the_cap_exits_1(self, tmp_path, capsys, monkeypatch):
+        # M1000 (x) 1_2 against itself at N = 2000: a realized basis alone
+        # would hold 58 TiB, and the run died in the realization
+        def no_run(*args, **kwargs):
+            raise AssertionError("a refused config reached the density run")
+
+        monkeypatch.setattr(subalg.cli, "density_experiment", no_run)
+        payload = {
+            "algebras": [{"blocks": [1000], "mult": [2]}, {"blocks": [1000], "mult": [2]}],
+            "ambient": 2000,
+            "samples": 1,
+            "seed": 1,
+        }
+        start = time.perf_counter()
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        elapsed = time.perf_counter() - start
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        want = "one decision at dimension 2000 needs 3.58e+5 GiB, past the 4 GiB cap"
+        assert err == f"/algebras: {want}\n"
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("half, refused", [(24, False), (48, False), (64, True)])
+    def test_density_cap(self, half, refused):
+        # M_h + M_h against itself at N = 2h: 243 MiB at N = 48 (CI's
+        # largest density run), 3.8 GiB at N = 96, and 12 GiB at N = 128
+        n = 2 * half
+        pair = {"blocks": [half, half], "mult": [1, 1]}
+        payload = {"algebras": [pair, pair], "ambient": n, "samples": 4, "seed": 3}
+        diags = validate(ExperimentConfig(command="density", **payload))[1]
+        if refused:
+            assert diags == [
+                ("/algebras", "one decision at dimension 128 needs 12 GiB, past the 4 GiB cap")
+            ]
+        else:
+            assert diags == []
+
     @pytest.mark.parametrize("side", [None, 3])
     def test_probe_letter_without_valid_side_exits_1(self, tmp_path, capsys, side):
         letter = {"value": matrix_to_json(np.eye(2))}

@@ -508,7 +508,7 @@ class TestStagedBuild:
         assert [s.dim for s in build.stages] == [2, 4, 6]
         assert all(s.irreducible for s in build.stages)
         for k, stage in enumerate(build.stages, start=1):
-            assert stage.bound < 0.5 / 2 ** (k + 1)
+            assert stage.bound < 0.5 / ((k + 1) * (k + 2))
         assert build.total_bound < 0.25
 
     def test_cumulative_product_invariant(self):

@@ -31,6 +31,7 @@ from subalg.numeric import (
     amplify,
     commutant_basis,
     conjugate,
+    density_bytes,
     density_experiment,
     exp_skew,
     haar_unitaries,
@@ -259,16 +260,25 @@ class TestAmplifiedCommutant:
             want = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)
             assert amplified_units(blocks, rows).tobytes() == want.tobytes(), (blocks, rows)
 
-    def test_kernel_units_are_the_amplified_block_units(self):
-        # the free-product kernel amplifies the units of the block model: bit
-        # for bit the units scattered from the layout, zero-copy blocks included
+    def test_kernel_units_are_the_amplified_block_units(self, monkeypatch):
+        # the free-product kernel scatters A2's units from its layout, all but
+        # the last: at u = I its generators are bit for bit the amplified
+        # units of the block model, zero-copy blocks included.  Against M_N
+        # with one copy the sides are never swapped
+        gens = []
+        monkeypatch.setattr(
+            subalg.freeprod, "commutant_basis", lambda g, within, tol: gens.append(g) or iter([0])
+        )
         layouts = random_layouts(53, 300)
         assert any(not any(row[j] for row in rows) for b, rows in layouts for j in range(len(b)))
         for blocks, rows in layouts:
-            units = subalg.freeprod._block_units(blocks)
-            assert units.tobytes() == model_matrix_units(BlockStructure(blocks)).tobytes()
-            got = amplify(units[:-1], blocks, rows)
-            assert got.tobytes() == amplified_units(blocks, rows)[:-1].tobytes(), (blocks, rows)
+            n = sum(m * b for row in rows for m, b in zip(row, blocks))
+            decide, _ = subalg.freeprod._joint_dim_kernel(
+                BlockStructure((n,)), [[1]], BlockStructure(blocks), rows, None
+            )
+            next(decide(np.eye(n, dtype=complex)[None]))
+            want = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)[:-1]
+            assert gens.pop()[0].tobytes() == want.tobytes(), (blocks, rows)
 
     def test_layouts_of_unsorted_blocks_match_the_dense_scan(self):
         # blocks in any order, so runs of one shape may be adjacent or split
@@ -1033,6 +1043,30 @@ class TestDensityExperiment:
             tracemalloc.stop()
         assert stats.dims == (16,)
         assert peak < 24 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize(
+        "b1, b2",
+        [
+            (EmbeddedAlgebra(16, BlockStructure((8, 8)), (1, 1)),) * 2,
+            (
+                EmbeddedAlgebra(24, BlockStructure((1,) * 24), (1,) * 24),
+                EmbeddedAlgebra(24, BlockStructure((4,)), (6,)),
+            ),
+        ],
+        ids=["M8+M8", "C24-M4x1_6"],
+    )
+    def test_peak_within_the_density_count(self, b1, b2):
+        # the count validate refuses a pair by, with the stack of draws and
+        # a chunk of conjugated elements and of closure products on top
+        density_experiment(b1, b2, 2, seed=3)  # caches and imports
+        tracemalloc.start()
+        try:
+            density_experiment(b1, b2, 2, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = density_bytes(b1, b2) + subalg.numeric.STACK_BYTES + 2 * subalg.numeric.CHUNK_BYTES
+        assert peak < bound, (peak, bound)
 
     def test_generic_trivial_for_simple_blocks(self):
         stats = density_experiment(M2_MULT2, M2_MULT2, 25, seed=7)
