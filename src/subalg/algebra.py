@@ -119,9 +119,6 @@ class MultiplicityMatrix:
     def injective(self) -> bool:
         return all(any(row[j] for row in self.entries) for j in range(self.source.num_blocks))
 
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.entries)
-
     def apply_to_row(self, row: tuple[int, ...]) -> tuple[int, ...]:
         """Left-multiply a row vector indexed by target blocks; yields a source-indexed row."""
         if len(row) != self.target.num_blocks:

@@ -48,18 +48,24 @@ from .serialize import (
     stats_csv,
 )
 
-COMMANDS = (
-    "enumerate",
-    "dims",
-    "thm41-check",
-    "density",
-    "rcp-balance",
-    "dpi",
-    "build-primitive",
-)
-
-_NEEDS_AMBIENT = {"enumerate", "dims", "thm41-check", "density"}
-_NEEDS_SAMPLES = {"density", "dpi"}
+# The config fields each command reads.  A config or flag that sets any other
+# field is refused (``load_config``); reports still echo every field.
+_SYMBOLIC = ("algebras", "ambient")
+READS = {
+    command: frozenset(("command", "seed", "out", "format") + extra)
+    for command, extra in {
+        "enumerate": _SYMBOLIC,
+        "dims": _SYMBOLIC,
+        "thm41-check": _SYMBOLIC,
+        "density": _SYMBOLIC + ("samples", "radius", "center"),
+        "rcp-balance": ("algebras",),
+        "dpi": ("algebras", "samples", "radius", "u"),
+        "build-primitive": ("algebras", "epsilon", "stages", "max_tries", "probe"),
+    }.items()
+}
+COMMANDS = tuple(READS)
+_NEEDS_AMBIENT = {command for command, read in READS.items() if "ambient" in read}
+_NEEDS_SAMPLES = {command for command, read in READS.items() if "samples" in read}
 
 # Largest accepted ``samples`` and ``max_tries``: a larger count asks for a
 # run that does not end in any useful time, so it is refused as malformed.
@@ -82,13 +88,17 @@ class ExperimentConfig:
     probe: str | None = None
     stages: list | None = None
     max_tries: int = 128
-    tolerance: float | None = None
     out: str | None = None
     format: str = "json"
     diagnostics: list = field(default_factory=list)
 
     def resolved_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"}
+
+
+def _pointer(key: str) -> str:
+    """A key as one JSON-pointer token: ``~`` as ``~0`` and ``/`` as ``~1`` (RFC 6901)."""
+    return key.replace("~", "~0").replace("/", "~1")
 
 
 def _positive_finite_diagnostics(value, pointer: str) -> list[tuple[str, str]]:
@@ -273,8 +283,10 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     if not isinstance(algebras, list):
         diags.append(("/algebras", "expected a list"))
         algebras = []
-    elif len(algebras) < want:
-        diags.append(("/algebras", f"command {cmd!r} needs {want} algebra spec(s)"))
+    elif len(algebras) != want:
+        message = f"command {cmd!r} reads {want} algebra spec(s), got {len(algebras)}"
+        diags.append(("/algebras", message))
+        algebras = algebras[:want]
 
     needs_mult = cmd != "build-primitive"
     valid_blocks: dict[int, list] = {}
@@ -282,6 +294,11 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         if not isinstance(spec, dict):
             diags.append((f"/algebras/{i}", "algebra spec must be an object"))
             continue
+        for key in spec:
+            if key not in ("blocks", "mult"):
+                diags.append((f"/algebras/{i}/{_pointer(key)}", "unknown field"))
+            elif key == "mult" and not needs_mult:
+                diags.append((f"/algebras/{i}/mult", f"not read by {cmd}"))
         blocks = spec.get("blocks")
         if not isinstance(blocks, list) or not blocks or any(
             not is_number(b, int) or b < 1 for b in blocks
@@ -289,12 +306,12 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             diags.append((f"/algebras/{i}/blocks", "blocks must be a list of positive integers"))
             continue
         valid_blocks[i] = blocks
+        if not needs_mult:
+            parsed["algebras"].append((BlockStructure(tuple(blocks)), None))
+            continue
         mult = spec.get("mult")
         if mult is None:
-            if needs_mult:
-                diags.append((f"/algebras/{i}/mult", "multiplicity row is required"))
-            else:
-                parsed["algebras"].append((BlockStructure(tuple(blocks)), None))
+            diags.append((f"/algebras/{i}/mult", "multiplicity row is required"))
             continue
         if not isinstance(mult, list) or len(mult) != len(blocks) or any(
             not is_number(m, int) for m in mult
@@ -318,22 +335,20 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     if cmd in _NEEDS_AMBIENT:
         if not is_number(config.ambient, int) or config.ambient < 1:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
-        elif cmd == "density" and config.center is not None:
+        elif config.center is not None:
             parsed["center"], found = _parse_unitary(config.center, "/center", config.ambient)
             diags += found
-    if config.center is not None and (cmd != "density" or config.radius is None):
-        diags.append(("/center", "a center is accepted only by density, with a radius"))
-    if config.u is not None and cmd != "dpi":
-        diags.append(("/u", "a u is accepted only by dpi"))
+    if config.center is not None and config.radius is None:
+        diags.append(("/center", "a center needs a radius"))
 
-    if cmd == "density" and len(algebras) >= 2 and not diags:
-        b1, b2 = (EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"][:2])
+    if cmd == "density" and not diags:
+        b1, b2 = (EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"])
         diags += _cap_diagnostics(density_bytes(b1, b2), config.ambient, "/algebras")
 
-    if cmd in ("rcp-balance", "dpi") and len(algebras) >= 2 and not diags:
+    if cmd in ("rcp-balance", "dpi") and not diags:
         dims = [
             sum(m * n for m, n in zip(mult, structure.blocks))
-            for structure, mult in parsed["algebras"][:2]
+            for structure, mult in parsed["algebras"]
         ]
         if dims[0] != dims[1]:
             diags.append(
@@ -342,7 +357,7 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         elif cmd == "dpi" and dims[0] == 0:
             diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
         elif cmd == "dpi":
-            (alg1, mult1), (alg2, mult2) = parsed["algebras"][:2]
+            (alg1, mult1), (alg2, mult2) = parsed["algebras"]
             size = decision_bytes(alg1, [mult1], alg2, [mult2])
             found = _cap_diagnostics(size, dims[0], "/algebras")
             if found:
@@ -388,9 +403,6 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     elif config.format == "csv" and cmd not in _NEEDS_SAMPLES:
         diags.append(("/format", f"command {cmd!r} has no per-sample CSV output"))
 
-    if config.tolerance is not None:
-        diags.extend(_positive_finite_diagnostics(config.tolerance, "/tolerance"))
-
     return parsed, diags
 
 
@@ -416,20 +428,19 @@ def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
             ("/command", f"config declares {declared!r} but {command!r} was invoked")
         )
 
-    keys = {f.name for f in fields(ExperimentConfig)} - {"command", "diagnostics"}
-    for key in raw:
-        if key not in keys and key != "command":
-            pointer = key.replace("~", "~0").replace("/", "~1")  # RFC 6901
-            diagnostics.append((f"/{pointer}", "unknown field"))
-    config = ExperimentConfig(
+    given = {**raw, **{key: value for key, value in overrides.items() if value is not None}}
+    known = {f.name for f in fields(ExperimentConfig)} - {"diagnostics"}
+    reads = READS[command]
+    for key in given:
+        if key not in known:
+            diagnostics.append((f"/{_pointer(key)}", "unknown field"))
+        elif key not in reads:
+            diagnostics.append((f"/{key}", f"not read by {command}"))
+    return ExperimentConfig(
         command=command,
         diagnostics=diagnostics,
-        **{key: value for key, value in raw.items() if key in keys},
+        **{key: value for key, value in given.items() if key in reads - {"command"}},
     )
-    for key, value in overrides.items():
-        if value is not None:
-            setattr(config, key, value)
-    return config
 
 
 def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
@@ -441,7 +452,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
     if cmd in _NEEDS_AMBIENT:  # algebras embedded in M_ambient
         b = [EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"]]
     else:  # the free-product commands: two factors on one space
-        (alg1, mult1), (alg2, mult2) = parsed["algebras"][:2]
+        (alg1, mult1), (alg2, mult2) = parsed["algebras"]
 
     if cmd == "enumerate":
         classes = enumerate_subalgebra_classes(b[0])
@@ -463,9 +474,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
 
     elif cmd == "density":
         local = None if config.radius is None else (parsed["center"], float(config.radius))
-        stats = density_experiment(
-            b[0], b[1], config.samples, config.seed, local=local, tol=config.tolerance
-        )
+        stats = density_experiment(b[0], b[1], config.samples, config.seed, local=local)
 
     elif cmd == "rcp-balance":
         balance = rcp_balance(alg1, mult1, alg2, mult2)
@@ -483,9 +492,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
 
     elif cmd == "dpi":
         rep = RepPair(alg1, mult1, alg2, mult2, parsed["u"])
-        stats = dpi_probe(
-            rep, config.samples, config.seed, local_radius=config.radius, tol=config.tolerance
-        )
+        stats = dpi_probe(rep, config.samples, config.seed, local_radius=config.radius)
 
     elif cmd == "build-primitive":
         try:
@@ -497,7 +504,6 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
                 parsed["probe"],
                 config.seed,
                 max_tries=config.max_tries,
-                tol=config.tolerance,
             )
             result = build.to_json_dict()
         except SearchExhaustedError as exc:
@@ -539,10 +545,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed (u64)")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="master RNG seed, a nonnegative integer of any size"
+    )
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", default=None, help="report output path (default: stdout)")
-    parser.add_argument("--tolerance", type=float, default=None, help="rank tolerance override")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
 

@@ -325,7 +325,7 @@ def decision_bytes(alg1, segs1, alg2, segs2) -> int:
     return 16 * n * n * _decision_size(alg1, totals1, alg2, _totals(segs2))[1]
 
 
-def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
+def _joint_dim_kernel(alg1, segs1, alg2, segs2):
     """The stacked decision u -> dimension of the commutant of A1 together with u A2 u^-1.
 
     Both factors are amplified over their segments.  The solve runs inside
@@ -363,14 +363,14 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2, tol):
     def decide(us):
         u, inv = us[:, None], np.linalg.inv(us)[:, None]
         gens = inv @ units @ u if swap else u @ units @ inv
-        return commutant_basis(gens, within, tol)
+        return commutant_basis(gens, within)
 
     return decide, stack_size(matrices, within.n)
 
 
-def joint_commutant_dim(rep: RepPair, tol: float | None = None) -> int:
+def joint_commutant_dim(rep: RepPair) -> int:
     """Dimension of the commutant of the union of both perturbed factor images."""
-    decide, _ = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    decide, _ = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     return next(decide(rep.u[None]))
 
 
@@ -379,7 +379,6 @@ def dpi_probe(
     samples: int,
     seed: int,
     local_radius: float | None = None,
-    tol: float | None = None,
 ) -> DensityStats:
     """Sample perturbations w on top of rep.u and tally joint commutant dimensions.
 
@@ -390,7 +389,7 @@ def dpi_probe(
     trivial_count counts the irreducible outcomes.
     """
 
-    decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+    decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     dims = sample_dims(
         rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack
     )
@@ -508,7 +507,6 @@ def staged_build(
     probe: list[FreeElement],
     seed: int,
     max_tries: int = 128,
-    tol: float | None = None,
 ) -> StagedBuild:
     """Direct-sum the given representation stages, perturbing each into irreducibility.
 
@@ -547,7 +545,7 @@ def staged_build(
         prev_u = _extend(cumulative_u, dim)
         u_k, tries = np.eye(dim, dtype=complex), 0
         if dim > earlier:
-            decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2, tol)
+            decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2)
             best = next(decide(prev_u[None])) if k == 1 else math.inf
             if best > 1:
                 budget = epsilon / ((k + 1) * (k + 2))

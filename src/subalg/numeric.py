@@ -102,19 +102,19 @@ def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vh
 
 
-def _stable_rank(s: np.ndarray, n: int, tol: float | None, what: str) -> int:
+def _stable_rank(s: np.ndarray, n: int, what: str) -> int:
     """The rank of one system from its singular values ``s`` (descending), at a stable cutoff.
 
-    The rank counts singular values above ``tol`` (default
-    ``default_tolerance(n, s_max)``) and must not change at tol/10 or 10*tol.
-    All three cutoffs are clamped below at the noise floor
+    The rank counts singular values above the cutoff
+    ``default_tolerance(n, s_max)`` and must not change at a tenth or ten
+    times it.  All three cutoffs are clamped below at the noise floor
     8 * max(n, 4) * eps * max(s_max, 1): the unit scale of the inputs, so a
     system of pure rounding noise (s_max near eps) has a floor too, times a
     size that grows like the rounding of products of n x n unitaries.
     Values underneath it are exact zeros and cannot make a decision ambiguous.
     """
     scale = max(float(s[0]), 1.0)
-    cutoff = default_tolerance(n, scale) if tol is None else tol
+    cutoff = default_tolerance(n, scale)
     floor = 8.0 * max(n, 4) * EPS * scale
     lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
     ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
@@ -126,7 +126,7 @@ def _stable_rank(s: np.ndarray, n: int, tol: float | None, what: str) -> int:
     return int(np.count_nonzero(s > max(cutoff, floor)))
 
 
-def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
+def _null_rows(systems: np.ndarray, n: int, what: str):
     """Per system of a stack (k, rows, cols), the rows of ``vh`` spanning its
     (conjugated) nullspace, from one SVD at the stable rank (``_stable_rank``).
 
@@ -136,10 +136,10 @@ def _null_rows(systems: np.ndarray, n: int, tol: float | None, what: str):
     decides the ones after it.  A single system is a stack of one.
     """
     s, vh = _svd_right(systems)
-    return (v[_stable_rank(si, n, tol, what) :] for si, v in zip(s, vh))
+    return (v[_stable_rank(si, n, what) :] for si, v in zip(s, vh))
 
 
-def _nullities(systems: np.ndarray, n: int, tol: float | None, what: str):
+def _nullities(systems: np.ndarray, n: int, what: str):
     """Per system of a stack (k, rows, cols), the dimension of its nullspace.
 
     The same decision as ``_null_rows``, from the singular values alone:
@@ -149,7 +149,7 @@ def _nullities(systems: np.ndarray, n: int, tol: float | None, what: str):
     """
     cols = systems.shape[-1]
     s = np.linalg.svd(_triangle(systems), compute_uv=False)
-    return (cols - _stable_rank(si, n, tol, what) for si in s)
+    return (cols - _stable_rank(si, n, what) for si in s)
 
 
 @dataclass(frozen=True, eq=False)
@@ -589,7 +589,7 @@ def _commutator_system(gens, within: UnitLayout) -> np.ndarray:
     return system.reshape(k, g * n * n, d)
 
 
-def commutant_basis(gens, within: UnitLayout, tol: float | None = None):
+def commutant_basis(gens, within: UnitLayout):
     """Dimensions of the joint commutants of generator sets, solved inside ``within``.
 
     ``within`` is a known commutant (``amplified_commutant``) that holds
@@ -611,12 +611,10 @@ def commutant_basis(gens, within: UnitLayout, tol: float | None = None):
     if not g:
         return iter([within.dimension] * k)
     system = _commutator_system(gens, within)
-    return _nullities(system, within.n, tol, "commutant system")
+    return _nullities(system, within.n, "commutant system")
 
 
-def intersect(
-    a: ConcreteRealization, b: ConcreteRealization, tol: float | None = None
-) -> ConcreteRealization:
+def intersect(a: ConcreteRealization, b: ConcreteRealization) -> ConcreteRealization:
     """Intersection of two realized subalgebras of the same M_N.
 
     Preconditions: one side, called ``b``, is an unconjugated realization
@@ -665,7 +663,7 @@ def intersect(
             system = np.empty((d, coords.shape[1]))
         system[start : start + len(coords)] = coords
     if system.shape[1]:
-        null = next(_null_rows(system.T[None], n, tol, "projected system"))
+        null = next(_null_rows(system.T[None], n, "projected system"))
     else:
         null = np.eye(d)
     if len(null) < 1:
@@ -743,7 +741,6 @@ def density_experiment(
     samples: int,
     seed: int,
     local: tuple[np.ndarray | None, float] | None = None,
-    tol: float | None = None,
 ) -> DensityStats:
     """Sample unitaries u and tally dim(B1 meet u B2 u*).
 
@@ -771,8 +768,8 @@ def density_experiment(
     def one(w):
         u = w if center is None else center @ w
         if r1.dimension < r2.dimension:
-            return intersect(conjugate(r1, u.conj().T), r2, tol=tol).dimension
-        return intersect(r1, conjugate(r2, u), tol=tol).dimension
+            return intersect(conjugate(r1, u.conj().T), r2).dimension
+        return intersect(r1, conjugate(r2, u)).dimension
 
     stack = stack_size(DRAW_MATRICES, n)
     dims = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)

@@ -10,10 +10,12 @@ products and its null rows, the dense twice-projected intersection
 residual, the full (not only canonical) enumeration of unital embeddings,
 the compatible embeddings by a row-suffix memo built afresh in each call,
 and a few small helpers that only tests need (the class order, the
-center restriction, the gcd embedding bound, padding a multiplicity row).
+center restriction, the gcd embedding bound, padding a multiplicity row,
+a fixed rank cutoff).
 None of them is reached from ``src``.
 """
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -21,6 +23,7 @@ import math
 import operator
 
 import numpy as np
+import pytest
 
 import subalg.numeric
 from subalg.algebra import (
@@ -51,13 +54,21 @@ def vectors(r):
     return r.basis.reshape(r.dimension, r.ambient_dim**2).T
 
 
+@contextlib.contextmanager
+def fixed_cutoff(tol):
+    """Every rank decision of the library at the cutoff ``tol``, not ``default_tolerance``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(subalg.numeric, "default_tolerance", lambda n, smax: tol)
+        yield
+
+
 def contains_identity(r, tol=1e-10):
     """Whether the identity lies in the span of a realization, to within ``tol``."""
     eye = np.eye(r.ambient_dim, dtype=complex)[None]
     return float(r.project_residual(eye)[0]) <= tol
 
 
-def kronecker_commutant(gens, tol=None):
+def kronecker_commutant(gens):
     """Joint commutant of a list of generators over all of M_N.
 
     The condition X A = A X reads (A kron I - I kron A^T) vec(X) = 0, an
@@ -69,7 +80,7 @@ def kronecker_commutant(gens, tol=None):
     n = gens[0].shape[0]
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    null = next(subalg.numeric._null_rows(np.concatenate(rows)[None], n, tol, "commutant system"))
+    null = next(subalg.numeric._null_rows(np.concatenate(rows)[None], n, "commutant system"))
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
@@ -227,7 +238,7 @@ def dense_commutator_system(gens, known):
     return system.reshape(k, d, -1).transpose(0, 2, 1)
 
 
-def dense_commutant_basis(gens, known, tol=None):
+def dense_commutant_basis(gens, known):
     """Orthonormal bases of the joint commutants of a stack of generator sets inside ``known``.
 
     The dense system of ``dense_commutator_system`` is decided by the
@@ -242,7 +253,7 @@ def dense_commutant_basis(gens, known, tol=None):
     system = dense_commutator_system(gens, known)
     return (
         ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-        for null in subalg.numeric._null_rows(system, n, tol, "commutant system")
+        for null in subalg.numeric._null_rows(system, n, "commutant system")
     )
 
 
@@ -261,7 +272,7 @@ def dense_residual(a, b):
     return system
 
 
-def dense_intersect(a, b, tol=None):
+def dense_intersect(a, b):
     """Intersection of any two orthonormal realizations of the same M_N.
 
     Solved over the smaller side (the first on a tie) from the dense
@@ -271,7 +282,7 @@ def dense_intersect(a, b, tol=None):
         a, b = b, a
     n = a.ambient_dim
     system = dense_residual(a, b)
-    null = next(subalg.numeric._null_rows(system.T[None], n, tol, "projected system")).conj()
+    null = next(subalg.numeric._null_rows(system.T[None], n, "projected system")).conj()
     if len(null) < 1:
         raise NumericalInstabilityError("intersection lost the identity", float(len(null)))
     out = ConcreteRealization(n, (null @ a.basis.reshape(a.dimension, n * n)).reshape(-1, n, n))

@@ -33,7 +33,6 @@ from subalg.numeric import (
     amplified_commutant,
     amplify,
     conjugate,
-    default_tolerance,
     density_experiment,
     haar_unitary,
     intersect,
@@ -44,6 +43,7 @@ from subalg.numeric import (
 
 from oracles import (
     amplified_units,
+    fixed_cutoff,
     dense_commutator_system,
     dense_intersect,
     kronecker_commutant,
@@ -637,9 +637,9 @@ class TestStagedBuild:
         kernel = subalg.freeprod._joint_dim_kernel
         dims = []
 
-        def spy(alg1, segs1, alg2, segs2, tol):
+        def spy(alg1, segs1, alg2, segs2):
             dims.append(sum(map(sum, segs1)))
-            return kernel(alg1, segs1, alg2, segs2, tol)
+            return kernel(alg1, segs1, alg2, segs2)
 
         monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", spy)
         empty = ((0, 0), (0,))
@@ -694,12 +694,12 @@ def sequential_local(center, radius, rng):
     return center @ ((v * np.exp(1j * lam)) @ v.conj().T)
 
 
-def sequential_nullity(system, n, tol, what):
+def sequential_nullity(system, n, what):
     if system.shape[0] > system.shape[1]:
         system = np.linalg.qr(system, mode="r")
     s = np.linalg.svd(system, compute_uv=False)
     scale = max(float(s[0]), 1.0)
-    cutoff = default_tolerance(n, scale) if tol is None else tol
+    cutoff = subalg.numeric.default_tolerance(n, scale)  # as fixed_cutoff sets it
     floor = 8.0 * max(n, 4) * EPS * scale
     lo_cut, hi_cut = max(cutoff / 10.0, floor), max(10.0 * cutoff, floor)
     ambiguous = s[(s > lo_cut) & (s <= hi_cut)]
@@ -711,7 +711,7 @@ def sequential_nullity(system, n, tol, what):
     return system.shape[1] - int(np.count_nonzero(s > max(cutoff, floor)))
 
 
-def sequential_kernel(alg1, segs1, alg2, segs2, tol):
+def sequential_kernel(alg1, segs1, alg2, segs2):
     """u -> joint commutant dimension, one unitary per call."""
     dim1 = sum(m * m for m in map(sum, zip(*segs1)))
     dim2 = sum(m * m for m in map(sum, zip(*segs2)))
@@ -727,7 +727,7 @@ def sequential_kernel(alg1, segs1, alg2, segs2, tol):
         inv = np.linalg.inv(u)
         gens = inv @ units @ u if swap else u @ units @ inv
         system = dense_commutator_system(gens[None], within)[0]
-        return sequential_nullity(system, within.n, tol, "commutant system")
+        return sequential_nullity(system, within.n, "commutant system")
 
     return decide
 
@@ -742,9 +742,9 @@ def halving_radii(budget, tries):
     return radii
 
 
-def sequential_stage_kernel(alg1, segs1, alg2, segs2, tol):
+def sequential_stage_kernel(alg1, segs1, alg2, segs2):
     """``sequential_kernel`` in the shape of ``_joint_dim_kernel``: stacks of one item."""
-    decide = sequential_kernel(alg1, segs1, alg2, segs2, tol)
+    decide = sequential_kernel(alg1, segs1, alg2, segs2)
     return (lambda us: map(decide, us)), 1
 
 
@@ -769,8 +769,8 @@ def use_sequential_search(monkeypatch):
     monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
 
 
-def sequential_dpi(rep, samples, seed, local_radius=None, tol=None):
-    decide = sequential_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2], tol)
+def sequential_dpi(rep, samples, seed, local_radius=None):
+    decide = sequential_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     eye = np.eye(rep.dim, dtype=complex)
     dims = []
     for i in range(samples):
@@ -939,20 +939,21 @@ class TestStackedDecisions:
             assert got == sequential_dpi(rep, 7, n, local_radius=radius)
 
     def test_first_unstable_dpi_sample_raises_as_before(self, budget):
-        # at tol 1e-6 and radius 5e-5, samples 2 and 5 of seed 5 are unstable,
+        # at the cutoff 1e-6 and radius 5e-5, samples 2 and 5 of seed 5 are unstable,
         # with different defects; the first in index order is the one raised
         rep = RepPair(C2, (2, 2), C2, (2, 2), np.eye(4))
-        decide = sequential_kernel(C2, [(2, 2)], C2, [(2, 2)], 1e-6)
+        decide = sequential_kernel(C2, [(2, 2)], C2, [(2, 2)])
         draws = [sequential_local(np.eye(4), 5e-5, sample_stream(5, i)) for i in range(10)]
-        outcomes = [outcome(decide, w) for w in draws]
-        unstable = {i: o for i, o in enumerate(outcomes) if o != 2}
-        assert sorted(unstable) == [2, 5] and unstable[2] != unstable[5]
-        assert outcome(dpi_probe, rep, 10, 5, local_radius=5e-5, tol=1e-6) == unstable[2]
+        with fixed_cutoff(1e-6):
+            outcomes = [outcome(decide, w) for w in draws]
+            unstable = {i: o for i, o in enumerate(outcomes) if o != 2}
+            assert sorted(unstable) == [2, 5] and unstable[2] != unstable[5]
+            assert outcome(dpi_probe, rep, 10, 5, local_radius=5e-5) == unstable[2]
 
     @pytest.mark.parametrize(
         "draws, tries",
         [
-            # attempt 2 alone would raise at tol 1e-6, but the stack of attempts
+            # attempt 2 alone would raise at the cutoff 1e-6, but the stack of attempts
             # 1 and 2 succeeds at 1: the sequential search never reached 2
             (["fail", "success", "unstable"], 2),
             (["fail", "unstable", "success"], None),
@@ -967,8 +968,9 @@ class TestStackedDecisions:
             "other": rotation(2e-2),
             "unstable": rotation(1e-6),
         }
+        monkeypatch.setattr(subalg.numeric, "default_tolerance", lambda n, smax: 1e-6)
         with pytest.raises(NumericalInstabilityError):
-            joint_commutant_dim(RepPair(C2, (1, 1), C2, (1, 1), unitaries["unstable"]), tol=1e-6)
+            joint_commutant_dim(RepPair(C2, (1, 1), C2, (1, 1), unitaries["unstable"]))
         queue = iter(draws)
 
         def fake_local_unitaries(n, radii, rngs):
@@ -978,9 +980,9 @@ class TestStackedDecisions:
         args = (C2, C2, [((1, 1), (1, 1))], 0.5, [], 1)
         if tries is None:
             with pytest.raises(NumericalInstabilityError):
-                staged_build(*args, tol=1e-6)
+                staged_build(*args)
             return
-        (stage,) = staged_build(*args, tol=1e-6).stages
+        (stage,) = staged_build(*args).stages
         assert stage.tries == tries
         assert np.array_equal(stage.u, unitaries["success"])
 
@@ -1095,7 +1097,7 @@ def test_decision_stacks_stay_within_the_byte_budget(alg1, mult1, mult2, monkeyp
     # items and peaks at about twice the budget.
     monkeypatch.setattr(subalg.numeric, "STACK_BYTES", 1 << 21)
     rep = RepPair(alg1, mult1, M2, mult2, np.eye(12))
-    _, stack = _joint_dim_kernel(alg1, [mult1], M2, [mult2], None)
+    _, stack = _joint_dim_kernel(alg1, [mult1], M2, [mult2])
     samples = 3 * stack + 2
     dpi_probe(rep, 1, 1)  # the first draw imports numpy.random's generator modules
     tracemalloc.start()

@@ -58,6 +58,7 @@ from oracles import (
     dense_residual,
     dense_within,
     embed_model,
+    fixed_cutoff,
     kronecker_commutant,
     model_matrix_units,
     random_skew_direction,
@@ -267,14 +268,14 @@ class TestAmplifiedCommutant:
         # with one copy the sides are never swapped
         gens = []
         monkeypatch.setattr(
-            subalg.freeprod, "commutant_basis", lambda g, within, tol: gens.append(g) or iter([0])
+            subalg.freeprod, "commutant_basis", lambda g, within: gens.append(g) or iter([0])
         )
         layouts = random_layouts(53, 300)
         assert any(not any(row[j] for row in rows) for b, rows in layouts for j in range(len(b)))
         for blocks, rows in layouts:
             n = sum(m * b for row in rows for m, b in zip(row, blocks))
             decide, _ = subalg.freeprod._joint_dim_kernel(
-                BlockStructure((n,)), [[1]], BlockStructure(blocks), rows, None
+                BlockStructure((n,)), [[1]], BlockStructure(blocks), rows
             )
             next(decide(np.eye(n, dtype=complex)[None]))
             want = amplify(model_matrix_units(BlockStructure(blocks)), blocks, rows)[:-1]
@@ -509,7 +510,7 @@ class TestSvdRight:
         scale = max(float(ref[0]), 1.0)
         assert np.max(np.abs(s - ref)) <= 1e-12 * scale
 
-        null = next(_null_rows(m[None], max(rows, cols), None, "test matrix")).conj()
+        null = next(_null_rows(m[None], max(rows, cols), "test matrix")).conj()
         assert null.shape == (cols - rank, cols)
         assert np.allclose(null @ null.conj().T, np.eye(cols - rank), atol=1e-12)
         # backward error of the SVD: a small multiple of max(rows, cols) * eps * s_max
@@ -520,21 +521,22 @@ class TestSvdRight:
 class TestStacks:
     def test_null_rows_decides_each_item_when_reached(self):
         # singular values (1, 0.5, 0), (1, 1e-6, 0) and (1, 1, 1) behind
-        # random rotations: at tol 1e-6 item 1 is ambiguous, so the stack
+        # random rotations: at the cutoff 1e-6 item 1 is ambiguous, so the stack
         # raises when item 1 is reached, not before
         rng = sample_stream(8)
         svals = [(1.0, 0.5, 0.0), (1.0, 1e-6, 0.0), (1.0, 1.0, 1.0)]
         stack = np.stack(
             [haar_unitary(5, rng)[:, :3] @ np.diag(s) @ haar_unitary(3, rng) for s in svals]
         )
-        items = _null_rows(stack, 5, 1e-6, "stack")
-        first = next(items)
-        assert np.array_equal(first, next(_null_rows(stack[:1], 5, 1e-6, "stack")))  # bitwise
-        assert first.shape == (1, 3)
-        with pytest.raises(NumericalInstabilityError, match="unstable") as info:
-            next(items)
-        assert info.value.defect == pytest.approx(1e-6)
-        assert len(next(_null_rows(stack[2:], 5, 1e-6, "stack"))) == 0
+        with fixed_cutoff(1e-6):
+            items = _null_rows(stack, 5, "stack")
+            first = next(items)
+            assert np.array_equal(first, next(_null_rows(stack[:1], 5, "stack")))  # bitwise
+            assert first.shape == (1, 3)
+            with pytest.raises(NumericalInstabilityError, match="unstable") as info:
+                next(items)
+            assert info.value.defect == pytest.approx(1e-6)
+            assert len(next(_null_rows(stack[2:], 5, "stack"))) == 0
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stacked_draws_equal_single_draws(self, n):
@@ -614,8 +616,8 @@ class TestValuesOnly:
         svals = [np.sort(rng.uniform(0.1, 10.0, r))[::-1] for r in ranks]
         stack = known_rank_stack(rng, rows, cols, svals)
         n = max(rows, cols)
-        got = list(_nullities(stack, n, None, "test stack"))
-        assert got == [len(null) for null in _null_rows(stack, n, None, "test stack")]
+        got = list(_nullities(stack, n, "test stack"))
+        assert got == [len(null) for null in _null_rows(stack, n, "test stack")]
         assert got == [cols - r for r in ranks]
 
     @settings(max_examples=30, deadline=None)
@@ -626,7 +628,7 @@ class TestValuesOnly:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_unstable_items_raise_with_the_same_message(self, k, unstable, ambiguous, seed):
-        # at tol 1e-6 a singular value of ambiguous * 1e-6 lies in the band
+        # at the cutoff 1e-6 a singular value of ambiguous * 1e-6 lies in the band
         # (1e-7, 1e-5]: both routines decide the items before it and raise there
         rng = np.random.default_rng(seed)
         svals = [(3.0, 1.0, 0.0)] * k
@@ -642,8 +644,9 @@ class TestValuesOnly:
                 return got, str(exc), exc.defect
             return got, None, None
 
-        values = run(_nullities(stack, 7, 1e-6, "test stack"))
-        rows = run(_null_rows(stack, 7, 1e-6, "test stack"))
+        with fixed_cutoff(1e-6):
+            values = run(_nullities(stack, 7, "test stack"))
+            rows = run(_null_rows(stack, 7, "test stack"))
         assert values[0] == [len(null) for null in rows[0]] == [2] * min(unstable, k)
         assert values[1] == rows[1]
         if unstable < k:
@@ -791,7 +794,7 @@ class TestIntersect:
         # decided by the same rank routine
         def paired_nullity(r1, r2):
             system = np.concatenate([vectors(r1), -vectors(r2)], axis=1)
-            return len(next(_null_rows(system[None], n, None, "paired system")))
+            return len(next(_null_rows(system[None], n, "paired system")))
 
         algebras = enumerate_embedded_algebras(n)
         rng = sample_stream(29, n)
@@ -804,8 +807,8 @@ class TestIntersect:
 
     def test_instability_error_on_absurd_tolerance(self):
         r = realize(M2M2)
-        with pytest.raises(NumericalInstabilityError):
-            intersect(r, conjugate(r, haar_unitary(4, 1)), tol=0.5)
+        with fixed_cutoff(0.5), pytest.raises(NumericalInstabilityError):
+            intersect(r, conjugate(r, haar_unitary(4, 1)))
 
     def test_pairs_without_a_gathered_side_raise(self):
         # intersect gathers against an unconjugated side with a layout and
@@ -836,9 +839,9 @@ def null_systems(monkeypatch):
     """The systems that intersect hands to the rank routine, in call order."""
     seen = []
 
-    def spy(systems, n, tol, what):
+    def spy(systems, n, what):
         seen.extend(systems)
-        return _null_rows(systems, n, tol, what)
+        return _null_rows(systems, n, what)
 
     monkeypatch.setattr(subalg.numeric, "_null_rows", spy)
     return seen
@@ -943,7 +946,7 @@ class TestGatherPath:
         out = intersect(b, c)
         want = b.layout.complement_coordinates(c.basis.reshape(c.dimension, 36))
         assert [s.tobytes() for s in null_systems] == [want.T.tobytes()]
-        null = next(_null_rows(want.T[None], 6, None, "projected system"))
+        null = next(_null_rows(want.T[None], 6, "projected system"))
         span = null @ m3m1._elements.reshape(-1, 36)
         assert out.basis.tobytes() == (u @ span.reshape(-1, 6, 6) @ u.conj().T).tobytes()
 
