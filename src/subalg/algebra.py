@@ -17,7 +17,12 @@ from .errors import DomainError, ShapeMismatchError
 
 
 def _int_tuple(values) -> tuple[int, ...]:
-    return tuple(int(v) for v in values)
+    """The values as ints; raises ValueError for a value that is not an integer."""
+    values = tuple(values)
+    ints = tuple(map(int, values))
+    if ints != values:
+        raise ValueError(f"expected integers, got {values}")
+    return ints
 
 
 def _matmul(a, b):

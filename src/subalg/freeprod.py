@@ -13,9 +13,9 @@ Irreducibility is decided for a stack of unitaries at once: one call forms
 the inverses, the conjugated units and the gathered commutant systems of the
 stack, with one stacked QR and one values-only SVD
 (``numeric.commutant_basis``), and yields the dimensions in index order.
-DPI decides its draws a stack at a time; the staged search decides its
-attempts in stacks of 1, 2, 4, ... and stops at the first success in attempt
-order, never deciding the attempts after it.  The identity is decided at
+DPI and the staged search draw through ``numeric.sample_dims``, which decides
+its draws in stacks of 1, 2, 4, ...; the search stops at the first success
+in attempt order, never deciding the attempts after it.  The identity is decided at
 stage 1 alone: a later stage that adds dimension keeps the earlier pair as a
 direct summand under the identity, which is never irreducible, and a stage
 that adds none keeps the pair that the stage before accepted.
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BlockStructure
+from .algebra import BlockStructure, _int_tuple
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from .numeric import (
     DRAW_MATRICES,
@@ -46,9 +46,7 @@ from .numeric import (
     amplify,
     commutant_basis,
     default_tolerance,
-    local_unitaries,
     sample_dims,
-    sample_stream,
     stack_size,
 )
 
@@ -124,7 +122,7 @@ class RepPair:
 
 def _mult_row(alg: BlockStructure, row) -> tuple[int, ...]:
     """A multiplicity row of ``alg`` as ints: one nonnegative entry per block."""
-    row = tuple(int(m) for m in row)
+    row = _int_tuple(row)
     if len(row) != alg.num_blocks:
         raise ShapeMismatchError(
             f"expected {alg.num_blocks} multiplicities, one per block, got {len(row)}"
@@ -390,9 +388,8 @@ def dpi_probe(
     """
 
     decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
-    dims = sample_dims(
-        rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack
-    )
+    draws = sample_dims(rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack)
+    dims = tuple(d for _, d in draws)
     return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
 
 
@@ -526,11 +523,11 @@ def staged_build(
     evaluation moved by at most the Lipschitz bound times the perturbation
     size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
-    malformed multiplicity row, and ValueError for an empty first stage or
-    for max_tries < 1.
+    malformed multiplicity row, and ValueError for an empty first stage, for
+    max_tries < 1 or for an epsilon that is not positive and finite.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < math.inf:
+        raise ValueError("epsilon must be positive and finite")
     if not stages:
         raise ValueError("need at least one stage")
     if max_tries < 1:
@@ -579,27 +576,21 @@ def _extend(u: np.ndarray, dim: int) -> np.ndarray:
 def _search_stage_unitary(decide, cap, prev_u, budget, seed, stage, max_tries, best):
     """Find u with ||u - I|| < budget for which ``decide`` finds u @ prev_u irreducible.
 
-    Attempt a draws a local step about the identity from the stream
-    (seed, stage, a), at the radius budget / 2^(1 + a // 32): half the
-    budget, halved after every 32 attempts (``ldexp`` reaches 0.0 and never
-    overflows, however many attempts are allowed).  The attempts are decided
-    in stacks of 1, 2, 4, ... (at most ``cap``), and the first success in
-    attempt order ends the search; the attempts after it in its stack are
-    never decided.  ``best`` is the smallest commutant dimension seen before
-    the search.  Returns (unitary or None, tries used, best commutant
-    dimension seen).
+    Every attempt is a local step of radius budget / 2 about the identity,
+    attempt a from the stream (seed, stage, a) of ``sample_dims``, which
+    decides the attempts in stacks of 1, 2, 4, ... (at most ``cap``).  The
+    first success in attempt order ends the search; the attempts after it
+    in its stack are never decided.  ``best`` is the smallest commutant
+    dimension seen before the search.  Returns (unitary or None, tries
+    used, best commutant dimension seen).
     """
-    start, size = 0, 1
-    while start < max_tries:
-        attempts = range(start, min(start + size, start + cap, max_tries))
-        radii = [math.ldexp(budget, -1 - a // 32) for a in attempts]
-        rngs = [sample_stream(seed, stage, a) for a in attempts]
-        ws = local_unitaries(len(prev_u), radii, rngs)
-        for attempt, w, d in zip(attempts, ws, decide(ws @ prev_u)):
-            best = min(best, d)
-            if d == 1:
-                return w, attempt + 1, 1
-        start, size = attempts.stop, 2 * size
+    attempts = sample_dims(
+        len(prev_u), max_tries, seed, budget / 2, lambda ws: decide(ws @ prev_u), cap, (stage,)
+    )
+    for tries, (w, d) in enumerate(attempts, start=1):
+        best = min(best, d)
+        if d == 1:
+            return w, tries, 1
     return None, max_tries, best
 
 

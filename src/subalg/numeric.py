@@ -26,9 +26,10 @@ Random unitaries and commutant dimensions are also made in stacks (k, N, N):
 one stacked QR, eigendecomposition or SVD serves the k items, running the
 same LAPACK call on each as on one matrix, so a stacked result is
 bit-identical to the items made one at a time.  The rank decisions then
-take the items in index order, each only when it is reached.  A stack holds
-at most STACK_BYTES (32 MiB) of draws, generators, systems and their
-factorizations (``stack_size``), and never less than one item.
+take the items in index order, each only when it is reached.  One sampler,
+``sample_dims``, draws every Monte-Carlo unitary in stacks of 1, 2, 4, ...
+items, each at most STACK_BYTES (32 MiB) of draws, generators, systems and
+their factorizations (``stack_size``), and never less than one item.
 """
 
 from __future__ import annotations
@@ -514,20 +515,19 @@ def exp_skew(k: np.ndarray) -> np.ndarray:
     return (v * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def local_unitaries(n: int, radius, rngs) -> np.ndarray:
+def local_unitaries(n: int, radius: float, rngs) -> np.ndarray:
     """Stack of n x n unitaries at distance about ``radius`` from the identity, one per RNG stream.
 
     Each is exp(radius K) along a random direction K drawn from its own
-    stream; ``radius`` is one number or one per stream.  Callers compose
-    the steps with their own base.
+    stream, all at the one ``radius``.  Callers compose the steps with their
+    own base.
     """
-    radius = np.reshape(radius, (-1, 1, 1))
     return exp_skew(radius * _skew_directions(_ginibre(n, rngs)))
 
 
 def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:
     """Unitary at distance about ``radius`` from ``center`` along a random direction."""
-    return center @ local_unitaries(len(center), [radius], [rng])[0]
+    return center @ local_unitaries(len(center), radius, [rng])[0]
 
 
 def stack_size(matrices: int, n: int) -> int:
@@ -539,30 +539,31 @@ def stack_size(matrices: int, n: int) -> int:
     return max(1, STACK_BYTES // (16 * n * n * matrices + 1536))
 
 
-def sample_dims(
-    n: int, samples: int, seed: int, radius: float | None, step, stack: int
-) -> tuple[int, ...]:
-    """The dimensions ``step`` yields over ``samples`` seeded draws of an n x n unitary w.
+def sample_dims(n: int, samples: int, seed: int, radius: float | None, step, stack: int, key=()):
+    """Up to ``samples`` seeded draws w of an n x n unitary, each with the dimension ``step`` gives.
 
-    Draw i uses the RNG stream derived from (seed, i), so the tally does not
-    depend on execution order.  The draws are made ``stack`` at a time as a
-    (k, n, n) stack, and ``step`` yields one dimension per item, in index
-    order.  Without a radius w is Haar; with one, w is a local step about the
-    identity (``local_unitaries``) and the caller composes it with its own
-    base, on its own side.  Raises ValueError unless samples >= 1 and a
-    given radius is positive and finite.
+    A lazy generator of (w, dimension) pairs.  Draw i uses the RNG stream
+    derived from (seed, *key, i), so the results do not depend on execution
+    order.  The draws are made as (k, n, n) stacks of 1, 2, 4, ... items,
+    at most ``stack``, and ``step`` yields one dimension per item, in index
+    order: a consumer that stops at a draw never decides the draws after it
+    in its stack.  Without a radius w is Haar; with one, w is a local step
+    about the identity (``local_unitaries``) and the caller composes it with
+    its own base, on its own side.  Raises ValueError unless samples >= 1
+    and a given radius is positive and finite.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"local mode needs a positive finite radius, got {radius!r}")
-    dims: list[int] = []
-    for start in range(0, samples, stack):
-        rngs = [sample_stream(seed, i) for i in range(start, min(start + stack, samples))]
+    start, size = 0, 1
+    while start < samples:
+        items = range(start, min(start + size, start + stack, samples))
+        rngs = [sample_stream(seed, *key, i) for i in items]
         ws = haar_unitaries(n, rngs) if radius is None else local_unitaries(n, radius, rngs)
         del rngs  # spent: freed before the next stack draws its own streams
-        dims.extend(step(ws))
-    return tuple(dims)
+        yield from zip(ws, step(ws))
+        start, size = items.stop, 2 * size
 
 
 def _commutator_system(gens, within: UnitLayout) -> np.ndarray:
@@ -772,5 +773,5 @@ def density_experiment(
         return intersect(r1, conjugate(r2, u)).dimension
 
     stack = stack_size(DRAW_MATRICES, n)
-    dims = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)
-    return DensityStats(dims, seed, radius, center)
+    draws = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)
+    return DensityStats(tuple(d for _, d in draws), seed, radius, center)

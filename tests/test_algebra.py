@@ -85,6 +85,12 @@ class TestBlockStructure:
         with pytest.raises(ValueError):
             BlockStructure((0, 1))
 
+    def test_fractional_size_rejected(self):
+        # int() would truncate 2.5 to 2; integral floats and numpy ints still pass
+        with pytest.raises(ValueError, match="integers"):
+            BlockStructure((2.5,))
+        assert BlockStructure((2.0, np.int64(3))).blocks == (2, 3)
+
     def test_equality_is_order_sensitive(self):
         assert BlockStructure((1, 2)) != BlockStructure((2, 1))
         assert BlockStructure((1, 2)).isomorphic(BlockStructure((2, 1)))
@@ -673,6 +679,11 @@ class TestEmbeddedAlgebraValidation:
     def test_zero_multiplicity_rejected(self):
         with pytest.raises(ValueError):
             EmbeddedAlgebra(2, C2, (2, 0))
+
+    def test_fractional_multiplicity_rejected(self):
+        # int() would truncate 2.9 to 2, which fills M4
+        with pytest.raises(ValueError, match="integers"):
+            EmbeddedAlgebra(4, M2, (2.9,))
 
     def test_enumerate_embedded_algebras_n4(self):
         algs = enumerate_embedded_algebras(4)

@@ -1,7 +1,6 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
 import math
-import sys
 import tracemalloc
 from functools import partial
 from itertools import count
@@ -323,6 +322,11 @@ class TestRcpBalance:
         with pytest.raises(ShapeMismatchError):
             rcp_balance(C2, (1, 1), M2, (2,))
 
+    def test_fractional_multiplicity_rejected(self):
+        # int() would truncate 1.9 to 1 and balance (1, 3)
+        with pytest.raises(ValueError, match="integers"):
+            rcp_balance(C2, (1.9, 3), M2, (2,))
+
     def test_random_inputs_all_balance(self):
         rng = np.random.default_rng(2718)
         done = 0
@@ -617,6 +621,17 @@ class TestStagedBuild:
         assert 0.0 < last.bound < 0.5 / (1003 * 1004)
         assert build.total_bound < 0.25
 
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_epsilon_not_finite_raises(self, epsilon):
+        # refused before any stage: a NaN or infinite budget would reach the draws
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            staged_build(C2, M2, [((1, 1), (1,))] * 2, epsilon, [], 1)
+
+    def test_fractional_multiplicity_raises(self):
+        # int() would truncate 1.8 to 1 and build a dimension-2 stage
+        with pytest.raises(ValueError, match="integers"):
+            staged_build(M2, M2, [((1.8,), (1,))], 0.5, [], 1)
+
     @pytest.mark.parametrize("max_tries", [0, -1])
     def test_max_tries_below_one_raises(self, max_tries):
         with pytest.raises(ValueError, match="max_tries"):
@@ -732,16 +747,6 @@ def sequential_kernel(alg1, segs1, alg2, segs2):
     return decide
 
 
-def halving_radii(budget, tries):
-    """The radius of each attempt: half the budget, halved after every 32 attempts."""
-    radius, radii = budget / 2.0, []
-    for attempt in range(tries):
-        radii.append(radius)
-        if (attempt + 1) % 32 == 0:
-            radius /= 2.0
-    return radii
-
-
 def sequential_stage_kernel(alg1, segs1, alg2, segs2):
     """``sequential_kernel`` in the shape of ``_joint_dim_kernel``: stacks of one item."""
     decide = sequential_kernel(alg1, segs1, alg2, segs2)
@@ -749,17 +754,14 @@ def sequential_stage_kernel(alg1, segs1, alg2, segs2):
 
 
 def sequential_search(decide, cap, prev_u, budget, seed, stage, max_tries, best):
-    """The search one attempt at a time, with a running radius halved after every 32 attempts."""
+    """The search one attempt at a time, every attempt at half the budget."""
     eye = np.eye(len(prev_u), dtype=complex)
-    radius = budget / 2.0
     for attempt in range(max_tries):
-        w = sequential_local(eye, radius, sample_stream(seed, stage, attempt))
+        w = sequential_local(eye, budget / 2.0, sample_stream(seed, stage, attempt))
         d = next(decide((w @ prev_u)[None]))
         best = min(best, d)
         if d == 1:
             return w, attempt + 1, 1
-        if (attempt + 1) % 32 == 0:
-            radius /= 2.0
     return None, max_tries, best
 
 
@@ -836,23 +838,21 @@ class TestStackedDecisions:
     @pytest.mark.parametrize("seed", [3, 61])
     def test_exhausted_search_matches_sequential_search(self, seed, budget, monkeypatch):
         # 70 tries: stacks 1, 2, 4, ..., 32 end at attempt 62, and the last
-        # stack holds attempts 63..69, so stacks cross the halvings at 32 and 64
+        # stack holds attempts 63..69
         draws = []
-        stacked = subalg.freeprod.local_unitaries
+        stacked = subalg.numeric.local_unitaries
 
-        def spy(n, radii, rngs):
-            draws.append(stacked(n, radii, rngs))
+        def spy(n, radius, rngs):
+            draws.append(stacked(n, radius, rngs))
             return draws[-1]
 
-        monkeypatch.setattr(subalg.freeprod, "local_unitaries", spy)
+        monkeypatch.setattr(subalg.numeric, "local_unitaries", spy)
         args = (C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], seed)
         got = build_outcome(*args, max_tries=70)
         assert got == ("exhausted", 2, 4, 2, 70)
-        # every failed draw of stage 2 (budget 0.5 / 12) is the sequential one, bit for bit
-        want = [
-            sequential_local(np.eye(4), radius, sample_stream(seed, 2, a))
-            for a, radius in enumerate(halving_radii(0.5 / 12, 70))
-        ]
+        # every failed draw of stage 2 (budget 0.5 / 12) is the sequential one
+        # at half the budget, bit for bit
+        want = [sequential_local(np.eye(4), 0.5 / 24, sample_stream(seed, 2, a)) for a in range(70)]
         stage2 = np.concatenate([w for w in draws if w.shape[1:] == (4, 4)])
         assert np.array_equal(stage2, np.stack(want))
         if budget is None:
@@ -973,10 +973,10 @@ class TestStackedDecisions:
             joint_commutant_dim(RepPair(C2, (1, 1), C2, (1, 1), unitaries["unstable"]))
         queue = iter(draws)
 
-        def fake_local_unitaries(n, radii, rngs):
+        def fake_local_unitaries(n, radius, rngs):
             return np.stack([unitaries[next(queue)] for _ in rngs])
 
-        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
+        monkeypatch.setattr(subalg.numeric, "local_unitaries", fake_local_unitaries)
         args = (C2, C2, [((1, 1), (1, 1))], 0.5, [], 1)
         if tries is None:
             with pytest.raises(NumericalInstabilityError):
@@ -995,38 +995,34 @@ class TestStackedDecisions:
         """
         radii = []
 
-        def fake_local_unitaries(n, rs, rngs):
-            radii.extend(rs)
-            return np.broadcast_to(np.eye(n), (len(rs), n, n))
+        def fake_local_unitaries(n, radius, rngs):
+            radii.extend([radius] * len(rngs))
+            return np.broadcast_to(np.eye(n), (len(rngs), n, n))
 
         def fake_kernel(*args):
             return (lambda us: iter([2] * len(us))), 4096
 
-        monkeypatch.setattr(subalg.freeprod, "local_unitaries", fake_local_unitaries)
-        monkeypatch.setattr(subalg.freeprod, "sample_stream", lambda *key: None)
+        monkeypatch.setattr(subalg.numeric, "local_unitaries", fake_local_unitaries)
+        monkeypatch.setattr(subalg.numeric, "sample_stream", lambda *key: None)
         monkeypatch.setattr(subalg.freeprod, "_joint_dim_kernel", fake_kernel)
         with pytest.raises(SearchExhaustedError) as info:
             staged_build(C2, C2, [((1, 1), (1, 1))], epsilon, [], 1, max_tries=max_tries)
         assert (info.value.stage, info.value.best_dim, info.value.tries) == (1, 2, max_tries)
         return radii
 
-    def test_radius_halves_past_the_range_of_a_float(self, monkeypatch):
-        # 34,400 tries halve the radius 1,075 times: from 1/24 it is subnormal
-        # from attempt 32,576 on (2.0 ** (a // 32) would overflow at attempt
-        # 32,768) and 0.0 from attempt 34,272 on, and the search still ends
-        # exhausted
-        radii = self.searched_radii(monkeypatch, 0.5, 34400)
-        assert radii == [math.ldexp(0.5 / 6, -1 - a // 32) for a in range(34400)]
-        # halving rounds a subnormal radius at every step, the closed form
-        # once, so the two agree up to the first subnormal radius
-        assert radii[:32576] == halving_radii(0.5 / 6, 32576)
-        assert radii[32575] >= sys.float_info.min > radii[32576]
-        assert radii[34271] > 0.0 == radii[34272]
+    def test_every_attempt_is_drawn_at_half_the_budget(self, monkeypatch):
+        # 34,400 failed attempts, as many as once took a halved radius to 0.0:
+        # each is drawn at budget / 2 exactly, and the search ends exhausted
+        assert self.searched_radii(monkeypatch, 0.5, 34400) == [0.5 / 6 / 2] * 34400
 
-    def test_closed_form_radii_equal_the_halving_sequence(self, monkeypatch):
-        # budget 0.3 / 6, not a power of two: 300 attempts halve the radius 9
-        # times, and each closed-form radius equals the running one bit for bit
-        assert self.searched_radii(monkeypatch, 0.3, 300) == halving_radii(0.3 / 6, 300)
+    def test_long_search_exhausts_without_a_rank_error(self):
+        # C^2 (1, 1) against C^2 (1, 1) in two stages is never irreducible at
+        # stage 2 (epsilon 0.5, seed 5).  With the radius halved after every
+        # 32 attempts, attempt 1,187 fell into the cutoff band and raised
+        # NumericalInstabilityError; at half the budget it is decided as 2
+        with pytest.raises(SearchExhaustedError) as info:
+            staged_build(C2, C2, [((1, 1), (1, 1))] * 2, 0.5, [], 5, max_tries=1187)
+        assert (info.value.stage, info.value.best_dim, info.value.tries) == (2, 2, 1187)
 
     def test_scalar_factor_decides_through_the_stack(self, monkeypatch):
         # C (4) against C^2 (2, 2): the solve runs inside C^2's commutant, and
@@ -1043,7 +1039,8 @@ class TestStackedDecisions:
         assert joint_commutant_dim(rep) == 8
         assert dpi_probe(rep, 3, 1).dims == (8, 8, 8)
         assert dpi_probe(rep, 3, 1, local_radius=1e-3).dims == (8, 8, 8)
-        assert shapes == [(1, 0, 4, 4), (3, 0, 4, 4), (3, 0, 4, 4)]
+        # each dpi run decides its three draws in stacks of 1 and 2
+        assert shapes == [(1, 0, 4, 4)] + [(1, 0, 4, 4), (2, 0, 4, 4)] * 2
 
 
 def counted_from_layouts(alg1, segs1, alg2, segs2):

@@ -543,12 +543,11 @@ class TestStacks:
         # each item depends on its own stream alone, bit for bit
         keys = range(5)
         haar = haar_unitaries(n, [sample_stream(4, i) for i in keys])
-        radii = [1e-3 * 2.0**-i for i in keys]
         center = haar_unitary(n, 9)
-        local = local_unitaries(n, radii, [sample_stream(5, i) for i in keys])
+        local = local_unitaries(n, 1e-3, [sample_stream(5, i) for i in keys])
         for i in keys:
             assert np.array_equal(haar[i], haar_unitary(n, sample_stream(4, i)))
-            single = local_unitary(center, radii[i], sample_stream(5, i))
+            single = local_unitary(center, 1e-3, sample_stream(5, i))
             assert np.array_equal(center @ local[i], single)
 
     def test_commutant_stack_matches_single_solves(self):
@@ -754,7 +753,7 @@ class TestIntersect:
             4, 8, 11, 1e-3, lambda ws: [dense_intersect(r, conjugate(r, w)).dimension for w in ws],
             stack=1,
         )
-        assert oracle == stats.dims
+        assert tuple(d for _, d in oracle) == stats.dims
 
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("case", ["M3+M1 over M2+M2", "M2+M2 over C4"])
@@ -987,7 +986,7 @@ class TestGatherPath:
             4, 6, 5, None, lambda ws: [dense_intersect(r1, conjugate(r2, w)).dimension for w in ws],
             stack=1,
         )
-        assert stats.dims == oracle == (1,) * 6
+        assert stats.dims == tuple(d for _, d in oracle) == (1,) * 6
 
     def test_density_with_a_center(self):
         # a non-identity center, parsed and checked for unitarity as a config
@@ -1004,7 +1003,7 @@ class TestGatherPath:
             lambda ws: [dense_intersect(r, conjugate(r, center @ w)).dimension for w in ws],
             stack=1,
         )
-        assert stats.dims == oracle
+        assert stats.dims == tuple(d for _, d in oracle)
         assert min(stats.dims) >= 2
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -1118,7 +1117,8 @@ def test_draw_stacks_stay_within_the_byte_budget(n, radius, monkeypatch):
     samples = 3 * stack + 5
     tracemalloc.start()
     try:
-        dims = sample_dims(n, samples, 1, radius, lambda ws: [1] * len(ws), stack)
+        draws = sample_dims(n, samples, 1, radius, lambda ws: [1] * len(ws), stack)
+        dims = tuple(d for _, d in draws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
