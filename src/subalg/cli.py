@@ -33,6 +33,7 @@ from .freeprod import (
     RepPair,
     decision_bytes,
     dpi_probe,
+    epsilon_underflow,
     rcp_balance,
     rcp_check,
     stage_layouts,
@@ -375,13 +376,17 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         diags.extend(_positive_finite_diagnostics(config.radius, "/radius"))
 
     if cmd == "build-primitive":
-        diags.extend(_positive_finite_diagnostics(config.epsilon, "/epsilon"))
+        bad_epsilon = _positive_finite_diagnostics(config.epsilon, "/epsilon")
+        diags += bad_epsilon
         if not isinstance(config.stages, list) or not config.stages:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
             found = _stage_diagnostics(config.stages, valid_blocks)
             if not found and {0, 1} <= valid_blocks.keys():
                 found = _stage_decision_diagnostics(config.stages, valid_blocks)
+                if not found and not bad_epsilon:
+                    underflow = epsilon_underflow(config.epsilon, config.stages)
+                    found = [("/epsilon", underflow)] if underflow else []
             diags += found
         diags.extend(_count_diagnostics(config.max_tries, "max_tries"))
         if config.probe is not None:

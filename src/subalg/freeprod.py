@@ -30,6 +30,7 @@ probe letters once per side and measures every move with one stacked norm.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -524,7 +525,7 @@ def staged_build(
     size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
     malformed multiplicity row, and ValueError for an empty first stage, for
-    max_tries < 1 or for an epsilon that is not positive and finite.
+    max_tries < 1 or for an epsilon not positive and finite (or too small).
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -532,6 +533,8 @@ def staged_build(
         raise ValueError("need at least one stage")
     if max_tries < 1:
         raise ValueError("max_tries must be at least 1")
+    if underflow := epsilon_underflow(epsilon, stages):
+        raise ValueError(underflow)
 
     lipschitz = [lipschitz_bound(x) for x in probe]
     cumulative_u = np.zeros((0, 0), dtype=complex)
@@ -545,9 +548,8 @@ def staged_build(
             decide, cap = _joint_dim_kernel(alg1, segs1, alg2, segs2)
             best = next(decide(prev_u[None])) if k == 1 else math.inf
             if best > 1:
-                budget = epsilon / ((k + 1) * (k + 2))
                 u_k, tries, best = _search_stage_unitary(
-                    decide, cap, prev_u, budget, seed, k, max_tries, best
+                    decide, cap, prev_u, stage_budget(epsilon, k), seed, k, max_tries, best
                 )
                 if u_k is None:
                     raise SearchExhaustedError(k, dim, best, tries)
@@ -564,6 +566,20 @@ def staged_build(
         cumulative_u = new_u
 
     return StagedBuild(epsilon, seed, tuple(built_stages), tuple(cumulative))
+
+
+def stage_budget(epsilon: float, k: int) -> float:
+    """The perturbation budget epsilon / ((k+1)(k+2)) of stage k."""
+    return epsilon / ((k + 1) * (k + 2))
+
+
+def epsilon_underflow(epsilon: float, stages) -> str | None:
+    """Why epsilon is too small, or None: the last nonzero stage's search radius must be normal."""
+    k = max((k for k, rows in enumerate(stages, 1) if any(map(any, rows))), default=0)
+    if k and (radius := stage_budget(epsilon, k) / 2) < sys.float_info.min:
+        return (f"epsilon {epsilon!r} is too small: stage {k} searches at radius {radius!r}, "
+                f"below the smallest normal float {sys.float_info.min!r}")
+    return None
 
 
 def _extend(u: np.ndarray, dim: int) -> np.ndarray:

@@ -5,22 +5,21 @@ trace inner product.  One layout (``UnitLayout``) says where the 0/1 units
 of an amplified block algebra A = sum_j M_{n_j} tensor 1_{M_j} sit, from
 the copy indices ``amplify`` scatters through; its commutant
 A' = sum_j 1_{n_j} tensor M_{M_j} is the same layout of the transposed copy
-indices.  A realization is the Hermitian basis scattered from a layout, and its
-conjugate u A u* a record of that basis and u (``conjugate``), whose
-matrices are formed only when read.
+indices.  A realization is the Hermitian basis scattered from a layout;
+``conjugate`` forms the basis u B u* of u A u* at once.
 Commutant dimensions are the nullities of stacked commutator systems inside
 a known commutant, whose units are partial permutations: the systems are
 gathered from rows and columns of the generators, with no product formed.
-Subspace intersections are the nullspace of the residual of a realization V
-against an unconjugated one W, read by gathers in real coordinates of the
-complement of W, with one solve and one tail; a conjugated V is gathered a
-chunk of elements at a time (CHUNK_BYTES), and only the null combinations of
-its elements are conjugated.  Every rank decision is made
-from one SVD at a scale-aware tolerance with a built-in stability check
-(``_stable_rank``): if shrinking or growing the tolerance tenfold changes
-the decision, a NumericalInstabilityError is raised instead of guessing.
-An intersection needs its null vectors, so its SVD forms the right factor;
-a commutant dimension reads the singular values alone.
+``intersect(a, b, u)`` takes u as an argument and conjugates the smaller
+side, a chunk of elements at a time (CHUNK_BYTES); a meet u b u* is the
+nullspace of the residual of that side against the larger, read by gathers
+in real coordinates of the larger side's complement, with one solve.  Every
+rank decision is made from one SVD at a scale-aware tolerance with a
+built-in stability check (``_stable_rank``): if shrinking or growing the
+tolerance tenfold changes the decision, a NumericalInstabilityError is
+raised instead of guessing.  An intersection needs its null vectors, so its
+SVD forms the singular factors; a commutant dimension reads the singular
+values alone.
 
 Random unitaries and commutant dimensions are also made in stacks (k, N, N):
 one stacked QR, eigendecomposition or SVD serves the k items, running the
@@ -98,7 +97,10 @@ def _triangle(m: np.ndarray) -> np.ndarray:
 
 
 def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and the full square right factor ``vh`` of m (or a stack), no left factor."""
+    """Singular values and the full square right factor ``vh`` of m (or a stack).
+
+    numpy forms the square left factor too, so a square system pays for both.
+    """
     _, s, vh = np.linalg.svd(_triangle(m))
     return s, vh
 
@@ -287,42 +289,22 @@ class UnitLayout:
 
 @dataclass
 class ConcreteRealization:
-    """A numerically materialized subalgebra of M_N, as a record.
+    """A numerically materialized subalgebra of M_N.
 
     Its ``basis`` is a stack of N x N complex matrices orthonormal under the
     trace inner product; it also generates the algebra, and the identity
-    always lies in the span.  The record holds ``_elements``, the basis
-    before conjugation, and ``_u``, set by ``conjugate``: the basis is then
-    u elements u*, formed only when ``basis`` is read, and otherwise the
-    elements themselves.  ``layout`` is set when the elements are the
+    always lies in the span.  ``layout`` is set when the basis is the
     Hermitian recombination of the matrix units it records
     (``_realization``); such a basis is Hermitian.
     """
 
     ambient_dim: int
-    _elements: np.ndarray
+    basis: np.ndarray
     layout: UnitLayout | None = None
-    _u: np.ndarray | None = None
-
-    @property
-    def conjugated(self) -> bool:
-        return self._u is not None
 
     @property
     def dimension(self) -> int:
-        return len(self._elements)
-
-    @cached_property
-    def basis(self) -> np.ndarray:
-        return self._image(self._elements)
-
-    def _image(self, x: np.ndarray) -> np.ndarray:
-        """u x u* for a stack x of (combinations of) elements, or x itself when not conjugated.
-
-        Each item is formed by the same products whether the stack holds one
-        element, a chunk of them or all of them.
-        """
-        return x if self._u is None else self._u @ x @ self._u.conj().T
+        return len(self.basis)
 
     def project_residual(self, mats: np.ndarray) -> np.ndarray:
         """Frobenius distance of each given matrix from the span of the basis."""
@@ -467,15 +449,13 @@ def realize_class(parent: EmbeddedAlgebra, emb: MultiplicityMatrix) -> ConcreteR
 
 
 def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
-    """The realization u A u* of ``real``'s algebra, as a record of ``real``'s elements and u.
+    """The realization u A u* of ``real``'s algebra, its basis u B u* formed at once.
 
-    No basis is formed: ``basis`` makes u B u* when it is read, and
-    ``intersect`` conjugates a chunk of elements at a time.  The layout is
-    kept, and with it orthonormality and a Hermitian basis.  Conjugating a
-    conjugated realization composes the unitaries.
+    The basis stays orthonormal, and Hermitian when B is, but it is no longer
+    the recombination of ``real``'s units, so it has no layout: ``intersect``
+    takes u as an argument instead.
     """
-    u = u if real._u is None else u @ real._u
-    return ConcreteRealization(real.ambient_dim, real._elements, real.layout, u)
+    return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T)
 
 
 def _ginibre(n: int, rngs) -> np.ndarray:
@@ -615,29 +595,30 @@ def commutant_basis(gens, within: UnitLayout):
     return _nullities(system, within.n, "commutant system")
 
 
-def intersect(a: ConcreteRealization, b: ConcreteRealization) -> ConcreteRealization:
-    """Intersection of two realized subalgebras of the same M_N.
+def intersect(
+    a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | None = None
+) -> ConcreteRealization:
+    """The intersection a meet u b u* of two realized subalgebras of the same M_N.
 
-    Preconditions: one side, called ``b``, is an unconjugated realization
-    with a layout (``realize``, ``realize_class``), and the other, ``a``,
-    carries a layout too (possibly ``conjugate``d), so its basis is
-    Hermitian.  When both sides are unconjugated, ``b`` is the larger (the
-    second argument on a tie).  Any other pair raises ValueError.
+    Without u it is a meet b.  Both sides need a layout (``realize``,
+    ``realize_class``), so both bases are Hermitian; any other pair raises
+    ValueError.  The smaller side, b on a tie, is the one conjugated: b by
+    u, or a by u*, as a meet u b u* = u (u* a u meet b) u*.
 
-    With A and B the bases as rows, a combination x A lies in span B exactly
-    when the residual of x A against span B vanishes.  That residual is read
-    by gathers in real isometric coordinates of the complement of span B
-    (``UnitLayout.complement_coordinates``): both spans are *-closed, so this
-    real system of d_a rows has the singular values of the complex
+    With V the conjugated basis of the smaller side as rows and W the
+    larger, a combination x V lies in span W exactly when the residual of
+    x V against span W vanishes.  That residual is read by gathers in real
+    isometric coordinates of the complement of span W
+    (``UnitLayout.complement_coordinates``): both spans are *-closed, so
+    this real system of dim V rows has the singular values of the complex
     residual, the sines of the principal angles between the spans, and the
-    dimension is its nullity, from one SVD.  The system is the only array of
-    its size that is built: the rows of a conjugated ``a`` are formed a chunk
-    of elements at a time (CHUNK_BYTES), u A[i:j] u*, gathered and dropped,
-    and ``a.basis`` is never read.  With d_b = N^2 the complement is empty
-    and the whole of span A is the answer.  The null rows are orthonormal, so
-    their combinations of the orthonormal elements of ``a`` are orthonormal;
-    only those k combinations are conjugated, u (null A) u*, and they are an
-    orthonormal basis of the intersection with no QR.
+    dimension is its nullity, from one SVD.  The system is the only array
+    of its size that is built: V is formed a chunk of elements at a time
+    (CHUNK_BYTES), gathered and dropped.  With dim W = N^2 the complement
+    is empty and the whole of span V is the answer.  The null rows are
+    orthonormal, so their combinations of the orthonormal elements are an
+    orthonormal basis of the intersection with no QR: u (null b) u* when b
+    was conjugated, and null a, with no product, when a was.
 
     The identity lies in both spans, so a nullity below 1 is a rank error;
     the output is re-verified to be closed under products and adjoints to
@@ -646,20 +627,19 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization) -> ConcreteRealiza
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
-    if a.layout is not None and not a.conjugated and (
-        b.layout is None or b.conjugated or a.dimension > b.dimension
-    ):
-        a, b = b, a
-    if a.layout is None or b.layout is None or b.conjugated:
-        raise ValueError(
-            "intersect needs an unconjugated realization with a layout and a second with a layout"
-        )
-    n, d = a.ambient_dim, a.dimension
+    if a.layout is None or b.layout is None:
+        raise ValueError("intersect needs two realizations with a layout")
+    flip = a.dimension < b.dimension  # a moves, by u*
+    moved, fixed = (a, b) if flip else (b, a)
+    v = u.conj().T if flip and u is not None else u
+    n, d = moved.ambient_dim, moved.dimension
     step = max(1, CHUNK_BYTES // (16 * n * n))
     system = None
     for start in range(0, d, step):
-        chunk = a._image(a._elements[start : start + step])
-        coords = b.layout.complement_coordinates(chunk.reshape(len(chunk), n * n))
+        chunk = moved.basis[start : start + step]
+        if v is not None:
+            chunk = v @ chunk @ v.conj().T
+        coords = fixed.layout.complement_coordinates(chunk.reshape(len(chunk), n * n))
         if system is None:
             system = np.empty((d, coords.shape[1]))
         system[start : start + len(coords)] = coords
@@ -671,8 +651,10 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization) -> ConcreteRealiza
         raise NumericalInstabilityError(
             "intersection lost the identity; rank decision is suspect", float(len(null))
         )
-    # orthonormal null rows times the orthonormal elements of A are orthonormal
-    span = a._image((null @ a._elements.reshape(d, n * n)).reshape(-1, n, n))
+    # orthonormal null rows times the orthonormal elements are orthonormal
+    span = (null @ moved.basis.reshape(d, n * n)).reshape(-1, n, n)
+    if u is not None and not flip:
+        span = u @ span @ u.conj().T
     out = ConcreteRealization(n, span)
 
     defect = out.closure_defect()
@@ -747,12 +729,10 @@ def density_experiment(
 
     Global mode draws Haar unitaries u; local mode draws u = center @ w for
     local steps w of the given radius (``sample_dims``), the center
-    defaulting to the identity.  The smaller side is the one conjugated:
-    with dim B1 < dim B2 each sample intersects u* B1 u with B2, of the same
-    dimension, so the larger side of every sample is the unconjugated one
-    whose residual ``intersect`` gathers.  When B1 = B2 the algebra is
-    realized once and serves as both sides.  The draws come a stack at a
-    time (``sample_dims``), and each is intersected on its own.
+    defaulting to the identity.  Each sample is ``intersect(r1, r2, u)``,
+    which conjugates the smaller side.  When B1 = B2 the algebra is realized
+    once and serves as both sides.  The draws come a stack at a time
+    (``sample_dims``), and each is intersected on its own.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -767,10 +747,7 @@ def density_experiment(
     r2 = r1 if b2 == b1 else realize(b2)
 
     def one(w):
-        u = w if center is None else center @ w
-        if r1.dimension < r2.dimension:
-            return intersect(conjugate(r1, u.conj().T), r2).dimension
-        return intersect(r1, conjugate(r2, u)).dimension
+        return intersect(r1, r2, w if center is None else center @ w).dimension
 
     stack = stack_size(DRAW_MATRICES, n)
     draws = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)

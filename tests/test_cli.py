@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -64,6 +65,14 @@ BUILD_M2 = {
     "stages": [[[1], [1]]],
     "epsilon": 0.5,
     "seed": 11,
+}
+
+# C^2 (1, 1) against itself in two stages: stage 2 searches at radius epsilon / 24
+C2_TWO_STAGES = {
+    "algebras": [{"blocks": [1, 1]}, {"blocks": [1, 1]}],
+    "stages": [[[1, 1], [1, 1]]] * 2,
+    "epsilon": 0.5,
+    "seed": 5,
 }
 
 
@@ -285,6 +294,49 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("/stages/0: one decision at dimension 2" + "0" * 200 + " needs ")
         assert "e+" in err and "Traceback" not in err
+
+    def test_epsilon_whose_search_radius_underflows_exits_1(self, tmp_path, capsys):
+        # 5e-324 / 24 is 0.0, a radius the sampler refuses: validate refuses
+        # the epsilon first, with a pointer, before any search
+        payload = dict(C2_TWO_STAGES, epsilon=5e-324)
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith("/epsilon: ")
+        assert err == (
+            "/epsilon: epsilon 5e-324 is too small: stage 2 searches at radius 0.0, "
+            f"below the smallest normal float {sys.float_info.min!r}\n"
+        )
+
+    @pytest.mark.parametrize("epsilon", [0.5, 5e-324])
+    @pytest.mark.parametrize(
+        "algebras, pointer",
+        [([], "/algebras"), ([{"blocks": [1]}, {"blocks": []}], "/algebras/1/blocks")],
+    )
+    def test_invalid_algebra_with_empty_stages_exits_1(
+        self, tmp_path, capsys, algebras, pointer, epsilon
+    ):
+        # stages that add no dimension over an invalid algebra: the algebra's
+        # diagnostic is printed, and no stage is searched for its radius
+        payload = {"algebras": algebras, "stages": [[[0], [0]]], "epsilon": epsilon, "seed": 1}
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        assert (code, report) == (1, None)
+        err = capsys.readouterr().err
+        assert err.startswith(pointer + ": ") and "Traceback" not in err
+        assert "/epsilon" not in err
+
+    @pytest.mark.parametrize("empty", [0, 3])
+    def test_least_epsilon_validates(self, empty):
+        # stage 2 is the last that adds dimension, however many empty stages
+        # follow; its radius (epsilon / 12) / 2 rounds up to the smallest
+        # normal float from one float below 24 times it, the least accepted
+        stages = C2_TWO_STAGES["stages"] + [[[0, 0], [0, 0]]] * empty
+        least = math.nextafter(24 * sys.float_info.min, 0)
+        assert least / 12 / 2 == sys.float_info.min > math.nextafter(least, 0) / 12 / 2
+        for epsilon, pointers in ((least, []), (math.nextafter(least, 0), ["/epsilon"])):
+            payload = dict(C2_TWO_STAGES, stages=stages, epsilon=epsilon)
+            diags = validate(ExperimentConfig(command="build-primitive", **payload))[1]
+            assert [pointer for pointer, _ in diags] == pointers, epsilon
 
     @pytest.mark.parametrize("n, refused", [(48, False), (96, False), (144, True)])
     def test_dpi_decision_cap(self, n, refused):

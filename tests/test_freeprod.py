@@ -1,6 +1,7 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
 import math
+import sys
 import tracemalloc
 from functools import partial
 from itertools import count
@@ -16,6 +17,7 @@ from subalg.freeprod import (
     Letter,
     RepPair,
     dpi_probe,
+    epsilon_underflow,
     evaluate,
     joint_commutant_dim,
     lipschitz_bound,
@@ -31,7 +33,6 @@ from subalg.numeric import (
     _realization,
     amplified_commutant,
     amplify,
-    conjugate,
     density_experiment,
     haar_unitary,
     intersect,
@@ -185,6 +186,10 @@ class TestLipschitz:
                 violations += 1
         assert violations == 0
 
+
+# the least epsilon for which stage 2's search radius (epsilon / 12) / 2 is a
+# normal float: it rounds up to the smallest one from one float below 24 times it
+LEAST_EPSILON = math.nextafter(24 * sys.float_info.min, 0)
 
 ROW_ENTRIES = {
     "RepPair": lambda row: RepPair(C2, row, M2, (1,), np.eye(2)),
@@ -390,7 +395,7 @@ class TestIrreducibility:
                     local_unitary(np.eye(n), 1e-3, rng),
                 )[i % 3]
                 rep = RepPair(a1.structure, a1.mult, a2.structure, a2.mult, u)
-                meet = intersect(commutants[j1], conjugate(commutants[j2], u))
+                meet = intersect(commutants[j1], commutants[j2], u)
                 assert joint_commutant_dim(rep) == meet.dimension, (a1, a2, i % 3)
                 dims.append(meet.dimension)
         assert len(dims) == 400 and min(dims) == 1 and max(dims) > 16
@@ -626,6 +631,22 @@ class TestStagedBuild:
         # refused before any stage: a NaN or infinite budget would reach the draws
         with pytest.raises(ValueError, match="epsilon must be positive and finite"):
             staged_build(C2, M2, [((1, 1), (1,))] * 2, epsilon, [], 1)
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-310, math.nextafter(LEAST_EPSILON, 0)])
+    def test_epsilon_whose_search_radius_underflows_raises(self, epsilon):
+        # stage 2 searches at radius (epsilon / 12) / 2: refused before any
+        # stage when it is not a normal float (0.0 for 5e-324, subnormal for
+        # 1e-310 and for the float below the least accepted epsilon)
+        with pytest.raises(ValueError, match="too small: stage 2 searches at radius"):
+            staged_build(C2, C2, [((1, 1), (1, 1))] * 2, epsilon, [], 5)
+
+    def test_least_epsilon_is_accepted(self):
+        # the three empty stages after stage 2 search nothing
+        stages = [((1, 1), (1, 1))] * 2 + [((0, 0), (0, 0))] * 3
+        assert LEAST_EPSILON / 12 / 2 == sys.float_info.min
+        assert epsilon_underflow(LEAST_EPSILON, stages) is None
+        below = math.nextafter(LEAST_EPSILON, 0)
+        assert epsilon_underflow(below, stages).startswith(f"epsilon {below!r} is too small")
 
     def test_fractional_multiplicity_raises(self):
         # int() would truncate 1.8 to 1 and build a dimension-2 stage

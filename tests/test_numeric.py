@@ -1,5 +1,6 @@
 """Tests for realizations, Haar sampling, commutants, intersections, and density runs."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -71,6 +72,10 @@ M2M2 = EmbeddedAlgebra(4, BlockStructure((2, 2)), (1, 1))
 M4 = EmbeddedAlgebra(4, BlockStructure((4,)), (1,))
 C4 = EmbeddedAlgebra(4, BlockStructure((1,) * 4), (1,) * 4)
 SCALAR4 = EmbeddedAlgebra(4, BlockStructure((1,)), (4,))
+C8 = EmbeddedAlgebra(8, BlockStructure((1,) * 8), (1,) * 8)
+M4_MULT2 = EmbeddedAlgebra(8, BlockStructure((4,)), (2,))
+M4M4 = EmbeddedAlgebra(8, BlockStructure((4, 4)), (1, 1))
+M6M2 = EmbeddedAlgebra(8, BlockStructure((6, 2)), (1, 1))
 
 
 def rotation(theta):
@@ -373,7 +378,7 @@ class TestConjugate:
         # the d^2 products at once peaked near 276 MiB, chunks stay under 32 MiB
         m12 = realize(EmbeddedAlgebra(12, BlockStructure((12,)), (1,)))
         u = local_unitary(np.eye(12, dtype=complex), 1e-3, sample_stream(3, 0))
-        r = intersect(m12, conjugate(m12, u))
+        r = intersect(m12, m12, u)
         assert r.dimension == 144
         tracemalloc.start()
         try:
@@ -675,26 +680,26 @@ class TestIntersect:
 
     def test_rotated_diagonal(self):
         r = realize(EmbeddedAlgebra(2, BlockStructure((1, 1)), (1, 1)))
-        out = intersect(r, conjugate(r, rotation(np.pi / 4)))
+        out = intersect(r, r, rotation(np.pi / 4))
         assert out.dimension == 1
 
     def test_two_projections_leave_dim_two(self):
         r = realize(M2M2)
         u = haar_unitary(4, 99)
-        out = intersect(r, conjugate(r, u))
+        out = intersect(r, r, u)
         assert out.dimension >= 2
 
     def test_symmetric_in_dimension(self):
-        r1 = realize(M2M2)
-        r2 = conjugate(realize(M2_MULT2), haar_unitary(4, 5))
-        assert intersect(r1, r2).dimension == intersect(r2, r1).dimension
+        # dim(B1 meet u B2 u*) = dim(B2 meet u* B1 u)
+        r1, r2, u = realize(M2M2), realize(M2_MULT2), haar_unitary(4, 5)
+        assert intersect(r1, r2, u).dimension == intersect(r2, r1, u.conj().T).dimension
 
     def test_invariant_under_stabilizing_unitaries(self):
         # w ranging over unitaries of B1 leaves dim(B1 meet (wu) B2 (wu)*) unchanged
         r1 = realize(M2M2)
         r2 = realize(M2M2)
         u = haar_unitary(4, 17)
-        base = intersect(r1, conjugate(r2, u)).dimension
+        base = intersect(r1, r2, u).dimension
         rng = np.random.default_rng(31)
         for _ in range(5):
             w = np.block(
@@ -703,12 +708,12 @@ class TestIntersect:
                     [np.zeros((2, 2)), haar_unitary(2, rng)],
                 ]
             )
-            assert intersect(r1, conjugate(r2, w @ u)).dimension == base
+            assert intersect(r1, r2, w @ u).dimension == base
 
     def test_always_contains_identity(self):
         r1 = realize(M2_MULT2)
         for seed in range(8):
-            out = intersect(r1, conjugate(r1, haar_unitary(4, seed)))
+            out = intersect(r1, r1, haar_unitary(4, seed))
             assert out.dimension >= 1
             assert contains_identity(out)
 
@@ -735,10 +740,11 @@ class TestIntersect:
         b1, b2 = (algebras[k % len(algebras)] for k in picks)
         rng = np.random.default_rng(seed)
         u = haar_unitary(n, rng) if radius is None else local_unitary(np.eye(n), radius, rng)
-        r1, r2 = realize(b1), conjugate(realize(b2), u)
-        s = np.linalg.svd(np.concatenate([vectors(r1), vectors(r2)], axis=1), compute_uv=False)
+        r1, r2 = realize(b1), realize(b2)
+        stacked = np.concatenate([vectors(r1), vectors(conjugate(r2, u))], axis=1)
+        s = np.linalg.svd(stacked, compute_uv=False)
         rank = int(np.count_nonzero(s > n * n * EPS * s[0]))
-        assert intersect(r1, r2).dimension == r1.dimension + r2.dimension - rank
+        assert intersect(r1, r2, u).dimension == r1.dimension + r2.dimension - rank
 
     def test_second_projection_keeps_local_decisions_stable(self):
         # density gathers against the full unconjugated M4, an empty complement.
@@ -758,21 +764,25 @@ class TestIntersect:
     @pytest.mark.parametrize("swap", [False, True])
     @pytest.mark.parametrize("case", ["M3+M1 over M2+M2", "M2+M2 over C4"])
     def test_output_lies_in_both_spans(self, case, swap):
-        # the solve runs over the conjugated realization in either argument
-        # position; in the first case the intersection is a proper subspace of
-        # both spans
+        # the smaller side is conjugated in either argument position: by u as
+        # the second, by u* as the first; in the first case the intersection
+        # is a proper subspace of both spans
         rng = sample_stream(23)
         if case == "M3+M1 over M2+M2":
             m3m1 = EmbeddedAlgebra(4, BlockStructure((3, 1)), (1, 1))
             u = haar_unitary(4, rng)
-            big, small, dim = realize(m3m1), conjugate(realize(M2M2), u), 3
+            big, small, dim = realize(m3m1), realize(M2M2), 3
         else:
-            # a block-diagonal w keeps w C4 w* inside M2+M2
-            w = np.zeros((4, 4), dtype=complex)
-            w[:2, :2], w[2:, 2:] = haar_unitary(2, rng), haar_unitary(2, rng)
-            big, small, dim = realize(M2M2), conjugate(realize(C4), w), 4
-        a, b = (small, big) if swap else (big, small)
-        out = intersect(a, b)
+            # a block-diagonal u keeps u C4 u* inside M2+M2
+            u = np.zeros((4, 4), dtype=complex)
+            u[:2, :2], u[2:, 2:] = haar_unitary(2, rng), haar_unitary(2, rng)
+            big, small, dim = realize(M2M2), realize(C4), 4
+        if swap:  # small meet u* big u
+            a, b, u = small, big, u.conj().T
+        else:  # big meet u small u*
+            a, b = big, small
+        out = intersect(a, b, u)
+        b = conjugate(b, u)
         assert out.dimension == dim
         assert a.project_residual(out.basis).max() < 1e-10
         assert b.project_residual(out.basis).max() < 1e-10
@@ -783,7 +793,7 @@ class TestIntersect:
         # M16+M16 against its Haar conjugate at N = 32: the rank and closure
         # contracts hold for a 512-dimensional realization
         m16m16 = realize(EmbeddedAlgebra(32, BlockStructure((16, 16)), (1, 1)))
-        out = intersect(m16m16, conjugate(m16m16, haar_unitary(32, 5)))
+        out = intersect(m16m16, m16m16, haar_unitary(32, 5))
         assert out.dimension == 16
         assert contains_identity(out)
 
@@ -801,35 +811,42 @@ class TestIntersect:
             b1, b2 = (algebras[k] for k in rng.integers(len(algebras), size=2))
             r1 = realize(b1)
             for u in (np.eye(n), haar_unitary(n, rng), local_unitary(np.eye(n), 1e-3, rng)):
-                r2 = conjugate(realize(b2), u)
-                assert intersect(r1, r2).dimension == paired_nullity(r1, r2), (b1, b2)
+                r2 = realize(b2)
+                want = paired_nullity(r1, conjugate(r2, u))
+                assert intersect(r1, r2, u).dimension == want, (b1, b2)
 
     def test_instability_error_on_absurd_tolerance(self):
         r = realize(M2M2)
         with fixed_cutoff(0.5), pytest.raises(NumericalInstabilityError):
-            intersect(r, conjugate(r, haar_unitary(4, 1)))
+            intersect(r, r, haar_unitary(4, 1))
 
     def test_pairs_without_a_gathered_side_raise(self):
-        # intersect gathers against an unconjugated side with a layout and
-        # solves over a side with a layout; any other pair is refused
+        # intersect gathers one side against the complement of the other's
+        # layout; a pair without two layouts is refused, and a conjugated
+        # realization has none
         r = realize(M2M2)
         c = conjugate(r, haar_unitary(4, 1))
         comm = next(dense_commutant_basis(r.basis[None], whole(4)))  # no layout
-        for a, b in ((c, c), (r, comm), (comm, r), (comm, comm), (c, comm)):
+        for a, b in ((c, c), (r, c), (c, r), (r, comm), (comm, r), (comm, comm), (c, comm)):
             with pytest.raises(ValueError, match="layout"):
                 intersect(a, b)
 
 
-def attempt(a, b, how=intersect):
-    """how(a, b), or None when it raises NumericalInstabilityError."""
+def dense(a, b, u):
+    """The dense oracle of ``intersect(a, b, u)``: a meet the formed u b u*."""
+    return dense_intersect(a, conjugate(b, u))
+
+
+def attempt(a, b, u, how=intersect):
+    """how(a, b, u), or None when it raises NumericalInstabilityError."""
     try:
-        return how(a, b)
+        return how(a, b, u)
     except NumericalInstabilityError:
         return None
 
 
-def decide(a, b, how=intersect):
-    out = attempt(a, b, how)
+def decide(a, b, u, how=intersect):
+    out = attempt(a, b, u, how)
     return "unstable" if out is None else out.dimension
 
 
@@ -847,25 +864,28 @@ def null_systems(monkeypatch):
 
 
 class TestGatherPath:
-    def test_layout_is_recorded_and_carried(self):
+    def test_conjugate_forms_its_basis_and_drops_the_layout(self):
+        # a realization is its basis and, when realized, its layout; conjugate
+        # forms u B u* at once, and intersect takes u as an argument instead
+        assert [f.name for f in dataclasses.fields(ConcreteRealization)] == [
+            "ambient_dim", "basis", "layout",
+        ]
         r = realize(M2_MULT2)
-        assert r.layout is not None and not r.conjugated
-        c = conjugate(r, haar_unitary(4, 1))
-        assert c.layout is r.layout and c.conjugated
-        # a record of r's elements and u: intersect conjugates chunks of the
-        # elements and the null combinations, and never forms c.basis
-        assert c._elements is r._elements and "basis" not in vars(c)
-        assert intersect(r, c).dimension == 1
-        assert "basis" not in vars(c)
+        u = haar_unitary(4, 1)
+        c = conjugate(r, u)
+        assert r.layout is not None and c.layout is None
+        assert c.basis.tobytes() == (u @ r.basis @ u.conj().T).tobytes()
+        assert intersect(r, r, u).dimension == 1
         assert np.array_equal(r.layout.copies, [2] * 4)
         # units (p, q) of M2: e11 and e22 are their own partners, e12 <-> e21
         assert list(r.layout.partner) == [0, 2, 1, 3]
 
     @pytest.mark.parametrize("n", range(2, 6))
     def test_matches_dense_path_on_every_ordered_pair(self, n):
-        # oracle: the projected dense residual over the smaller side; intersect
-        # gathers against the unconjugated B1 and solves over the conjugate,
-        # larger or not.  Neither orthonormalizes its output by QR.
+        # oracle: the projected dense residual over the smaller side, against
+        # the formed u B2 u*; intersect conjugates the smaller side and gathers
+        # it against the other's layout.  Neither orthonormalizes its output
+        # by QR.
         algebras = enumerate_embedded_algebras(n)
         unitaries = [
             haar_unitary(n, 1),
@@ -877,14 +897,13 @@ class TestGatherPath:
             for b2 in algebras:
                 r2 = realize(b2)
                 for u in unitaries:
-                    c = conjugate(r2, u)
-                    fast = attempt(r1, c)
-                    dense = attempt(r1, c, dense_intersect)
-                    assert (fast is None) == (dense is None), (b1, b2)
+                    fast = attempt(r1, r2, u)
+                    slow = attempt(r1, r2, u, dense)
+                    assert (fast is None) == (slow is None), (b1, b2)
                     if fast is None:
                         continue
-                    assert fast.dimension == dense.dimension, (b1, b2)
-                    for out in (fast, dense):
+                    assert fast.dimension == slow.dimension, (b1, b2)
+                    for out in (fast, slow):
                         vecs = vectors(out)
                         gram = vecs.conj().T @ vecs
                         assert np.abs(gram - np.eye(out.dimension)).max() < 1e-12, (b1, b2)
@@ -901,8 +920,8 @@ class TestGatherPath:
             whole = realize(parent)
             for cls in enumerate_subalgebra_classes(parent):
                 sub = realize_class(parent, cls.embedding)
-                for a, b in ((sub, conjugate(sub, u)), (whole, conjugate(sub, u))):
-                    assert decide(a, b) == decide(a, b, dense_intersect)
+                for a, b in ((sub, sub), (whole, sub)):
+                    assert decide(a, b, u) == decide(a, b, u, dense)
 
     @pytest.mark.parametrize("n", [4, 6])
     def test_gathered_system_has_the_sines_of_the_principal_angles(self, n, null_systems):
@@ -917,37 +936,65 @@ class TestGatherPath:
                     r2 = realize(b2)
                     if r2.dimension > r1.dimension:
                         continue
-                    c = conjugate(r2, u)
                     null_systems.clear()
-                    if decide(r1, c) == "unstable":
+                    if decide(r1, r2, u) == "unstable":
                         continue
                     # a full side (B1 = M_N) leaves an empty complement and no system
                     gathered = [s for s in null_systems if s.dtype == np.float64]
                     assert len(gathered) == len(null_systems) == (r1.dimension < n * n)
-                    dense = np.linalg.svd(dense_residual(c, r1), compute_uv=False)
-                    padded = np.zeros_like(dense)
+                    residual = dense_residual(conjugate(r2, u), r1)
+                    want = np.linalg.svd(residual, compute_uv=False)
+                    padded = np.zeros_like(want)
                     if gathered:
                         sines = np.linalg.svd(gathered[0], compute_uv=False)
                         padded[: len(sines)] = sines
-                    assert np.abs(padded - dense).max() < 1e-12, (b1, b2)
+                    assert np.abs(padded - want).max() < 1e-12, (b1, b2)
 
     @pytest.mark.parametrize("elements", [1, 3, None])
     def test_conjugated_chunks_gather_the_whole_basis_system(self, elements, monkeypatch, null_systems):
-        # chunks of 1 or 3 elements, or all 10 at once, gather bit for bit the
-        # coordinates of the whole conjugated basis, and the intersection's
-        # basis is the conjugate of the null combinations of the elements
+        # chunks of 1 or 3 elements, or all 8 at once, gather bit for bit the
+        # coordinates of the whole conjugated basis of the smaller side b
+        # (dim 8 against 10), and the intersection's basis is the conjugate
+        # of the null combinations of b's elements
         m3m1 = realize(EmbeddedAlgebra(6, BlockStructure((3, 1)), (1, 3)))
         b = realize(EmbeddedAlgebra(6, BlockStructure((2, 2)), (1, 2)))
         u = haar_unitary(6, 19)
         if elements is not None:
             monkeypatch.setattr(subalg.numeric, "CHUNK_BYTES", elements * 16 * 6 * 6)
-        c = conjugate(m3m1, u)
-        out = intersect(b, c)
-        want = b.layout.complement_coordinates(c.basis.reshape(c.dimension, 36))
+        out = intersect(m3m1, b, u)
+        c = conjugate(b, u)
+        want = m3m1.layout.complement_coordinates(c.basis.reshape(c.dimension, 36))
         assert [s.tobytes() for s in null_systems] == [want.T.tobytes()]
         null = next(_null_rows(want.T[None], 6, "projected system"))
-        span = null @ m3m1._elements.reshape(-1, 36)
+        span = null @ b.basis.reshape(-1, 36)
         assert out.basis.tobytes() == (u @ span.reshape(-1, 6, 6) @ u.conj().T).tobytes()
+
+    @pytest.mark.parametrize("radius", [None, 1e-3], ids=["haar", "local"])
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (M4_MULT2, C8),
+            (M4M4, M4M4),
+            (C8, M4_MULT2),
+            (M6M2, M4M4),
+            (M4M4, M6M2),
+        ],
+        ids=["a>b", "tie", "a<b", "a>b meet 10", "a<b meet 10"],
+    )
+    def test_either_side_conjugated_gives_a_meet_u_b_u_star(self, a, b, radius):
+        # d_a > d_b and the tie conjugate b by u, d_a < d_b conjugates a by
+        # u*: each returns a basis of a meet u b u* itself, as the dense
+        # oracle on the formed u b u* decides it.  Against C8 the meet is the
+        # scalars, which lie in any span; M6 + M2 (40) and M4 + M4 (32) meet
+        # in 10 dimensions, so a basis of the wrong intersection shows
+        rng = sample_stream(37)
+        u = haar_unitary(8, rng) if radius is None else local_unitary(np.eye(8), radius, rng)
+        ra, rb = realize(a), realize(b)
+        out = intersect(ra, rb, u)
+        cb = conjugate(rb, u)
+        assert out.dimension == dense_intersect(ra, cb).dimension
+        assert ra.project_residual(out.basis).max() <= 1e-10
+        assert cb.project_residual(out.basis).max() <= 1e-10
 
     def test_full_side_has_an_empty_complement(self, null_systems):
         # M4 is all of M_4: every sample keeps all of u (M2 x 1_2) u*, with no SVD
@@ -969,12 +1016,16 @@ class TestGatherPath:
 
     @pytest.mark.parametrize("swap", [False, True])
     def test_tie_solves_over_the_conjugated_side(self, swap, null_systems):
-        # C4 and M2 x 1_2 both have dimension 4: the solve runs over the
-        # conjugate, against the gathered complement of C4 (16 - 4 rows)
-        pair = (realize(C4), conjugate(realize(M2_MULT2), haar_unitary(4, 7)))
-        out = intersect(*(pair[::-1] if swap else pair))
+        # C4 and M2 x 1_2 both have dimension 4: the second argument is
+        # conjugated and the solve runs over it, against the gathered
+        # complement of the first: 16 - 4 rows for C4, and 16 - 4 plus one
+        # mean-free row per unit of M2 x 1_2 (two copies each) for M2 x 1_2
+        u = haar_unitary(4, 7)
+        pair = (realize(C4), realize(M2_MULT2))
+        out = intersect(*(pair[::-1] if swap else pair), u)
         assert out.dimension == 1
-        assert [(s.shape, s.dtype) for s in null_systems] == [((12, 4), np.float64)]
+        rows = 16 if swap else 12
+        assert [(s.shape, s.dtype) for s in null_systems] == [((rows, 4), np.float64)]
 
     def test_smaller_side_is_conjugated_and_gathered(self, null_systems):
         # dim B1 = 4 < dim B2 = 8: density conjugates B1 by u* and gathers its
