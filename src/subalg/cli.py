@@ -39,7 +39,9 @@ from .freeprod import (
     stage_layouts,
     staged_build,
 )
-from .numeric import amplify, default_tolerance, density_bytes, density_experiment
+from .numeric import (
+    _unitarity_defect, amplify, default_tolerance, density_bytes, density_experiment,
+)
 from .serialize import (
     canonical_json,
     is_finite_real,
@@ -129,8 +131,7 @@ def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[t
         return None, list(exc.diagnostics)
     if mat.shape != (n, n):
         return None, [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an infinite defect
-        defect = float(np.linalg.norm(mat.conj().T @ mat - np.eye(n)))
+    defect = _unitarity_defect(mat)
     if not defect <= 10.0 * default_tolerance(n, 1.0):
         return None, [(pointer, f"not unitary (defect {defect:.3e})")]
     return mat, []

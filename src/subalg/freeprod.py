@@ -43,6 +43,7 @@ from .numeric import (
     DensityStats,
     UnitLayout,
     _copy_indices,
+    _unitarity_defect,
     amplified_commutant,
     amplify,
     commutant_basis,
@@ -112,8 +113,8 @@ class RepPair:
         if self.u.shape != (d1, d1):
             raise ShapeMismatchError(f"perturbing unitary must be {d1}x{d1}, got {self.u.shape}")
         # cli.validate's bound 10 * N^2 * eps, never below 1e-12: a validated u passes.
-        defect = np.linalg.norm(self.u.conj().T @ self.u - np.eye(d1))
-        if defect > max(1e-12, 10.0 * default_tolerance(d1, 1.0)):
+        defect = _unitarity_defect(self.u)
+        if not defect <= max(1e-12, 10.0 * default_tolerance(d1, 1.0)):
             raise ValueError(f"perturbation is not unitary (defect {defect:.3e})")
 
     @property

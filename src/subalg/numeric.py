@@ -63,14 +63,20 @@ CHUNK_BYTES = 1 << 20
 STACK_BYTES = 1 << 25
 
 # N x N complex matrices one draw holds at the peak of a stack of draws
-# (sample_dims): the Ginibre stack, its scaled and skew copies, the factors
-# of the QR or the eigendecomposition, and the draw of the stack before.
+# (sample_dims): the Ginibre stack, its skew copy, the factors of the QR or
+# the eigendecomposition, and the draw of the stack before.
 DRAW_MATRICES = 8
 
 
 def default_tolerance(n: int, smax: float) -> float:
     """Scale-aware rank cutoff: N^2 * machine epsilon * largest singular value."""
     return n * n * EPS * max(smax, 1.0)
+
+
+def _unitarity_defect(m: np.ndarray) -> float:
+    """||M*M - I||_F; NaN or infinite, with no warning, when an entry is not finite or overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refuse it with not defect <= bound
+        return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
 
 
 def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -483,26 +489,17 @@ def haar_unitary(n: int, seed) -> np.ndarray:
     return haar_unitaries(n, [np.random.default_rng(seed)])[0]
 
 
-def _skew_directions(z: np.ndarray) -> np.ndarray:
-    """The skew-Hermitian parts of a stack of matrices, scaled to unit operator norm."""
-    k = (z - np.swapaxes(z.conj(), -1, -2)) / 2.0
-    return k / np.linalg.norm(k, 2, axis=(-2, -1))[..., None, None]
-
-
-def exp_skew(k: np.ndarray) -> np.ndarray:
-    """exp(k) for a skew-Hermitian k (or a stack): V diag(exp(i lam)) V*, (lam, V) = eigh(-ik)."""
-    lam, v = np.linalg.eigh(-1j * k)
-    return (v * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-
-
 def local_unitaries(n: int, radius: float, rngs) -> np.ndarray:
-    """Stack of n x n unitaries at distance about ``radius`` from the identity, one per RNG stream.
+    """Stack of n x n unitaries exp(radius K / ||K||_2), one per RNG stream.
 
-    Each is exp(radius K) along a random direction K drawn from its own
-    stream, all at the one ``radius``.  Callers compose the steps with their
-    own base.
+    K, the skew-Hermitian part of a Ginibre matrix from its own stream, is
+    normal, so one stacked eigh of -iK = V diag(lam) V* gives its norm
+    max |lam| and the step V diag(exp(i radius lam / max |lam|)) V*.
     """
-    return exp_skew(radius * _skew_directions(_ginibre(n, rngs)))
+    z = _ginibre(n, rngs)
+    lam, v = np.linalg.eigh((z - np.swapaxes(z.conj(), -1, -2)) / 2j)
+    lam *= radius / np.abs(lam).max(axis=-1, keepdims=True)
+    return (v * np.exp(1j * lam)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
 def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -> np.ndarray:

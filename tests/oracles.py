@@ -43,7 +43,6 @@ from subalg.numeric import (
     UnitLayout,
     _copy_indices,
     _ginibre,
-    _skew_directions,
     amplify,
 )
 from subalg.serialize import matrix_to_json
@@ -414,8 +413,14 @@ def ambient_embedding(cls):
 
 
 def random_skew_direction(n, rng):
-    """Random skew-Hermitian n x n matrix of unit operator norm."""
-    return _skew_directions(_ginibre(n, [rng]))[0]
+    """Random skew-Hermitian n x n matrix of unit operator norm.
+
+    The skew part of a Ginibre draw over its norm from an SVD, not the
+    library's one eigendecomposition (``local_unitaries``).
+    """
+    z = _ginibre(n, [rng])[0]
+    k = (z - z.conj().T) / 2.0
+    return k / np.linalg.norm(k, 2)
 
 
 def with_unitary(rep, u):
@@ -444,3 +449,98 @@ def free_element_to_json(x):
             for c, word in x.terms
         ]
     }
+
+
+# The exact oracle near the identity: a Cayley transform u = (I + K)^-1 (I - K)
+# of a skew-Hermitian K over Q(i) is exactly unitary, and a commutant
+# dimension of its pair is read mod primes p = 1 (mod 4) below 2^31, where
+# i = sqrt(-1) lies in F_p and a product of two residues fits in int64.
+CAYLEY_PRIMES = (2147483629, 2147483549)
+
+
+def cayley_draw(n, distance, rng):
+    """A Cayley unitary with ||u - I||_2 about ``distance``: (G, s, u) for K = G / 2^s.
+
+    G is skew-Hermitian with Gaussian-integer entries, each part at most 8
+    in size, as a pair (Re G, Im G) of int64 arrays, and s is chosen so that
+    2 ||K||_2 is ``distance`` to within a factor sqrt(2).  Floats hold K
+    exactly, and the float u is solved from it; ``cayley_nullity`` reads
+    the exact u from (G, s).
+    """
+    re, im = rng.integers(-8, 9, (2, n, n))
+    re, im = np.triu(re, 1) - np.triu(re, 1).T, np.triu(im) + np.triu(im, 1).T
+    g = re + 1j * im
+    s = round(math.log2(2.0 * np.linalg.norm(g, 2) / distance))
+    k, eye = g * 2.0**-s, np.eye(n)
+    return (re, im), s, np.linalg.solve(eye + k, eye - k)
+
+
+def _row_reduce(m, p):
+    """The reduced row echelon form over F_p of an int64 matrix, and its pivot columns."""
+    m = m % p
+    pivots = []
+    for col in range(m.shape[1]):
+        r = len(pivots)
+        nonzero = r + np.flatnonzero(m[r:, col])
+        if not nonzero.size:
+            continue
+        m[[r, nonzero[0]]] = m[[nonzero[0], r]]
+        m[r] = m[r] * pow(int(m[r, col]), p - 2, p) % p
+        others = np.flatnonzero(m[:, col])
+        others = others[others != r]
+        m[others] = (m[others] - m[others, col][:, None] * m[r]) % p
+        pivots.append(col)
+        if len(pivots) == len(m):
+            break
+    return m, pivots
+
+
+def _inverse_mod(m, p):
+    """The inverse over F_p of a square int64 matrix; raises when it is singular mod p."""
+    n = len(m)
+    reduced, pivots = _row_reduce(np.concatenate([m, np.eye(n, dtype=np.int64)], axis=1), p)
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError(f"matrix is singular mod {p}")
+    return reduced[:, n:]
+
+
+def _matmul_mod(a, b, p):
+    """a @ b over F_p for residues in int64: b in 16-bit halves keeps every sum below 2^63."""
+    return ((a @ (b & 0xFFFF)) % p + (a @ (b >> 16)) % p * 0x10000) % p
+
+
+def cayley_nullity(alg1, mult1, alg2, mult2, g, s, p):
+    """Nullity over F_p of X -> ([X, a])_a for the units a of A1 and of u A2 u^-1.
+
+    u = (2^s I + G)^-1 (2^s I - G) is the Cayley unitary of ``cayley_draw``
+    with i read as a square root of -1 mod p.  The system is the
+    N^2-column Kronecker one, (I kron a^T - a kron I) vec X, stacked over
+    the units.  Reduction mod p keeps every relation of the system over
+    Q(i), so the nullity mod p is at least the nullity over Q(i).
+    """
+    root = next(c for c in itertools.count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+    gp = (g[0] % p + g[1] % p * pow(root, (p - 1) // 4, p)) % p
+    n = len(gp)
+    eye = np.eye(n, dtype=np.int64)
+    plus, minus = (pow(2, s, p) * eye + gp) % p, (pow(2, s, p) * eye - gp) % p
+    u = _matmul_mod(_inverse_mod(plus, p), minus, p)
+    inv = _matmul_mod(_inverse_mod(minus, p), plus, p)
+    units1 = amplified_units(alg1.blocks, [mult1]).real.astype(np.int64)
+    units2 = amplified_units(alg2.blocks, [mult2]).real.astype(np.int64)
+    gens = [*units1, *(_matmul_mod(_matmul_mod(u, b, p), inv, p) for b in units2)]
+    system = np.concatenate([np.kron(eye, a.T) - np.kron(a, eye) for a in gens])
+    return n * n - len(_row_reduce(system, p)[1])
+
+
+def exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s):
+    """dim (A1 + u A2 u^-1)' over Q(i) for the Cayley unitary of (G, s), mod two primes.
+
+    The nullity mod p is at least the exact one, and the identity is in the
+    kernel, so a nullity of 1 at either prime is exact; a larger one must
+    agree at both primes.
+    """
+    nullities = [cayley_nullity(alg1, mult1, alg2, mult2, g, s, p) for p in CAYLEY_PRIMES]
+    if min(nullities) == 1:
+        return 1
+    assert nullities[0] == nullities[1], nullities
+    return nullities[0]

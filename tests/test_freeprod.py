@@ -43,6 +43,8 @@ from subalg.numeric import (
 
 from oracles import (
     amplified_units,
+    cayley_draw,
+    exact_joint_commutant_dim,
     fixed_cutoff,
     dense_commutator_system,
     dense_intersect,
@@ -100,6 +102,15 @@ class TestRepPairUnitarity:
         else:
             with pytest.raises(ValueError, match="not unitary"):
                 RepPair(C2, (n // 2,) * 2, C2, (n // 2,) * 2, u)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf"), 1e200])
+    def test_non_finite_entries_rejected(self, entry):
+        # the defect is NaN or infinite, which no bound admits, and its
+        # overflow raises no RuntimeWarning
+        u = np.array([[entry, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match=r"perturbation is not unitary \(defect (nan|inf)\)"):
+            RepPair(C2, (1, 1), M2, (1,), u)
 
 
 class TestEvaluate:
@@ -456,6 +467,36 @@ class TestRestrictedSolve:
         assert joint_commutant_dim(rep) == expected
 
 
+# Pairs at N <= 8 and their exact joint commutant dimension at Cayley
+# unitaries near the identity: C^2 (2, 2) against M2 (2) is the CLI repro of
+# a wrong answer at radius 1e-15, and C^2 (2, 2) against itself decides 2.
+EXACT_PAIRS = [
+    (C2, (1, 1), M2, (1,), 1),
+    (C2, (2, 2), M2, (2,), 1),
+    (C2, (2, 2), C2, (2, 2), 2),
+    (BlockStructure((1, 1, 1)), (2, 2, 2), BlockStructure((1, 1, 1)), (2, 2, 2), 1),
+    (BlockStructure((1, 2)), (2, 1), C2, (2, 2), 1),
+    (C2, (4, 4), BlockStructure((1, 2)), (2, 3), 1),
+]
+
+
+class TestExactNearIdentity:
+    @pytest.mark.parametrize("e", range(1, 13))
+    @pytest.mark.parametrize("index", range(len(EXACT_PAIRS)))
+    def test_joint_commutant_dim_is_exact(self, index, e):
+        # two Cayley draws with ||u - I||_2 about 10^-e, decided from the
+        # float u and checked against the nullity over Q(i) mod two primes
+        alg1, mult1, alg2, mult2, expected = EXACT_PAIRS[index]
+        n = sum(b * m for b, m in zip(alg1.blocks, mult1))
+        rng = np.random.default_rng([index, e])
+        for _ in range(2):
+            g, s, u = cayley_draw(n, 10.0**-e, rng)
+            assert 0.5 <= np.linalg.norm(u - np.eye(n), 2) * 10.0**e <= 2.0
+            exact = exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s)
+            assert exact == expected
+            assert joint_commutant_dim(RepPair(alg1, mult1, alg2, mult2, u)) == exact
+
+
 class TestDpiProbe:
     def test_balanced_pair_always_irreducible(self):
         rep = RepPair(C2, (3, 3), M2, (3,), np.eye(6))
@@ -724,9 +765,8 @@ def sequential_haar(n, rng):
 def sequential_local(center, radius, rng):
     n = center.shape[0]
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    k = (z - z.conj().T) / 2.0
-    k = radius * (k / np.linalg.norm(k, 2))
-    lam, v = np.linalg.eigh(-1j * k)
+    lam, v = np.linalg.eigh((z - z.conj().T) / 2j)
+    lam = lam * (radius / np.abs(lam).max())
     return center @ ((v * np.exp(1j * lam)) @ v.conj().T)
 
 

@@ -34,7 +34,6 @@ from subalg.numeric import (
     conjugate,
     density_bytes,
     density_experiment,
-    exp_skew,
     haar_unitaries,
     haar_unitary,
     intersect,
@@ -391,6 +390,8 @@ class TestConjugate:
 
 
 class TestExpSkew:
+    """Local steps exp(r K / ||K||_2) from one eigendecomposition (``local_unitaries``)."""
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 32),
@@ -400,10 +401,23 @@ class TestExpSkew:
     def test_matches_expm_and_is_unitary(self, n, radius, seed):
         from scipy.linalg import expm
 
+        e = local_unitaries(n, radius, [np.random.default_rng(seed)])[0]
         k = radius * random_skew_direction(n, np.random.default_rng(seed))
-        e = exp_skew(k)
         assert np.linalg.norm(e - expm(k), 2) <= 1e-13
         assert np.linalg.norm(e.conj().T @ e - np.eye(n)) <= 1e-13
+
+    @pytest.mark.parametrize("radius", [1e-12, 1e-6, 1e-3, 0.5, 3.0])
+    @pytest.mark.parametrize("n", [1, 2, 3, 16, 48])
+    def test_step_contract(self, n, radius):
+        # ||w - I||_2 = 2 sin(r / 2) for r <= pi, w is unitary, and a stack
+        # of draws is the draws made one at a time, bit for bit
+        streams = [sample_stream(29, n, i) for i in range(5)]
+        stack = local_unitaries(n, radius, streams)
+        for i, w in enumerate(stack):
+            dist = np.linalg.norm(w - np.eye(n), 2)
+            assert abs(dist - 2.0 * np.sin(radius / 2.0)) <= 1e-13
+            assert np.linalg.norm(w.conj().T @ w - np.eye(n)) <= 1e-13
+            assert np.array_equal(w, local_unitaries(n, radius, [sample_stream(29, n, i)])[0])
 
 
 class TestHaarUnitary:
