@@ -40,7 +40,8 @@ from .freeprod import (
     staged_build,
 )
 from .numeric import (
-    _unitarity_defect, amplify, default_tolerance, density_bytes, density_experiment,
+    _radius_unresolved, _unitarity_defect, amplify, default_tolerance, density_bytes,
+    density_experiment,
 )
 from .serialize import (
     canonical_json,
@@ -334,12 +335,15 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
             diags.append((f"/algebras/{i}/mult", "multiplicities must be nonnegative"))
         parsed["algebras"].append((BlockStructure(tuple(blocks)), tuple(mult)))
 
+    step_dim = None  # the dimension a local radius steps in, once known
     if cmd in _NEEDS_AMBIENT:
         if not is_number(config.ambient, int) or config.ambient < 1:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
-        elif config.center is not None:
-            parsed["center"], found = _parse_unitary(config.center, "/center", config.ambient)
-            diags += found
+        else:
+            step_dim = config.ambient
+            if config.center is not None:
+                parsed["center"], found = _parse_unitary(config.center, "/center", config.ambient)
+                diags += found
     if config.center is not None and config.radius is None:
         diags.append(("/center", "a center needs a radius"))
 
@@ -359,6 +363,7 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         elif cmd == "dpi" and dims[0] == 0:
             diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
         elif cmd == "dpi":
+            step_dim = dims[0]
             (alg1, mult1), (alg2, mult2) = parsed["algebras"]
             size = decision_bytes(alg1, [mult1], alg2, [mult2])
             found = _cap_diagnostics(size, dims[0], "/algebras")
@@ -374,7 +379,11 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         diags.extend(_count_diagnostics(config.samples, "samples"))
 
     if config.radius is not None:
-        diags.extend(_positive_finite_diagnostics(config.radius, "/radius"))
+        found = _positive_finite_diagnostics(config.radius, "/radius")
+        if not found and step_dim:
+            unresolved = _radius_unresolved(step_dim, config.radius)
+            found = [("/radius", unresolved)] if unresolved else []
+        diags += found
 
     if cmd == "build-primitive":
         bad_epsilon = _positive_finite_diagnostics(config.epsilon, "/epsilon")

@@ -19,8 +19,8 @@ in attempt order, never deciding the attempts after it.  The identity is decided
 stage 1 alone: a later stage that adds dimension keeps the earlier pair as a
 direct summand under the identity, which is never irreducible, and a stage
 that adds none keeps the pair that the stage before accepted.
-A fixed byte budget (``numeric.STACK_BYTES``) caps every stack, down to one
-item when a single system is larger, and results are bit-identical to
+The working-set budget (``numeric.CHUNK_BYTES``) caps every stack, down to
+one item when a single system is larger, and results are bit-identical to
 deciding one unitary at a time.  The item itself is sized from integers
 (``decision_bytes``), so a pair or a build stage whose one item would be past
 ``DECISION_BYTES`` is refused before any search.  The probe check of a stage amplifies the
@@ -43,6 +43,7 @@ from .numeric import (
     DensityStats,
     UnitLayout,
     _copy_indices,
+    _radius_unresolved,
     _unitarity_defect,
     amplified_commutant,
     amplify,
@@ -347,7 +348,7 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2):
     commutant systems of all k at once, with one QR and one values-only SVD
     (``commutant_basis``); it yields the k dimensions in index order, each
     decided only when reached.  ``stack`` is the most items one call should
-    take: ``stack_size`` caps the stack at a fixed byte budget, counting the
+    take: ``stack_size`` caps the stack at CHUNK_BYTES, counting the
     matrices of an item by ``_decision_size``.
     """
     swap, matrices = _decision_size(alg1, _totals(segs1), alg2, _totals(segs2))
@@ -386,9 +387,11 @@ def dpi_probe(
     ``local_radius`` about the identity) is composed as w @ rep.u, so local
     perturbations stay near rep.u.  The product is not checked for unitarity
     again: its rounding can carry a u at the edge of RepPair's bound past it.
-    trivial_count counts the irreducible outcomes.
+    trivial_count counts the irreducible outcomes.  A radius below resolution
+    at the pair's dimension (``numeric._radius_unresolved``) raises ValueError.
     """
-
+    if local_radius is not None and (unresolved := _radius_unresolved(rep.dim, local_radius)):
+        raise ValueError(unresolved)
     decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     draws = sample_dims(rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack)
     dims = tuple(d for _, d in draws)

@@ -27,8 +27,7 @@ same LAPACK call on each as on one matrix, so a stacked result is
 bit-identical to the items made one at a time.  The rank decisions then
 take the items in index order, each only when it is reached.  One sampler,
 ``sample_dims``, draws every Monte-Carlo unitary in stacks of 1, 2, 4, ...
-items, each at most STACK_BYTES (32 MiB) of draws, generators, systems and
-their factorizations (``stack_size``), and never less than one item.
+items, as many as fit in CHUNK_BYTES (``stack_size``), never less than one.
 """
 
 from __future__ import annotations
@@ -51,16 +50,13 @@ EPS = float(np.finfo(np.float64).eps)
 # singular value.
 DEFAULT_CLOSURE_TOL = 1e-9
 
-# Bytes of N x N complex matrices that one chunk holds: the conjugated basis
-# elements ``intersect`` gathers at a time, and the products of one chunk of
-# the closure check (ConcreteRealization.closure_defect).
+# The one working-set budget, in bytes of N x N complex matrices: a chunk of
+# conjugated basis elements (``intersect``) or of closure products
+# (ConcreteRealization.closure_defect), or a stack of draws and decisions
+# (``stack_size``).  A stacked decision costs less per item only up to about
+# 128 KiB an item, so an item past half the budget (a dpi or search decision
+# from about N = 16 on) is decided alone.
 CHUNK_BYTES = 1 << 20
-
-# Bytes a stack of draws and decisions may hold (stack_size): the draws,
-# their conjugated generators, their commutant systems and the systems' QR
-# copies.  An item larger than this is decided alone, as the N = 48 dpi
-# samples are.
-STACK_BYTES = 1 << 25
 
 # N x N complex matrices one draw holds at the peak of a stack of draws
 # (sample_dims): the Ginibre stack, its skew copy, the factors of the QR or
@@ -507,13 +503,28 @@ def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -
     return center @ local_unitaries(len(center), radius, [rng])[0]
 
 
+def _radius_unresolved(n: int, radius: float) -> str | None:
+    """Why a positive local radius is below resolution at dimension n, or None.
+
+    A step of radius r moves the unit-scale systems by about r, so at or
+    below 10 * default_tolerance(n, 1.0), the top of ``_stable_rank``'s
+    stability band at unit scale, no rank decision can tell the step from
+    rounding.  A radius that is not positive is ``sample_dims``' to refuse.
+    """
+    bound = 10.0 * default_tolerance(n, 1.0)
+    if 0.0 < radius <= bound:
+        return (f"radius {radius!r} is below resolution: a local step at dimension {n} "
+                f"must exceed {bound:.3e} (10 N^2 eps)")
+    return None
+
+
 def stack_size(matrices: int, n: int) -> int:
-    """How many items fit in STACK_BYTES, at least one.
+    """How many items fit in CHUNK_BYTES, at least one.
 
     Each item holds ``matrices`` complex n x n matrices and its RNG stream
     (about 1.2 KiB under tracemalloc, counted as 1.5 KiB).
     """
-    return max(1, STACK_BYTES // (16 * n * n * matrices + 1536))
+    return max(1, CHUNK_BYTES // (16 * n * n * matrices + 1536))
 
 
 def sample_dims(n: int, samples: int, seed: int, radius: float | None, step, stack: int, key=()):
@@ -708,8 +719,8 @@ def density_bytes(b1: EmbeddedAlgebra, b2: EmbeddedAlgebra) -> int:
     matrices), the real residual system of ``intersect`` and the copy its
     SVD makes (d rows of at most 2 N^2 reals each), and the intersection's
     span and its adjoints in the closure check (up to d matrices each).
-    The stack of draws (STACK_BYTES) and the chunks of conjugated elements
-    and of closure products (CHUNK_BYTES each) come on top.
+    The stack of draws, the chunk of conjugated elements and the chunk of
+    closure products (CHUNK_BYTES each) come on top.
     """
     d1, d2 = b1.structure.algebra_dim(), b2.structure.algebra_dim()
     return 16 * b1.ambient_dim**2 * (d1 + d2 + 4 * min(d1, d2))
@@ -729,7 +740,9 @@ def density_experiment(
     defaulting to the identity.  Each sample is ``intersect(r1, r2, u)``,
     which conjugates the smaller side.  When B1 = B2 the algebra is realized
     once and serves as both sides.  The draws come a stack at a time
-    (``sample_dims``), and each is intersected on its own.
+    (``sample_dims``), and each is intersected on its own.  A radius below
+    resolution at the ambient dimension (``_radius_unresolved``) raises
+    ValueError.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -739,6 +752,8 @@ def density_experiment(
         center, radius = local
         if radius is None:
             raise ValueError("local mode needs a radius")
+        if unresolved := _radius_unresolved(n, radius):
+            raise ValueError(unresolved)
         center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
     r1 = realize(b1)
     r2 = r1 if b2 == b1 else realize(b2)

@@ -9,9 +9,10 @@ commutant, the commutant solved inside a known commutant from dense
 products and its null rows, the dense twice-projected intersection
 residual, the full (not only canonical) enumeration of unital embeddings,
 the compatible embeddings by a row-suffix memo built afresh in each call,
-and a few small helpers that only tests need (the class order, the
-center restriction, the gcd embedding bound, padding a multiplicity row,
-a fixed rank cutoff).
+the exact joint commutant and intersection dimensions at Cayley unitaries
+near the identity, over Q(i) mod two primes, and a few small helpers that
+only tests need (the class order, the center restriction, the gcd
+embedding bound, padding a multiplicity row, a fixed rank cutoff).
 None of them is reached from ``src``.
 """
 
@@ -509,38 +510,75 @@ def _matmul_mod(a, b, p):
     return ((a @ (b & 0xFFFF)) % p + (a @ (b >> 16)) % p * 0x10000) % p
 
 
+def _cayley_mod(g, s, p):
+    """The Cayley unitary u = (2^s I + G)^-1 (2^s I - G) of ``cayley_draw`` and u^-1 over F_p.
+
+    i is read as a square root of -1 mod p.
+    """
+    root = next(c for c in itertools.count(2) if pow(c, (p - 1) // 2, p) == p - 1)
+    gp = (g[0] % p + g[1] % p * pow(root, (p - 1) // 4, p)) % p
+    eye = np.eye(len(gp), dtype=np.int64)
+    plus, minus = (pow(2, s, p) * eye + gp) % p, (pow(2, s, p) * eye - gp) % p
+    return _matmul_mod(_inverse_mod(plus, p), minus, p), _matmul_mod(_inverse_mod(minus, p), plus, p)
+
+
+def _conjugated_units_mod(blocks, rows, u, inv, p):
+    """u b u^-1 over F_p for the 0/1 units b of the blocks amplified over ``rows``."""
+    units = amplified_units(blocks, rows).real.astype(np.int64)
+    return [_matmul_mod(_matmul_mod(u, b, p), inv, p) for b in units]
+
+
 def cayley_nullity(alg1, mult1, alg2, mult2, g, s, p):
     """Nullity over F_p of X -> ([X, a])_a for the units a of A1 and of u A2 u^-1.
 
-    u = (2^s I + G)^-1 (2^s I - G) is the Cayley unitary of ``cayley_draw``
-    with i read as a square root of -1 mod p.  The system is the
+    u is the Cayley unitary of (G, s) (``_cayley_mod``).  The system is the
     N^2-column Kronecker one, (I kron a^T - a kron I) vec X, stacked over
     the units.  Reduction mod p keeps every relation of the system over
     Q(i), so the nullity mod p is at least the nullity over Q(i).
     """
-    root = next(c for c in itertools.count(2) if pow(c, (p - 1) // 2, p) == p - 1)
-    gp = (g[0] % p + g[1] % p * pow(root, (p - 1) // 4, p)) % p
-    n = len(gp)
+    u, inv = _cayley_mod(g, s, p)
+    n = len(u)
     eye = np.eye(n, dtype=np.int64)
-    plus, minus = (pow(2, s, p) * eye + gp) % p, (pow(2, s, p) * eye - gp) % p
-    u = _matmul_mod(_inverse_mod(plus, p), minus, p)
-    inv = _matmul_mod(_inverse_mod(minus, p), plus, p)
     units1 = amplified_units(alg1.blocks, [mult1]).real.astype(np.int64)
-    units2 = amplified_units(alg2.blocks, [mult2]).real.astype(np.int64)
-    gens = [*units1, *(_matmul_mod(_matmul_mod(u, b, p), inv, p) for b in units2)]
+    gens = [*units1, *_conjugated_units_mod(alg2.blocks, [mult2], u, inv, p)]
     system = np.concatenate([np.kron(eye, a.T) - np.kron(a, eye) for a in gens])
     return n * n - len(_row_reduce(system, p)[1])
 
 
-def exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s):
-    """dim (A1 + u A2 u^-1)' over Q(i) for the Cayley unitary of (G, s), mod two primes.
+def cayley_meet_dim(b1, b2, g, s, p):
+    """d1 + d2 less the rank over F_p of the units of B1 and u b u^-1 for the units b of B2.
 
-    The nullity mod p is at least the exact one, and the identity is in the
-    kernel, so a nullity of 1 at either prime is exact; a larger one must
-    agree at both primes.
+    u is the Cayley unitary of (G, s) (``_cayley_mod``).  The units of each
+    side are a basis of it, so over Q(i) this is dim(B1 meet u B2 u^-1); the
+    rank is taken over the N^2 flat entries, and reduction mod p can only
+    lower it, so the value mod p is at least the exact one.
     """
-    nullities = [cayley_nullity(alg1, mult1, alg2, mult2, g, s, p) for p in CAYLEY_PRIMES]
-    if min(nullities) == 1:
+    u, inv = _cayley_mod(g, s, p)
+    units1 = amplified_units(b1.structure.blocks, [b1.mult]).real.astype(np.int64)
+    units2 = _conjugated_units_mod(b2.structure.blocks, [b2.mult], u, inv, p)
+    stacked = np.concatenate([units1, units2]).reshape(len(units1) + len(units2), -1)
+    return len(stacked) - len(_row_reduce(stacked, p)[1])
+
+
+def _exact_from_primes(values):
+    """The exact dimension from its upper bounds at the CAYLEY_PRIMES.
+
+    The identity is in every space measured, so a 1 at either prime is
+    exact; a larger value must agree at both primes.
+    """
+    if min(values) == 1:
         return 1
-    assert nullities[0] == nullities[1], nullities
-    return nullities[0]
+    assert values[0] == values[1], values
+    return values[0]
+
+
+def exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s):
+    """dim (A1 + u A2 u^-1)' over Q(i) for the Cayley unitary of (G, s), mod two primes."""
+    return _exact_from_primes(
+        [cayley_nullity(alg1, mult1, alg2, mult2, g, s, p) for p in CAYLEY_PRIMES]
+    )
+
+
+def exact_meet_dim(b1, b2, g, s):
+    """dim(B1 meet u B2 u^-1) over Q(i) for the Cayley unitary of (G, s), mod two primes."""
+    return _exact_from_primes([cayley_meet_dim(b1, b2, g, s, p) for p in CAYLEY_PRIMES])

@@ -55,6 +55,11 @@ M2_PAIR = {
 # the same pair for the commands that read no ambient dimension
 M2_FACTORS = {key: value for key, value in M2_PAIR.items() if key != "ambient"}
 
+# C^2 (2, 2) against M2 (2), and M2+M2 (1, 1) against itself: the dpi and
+# density pairs at N = 4 whose local steps are refused below resolution
+DPI_C2_M2 = {"algebras": [{"blocks": [1, 1], "mult": [2, 2]}, {"blocks": [2], "mult": [2]}]}
+DENSITY_M2M2 = {"algebras": [{"blocks": [2, 2], "mult": [1, 1]}] * 2, "ambient": 4}
+
 def probe_with_value(value):
     """Probe file holding one word of one side-1 letter with the given value."""
     return {"elements": [{"terms": [{"word": [{"side": 1, "value": value}]}]}]}
@@ -232,6 +237,43 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"{pointer}: expected a positive finite number, got {shown}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("radius", [1e-15, 1e-300, 5e-324])
+    @pytest.mark.parametrize("command, payload", [("dpi", DPI_C2_M2), ("density", DENSITY_M2M2)])
+    def test_radius_below_resolution_exits_1(self, tmp_path, capsys, command, payload, radius):
+        # a local step this small cannot be told from rounding at N = 4:
+        # dpi reported [4]*4 where the answer is 1, and density [8]*4 where
+        # the generic answer is 2, both with exit 0
+        payload = dict(payload, samples=4, seed=1, radius=radius)
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert (code, report) == (1, None)
+        assert capsys.readouterr().err == (
+            f"/radius: radius {radius!r} is below resolution: a local step at dimension 4 "
+            "must exceed 3.553e-14 (10 N^2 eps)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command, payload, n",
+        [
+            ("dpi", DPI_C2_M2, 4),
+            ("density", DENSITY_M2M2, 4),
+            ("dpi", {"algebras": [{"blocks": [1, 1], "mult": [24, 24]},
+                                  {"blocks": [1, 1, 1], "mult": [16, 16, 16]}]}, 48),
+            ("density", {"algebras": [{"blocks": [1] * 48, "mult": [1] * 48},
+                                      {"blocks": [24], "mult": [2]}], "ambient": 48}, 48),
+        ],
+        ids=["dpi-4", "density-4", "dpi-48", "density-48"],
+    )
+    def test_resolution_bound_is_refused_and_the_next_float_accepted(self, command, payload, n):
+        # the bound is 10 N^2 eps: the dimension of the pair for dpi and the
+        # ambient dimension for density
+        bound = 10 * default_tolerance(n, 1.0)
+        payload = dict(payload, samples=4, seed=1)
+        diags = validate(ExperimentConfig(command=command, radius=bound, **payload))[1]
+        assert [pointer for pointer, _ in diags] == ["/radius"]
+        assert f"at dimension {n} must exceed {bound:.3e}" in diags[0][1]
+        above = math.nextafter(bound, math.inf)
+        assert validate(ExperimentConfig(command=command, radius=above, **payload))[1] == []
 
     @pytest.mark.parametrize("value", [MAX_COUNT + 1, 10**9, 10**400])
     @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from subalg.freeprod import (
     FreeElement,
     Letter,
     RepPair,
+    decision_bytes,
     dpi_probe,
     epsilon_underflow,
     evaluate,
@@ -33,6 +34,7 @@ from subalg.numeric import (
     _realization,
     amplified_commutant,
     amplify,
+    default_tolerance,
     density_experiment,
     haar_unitary,
     intersect,
@@ -543,6 +545,27 @@ def test_radius_not_positive_finite_raises(probe, radius):
             dpi_probe(RepPair(C2, (1, 1), C2, (1, 1), np.eye(2)), 2, 1, local_radius=radius)
 
 
+@pytest.mark.parametrize("probe", ["density", "dpi"])
+def test_radius_below_resolution_raises(probe):
+    # at N = 4 a local step at or below 10 N^2 eps = 3.553e-14 cannot be told
+    # from rounding: at 1e-15 dpi on C^2 (2, 2) against M2 (2) reported
+    # [4]*4 where the answer is 1, and density on M2+M2 (1, 1) against
+    # itself [8]*4 where it is 2.  The next float up is drawn and decided,
+    # or raises as unstable, never as unresolved.
+    bound = 10 * default_tolerance(4, 1.0)
+
+    def run(radius):
+        if probe == "density":
+            b = EmbeddedAlgebra(4, BlockStructure((2, 2)), (1, 1))
+            return density_experiment(b, b, 4, seed=1, local=(None, radius))
+        return dpi_probe(RepPair(C2, (2, 2), M2, (2,), np.eye(4)), 4, 1, local_radius=radius)
+
+    for radius in (1e-15, 1e-300, 5e-324, bound):
+        with pytest.raises(ValueError, match=f"radius {radius!r} is below resolution"):
+            run(radius)
+    outcome(run, math.nextafter(bound, math.inf))
+
+
 class TestStagedBuild:
     def test_single_stage_identity(self):
         build = staged_build(M2, M2, [((1,), (1,))], 0.5, [], seed=1)
@@ -865,7 +888,7 @@ BUDGETS = [None, 1, 3 * (16 * 4 * 4 * (DRAW_MATRICES + 2 + 1 + 8 + 2 * 8 * 1) + 
 @pytest.fixture(params=BUDGETS, ids=["default", "one", "small"])
 def budget(request, monkeypatch):
     if request.param is not None:
-        monkeypatch.setattr(subalg.numeric, "STACK_BYTES", request.param)
+        monkeypatch.setattr(subalg.numeric, "CHUNK_BYTES", request.param)
     return request.param
 
 
@@ -1153,7 +1176,7 @@ def test_decision_stacks_stay_within_the_byte_budget(alg1, mult1, mult2, monkeyp
     # of draws and decisions peak below the budget.  The systems and their QR
     # copies dominate; a count without the copy stacks 2.7 to 4 times as many
     # items and peaks at about twice the budget.
-    monkeypatch.setattr(subalg.numeric, "STACK_BYTES", 1 << 21)
+    monkeypatch.setattr(subalg.numeric, "CHUNK_BYTES", 1 << 21)
     rep = RepPair(alg1, mult1, M2, mult2, np.eye(12))
     _, stack = _joint_dim_kernel(alg1, [mult1], M2, [mult2])
     samples = 3 * stack + 2
@@ -1166,3 +1189,21 @@ def test_decision_stacks_stay_within_the_byte_budget(alg1, mult1, mult2, monkeyp
         tracemalloc.stop()
     assert stats.trivial_count == samples
     assert peak < 1 << 21
+
+
+def test_dpi_working_set_at_the_default_budget():
+    # C^2 (12, 12) against M2 (12) at N = 24: one item is about 3 MiB, past
+    # the budget, so the four samples are decided one at a time and the run
+    # holds one item and at most a budget more.  Stacks of two items peaked
+    # at 6.1 MiB, past the bound of 4.2 MiB.
+    rep = RepPair(C2, (12, 12), M2, (12,), np.eye(24))
+    dpi_probe(rep, 1, 1)  # the first draw imports numpy.random's generator modules
+    tracemalloc.start()
+    try:
+        stats = dpi_probe(rep, 4, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.dims == (1,) * 4
+    bound = decision_bytes(C2, [(12, 12)], M2, [(12,)]) + subalg.numeric.CHUNK_BYTES
+    assert peak < bound, (peak, bound)
