@@ -4,6 +4,8 @@ perturbed free-product representations."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .algebra import (
     BlockStructure,
     EmbeddedAlgebra,
@@ -64,17 +66,10 @@ from .numeric import (
     realize_class,
 )
 
-# The submodules stay reachable as attributes but are not star-exported.
-__all__ = [
-    "BlockStructure", "ConcreteRealization", "ConfigError", "DensityStats", "DimReport",
-    "DomainError", "EmbeddedAlgebra", "FreeElement", "HypothesisAudit", "Letter",
-    "MultiplicityMatrix", "NumericalInstabilityError", "RcpBalance", "RcpReport", "RepPair",
-    "SearchExhaustedError", "ShapeMismatchError", "Stage", "StagedBuild", "SubalgebraClass",
-    "audit_density_hypotheses", "box_max", "class_dim", "classify_pair", "commutant_basis",
-    "compatible_embeddings", "compose_multiplicities", "conjugate", "d_value",
-    "density_experiment", "dim_report", "dpi_probe", "enumerate_embedded_algebras",
-    "enumerate_subalgebra_classes", "enumerate_unital_embeddings", "evaluate", "haar_unitary",
-    "intersect", "joint_commutant_dim", "lagrange_min", "lipschitz_bound", "orbit_dims",
-    "rcp_balance", "rcp_check", "realize", "realize_class", "relative_commutant", "stab_dim",
-    "staged_build",
-]
+# Every public name imported above.  The submodules stay reachable as
+# attributes but are not star-exported.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from decimal import Decimal
 
 import numpy as np
@@ -78,7 +78,7 @@ MAX_COUNT = 10**6
 
 @dataclass
 class ExperimentConfig:
-    """A config file's keys (every field but ``diagnostics``), flag overrides applied."""
+    """A config file's keys, flag overrides applied."""
 
     command: str
     algebras: list[dict] = field(default_factory=list)
@@ -94,10 +94,9 @@ class ExperimentConfig:
     max_tries: int = 128
     out: str | None = None
     format: str = "json"
-    diagnostics: list = field(default_factory=list)
 
     def resolved_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "diagnostics"}
+        return asdict(self)
 
 
 def _pointer(key: str) -> str:
@@ -270,7 +269,7 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     absent) and the ``probe`` elements; ``run`` needs it without diagnostics.
     """
     parsed: dict = {"algebras": [], "center": None, "u": None, "probe": []}
-    diags: list[tuple[str, str]] = list(config.diagnostics)
+    diags: list[tuple[str, str]] = []
     cmd = config.command
     if cmd not in COMMANDS:
         diags.append(("/command", f"unknown command {cmd!r}"))
@@ -421,7 +420,10 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     return parsed, diags
 
 
-def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
+def load_config(
+    path: str, command: str, overrides: dict
+) -> tuple[ExperimentConfig, list[tuple[str, str]]]:
+    """The config of ``command`` from a file and flag overrides, and the diagnostics of its keys."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -444,18 +446,18 @@ def load_config(path: str, command: str, overrides: dict) -> ExperimentConfig:
         )
 
     given = {**raw, **{key: value for key, value in overrides.items() if value is not None}}
-    known = {f.name for f in fields(ExperimentConfig)} - {"diagnostics"}
+    known = {f.name for f in fields(ExperimentConfig)}
     reads = READS[command]
     for key in given:
         if key not in known:
             diagnostics.append((f"/{_pointer(key)}", "unknown field"))
         elif key not in reads:
             diagnostics.append((f"/{key}", f"not read by {command}"))
-    return ExperimentConfig(
+    config = ExperimentConfig(
         command=command,
-        diagnostics=diagnostics,
         **{key: value for key, value in given.items() if key in reads - {"command"}},
     )
+    return config, diagnostics
 
 
 def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
@@ -534,7 +536,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
     if cmd in _NEEDS_SAMPLES:
         result = stats.to_json_dict()
         if config.format == "csv":
-            csv_text = stats_csv(stats.csv_rows())
+            csv_text = stats_csv(stats.dims)
 
     report = {
         "version": __version__,
@@ -573,14 +575,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     overrides = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
-        config = load_config(args.config, args.command, overrides)
+        config, diagnostics = load_config(args.config, args.command, overrides)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
 
     parsed, diags = validate(config)
-    if diags:
-        for pointer, message in diags:
+    if diagnostics or diags:
+        for pointer, message in diagnostics + diags:
             print(f"{pointer}: {message}", file=sys.stderr)
         return 1
 

@@ -98,15 +98,6 @@ def _triangle(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _svd_right(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Singular values and the full square right factor ``vh`` of m (or a stack).
-
-    numpy forms the square left factor too, so a square system pays for both.
-    """
-    _, s, vh = np.linalg.svd(_triangle(m))
-    return s, vh
-
-
 def _stable_rank(s: np.ndarray, n: int, what: str) -> int:
     """The rank of one system from its singular values ``s`` (descending), at a stable cutoff.
 
@@ -131,17 +122,14 @@ def _stable_rank(s: np.ndarray, n: int, what: str) -> int:
     return int(np.count_nonzero(s > max(cutoff, floor)))
 
 
-def _null_rows(systems: np.ndarray, n: int, what: str):
-    """Per system of a stack (k, rows, cols), the rows of ``vh`` spanning its
-    (conjugated) nullspace, from one SVD at the stable rank (``_stable_rank``).
+def _null_rows(system: np.ndarray, n: int, what: str) -> np.ndarray:
+    """The rows of ``vh`` spanning the (conjugated) nullspace of one system,
+    from one SVD of its triangle at the stable rank (``_stable_rank``).
 
-    The factorizations run once for the whole stack, and the result is an
-    iterator over the k items' rows in index order: each item is decided, and
-    raises, only when it is reached, so a caller that stops at an item never
-    decides the ones after it.  A single system is a stack of one.
+    numpy forms the square left factor too, so a square system pays for both.
     """
-    s, vh = _svd_right(systems)
-    return (v[_stable_rank(si, n, what) :] for si, v in zip(s, vh))
+    _, s, vh = np.linalg.svd(_triangle(system))
+    return vh[_stable_rank(s, n, what) :]
 
 
 def _nullities(systems: np.ndarray, n: int, what: str):
@@ -652,7 +640,7 @@ def intersect(
             system = np.empty((d, coords.shape[1]))
         system[start : start + len(coords)] = coords
     if system.shape[1]:
-        null = next(_null_rows(system.T[None], n, "projected system"))
+        null = _null_rows(system.T, n, "projected system")
     else:
         null = np.eye(d)
     if len(null) < 1:
@@ -706,9 +694,6 @@ class DensityStats:
             "center": None if self.center is None else matrix_to_json(self.center),
             "dims": list(self.dims),
         }
-
-    def csv_rows(self):
-        return list(enumerate(self.dims))
 
 
 def density_bytes(b1: EmbeddedAlgebra, b2: EmbeddedAlgebra) -> int:

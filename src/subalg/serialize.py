@@ -7,8 +7,6 @@ sorted keys so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 
@@ -108,10 +106,6 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
 
 
-def stats_csv(rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["sample", "intersection_dim"])
-    for index, dim in rows:
-        writer.writerow([index, dim])
-    return buf.getvalue()
+def stats_csv(dims) -> str:
+    """Per-sample CSV: a header, then one ``sample,intersection_dim`` line per dimension."""
+    return "sample,intersection_dim\n" + "".join(f"{i},{d}\n" for i, d in enumerate(dims))

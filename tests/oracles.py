@@ -10,7 +10,8 @@ products and its null rows, the dense twice-projected intersection
 residual, the full (not only canonical) enumeration of unital embeddings,
 the compatible embeddings by a row-suffix memo built afresh in each call,
 the exact joint commutant and intersection dimensions at Cayley unitaries
-near the identity, over Q(i) mod two primes, and a few small helpers that
+near the identity, over Q(i) mod two primes, the generic dimension of two
+projections' joint commutant (Halmos), and a few small helpers that
 only tests need (the class order, the center restriction, the gcd
 embedding bound, padding a multiplicity row, a fixed rank cutoff).
 None of them is reached from ``src``.
@@ -62,6 +63,24 @@ def fixed_cutoff(tol):
         yield
 
 
+def halmos_dim(n, p, q):
+    """Generic joint commutant dimension of two projections of ranks p, q on C^n.
+
+    Halmos' two-subspace theorem (P. R. Halmos, "Two subspaces", Trans. AMS
+    144, 1969): k = min(p, n-p, q, n-q) two-dimensional pieces in generic
+    position, each with a scalar commutant, plus the four corners P meet Q,
+    P meet Q-perp, P-perp meet Q and P-perp meet Q-perp, of generic
+    dimensions c, each adding a full M_c to the commutant.  It is the
+    generic ``dpi`` dimension of C^2 (p, n-p) against C^2 (q, n-q).  As B1
+    meet u B2 u* is the joint commutant of B1' and u B2' u*, it is also the
+    generic ``density`` dimension of their commutants M_p+M_{n-p} against
+    M_q+M_{n-q}.
+    """
+    k = min(p, n - p, q, n - q)
+    corners = (p + q - n, p - q, q - p, n - p - q)
+    return k + sum(max(c, 0) ** 2 for c in corners)
+
+
 def contains_identity(r, tol=1e-10):
     """Whether the identity lies in the span of a realization, to within ``tol``."""
     eye = np.eye(r.ambient_dim, dtype=complex)[None]
@@ -80,7 +99,7 @@ def kronecker_commutant(gens):
     n = gens[0].shape[0]
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    null = next(subalg.numeric._null_rows(np.concatenate(rows)[None], n, "commutant system"))
+    null = subalg.numeric._null_rows(np.concatenate(rows), n, "commutant system")
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
@@ -241,9 +260,10 @@ def dense_commutator_system(gens, known):
 def dense_commutant_basis(gens, known):
     """Orthonormal bases of the joint commutants of a stack of generator sets inside ``known``.
 
-    The dense system of ``dense_commutator_system`` is decided by the
-    library's null-row routine, and the null rows combine the dense basis
-    of ``known``; with no generators every answer is ``known`` itself.
+    Each item of the dense system of ``dense_commutator_system`` is decided
+    by the library's null-row routine when the item is reached, and its null
+    rows combine the dense basis of ``known``; with no generators every
+    answer is ``known`` itself.
     """
     within = dense_within(known)
     k, g = np.shape(gens)[:2]
@@ -253,7 +273,7 @@ def dense_commutant_basis(gens, known):
     system = dense_commutator_system(gens, known)
     return (
         ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-        for null in subalg.numeric._null_rows(system, n, "commutant system")
+        for null in (subalg.numeric._null_rows(s, n, "commutant system") for s in system)
     )
 
 
@@ -282,7 +302,7 @@ def dense_intersect(a, b):
         a, b = b, a
     n = a.ambient_dim
     system = dense_residual(a, b)
-    null = next(subalg.numeric._null_rows(system.T[None], n, "projected system")).conj()
+    null = subalg.numeric._null_rows(system.T, n, "projected system").conj()
     if len(null) < 1:
         raise NumericalInstabilityError("intersection lost the identity", float(len(null)))
     out = ConcreteRealization(n, (null @ a.basis.reshape(a.dimension, n * n)).reshape(-1, n, n))

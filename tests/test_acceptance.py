@@ -44,7 +44,13 @@ from subalg.numeric import (
     realize,
     realize_class,
 )
-from oracles import ambient_embedding, dense_intersect, kronecker_commutant, with_unitary
+from oracles import (
+    ambient_embedding,
+    dense_intersect,
+    halmos_dim,
+    kronecker_commutant,
+    with_unitary,
+)
 
 M2 = BlockStructure((2,))
 C2 = BlockStructure((1, 1))
@@ -265,19 +271,6 @@ def test_criterion_8_staged_builder():
     except SearchExhaustedError as exc:
         ok &= exc.dim == 4 and exc.best_dim >= 2
     budget.finish(bool(ok))
-
-
-def halmos_dim(n, p, q):
-    """Generic joint commutant dimension of two projections of ranks p, q on C^n.
-
-    Halmos' two-subspace theorem: k = min(p, n-p, q, n-q) two-dimensional
-    pieces in generic position, each with a scalar commutant, plus the four
-    corners P meet Q, P meet Q-perp, P-perp meet Q and P-perp meet Q-perp, of
-    generic dimensions c, each adding a full M_c to the commutant.
-    """
-    k = min(p, n - p, q, n - q)
-    corners = (p + q - n, p - q, q - p, n - p - q)
-    return k + sum(max(c, 0) ** 2 for c in corners)
 
 
 def test_hypothesis_boundary_halmos_oracle():

@@ -851,7 +851,7 @@ def valid_payload(command, tmp_path):
 
 
 # Every (command, config field it does not read), from the table in cli
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"diagnostics"}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(ExperimentConfig)}
 _UNREAD = [(cmd, name) for cmd in COMMANDS for name in sorted(_CONFIG_FIELDS - READS[cmd])]
 
 
@@ -915,6 +915,16 @@ class TestFieldsReadByCommand:
         payload["algebras"][0]["ml/t"] = [1]
         err = self.refused(tmp_path, capsys, command, payload)
         assert err == "/algebras/0/ml~1t: unknown field\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_key_diagnostics_print_before_value_diagnostics(self, tmp_path, capsys, command):
+        # the seed comes first in the file, but the diagnostics of the keys
+        # (load_config) print before those of the values (validate)
+        payload = dict(valid_payload(command, tmp_path), colour="red", seed=-1)
+        assert list(payload).index("seed") < list(payload).index("colour")
+        assert self.refused(tmp_path, capsys, command, payload) == (
+            "/colour: unknown field\n/seed: seed must be a nonnegative integer\n"
+        )
 
 
 class TestBoundary:

@@ -4,7 +4,7 @@ import math
 import sys
 import tracemalloc
 from functools import partial
-from itertools import count
+from itertools import count, product
 
 import numpy as np
 import pytest
@@ -48,6 +48,7 @@ from oracles import (
     cayley_draw,
     exact_joint_commutant_dim,
     fixed_cutoff,
+    halmos_dim,
     dense_commutator_system,
     dense_intersect,
     kronecker_commutant,
@@ -497,6 +498,41 @@ class TestExactNearIdentity:
             exact = exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s)
             assert exact == expected
             assert joint_commutant_dim(RepPair(alg1, mult1, alg2, mult2, u)) == exact
+
+
+class TestHalmosOracle:
+    """dpi on C^2 (p, n-p) against C^2 (q, n-q) against ``halmos_dim``.
+
+    Haar draws are swept in the acceptance suite
+    (``test_hypothesis_boundary_halmos_oracle``).
+    """
+
+    @pytest.mark.parametrize("radius", [1e-3, 1e-6, 1e-8, 1e-10, 1e-12], ids=str)
+    def test_dpi_is_exact_or_raises(self, radius):
+        # 2 samples at seed 7 for every 1 <= p, q < n <= 10: each run gives
+        # the exact answer on both samples or raises NumericalInstabilityError;
+        # local steps of radius 1e-3 decide every run
+        wrong, raised = [], []
+        for n in range(2, 11):
+            for p, q in product(range(1, n), repeat=2):
+                rep = RepPair(C2, (p, n - p), C2, (q, n - q), np.eye(n))
+                try:
+                    dims = dpi_probe(rep, 2, 7, local_radius=radius).dims
+                except NumericalInstabilityError:
+                    raised.append((n, p, q))
+                    continue
+                if dims != (halmos_dim(n, p, q),) * 2:
+                    wrong.append((n, p, q, dims))
+        assert wrong == []
+        if radius == 1e-3:
+            assert raised == []
+
+    @pytest.mark.parametrize("radius", [None, 1e-3], ids=str)
+    @pytest.mark.parametrize("n, p, q, want", [(24, 12, 12, 12), (32, 10, 20, 114)])
+    def test_dpi_at_large_n(self, n, p, q, want, radius):
+        assert halmos_dim(n, p, q) == want
+        rep = RepPair(C2, (p, n - p), C2, (q, n - q), np.eye(n))
+        assert dpi_probe(rep, 1, 7, local_radius=radius).dims == (want,)
 
 
 class TestDpiProbe:

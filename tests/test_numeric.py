@@ -1,6 +1,8 @@
 """Tests for realizations, Haar sampling, commutants, intersections, and density runs."""
 
+import csv
 import dataclasses
+import io
 import itertools
 import tracemalloc
 
@@ -27,7 +29,7 @@ from subalg.numeric import (
     _copy_indices,
     _null_rows,
     _nullities,
-    _svd_right,
+    _triangle,
     amplified_commutant,
     amplify,
     commutant_basis,
@@ -44,6 +46,7 @@ from subalg.numeric import (
     sample_dims,
     sample_stream,
 )
+from subalg.serialize import stats_csv
 from oracles import (
     ambient_embedding,
     ambient_row,
@@ -61,6 +64,7 @@ from oracles import (
     embed_model,
     exact_meet_dim,
     fixed_cutoff,
+    halmos_dim,
     kronecker_commutant,
     model_matrix_units,
     random_skew_direction,
@@ -525,13 +529,12 @@ class TestSvdRight:
         v = haar_unitary(cols, rng)[:, :rank]
         m = (u * svals) @ v.conj().T
 
-        s, vh = _svd_right(m)
+        s = np.linalg.svd(_triangle(m), compute_uv=False)
         ref = np.linalg.svd(m, compute_uv=False)
-        assert vh.shape == (cols, cols)
         scale = max(float(ref[0]), 1.0)
         assert np.max(np.abs(s - ref)) <= 1e-12 * scale
 
-        null = next(_null_rows(m[None], max(rows, cols), "test matrix")).conj()
+        null = _null_rows(m, max(rows, cols), "test matrix").conj()
         assert null.shape == (cols - rank, cols)
         assert np.allclose(null @ null.conj().T, np.eye(cols - rank), atol=1e-12)
         # backward error of the SVD: a small multiple of max(rows, cols) * eps * s_max
@@ -540,25 +543,6 @@ class TestSvdRight:
 
 
 class TestStacks:
-    def test_null_rows_decides_each_item_when_reached(self):
-        # singular values (1, 0.5, 0), (1, 1e-6, 0) and (1, 1, 1) behind
-        # random rotations: at the cutoff 1e-6 item 1 is ambiguous, so the stack
-        # raises when item 1 is reached, not before
-        rng = sample_stream(8)
-        svals = [(1.0, 0.5, 0.0), (1.0, 1e-6, 0.0), (1.0, 1.0, 1.0)]
-        stack = np.stack(
-            [haar_unitary(5, rng)[:, :3] @ np.diag(s) @ haar_unitary(3, rng) for s in svals]
-        )
-        with fixed_cutoff(1e-6):
-            items = _null_rows(stack, 5, "stack")
-            first = next(items)
-            assert np.array_equal(first, next(_null_rows(stack[:1], 5, "stack")))  # bitwise
-            assert first.shape == (1, 3)
-            with pytest.raises(NumericalInstabilityError, match="unstable") as info:
-                next(items)
-            assert info.value.defect == pytest.approx(1e-6)
-            assert len(next(_null_rows(stack[2:], 5, "stack"))) == 0
-
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stacked_draws_equal_single_draws(self, n):
         # each item depends on its own stream alone, bit for bit
@@ -637,7 +621,7 @@ class TestValuesOnly:
         stack = known_rank_stack(rng, rows, cols, svals)
         n = max(rows, cols)
         got = list(_nullities(stack, n, "test stack"))
-        assert got == [len(null) for null in _null_rows(stack, n, "test stack")]
+        assert got == [len(_null_rows(item, n, "test stack")) for item in stack]
         assert got == [cols - r for r in ranks]
 
     @settings(max_examples=30, deadline=None)
@@ -666,7 +650,7 @@ class TestValuesOnly:
 
         with fixed_cutoff(1e-6):
             values = run(_nullities(stack, 7, "test stack"))
-            rows = run(_null_rows(stack, 7, "test stack"))
+            rows = run(_null_rows(item, 7, "test stack") for item in stack)
         assert values[0] == [len(null) for null in rows[0]] == [2] * min(unstable, k)
         assert values[1] == rows[1]
         if unstable < k:
@@ -677,10 +661,10 @@ class TestValuesOnly:
 
     def test_commutant_dimensions_form_no_right_factor(self, monkeypatch):
         # the joint-commutant decisions read singular values only: no vh is formed
-        def refuse(m):
+        def refuse(*args):
             raise AssertionError("commutant_basis formed a right singular factor")
 
-        monkeypatch.setattr(subalg.numeric, "_svd_right", refuse)
+        monkeypatch.setattr(subalg.numeric, "_null_rows", refuse)
         within = amplified_commutant((1, 1), [(2, 2)])
         units = amplify(model_matrix_units(BlockStructure((2,))), (2,), [(2,)])
         us = np.stack([np.eye(4), haar_unitary(4, 1)])
@@ -819,7 +803,7 @@ class TestIntersect:
         # decided by the same rank routine
         def paired_nullity(r1, r2):
             system = np.concatenate([vectors(r1), -vectors(r2)], axis=1)
-            return len(next(_null_rows(system[None], n, "paired system")))
+            return len(_null_rows(system, n, "paired system"))
 
         algebras = enumerate_embedded_algebras(n)
         rng = sample_stream(29, n)
@@ -871,9 +855,9 @@ def null_systems(monkeypatch):
     """The systems that intersect hands to the rank routine, in call order."""
     seen = []
 
-    def spy(systems, n, what):
-        seen.extend(systems)
-        return _null_rows(systems, n, what)
+    def spy(system, n, what):
+        seen.append(system)
+        return _null_rows(system, n, what)
 
     monkeypatch.setattr(subalg.numeric, "_null_rows", spy)
     return seen
@@ -981,7 +965,7 @@ class TestGatherPath:
         c = conjugate(b, u)
         want = m3m1.layout.complement_coordinates(c.basis.reshape(c.dimension, 36))
         assert [s.tobytes() for s in null_systems] == [want.T.tobytes()]
-        null = next(_null_rows(want.T[None], 6, "projected system"))
+        null = _null_rows(want.T, 6, "projected system")
         span = null @ b.basis.reshape(-1, 36)
         assert out.basis.tobytes() == (u @ span.reshape(-1, 6, 6) @ u.conj().T).tobytes()
 
@@ -1141,6 +1125,42 @@ class TestExactMeetNearIdentity:
             assert intersect(r, r, u).dimension == 8
 
 
+# Haar draws, then local steps of the sweep's radii; the first two decide every run
+HALMOS_RADII = [None, 1e-3, 1e-6, 1e-8, 1e-10, 1e-12]
+
+
+class TestHalmosOracle:
+    """density on M_p+M_{n-p} against M_q+M_{n-q} against ``halmos_dim``."""
+
+    @pytest.mark.parametrize("radius", HALMOS_RADII, ids=str)
+    def test_density_is_exact_or_raises(self, radius):
+        # 2 samples at seed 7 for every 1 <= p, q < n <= 10: each run gives
+        # the exact answer on both samples or raises NumericalInstabilityError
+        local = None if radius is None else (None, radius)
+        wrong, raised = [], []
+        for n in range(2, 11):
+            for p, q in itertools.product(range(1, n), repeat=2):
+                b1, b2 = _embedded((p, n - p), (1, 1)), _embedded((q, n - q), (1, 1))
+                try:
+                    dims = density_experiment(b1, b2, 2, 7, local).dims
+                except NumericalInstabilityError:
+                    raised.append((n, p, q))
+                    continue
+                if dims != (halmos_dim(n, p, q),) * 2:
+                    wrong.append((n, p, q, dims))
+        assert wrong == []
+        if radius in HALMOS_RADII[:2]:
+            assert raised == []
+
+    @pytest.mark.parametrize("radius", HALMOS_RADII[:2], ids=str)
+    @pytest.mark.parametrize("n, p, q, want", [(16, 8, 8, 8), (32, 10, 20, 114)])
+    def test_density_at_large_n(self, n, p, q, want, radius):
+        assert halmos_dim(n, p, q) == want
+        b1, b2 = _embedded((p, n - p), (1, 1)), _embedded((q, n - q), (1, 1))
+        local = None if radius is None else (None, radius)
+        assert density_experiment(b1, b2, 1, 7, local).dims == (want,)
+
+
 class TestDensityExperiment:
     def test_equal_sides_are_realized_once(self, monkeypatch):
         calls = []
@@ -1222,9 +1242,15 @@ class TestDensityExperiment:
         assert sum(stats.dims_histogram.values()) == stats.samples
         assert stats.trivial_count == stats.dims_histogram.get(1, 0)
 
-    def test_csv_rows(self):
+    def test_stats_csv(self):
+        # the bytes the csv module writes: the header, then one row per sample
         stats = density_experiment(M2_MULT2, M2_MULT2, 4, seed=0)
-        assert stats.csv_rows() == [(i, d) for i, d in enumerate(stats.dims)]
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(
+            [("sample", "intersection_dim"), *enumerate(stats.dims)]
+        )
+        assert stats_csv(stats.dims) == buf.getvalue()
+        assert stats_csv((1, 12, 3)) == "sample,intersection_dim\n0,1\n1,12\n2,3\n"
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
