@@ -42,13 +42,12 @@ from .numeric import (
     DRAW_MATRICES,
     DensityStats,
     UnitLayout,
+    _check_unitary,
     _copy_indices,
     _radius_unresolved,
-    _unitarity_defect,
     amplified_commutant,
     amplify,
     commutant_basis,
-    default_tolerance,
     sample_dims,
     stack_size,
 )
@@ -111,12 +110,7 @@ class RepPair:
             raise ShapeMismatchError(f"factor dimensions differ: {d1} vs {d2}")
         if not d1:
             raise ValueError("a representation pair needs a nonzero dimension")
-        if self.u.shape != (d1, d1):
-            raise ShapeMismatchError(f"perturbing unitary must be {d1}x{d1}, got {self.u.shape}")
-        # cli.validate's bound 10 * N^2 * eps, never below 1e-12: a validated u passes.
-        defect = _unitarity_defect(self.u)
-        if not defect <= max(1e-12, 10.0 * default_tolerance(d1, 1.0)):
-            raise ValueError(f"perturbation is not unitary (defect {defect:.3e})")
+        _check_unitary(self.u, d1, "perturbation")
 
     @property
     def dim(self) -> int:

@@ -11,15 +11,15 @@ Commutant dimensions are the nullities of stacked commutator systems inside
 a known commutant, whose units are partial permutations: the systems are
 gathered from rows and columns of the generators, with no product formed.
 ``intersect(a, b, u)`` takes u as an argument and conjugates the smaller
-side, a chunk of elements at a time (CHUNK_BYTES); a meet u b u* is the
-nullspace of the residual of that side against the larger, read by gathers
-in real coordinates of the larger side's complement, with one solve.  Every
+side, a chunk of elements at a time (CHUNK_BYTES); dim(a meet u b u*) is the
+nullity of the residual of that side against the larger, read by gathers
+in real coordinates of the larger side's complement.  Every
 rank decision is made from one SVD at a scale-aware tolerance with a
 built-in stability check (``_stable_rank``): if shrinking or growing the
 tolerance tenfold changes the decision, a NumericalInstabilityError is
-raised instead of guessing.  An intersection needs its null vectors, so its
-SVD forms the singular factors; a commutant dimension reads the singular
-values alone.
+raised instead of guessing.  Intersection and commutant dimensions are
+nullities read off the singular values alone (``_nullities``): no singular
+factor and no basis of the answer is formed.
 
 Random unitaries and commutant dimensions are also made in stacks (k, N, N):
 one stacked QR, eigendecomposition or SVD serves the k items, running the
@@ -44,18 +44,12 @@ from .errors import NumericalInstabilityError, ShapeMismatchError
 
 EPS = float(np.finfo(np.float64).eps)
 
-# Absolute ceiling for the algebra-closure re-verification; rank tolerances are
-# scale-aware but closure residuals of healthy algebras sit at machine noise,
-# while a misdecided rank produces residuals at the scale of the ambiguous
-# singular value.
-DEFAULT_CLOSURE_TOL = 1e-9
-
 # The one working-set budget, in bytes of N x N complex matrices: a chunk of
 # conjugated basis elements (``intersect``) or of closure products
-# (ConcreteRealization.closure_defect), or a stack of draws and decisions
-# (``stack_size``).  A stacked decision costs less per item only up to about
-# 128 KiB an item, so an item past half the budget (a dpi or search decision
-# from about N = 16 on) is decided alone.
+# (ConcreteRealization.closure_defect, which no command calls), or a stack of
+# draws and decisions (``stack_size``).  A stacked decision costs less per
+# item only up to about 128 KiB an item, so an item past half the budget (a
+# dpi or search decision from about N = 16 on) is decided alone.
 CHUNK_BYTES = 1 << 20
 
 # N x N complex matrices one draw holds at the peak of a stack of draws
@@ -73,6 +67,20 @@ def _unitarity_defect(m: np.ndarray) -> float:
     """||M*M - I||_F; NaN or infinite, with no warning, when an entry is not finite or overflows."""
     with np.errstate(over="ignore", invalid="ignore"):  # refuse it with not defect <= bound
         return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+
+
+def _check_unitary(m: np.ndarray, n: int, what: str) -> None:
+    """Refuse ``m`` unless it is an n x n unitary to within max(1e-12, 10 N^2 eps).
+
+    That is cli.validate's bound 10 N^2 eps, never below 1e-12, so a
+    validated matrix passes.  A wrong shape raises ShapeMismatchError, and a
+    non-finite or non-unitary matrix ValueError.
+    """
+    if np.shape(m) != (n, n):
+        raise ShapeMismatchError(f"{what} must be {n}x{n}, got {np.shape(m)}")
+    defect = _unitarity_defect(m)
+    if not defect <= max(1e-12, 10.0 * default_tolerance(n, 1.0)):
+        raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
 
 
 def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -122,23 +130,13 @@ def _stable_rank(s: np.ndarray, n: int, what: str) -> int:
     return int(np.count_nonzero(s > max(cutoff, floor)))
 
 
-def _null_rows(system: np.ndarray, n: int, what: str) -> np.ndarray:
-    """The rows of ``vh`` spanning the (conjugated) nullspace of one system,
-    from one SVD of its triangle at the stable rank (``_stable_rank``).
-
-    numpy forms the square left factor too, so a square system pays for both.
-    """
-    _, s, vh = np.linalg.svd(_triangle(system))
-    return vh[_stable_rank(s, n, what) :]
-
-
 def _nullities(systems: np.ndarray, n: int, what: str):
     """Per system of a stack (k, rows, cols), the dimension of its nullspace.
 
-    The same decision as ``_null_rows``, from the singular values alone:
-    ``np.linalg.svd(..., compute_uv=False)`` of the QR triangle forms no
-    ``vh``.  The result is an iterator in index order, each item decided,
-    and raising, only when it is reached.
+    Decided at the stable rank (``_stable_rank``) from the singular values
+    alone: ``np.linalg.svd(..., compute_uv=False)`` of the QR triangle forms
+    no singular factor.  The result is an iterator in index order, each item
+    decided, and raising, only when it is reached.
     """
     cols = systems.shape[-1]
     s = np.linalg.svd(_triangle(systems), compute_uv=False)
@@ -308,10 +306,12 @@ class ConcreteRealization:
     def closure_defect(self) -> float:
         """Largest residual of adjoints and pairwise products outside the span.
 
-        The adjoints are checked at once, and the products a few left factors
-        at a time, as many as keep a chunk's products within CHUNK_BYTES (at
-        least one left factor), with the running maximum kept: memory grows
-        like CHUNK_BYTES, not like all d^2 products.  An intersection of
+        No command calls it: the tests' dense intersection oracle checks its
+        meets with it, and perfbench's tracer binds the name.  The adjoints
+        are checked at once, and the products a few left factors at a time,
+        as many as keep a chunk's products within CHUNK_BYTES (at least one
+        left factor), with the running maximum kept: memory grows like
+        CHUNK_BYTES, not like all d^2 products.  An intersection of
         dimension up to 16 at N = 16 is one chunk, and M24 + M24 against its
         conjugate at N = 48 (d = 24) takes a chunk per left factor.
         """
@@ -443,7 +443,8 @@ def conjugate(real: ConcreteRealization, u: np.ndarray) -> ConcreteRealization:
 
     The basis stays orthonormal, and Hermitian when B is, but it is no longer
     the recombination of ``real``'s units, so it has no layout: ``intersect``
-    takes u as an argument instead.
+    takes u as an argument instead, and no command calls ``conjugate``; the
+    tests' oracles and perfbench's tracer do.
     """
     return ConcreteRealization(real.ambient_dim, u @ real.basis @ u.conj().T)
 
@@ -591,15 +592,15 @@ def commutant_basis(gens, within: UnitLayout):
     return _nullities(system, within.n, "commutant system")
 
 
-def intersect(
-    a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | None = None
-) -> ConcreteRealization:
-    """The intersection a meet u b u* of two realized subalgebras of the same M_N.
+def intersect(a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | None = None) -> int:
+    """dim(a meet u b u*) for two realized subalgebras of the same M_N.
 
-    Without u it is a meet b.  Both sides need a layout (``realize``,
+    Without u it is dim(a meet b).  Both sides need a layout (``realize``,
     ``realize_class``), so both bases are Hermitian; any other pair raises
     ValueError.  The smaller side, b on a tie, is the one conjugated: b by
-    u, or a by u*, as a meet u b u* = u (u* a u meet b) u*.
+    u, or a by u*, as a meet u b u* = u (u* a u meet b) u*.  u is taken to
+    be unitary, as ``commutant_basis`` takes its generators as given:
+    ``density_experiment`` checks its center once, not each product.
 
     With V the conjugated basis of the smaller side as rows and W the
     larger, a combination x V lies in span W exactly when the residual of
@@ -608,18 +609,14 @@ def intersect(
     (``UnitLayout.complement_coordinates``): both spans are *-closed, so
     this real system of dim V rows has the singular values of the complex
     residual, the sines of the principal angles between the spans, and the
-    dimension is its nullity, from one SVD.  The system is the only array
-    of its size that is built: V is formed a chunk of elements at a time
-    (CHUNK_BYTES), gathered and dropped.  With dim W = N^2 the complement
-    is empty and the whole of span V is the answer.  The null rows are
-    orthonormal, so their combinations of the orthonormal elements are an
-    orthonormal basis of the intersection with no QR: u (null b) u* when b
-    was conjugated, and null a, with no product, when a was.
+    dimension is its nullity, read off the singular values of one SVD
+    (``_nullities``).  The system is the only array of its size that is
+    built: V is formed a chunk of elements at a time (CHUNK_BYTES), gathered
+    and dropped.  With dim W = N^2 the complement is empty and the answer
+    is dim V.
 
-    The identity lies in both spans, so a nullity below 1 is a rank error;
-    the output is re-verified to be closed under products and adjoints to
-    within DEFAULT_CLOSURE_TOL.  Both failures raise
-    NumericalInstabilityError with the measured defect.
+    The identity lies in both spans, so a nullity below 1 is a rank error
+    and raises NumericalInstabilityError.
     """
     if a.ambient_dim != b.ambient_dim:
         raise ShapeMismatchError("realizations live in different ambient dimensions")
@@ -639,26 +636,12 @@ def intersect(
         if system is None:
             system = np.empty((d, coords.shape[1]))
         system[start : start + len(coords)] = coords
-    if system.shape[1]:
-        null = _null_rows(system.T, n, "projected system")
-    else:
-        null = np.eye(d)
-    if len(null) < 1:
+    dim = next(_nullities(system.T[None], n, "projected system")) if system.shape[1] else d
+    if dim < 1:
         raise NumericalInstabilityError(
-            "intersection lost the identity; rank decision is suspect", float(len(null))
+            "intersection lost the identity; rank decision is suspect", float(dim)
         )
-    # orthonormal null rows times the orthonormal elements are orthonormal
-    span = (null @ moved.basis.reshape(d, n * n)).reshape(-1, n, n)
-    if u is not None and not flip:
-        span = u @ span @ u.conj().T
-    out = ConcreteRealization(n, span)
-
-    defect = out.closure_defect()
-    if defect > DEFAULT_CLOSURE_TOL:
-        raise NumericalInstabilityError(
-            "intersection span is not closed under product/adjoint", defect
-        )
-    return out
+    return dim
 
 
 @dataclass(frozen=True)
@@ -701,14 +684,12 @@ def density_bytes(b1: EmbeddedAlgebra, b2: EmbeddedAlgebra) -> int:
 
     With d1 and d2 the dimensions of the two sides and d the smaller, at
     16 N^2 bytes an N x N complex matrix: the realized bases (d1 + d2
-    matrices), the real residual system of ``intersect`` and the copy its
-    SVD makes (d rows of at most 2 N^2 reals each), and the intersection's
-    span and its adjoints in the closure check (up to d matrices each).
-    The stack of draws, the chunk of conjugated elements and the chunk of
-    closure products (CHUNK_BYTES each) come on top.
+    matrices), and the real residual system of ``intersect`` and the copy
+    its SVD makes (d rows of at most 2 N^2 reals each).  The stack of draws
+    and the chunk of conjugated elements (CHUNK_BYTES each) come on top.
     """
     d1, d2 = b1.structure.algebra_dim(), b2.structure.algebra_dim()
-    return 16 * b1.ambient_dim**2 * (d1 + d2 + 4 * min(d1, d2))
+    return 16 * b1.ambient_dim**2 * (d1 + d2 + 2 * min(d1, d2))
 
 
 def density_experiment(
@@ -727,7 +708,9 @@ def density_experiment(
     once and serves as both sides.  The draws come a stack at a time
     (``sample_dims``), and each is intersected on its own.  A radius below
     resolution at the ambient dimension (``_radius_unresolved``) raises
-    ValueError.
+    ValueError.  The center is checked once, before any draw, as RepPair
+    checks its unitary (``_check_unitary``): not N x N raises
+    ShapeMismatchError, not unitary ValueError.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
@@ -740,11 +723,12 @@ def density_experiment(
         if unresolved := _radius_unresolved(n, radius):
             raise ValueError(unresolved)
         center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
+        _check_unitary(center, n, "center")
     r1 = realize(b1)
     r2 = r1 if b2 == b1 else realize(b2)
 
     def one(w):
-        return intersect(r1, r2, w if center is None else center @ w).dimension
+        return intersect(r1, r2, w if center is None else center @ w)
 
     stack = stack_size(DRAW_MATRICES, n)
     draws = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)

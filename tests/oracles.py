@@ -6,9 +6,11 @@ matrix units and their layouts found by a scan of those stacks, the
 amplified units scattered from a layout, the known
 commutant's basis entries by per-copy index lists, the N^2-column Kronecker
 commutant, the commutant solved inside a known commutant from dense
-products and its null rows, the dense twice-projected intersection
-residual, the full (not only canonical) enumeration of unital embeddings,
-the compatible embeddings by a row-suffix memo built afresh in each call,
+products and its null rows, the null rows of a system from an SVD with
+its singular factors, the dense twice-projected intersection residual and
+the meet's basis from it with its closure check, the full (not only
+canonical) enumeration of unital embeddings, the compatible embeddings by
+a row-suffix memo built afresh in each call,
 the exact joint commutant and intersection dimensions at Cayley unitaries
 near the identity, over Q(i) mod two primes, the generic dimension of two
 projections' joint commutant (Halmos), and a few small helpers that
@@ -40,14 +42,30 @@ from subalg.algebra import (
 from subalg.errors import DomainError, NumericalInstabilityError, ShapeMismatchError
 from subalg.freeprod import RcpReport, rcp_check
 from subalg.numeric import (
-    DEFAULT_CLOSURE_TOL,
     ConcreteRealization,
     UnitLayout,
     _copy_indices,
     _ginibre,
+    _triangle,
     amplify,
 )
 from subalg.serialize import matrix_to_json
+
+# Absolute ceiling for the closure check of the dense paths: closure residuals
+# of healthy algebras sit at machine noise, while a misdecided rank produces
+# residuals at the scale of the ambiguous singular value.
+DEFAULT_CLOSURE_TOL = 1e-9
+
+
+def null_rows(system, n, what):
+    """The rows of ``vh`` spanning the (conjugated) nullspace of one system.
+
+    One SVD of its QR triangle with both singular factors, at the library's
+    stable rank (``_stable_rank``): the decision ``_nullities`` makes from
+    the singular values alone.
+    """
+    _, s, vh = np.linalg.svd(_triangle(system))
+    return vh[subalg.numeric._stable_rank(s, n, what) :]
 
 
 def vectors(r):
@@ -99,7 +117,7 @@ def kronecker_commutant(gens):
     n = gens[0].shape[0]
     eye = np.eye(n)
     rows = [np.kron(a, eye) - np.kron(eye, a.T) for a in gens]
-    null = subalg.numeric._null_rows(np.concatenate(rows), n, "commutant system")
+    null = null_rows(np.concatenate(rows), n, "commutant system")
     return ConcreteRealization(n, null.conj().reshape(-1, n, n))
 
 
@@ -273,7 +291,7 @@ def dense_commutant_basis(gens, known):
     system = dense_commutator_system(gens, known)
     return (
         ConcreteRealization(n, (null.conj() @ flat).reshape(-1, n, n))
-        for null in (subalg.numeric._null_rows(s, n, "commutant system") for s in system)
+        for null in (null_rows(s, n, "commutant system") for s in system)
     )
 
 
@@ -296,13 +314,15 @@ def dense_intersect(a, b):
     """Intersection of any two orthonormal realizations of the same M_N.
 
     Solved over the smaller side (the first on a tie) from the dense
-    residual, with the same identity and closure checks as ``intersect``.
+    residual: its null rows combine that side's basis into an orthonormal
+    basis of the intersection, which must hold the identity and be closed
+    under products and adjoints to within DEFAULT_CLOSURE_TOL.
     """
     if a.dimension > b.dimension:
         a, b = b, a
     n = a.ambient_dim
     system = dense_residual(a, b)
-    null = subalg.numeric._null_rows(system.T, n, "projected system").conj()
+    null = null_rows(system.T, n, "projected system").conj()
     if len(null) < 1:
         raise NumericalInstabilityError("intersection lost the identity", float(len(null)))
     out = ConcreteRealization(n, (null @ a.basis.reshape(a.dimension, n * n)).reshape(-1, n, n))

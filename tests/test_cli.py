@@ -418,22 +418,26 @@ class TestValidation:
         elapsed = time.perf_counter() - start
         assert (code, report) == (1, None)
         err = capsys.readouterr().err
-        want = "one decision at dimension 2000 needs 3.58e+5 GiB, past the 4 GiB cap"
+        want = "one decision at dimension 2000 needs 2.38e+5 GiB, past the 4 GiB cap"
         assert err == f"/algebras: {want}\n"
         assert elapsed < 1.0
 
-    @pytest.mark.parametrize("half, refused", [(24, False), (48, False), (64, True)])
+    @pytest.mark.parametrize(
+        "half, refused", [(24, False), (48, False), (50, False), (54, True), (64, True)]
+    )
     def test_density_cap(self, half, refused):
-        # M_h + M_h against itself at N = 2h: 243 MiB at N = 48 (CI's
-        # largest density run), 3.8 GiB at N = 96, and 12 GiB at N = 128
+        # M_h + M_h against itself at N = 2h: 162 MiB at N = 48 (CI's
+        # largest density run), 2.5 GiB at N = 96, 2.98 GiB at N = 100,
+        # 4.05 GiB at N = 108 and 8 GiB at N = 128.  With the meet's basis
+        # and its closure products counted, N = 100 (4.47 GiB) was refused
         n = 2 * half
         pair = {"blocks": [half, half], "mult": [1, 1]}
         payload = {"algebras": [pair, pair], "ambient": n, "samples": 4, "seed": 3}
         diags = validate(ExperimentConfig(command="density", **payload))[1]
         if refused:
-            assert diags == [
-                ("/algebras", "one decision at dimension 128 needs 12 GiB, past the 4 GiB cap")
-            ]
+            gib = {54: "4.05", 64: "8"}[half]
+            want = f"one decision at dimension {n} needs {gib} GiB, past the 4 GiB cap"
+            assert diags == [("/algebras", want)]
         else:
             assert diags == []
 
@@ -1046,18 +1050,18 @@ class TestCommands:
         assert len(lines) == 6
 
     def test_density_instability_exits_4(self, tmp_path, capsys):
-        # M8+M8 against local conjugates of itself at radius 1e-6: the rank
-        # decisions are sound, but the closure defect (6.654e-9 at seed 1) is
-        # past the fixed 1e-9 bound.  A closure bound derived from the rank
-        # decision (ROADMAP, rank decisions that derive their bounds) is
-        # expected to decide 8 here instead.
-        pair = {"blocks": [8, 8], "mult": [1, 1]}
-        payload = {"algebras": [pair, pair], "ambient": 16, "samples": 2, "seed": 1,
-                   "radius": 1e-6}
+        # M2+M2 against local conjugates of itself at radius 1e-13: the step
+        # is below what the projected system's rank decision resolves.  The
+        # same pair decides [2]*4 at 1e-10, and M8+M8 at N = 16 [8]*2 at 1e-6
+        pair = {"blocks": [2, 2], "mult": [1, 1]}
+        payload = {"algebras": [pair, pair], "ambient": 4, "samples": 4, "seed": 1,
+                   "radius": 1e-13}
         code, report, _ = run_cli(tmp_path, "density", payload)
         assert (code, report) == (4, None)
         err = capsys.readouterr().err
-        assert err.startswith("numerical instability: intersection span is not closed")
+        assert err.startswith(
+            "numerical instability: rank decision for projected system is unstable"
+        )
 
     def test_dpi_instability_exits_4(self, tmp_path, capsys):
         # C^2 (2, 2) against M2 (2) at radius 1e-13: the perturbation is

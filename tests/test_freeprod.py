@@ -410,8 +410,8 @@ class TestIrreducibility:
                 )[i % 3]
                 rep = RepPair(a1.structure, a1.mult, a2.structure, a2.mult, u)
                 meet = intersect(commutants[j1], commutants[j2], u)
-                assert joint_commutant_dim(rep) == meet.dimension, (a1, a2, i % 3)
-                dims.append(meet.dimension)
+                assert joint_commutant_dim(rep) == meet, (a1, a2, i % 3)
+                dims.append(meet)
         assert len(dims) == 400 and min(dims) == 1 and max(dims) > 16
 
 
