@@ -33,16 +33,13 @@ from .freeprod import (
     RepPair,
     decision_bytes,
     dpi_probe,
-    epsilon_underflow,
     rcp_balance,
     rcp_check,
+    stage_budget,
     stage_layouts,
     staged_build,
 )
-from .numeric import (
-    _radius_unresolved, _unitarity_defect, amplify, default_tolerance, density_bytes,
-    density_experiment,
-)
+from .numeric import _not_unitary, _radius_unresolved, amplify, density_bytes, density_experiment
 from .serialize import (
     canonical_json,
     is_finite_real,
@@ -121,7 +118,7 @@ def _count_diagnostics(value, name: str) -> list[tuple[str, str]]:
 def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[tuple[str, str]]]:
     """A config matrix that must be an n x n unitary, and its diagnostics.
 
-    The unitarity defect ||M*M - I||_F may be at most 10 * N^2 * eps, the upper
+    The unitarity defect ||M*M - I||_F may be at most ``numeric.resolution``, the upper
     end of the window in which every rank decision is checked for stability;
     unitaries computed in double precision sit about ten times below it.
     """
@@ -131,9 +128,8 @@ def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[t
         return None, list(exc.diagnostics)
     if mat.shape != (n, n):
         return None, [(pointer, f"expected {n}x{n}, got shape {list(mat.shape)}")]
-    defect = _unitarity_defect(mat)
-    if not defect <= 10.0 * default_tolerance(n, 1.0):
-        return None, [(pointer, f"not unitary (defect {defect:.3e})")]
+    if why := _not_unitary(mat):
+        return None, [(pointer, why)]
     return mat, []
 
 
@@ -197,18 +193,22 @@ def _cap_diagnostics(size: int, dim: int, pointer: str) -> list[tuple[str, str]]
                       f"past the {DECISION_BYTES >> 30} GiB cap")]
 
 
-def _stage_decision_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str, str]]:
-    """Diagnostics for the first build stage whose one decision would be past the cap.
+def _stage_decision_diagnostics(stages, blocks: dict[int, list], epsilon) -> list[tuple[str, str]]:
+    """Diagnostics for the first build stage past the cap or, unless epsilon is None, unresolved.
 
     Runs the build's integer bookkeeping (``stage_layouts``), RCP paddings
     included, with no search; ``stages`` and both ``blocks`` lists must be
-    valid already.
+    valid already.  A stage that adds dimension searches at its dimension at
+    radius ``stage_budget(epsilon, k) / 2``, which ``sample_dims`` refuses unresolved.
     """
     alg1, alg2 = (BlockStructure(tuple(blocks[i])) for i in (0, 1))
-    for k, segs1, segs2, _, dim, _ in stage_layouts(alg1, alg2, stages):
+    for k, segs1, segs2, earlier, dim, _ in stage_layouts(alg1, alg2, stages):
         found = _cap_diagnostics(decision_bytes(alg1, segs1, alg2, segs2), dim, f"/stages/{k - 1}")
         if found:
             return found
+        if epsilon is not None and dim > earlier:
+            if why := _radius_unresolved(dim, stage_budget(epsilon, k) / 2):
+                return [("/epsilon", f"epsilon {epsilon!r} is too small at stage {k}: {why}")]
     return []
 
 
@@ -379,9 +379,8 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
 
     if config.radius is not None:
         found = _positive_finite_diagnostics(config.radius, "/radius")
-        if not found and step_dim:
-            unresolved = _radius_unresolved(step_dim, config.radius)
-            found = [("/radius", unresolved)] if unresolved else []
+        if not found and step_dim and (why := _radius_unresolved(step_dim, config.radius)):
+            found = [("/radius", why)]
         diags += found
 
     if cmd == "build-primitive":
@@ -392,10 +391,8 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         else:
             found = _stage_diagnostics(config.stages, valid_blocks)
             if not found and {0, 1} <= valid_blocks.keys():
-                found = _stage_decision_diagnostics(config.stages, valid_blocks)
-                if not found and not bad_epsilon:
-                    underflow = epsilon_underflow(config.epsilon, config.stages)
-                    found = [("/epsilon", underflow)] if underflow else []
+                epsilon = None if bad_epsilon else config.epsilon
+                found = _stage_decision_diagnostics(config.stages, valid_blocks, epsilon)
             diags += found
         diags.extend(_count_diagnostics(config.max_tries, "max_tries"))
         if config.probe is not None:

@@ -10,10 +10,12 @@ class DomainError(ValueError):
 
 
 class NumericalInstabilityError(RuntimeError):
-    """A rank or closure decision could not be made reliably at the working tolerance.
+    """A decision could not be made reliably at the working tolerance.
 
-    The measured defect (size of the ambiguous singular value, or the closure
-    residual) is attached so callers can report it.
+    Raised for a rank inside ``_stable_rank``'s band, a meet that lost the
+    identity, a probe element moved past its Lipschitz bound, and a given u
+    within resolution of the identity; the measured defect (the ambiguous
+    singular value, the nullity, the excess or the distance) is attached.
     """
 
     def __init__(self, message: str, defect: float):

@@ -30,7 +30,6 @@ probe letters once per side and measures every move with one stacked norm.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,9 +41,9 @@ from .numeric import (
     DRAW_MATRICES,
     DensityStats,
     UnitLayout,
+    _check_resolved,
     _check_unitary,
     _copy_indices,
-    _radius_unresolved,
     amplified_commutant,
     amplify,
     commutant_basis,
@@ -364,7 +363,11 @@ def _joint_dim_kernel(alg1, segs1, alg2, segs2):
 
 
 def joint_commutant_dim(rep: RepPair) -> int:
-    """Dimension of the commutant of the union of both perturbed factor images."""
+    """Dimension of the commutant of the union of both perturbed factor images.
+
+    A u within resolution of I, not I itself, raises (``numeric._check_resolved``).
+    """
+    _check_resolved(rep.u)
     decide, _ = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     return next(decide(rep.u[None]))
 
@@ -381,11 +384,9 @@ def dpi_probe(
     ``local_radius`` about the identity) is composed as w @ rep.u, so local
     perturbations stay near rep.u.  The product is not checked for unitarity
     again: its rounding can carry a u at the edge of RepPair's bound past it.
-    trivial_count counts the irreducible outcomes.  A radius below resolution
-    at the pair's dimension (``numeric._radius_unresolved``) raises ValueError.
+    trivial_count counts the irreducible outcomes.  ``sample_dims`` refuses a
+    radius below resolution at the pair's dimension with ValueError.
     """
-    if local_radius is not None and (unresolved := _radius_unresolved(rep.dim, local_radius)):
-        raise ValueError(unresolved)
     decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     draws = sample_dims(rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack)
     dims = tuple(d for _, d in draws)
@@ -523,7 +524,8 @@ def staged_build(
     size.  Raises SearchExhaustedError when a stage finds no irreducible
     perturbation within max_tries, ShapeMismatchError or ValueError for a
     malformed multiplicity row, and ValueError for an empty first stage, for
-    max_tries < 1 or for an epsilon not positive and finite (or too small).
+    max_tries < 1 or for an epsilon not positive and finite, and a stage's
+    search raises ValueError at a radius ``sample_dims`` finds unresolved.
     """
     if not 0 < epsilon < math.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -531,8 +533,6 @@ def staged_build(
         raise ValueError("need at least one stage")
     if max_tries < 1:
         raise ValueError("max_tries must be at least 1")
-    if underflow := epsilon_underflow(epsilon, stages):
-        raise ValueError(underflow)
 
     lipschitz = [lipschitz_bound(x) for x in probe]
     cumulative_u = np.zeros((0, 0), dtype=complex)
@@ -569,15 +569,6 @@ def staged_build(
 def stage_budget(epsilon: float, k: int) -> float:
     """The perturbation budget epsilon / ((k+1)(k+2)) of stage k."""
     return epsilon / ((k + 1) * (k + 2))
-
-
-def epsilon_underflow(epsilon: float, stages) -> str | None:
-    """Why epsilon is too small, or None: the last nonzero stage's search radius must be normal."""
-    k = max((k for k, rows in enumerate(stages, 1) if any(map(any, rows))), default=0)
-    if k and (radius := stage_budget(epsilon, k) / 2) < sys.float_info.min:
-        return (f"epsilon {epsilon!r} is too small: stage {k} searches at radius {radius!r}, "
-                f"below the smallest normal float {sys.float_info.min!r}")
-    return None
 
 
 def _extend(u: np.ndarray, dim: int) -> np.ndarray:

@@ -63,24 +63,34 @@ def default_tolerance(n: int, smax: float) -> float:
     return n * n * EPS * max(smax, 1.0)
 
 
-def _unitarity_defect(m: np.ndarray) -> float:
-    """||M*M - I||_F; NaN or infinite, with no warning, when an entry is not finite or overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refuse it with not defect <= bound
-        return float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+def resolution(n: int) -> float:
+    """10 N^2 eps, the top of ``_stable_rank``'s band at unit scale: the one resolution bound.
+
+    No rank decision tells a step, a distance or a defect that small from rounding.
+    """
+    return 10.0 * n * n * EPS
+
+
+def _not_unitary(m: np.ndarray) -> str | None:
+    """Why the square ``m`` is not unitary to within ``resolution``, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN or inf defect, never within it
+        defect = float(np.linalg.norm(m.conj().T @ m - np.eye(len(m))))
+    return None if defect <= resolution(len(m)) else f"not unitary (defect {defect:.3e})"
 
 
 def _check_unitary(m: np.ndarray, n: int, what: str) -> None:
-    """Refuse ``m`` unless it is an n x n unitary to within max(1e-12, 10 N^2 eps).
-
-    That is cli.validate's bound 10 N^2 eps, never below 1e-12, so a
-    validated matrix passes.  A wrong shape raises ShapeMismatchError, and a
-    non-finite or non-unitary matrix ValueError.
-    """
+    """Refuse ``m`` unless an n x n unitary, as validate does: ShapeMismatchError or ValueError."""
     if np.shape(m) != (n, n):
         raise ShapeMismatchError(f"{what} must be {n}x{n}, got {np.shape(m)}")
-    defect = _unitarity_defect(m)
-    if not defect <= max(1e-12, 10.0 * default_tolerance(n, 1.0)):
-        raise ValueError(f"{what} is not unitary (defect {defect:.3e})")
+    if why := _not_unitary(m):
+        raise ValueError(f"{what} is {why}")
+
+
+def _check_resolved(u: np.ndarray) -> None:
+    """Refuse a given u != I with ||u - I||_F <= ``resolution``: it would be decided as I."""
+    away = u - np.eye(len(u))  # nonzero for any u != I, though its squares may underflow to 0
+    if (distance := float(np.linalg.norm(away))) <= resolution(len(u)) and away.any():
+        raise NumericalInstabilityError("u is within resolution of the identity", distance)
 
 
 def sample_stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -493,15 +503,11 @@ def local_unitary(center: np.ndarray, radius: float, rng: np.random.Generator) -
 
 
 def _radius_unresolved(n: int, radius: float) -> str | None:
-    """Why a positive local radius is below resolution at dimension n, or None.
+    """Why a local radius, 0.0 included, is below ``resolution`` at dimension n, or None.
 
-    A step of radius r moves the unit-scale systems by about r, so at or
-    below 10 * default_tolerance(n, 1.0), the top of ``_stable_rank``'s
-    stability band at unit scale, no rank decision can tell the step from
-    rounding.  A radius that is not positive is ``sample_dims``' to refuse.
+    A step of radius r moves the unit-scale systems by about r.
     """
-    bound = 10.0 * default_tolerance(n, 1.0)
-    if 0.0 < radius <= bound:
+    if radius <= (bound := resolution(n)):
         return (f"radius {radius!r} is below resolution: a local step at dimension {n} "
                 f"must exceed {bound:.3e} (10 N^2 eps)")
     return None
@@ -527,12 +533,15 @@ def sample_dims(n: int, samples: int, seed: int, radius: float | None, step, sta
     in its stack.  Without a radius w is Haar; with one, w is a local step
     about the identity (``local_unitaries``) and the caller composes it with
     its own base, on its own side.  Raises ValueError unless samples >= 1
-    and a given radius is positive and finite.
+    and a given radius is positive, finite and resolved at dimension n
+    (``_radius_unresolved``), the one radius rule of density, dpi and the search.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"local mode needs a positive finite radius, got {radius!r}")
+    if radius is not None and (unresolved := _radius_unresolved(n, radius)):
+        raise ValueError(unresolved)
     start, size = 0, 1
     while start < samples:
         items = range(start, min(start + size, start + stack, samples))
@@ -600,7 +609,9 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | No
     ValueError.  The smaller side, b on a tie, is the one conjugated: b by
     u, or a by u*, as a meet u b u* = u (u* a u meet b) u*.  u is taken to
     be unitary, as ``commutant_basis`` takes its generators as given:
-    ``density_experiment`` checks its center once, not each product.
+    ``density_experiment`` checks its center once, not each product.  A u
+    within resolution of I, but not I, raises NumericalInstabilityError
+    (``_check_resolved``); ``sample_dims`` resolves every drawn step.
 
     With V the conjugated basis of the smaller side as rows and W the
     larger, a combination x V lies in span W exactly when the residual of
@@ -622,6 +633,8 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | No
         raise ShapeMismatchError("realizations live in different ambient dimensions")
     if a.layout is None or b.layout is None:
         raise ValueError("intersect needs two realizations with a layout")
+    if u is not None:
+        _check_resolved(u)
     flip = a.dimension < b.dimension  # a moves, by u*
     moved, fixed = (a, b) if flip else (b, a)
     v = u.conj().T if flip and u is not None else u
@@ -706,10 +719,9 @@ def density_experiment(
     defaulting to the identity.  Each sample is ``intersect(r1, r2, u)``,
     which conjugates the smaller side.  When B1 = B2 the algebra is realized
     once and serves as both sides.  The draws come a stack at a time
-    (``sample_dims``), and each is intersected on its own.  A radius below
-    resolution at the ambient dimension (``_radius_unresolved``) raises
-    ValueError.  The center is checked once, before any draw, as RepPair
-    checks its unitary (``_check_unitary``): not N x N raises
+    (``sample_dims``, which refuses an unresolved radius), and each is
+    intersected on its own.  The center is checked once, before any draw, as
+    RepPair checks its unitary (``_check_unitary``): not N x N raises
     ShapeMismatchError, not unitary ValueError.
     """
     if b1.ambient_dim != b2.ambient_dim:
@@ -720,8 +732,6 @@ def density_experiment(
         center, radius = local
         if radius is None:
             raise ValueError("local mode needs a radius")
-        if unresolved := _radius_unresolved(n, radius):
-            raise ValueError(unresolved)
         center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
         _check_unitary(center, n, "center")
     r1 = realize(b1)

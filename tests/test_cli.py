@@ -28,9 +28,10 @@ from subalg.serialize import (
     matrix_from_json,
     matrix_to_json,
 )
-from subalg.freeprod import FreeElement, Letter
+from subalg.algebra import BlockStructure, EmbeddedAlgebra
+from subalg.freeprod import FreeElement, Letter, RepPair
 from subalg.errors import ConfigError
-from subalg.numeric import default_tolerance, haar_unitary
+from subalg.numeric import default_tolerance, density_experiment, haar_unitary, resolution
 from oracles import free_element_to_json
 
 
@@ -338,16 +339,48 @@ class TestValidation:
         assert "e+" in err and "Traceback" not in err
 
     def test_epsilon_whose_search_radius_underflows_exits_1(self, tmp_path, capsys):
-        # 5e-324 / 24 is 0.0, a radius the sampler refuses: validate refuses
-        # the epsilon first, with a pointer, before any search
+        # 5e-324 / 12 is 0.0, stage 1's search radius, which no rank decision
+        # resolves: validate refuses the epsilon first, with a pointer, before
+        # any search
         payload = dict(C2_TWO_STAGES, epsilon=5e-324)
         code, report, _ = run_cli(tmp_path, "build-primitive", payload)
         assert (code, report) == (1, None)
         err = capsys.readouterr().err
         assert err.startswith("/epsilon: ")
         assert err == (
-            "/epsilon: epsilon 5e-324 is too small: stage 2 searches at radius 0.0, "
-            f"below the smallest normal float {sys.float_info.min!r}\n"
+            "/epsilon: epsilon 5e-324 is too small at stage 1: radius 0.0 is below resolution: "
+            "a local step at dimension 2 must exceed 8.882e-15 (10 N^2 eps)\n"
+        )
+
+    @pytest.mark.parametrize(
+        "epsilon, stages, refused",
+        [(1e-14, 3, (1, 2)), (1e-300, 3, (1, 2)), (1e-12, 3, (3, 6)), (1e-12, 2, None)],
+    )
+    def test_build_with_an_unresolved_stage_exits_1(self, tmp_path, capsys, epsilon, stages,
+                                                    refused):
+        # C^2 (1, 1) against M2 (1), stage after stage: stage k searches at
+        # epsilon / ((k + 1)(k + 2)) / 2 at N = 2k.  At 1e-14 stage 2's radius
+        # 4.17e-16 is below its bound 3.553e-14, and the build exhausted its
+        # tries, every one undecidable; stage 1's radius is below its bound
+        # too, and validate holds every stage that adds dimension to the rule,
+        # as it cannot know before deciding that stage 1's identity is
+        # irreducible.  At 1e-12 stage 3 is the first unresolved stage; in
+        # two stages every radius resolves, and the search meets the rank band
+        payload = {"algebras": [{"blocks": [1, 1]}, {"blocks": [2]}],
+                   "stages": [[[1, 1], [1]]] * stages, "epsilon": epsilon, "seed": 3}
+        code, report, _ = run_cli(tmp_path, "build-primitive", payload)
+        err = capsys.readouterr().err
+        if refused is None:
+            assert (code, report) == (4, None)
+            assert err.startswith("numerical instability: rank decision")
+            return
+        stage, n = refused
+        radius = epsilon / ((stage + 1) * (stage + 2)) / 2
+        assert (code, report) == (1, None)
+        assert err == (
+            f"/epsilon: epsilon {epsilon!r} is too small at stage {stage}: radius {radius!r} "
+            f"is below resolution: a local step at dimension {n} must exceed "
+            f"{resolution(n):.3e} (10 N^2 eps)\n"
         )
 
     @pytest.mark.parametrize("epsilon", [0.5, 5e-324])
@@ -369,12 +402,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("empty", [0, 3])
     def test_least_epsilon_validates(self, empty):
-        # stage 2 is the last that adds dimension, however many empty stages
-        # follow; its radius (epsilon / 12) / 2 rounds up to the smallest
-        # normal float from one float below 24 times it, the least accepted
+        # stage 2 searches at radius (epsilon / 12) / 2 at N = 4, however
+        # many empty stages follow, and stage 1 at twice that at N = 2: the
+        # least accepted epsilon is the float above 24 times the bound at
+        # N = 4, and the float below it halves to the bound itself
         stages = C2_TWO_STAGES["stages"] + [[[0, 0], [0, 0]]] * empty
-        least = math.nextafter(24 * sys.float_info.min, 0)
-        assert least / 12 / 2 == sys.float_info.min > math.nextafter(least, 0) / 12 / 2
+        least = math.nextafter(24 * resolution(4), math.inf)
+        assert least / 12 / 2 > resolution(4) == math.nextafter(least, 0) / 12 / 2
         for epsilon, pointers in ((least, []), (math.nextafter(least, 0), ["/epsilon"])):
             payload = dict(C2_TWO_STAGES, stages=stages, epsilon=epsilon)
             diags = validate(ExperimentConfig(command="build-primitive", **payload))[1]
@@ -665,6 +699,46 @@ class TestValidation:
         assert code == 1
         assert report is None
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_one_unitarity_bound_for_configs_and_the_library(self, n, monkeypatch):
+        # the same matrices through RepPair, density_experiment's center and
+        # validate's /u and /center: diag(1 + k eps, 1, ..., 1) has the
+        # defect 2 k eps exactly, and the bound 10 N^2 eps is that at
+        # k = 5 N^2.  Below N = 22 RepPair and the center used to admit
+        # defects up to 1e-12, such as 4e-13 from k = 900 at N = 4.  The
+        # center is checked before any draw, and no draw is made here
+        monkeypatch.setattr(subalg.numeric, "sample_dims", lambda *args: iter(()))
+        eps, half, c2 = np.finfo(float).eps, n // 2, BlockStructure((1, 1))
+        b = EmbeddedAlgebra(n, c2, (half, half))
+        algebras = [{"blocks": [1, 1], "mult": [half, half]}] * 2
+        pair = {"algebras": algebras, "samples": 1, "seed": 1}
+
+        def accepted(check):
+            try:
+                check()
+            except ValueError:
+                return False
+            return True
+
+        for k in (1, 900, 5 * n * n - 1, 5 * n * n, 5 * n * n + 1, 10 * n * n):
+            m = np.diag([1.0 + k * eps] + [1.0] * (n - 1))
+            doc = matrix_to_json(m)
+            dpi = ExperimentConfig(command="dpi", u=doc, **pair)
+            density = ExperimentConfig(
+                command="density", ambient=n, radius=1e-3, center=doc, **pair
+            )
+            verdicts = [
+                accepted(lambda: RepPair(c2, (half, half), c2, (half, half), m)),
+                accepted(lambda: density_experiment(b, b, 1, seed=1, local=(m, 1e-3))),
+                validate(dpi)[1] == [],
+                validate(density)[1] == [],
+            ]
+            assert verdicts == [k <= 5 * n * n] * 4, k
+            if not verdicts[0]:
+                message = f"not unitary (defect {2 * k * eps:.3e})"
+                assert validate(dpi)[1] == [("/u", message)]
+                assert validate(density)[1] == [("/center", message)]
 
     def test_dpi_u_within_validate_bound_runs(self, tmp_path, capsys):
         # At N = 24 validate's bound 10 * N^2 * eps exceeds 1e-12; a u that

@@ -1,7 +1,6 @@
 """Tests for free-product representation machinery: evaluation, RCP, DPI, staged builds."""
 
 import math
-import sys
 import tracemalloc
 from functools import partial
 from itertools import count, product
@@ -18,7 +17,6 @@ from subalg.freeprod import (
     RepPair,
     decision_bytes,
     dpi_probe,
-    epsilon_underflow,
     evaluate,
     joint_commutant_dim,
     lipschitz_bound,
@@ -34,12 +32,12 @@ from subalg.numeric import (
     _realization,
     amplified_commutant,
     amplify,
-    default_tolerance,
     density_experiment,
     haar_unitary,
     intersect,
     local_unitary,
     realize,
+    resolution,
     sample_stream,
 )
 
@@ -90,10 +88,13 @@ class TestRepPairUnitarity:
     @pytest.mark.parametrize(
         "n, scale, ok",
         [
-            # below N = 22 the bound is the absolute 1e-12 (defect = 2 * d * sqrt(N))
-            (4, 1 + 2e-13, True),
+            # validate's 10 * N^2 * eps at every N (defect = 2 * d * sqrt(N)):
+            # 3.553e-14 at N = 4, where an absolute floor of 1e-12 once
+            # admitted 1 + 2e-13 (defect 8e-13)
+            (4, 1 + 8e-15, True),
+            (4, 1 + 2e-13, False),
             (4, 1 + 3e-13, False),
-            # at N = 24 it is validate's 10 * N^2 * eps = 1.279e-12
+            # 1.279e-12 at N = 24
             (24, 1 + 1.12e-13, True),
             (24, 1 + 2.7e-13, False),
         ],
@@ -201,9 +202,10 @@ class TestLipschitz:
         assert violations == 0
 
 
-# the least epsilon for which stage 2's search radius (epsilon / 12) / 2 is a
-# normal float: it rounds up to the smallest one from one float below 24 times it
-LEAST_EPSILON = math.nextafter(24 * sys.float_info.min, 0)
+# the least epsilon for which stage 2's search radius (epsilon / 12) / 2 of
+# C^2 (1, 1) against itself is resolved at N = 4: the float above 24 times the
+# bound, which halves to the bound itself
+LEAST_EPSILON = math.nextafter(24 * resolution(4), math.inf)
 
 ROW_ENTRIES = {
     "RepPair": lambda row: RepPair(C2, row, M2, (1,), np.eye(2)),
@@ -472,7 +474,9 @@ class TestRestrictedSolve:
 
 # Pairs at N <= 8 and their exact joint commutant dimension at Cayley
 # unitaries near the identity: C^2 (2, 2) against M2 (2) is the CLI repro of
-# a wrong answer at radius 1e-15, and C^2 (2, 2) against itself decides 2.
+# a wrong answer at radius 1e-15, C^2 (2, 2) against itself decides 2, and
+# C^2 (4, 4) against M2 (4) answered 16 at ||u - I||_2 about 1e-14 before a
+# given u within resolution of the identity was refused.
 EXACT_PAIRS = [
     (C2, (1, 1), M2, (1,), 1),
     (C2, (2, 2), M2, (2,), 1),
@@ -480,15 +484,19 @@ EXACT_PAIRS = [
     (BlockStructure((1, 1, 1)), (2, 2, 2), BlockStructure((1, 1, 1)), (2, 2, 2), 1),
     (BlockStructure((1, 2)), (2, 1), C2, (2, 2), 1),
     (C2, (4, 4), BlockStructure((1, 2)), (2, 3), 1),
+    (C2, (4, 4), M2, (4,), 1),
 ]
 
 
 class TestExactNearIdentity:
-    @pytest.mark.parametrize("e", range(1, 13))
+    @pytest.mark.parametrize("e", range(1, 17))
     @pytest.mark.parametrize("index", range(len(EXACT_PAIRS)))
     def test_joint_commutant_dim_is_exact(self, index, e):
         # two Cayley draws with ||u - I||_2 about 10^-e, decided from the
-        # float u and checked against the nullity over Q(i) mod two primes
+        # float u and checked against the nullity over Q(i) mod two primes:
+        # every decision is exact or raises, and every draw with e <= 12
+        # decides.  From e = 14 on ||u - I||_F is within resolution, 10 N^2
+        # eps, and the draw is refused, where it could answer wrongly
         alg1, mult1, alg2, mult2, expected = EXACT_PAIRS[index]
         n = sum(b * m for b, m in zip(alg1.blocks, mult1))
         rng = np.random.default_rng([index, e])
@@ -497,7 +505,24 @@ class TestExactNearIdentity:
             assert 0.5 <= np.linalg.norm(u - np.eye(n), 2) * 10.0**e <= 2.0
             exact = exact_joint_commutant_dim(alg1, mult1, alg2, mult2, g, s)
             assert exact == expected
-            assert joint_commutant_dim(RepPair(alg1, mult1, alg2, mult2, u)) == exact
+            try:
+                assert joint_commutant_dim(RepPair(alg1, mult1, alg2, mult2, u)) == exact
+            except NumericalInstabilityError:
+                assert e > 12
+
+    def test_a_given_u_within_resolution_of_the_identity_raises(self):
+        # u = diag(e^{it}, 1, 1, 1) commutes with C^2 (2, 2), whose commutant
+        # M2 + M2 is the answer, 8, at ||u - I||_F = t: at or below the bound
+        # 10 N^2 eps the decision could not tell u from I and is refused,
+        # and I itself and the next float up decide
+        bound = resolution(4)
+        for t in (5e-324, 1e-15, bound):
+            rep = RepPair(C2, (2, 2), C2, (2, 2), np.diag([np.exp(1j * t), 1.0, 1.0, 1.0]))
+            with pytest.raises(NumericalInstabilityError, match="within resolution") as info:
+                joint_commutant_dim(rep)
+            assert info.value.defect == (t if t > 1e-300 else 0.0)  # its square underflows
+        for u in (np.eye(4), np.diag([np.exp(1j * math.nextafter(bound, math.inf)), 1, 1, 1])):
+            assert joint_commutant_dim(RepPair(C2, (2, 2), C2, (2, 2), u)) == 8
 
 
 class TestHalmosOracle:
@@ -588,7 +613,7 @@ def test_radius_below_resolution_raises(probe):
     # [4]*4 where the answer is 1, and density on M2+M2 (1, 1) against
     # itself [8]*4 where it is 2.  The next float up is drawn and decided,
     # or raises as unstable, never as unresolved.
-    bound = 10 * default_tolerance(4, 1.0)
+    bound = resolution(4)
 
     def run(radius):
         if probe == "density":
@@ -734,19 +759,37 @@ class TestStagedBuild:
 
     @pytest.mark.parametrize("epsilon", [5e-324, 1e-310, math.nextafter(LEAST_EPSILON, 0)])
     def test_epsilon_whose_search_radius_underflows_raises(self, epsilon):
-        # stage 2 searches at radius (epsilon / 12) / 2: refused before any
-        # stage when it is not a normal float (0.0 for 5e-324, subnormal for
-        # 1e-310 and for the float below the least accepted epsilon)
-        with pytest.raises(ValueError, match="too small: stage 2 searches at radius"):
-            staged_build(C2, C2, [((1, 1), (1, 1))] * 2, epsilon, [], 5)
+        # stage k searches at radius (epsilon / ((k + 1)(k + 2))) / 2, which
+        # sample_dims refuses when the search starts: stage 1's radius is 0.0
+        # for 5e-324 and unresolved at N = 2 for 1e-310; from the float below
+        # the least accepted epsilon stage 1 decides, and stage 2's radius,
+        # the bound itself, is unresolved at N = 4
+        stages = [((1, 1), (1, 1))] * 2
+        message = {
+            5e-324: "positive finite radius, got 0.0",
+            1e-310: "is below resolution: a local step at dimension 2 ",
+        }.get(epsilon, f"radius {resolution(4)!r} is below resolution: a local step at dimension 4 ")
+        with pytest.raises(ValueError, match=message):
+            staged_build(C2, C2, stages, epsilon, [], 5)
 
     def test_least_epsilon_is_accepted(self):
-        # the three empty stages after stage 2 search nothing
+        # the three empty stages after stage 2 search nothing, and stage 2
+        # searches at a resolved radius: it exhausts or raises as unstable,
+        # but is never refused as unresolved
         stages = [((1, 1), (1, 1))] * 2 + [((0, 0), (0, 0))] * 3
-        assert LEAST_EPSILON / 12 / 2 == sys.float_info.min
-        assert epsilon_underflow(LEAST_EPSILON, stages) is None
-        below = math.nextafter(LEAST_EPSILON, 0)
-        assert epsilon_underflow(below, stages).startswith(f"epsilon {below!r} is too small")
+        assert LEAST_EPSILON / 12 / 2 > resolution(4) == math.nextafter(LEAST_EPSILON, 0) / 12 / 2
+        with pytest.raises((SearchExhaustedError, NumericalInstabilityError)):
+            staged_build(C2, C2, stages, LEAST_EPSILON, [], 5, max_tries=4)
+
+    def test_unresolved_stage_of_a_build_raises(self):
+        # C^2 (1, 1) against M2 (1) in three stages at epsilon 1e-14: stage 2
+        # searches at 1e-14 / 24 = 4.17e-16, below the bound 3.553e-14 at
+        # N = 4, where no draw can be told from rounding.  It exhausted its
+        # tries (or ran 20,000 undecidable ones) before the radius rule
+        stages = [((1, 1), (1,))] * 3
+        with pytest.raises(ValueError, match="radius 4.1666666666666665e-16 is below resolution: "
+                           "a local step at dimension 4 must exceed 3.553e-14"):
+            staged_build(C2, M2, stages, 1e-14, [], 3, max_tries=20000)
 
     def test_fractional_multiplicity_raises(self):
         # int() would truncate 1.8 to 1 and build a dimension-2 stage

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import io
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -42,6 +43,7 @@ from subalg.numeric import (
     local_unitary,
     realize,
     realize_class,
+    resolution,
     sample_dims,
     sample_stream,
 )
@@ -1098,14 +1100,15 @@ class TestExactMeetNearIdentity:
              "M2+M1x1_2-M3x1_2"],
     )
     def test_intersect_is_exact_or_raises(self, b1, b2, expected):
-        # two Cayley draws with ||u - I||_2 about 10^-e for e = 1..13, checked
+        # two Cayley draws with ||u - I||_2 about 10^-e for e = 1..16, checked
         # against the rank of the stacked units over Q(i) mod two primes:
         # every decision is exact, and every draw with e <= 10 decides.  The
-        # first rank raises come at e = 11 and the first wrong answers at
-        # e = 14, past the sweep.
+        # first rank raises come at e = 11.  From e = 14 on ||u - I||_F is
+        # within resolution, 10 N^2 eps, and the draw is refused: decided,
+        # such draws gave the first wrong answers
         n = b1.ambient_dim
         r1, r2 = realize(b1), realize(b2)
-        for e in range(1, 14):
+        for e in range(1, 17):
             for draw in range(2):
                 g, s, u = cayley_draw(n, 10.0**-e, np.random.default_rng([n, e, draw, 7]))
                 assert exact_meet_dim(b1, b2, g, s) == expected
@@ -1113,6 +1116,20 @@ class TestExactMeetNearIdentity:
                     assert intersect(r1, r2, u) == expected
                 except NumericalInstabilityError:
                     assert e > 10
+
+    def test_a_given_u_within_resolution_of_the_identity_raises(self):
+        # u = diag(e^{it}, 1, 1, 1) lies in M2 + M2, so the meet is all 8
+        # dimensions, at ||u - I||_F = t: at or below the bound 10 N^2 eps
+        # the decision could not tell u from I and is refused, and I itself
+        # and the next float up decide
+        r, bound = realize(M2M2), resolution(4)
+        for t in (5e-324, 1e-15, bound):
+            u = np.diag([np.exp(1j * t), 1.0, 1.0, 1.0])
+            with pytest.raises(NumericalInstabilityError, match="within resolution") as info:
+                intersect(r, r, u)
+            assert info.value.defect == (t if t > 1e-300 else 0.0)  # its square underflows
+        above = np.diag([np.exp(1j * math.nextafter(bound, math.inf)), 1.0, 1.0, 1.0])
+        assert intersect(r, r, np.eye(4)) == intersect(r, r, above) == 8
 
     def test_local_control_has_exact_answer_8(self):
         # M8+M8 against itself at N = 16 and ||u - I|| about 1e-6, the local
@@ -1237,12 +1254,15 @@ class TestDensityExperiment:
             density_experiment(M2M2, M2M2, 3, seed=1, local=(center, 1e-3))
 
     def test_a_center_at_the_bound_passes(self):
-        # RepPair's bound max(1e-12, 10 N^2 eps) is 1e-12 at N = 4: a
-        # stretch of 0.49e-12 has the defect 0.98e-12, and 0.51e-12 1.02e-12
-        at, past = (np.diag([1.0 + s * 1e-12, 1.0, 1.0, 1.0]) for s in (0.49, 0.51))
+        # RepPair's bound 10 N^2 eps is 160 eps at N = 4, as validate's: a
+        # stretch of 80 eps has the defect 160 eps, and 81 eps 162 eps (a
+        # floor of 1e-12 once admitted a stretch of 0.49e-12)
+        at, past = (np.diag([1.0 + k * EPS, 1.0, 1.0, 1.0]) for k in (80, 81))
         assert density_experiment(M2M2, M2M2, 3, seed=1, local=(at, 1e-3)).dims == (2,) * 3
-        with pytest.raises(ValueError, match=r"^center is not unitary \(defect 1.02"):
+        with pytest.raises(ValueError, match=r"^center is not unitary \(defect 3.597e-14\)"):
             density_experiment(M2M2, M2M2, 3, seed=1, local=(past, 1e-3))
+        with pytest.raises(ValueError, match=r"^center is not unitary \(defect 9.801e-13\)"):
+            density_experiment(M2M2, M2M2, 3, seed=1, local=(np.diag([1 + 0.49e-12, 1, 1, 1]), 1e-3))
 
     def test_generic_trivial_for_simple_blocks(self):
         stats = density_experiment(M2_MULT2, M2_MULT2, 25, seed=7)
