@@ -379,7 +379,9 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
 
     if config.radius is not None:
         found = _positive_finite_diagnostics(config.radius, "/radius")
-        if not found and step_dim and (why := _radius_unresolved(step_dim, config.radius)):
+        # a dimension past float range is refused at its own pointer
+        if not found and is_finite_real(step_dim) and (
+                why := _radius_unresolved(step_dim, config.radius)):
             found = [("/radius", why)]
         diags += found
 
@@ -487,8 +489,9 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
             exit_code = 2
 
     elif cmd == "density":
-        local = None if config.radius is None else (parsed["center"], float(config.radius))
-        stats = density_experiment(b[0], b[1], config.samples, config.seed, local=local)
+        stats = density_experiment(
+            b[0], b[1], config.samples, config.seed, radius=config.radius, center=parsed["center"]
+        )
 
     elif cmd == "rcp-balance":
         balance = rcp_balance(alg1, mult1, alg2, mult2)
@@ -506,7 +509,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
 
     elif cmd == "dpi":
         rep = RepPair(alg1, mult1, alg2, mult2, parsed["u"])
-        stats = dpi_probe(rep, config.samples, config.seed, local_radius=config.radius)
+        stats = dpi_probe(rep, config.samples, config.seed, radius=config.radius)
 
     elif cmd == "build-primitive":
         try:

@@ -376,21 +376,20 @@ def dpi_probe(
     rep: RepPair,
     samples: int,
     seed: int,
-    local_radius: float | None = None,
+    radius: float | None = None,
 ) -> DensityStats:
     """Sample perturbations w on top of rep.u and tally joint commutant dimensions.
 
     Each draw of ``sample_dims`` (a Haar unitary, or a local step of
-    ``local_radius`` about the identity) is composed as w @ rep.u, so local
+    ``radius`` about the identity) is composed as w @ rep.u, so local
     perturbations stay near rep.u.  The product is not checked for unitarity
     again: its rounding can carry a u at the edge of RepPair's bound past it.
     trivial_count counts the irreducible outcomes.  ``sample_dims`` refuses a
     radius below resolution at the pair's dimension with ValueError.
     """
     decide, stack = _joint_dim_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
-    draws = sample_dims(rep.dim, samples, seed, local_radius, lambda ws: decide(ws @ rep.u), stack)
-    dims = tuple(d for _, d in draws)
-    return DensityStats(dims, seed, local_radius, None if local_radius is None else rep.u)
+    draws = sample_dims(rep.dim, samples, seed, radius, lambda ws: decide(ws @ rep.u), stack)
+    return DensityStats(tuple(d for _, d in draws))
 
 
 class StageLayout(NamedTuple):
@@ -476,10 +475,8 @@ class Stage:
 
 @dataclass(frozen=True)
 class StagedBuild:
-    """Result of the staged construction: stages, budgets, and cumulative perturbations."""
+    """What the staged construction decided: its stages and cumulative perturbations."""
 
-    epsilon: float
-    seed: int
     stages: tuple[Stage, ...]
     cumulative: tuple[np.ndarray, ...]
 
@@ -489,8 +486,6 @@ class StagedBuild:
 
     def to_json_dict(self) -> dict:
         return {
-            "epsilon": self.epsilon,
-            "seed": self.seed,
             "total_perturbation": self.total_bound,
             "stages": [stage.to_json_dict() for stage in self.stages],
         }
@@ -563,7 +558,7 @@ def staged_build(
         cumulative.append(new_u)
         cumulative_u = new_u
 
-    return StagedBuild(epsilon, seed, tuple(built_stages), tuple(cumulative))
+    return StagedBuild(tuple(built_stages), tuple(cumulative))
 
 
 def stage_budget(epsilon: float, k: int) -> float:

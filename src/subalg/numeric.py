@@ -609,7 +609,8 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | No
     ValueError.  The smaller side, b on a tie, is the one conjugated: b by
     u, or a by u*, as a meet u b u* = u (u* a u meet b) u*.  u is taken to
     be unitary, as ``commutant_basis`` takes its generators as given:
-    ``density_experiment`` checks its center once, not each product.  A u
+    ``density_experiment`` checks its center once, not each product, and
+    uses it as its unitary polar factor, so that u* is u^-1 to rounding.  A u
     within resolution of I, but not I, raises NumericalInstabilityError
     (``_check_resolved``); ``sample_dims`` resolves every drawn step.
 
@@ -659,12 +660,9 @@ def intersect(a: ConcreteRealization, b: ConcreteRealization, u: np.ndarray | No
 
 @dataclass(frozen=True)
 class DensityStats:
-    """Dimensions tallied over sampled perturbing unitaries; every count is read off ``dims``."""
+    """The dimensions a sampled run decided, one per draw; every count is read off ``dims``."""
 
     dims: tuple[int, ...]
-    seed: int
-    radius: float | None
-    center: np.ndarray | None
 
     @property
     def samples(self) -> int:
@@ -679,15 +677,10 @@ class DensityStats:
         return {d: self.dims.count(d) for d in sorted(set(self.dims))}
 
     def to_json_dict(self) -> dict:
-        from .serialize import matrix_to_json
-
         return {
             "samples": self.samples,
             "trivial_count": self.trivial_count,
             "dims_histogram": {str(k): v for k, v in self.dims_histogram.items()},
-            "seed": self.seed,
-            "radius": self.radius,
-            "center": None if self.center is None else matrix_to_json(self.center),
             "dims": list(self.dims),
         }
 
@@ -710,30 +703,29 @@ def density_experiment(
     b2: EmbeddedAlgebra,
     samples: int,
     seed: int,
-    local: tuple[np.ndarray | None, float] | None = None,
+    radius: float | None = None,
+    center: np.ndarray | None = None,
 ) -> DensityStats:
     """Sample unitaries u and tally dim(B1 meet u B2 u*).
 
-    Global mode draws Haar unitaries u; local mode draws u = center @ w for
-    local steps w of the given radius (``sample_dims``), the center
-    defaulting to the identity.  Each sample is ``intersect(r1, r2, u)``,
-    which conjugates the smaller side.  When B1 = B2 the algebra is realized
-    once and serves as both sides.  The draws come a stack at a time
-    (``sample_dims``, which refuses an unresolved radius), and each is
-    intersected on its own.  The center is checked once, before any draw, as
-    RepPair checks its unitary (``_check_unitary``): not N x N raises
-    ShapeMismatchError, not unitary ValueError.
+    u is a Haar draw or, given a radius, a local step w about the identity
+    (``sample_dims``, which refuses an unresolved radius), or center @ w given
+    a center too; a center without a radius raises ValueError.  Each draw is
+    ``intersect(r1, r2, u)`` on its own, and when B1 = B2 the algebra is
+    realized once.  The center is checked once, before any draw, as RepPair
+    checks its unitary (``_check_unitary``), then used as its unitary polar
+    factor: ``intersect`` conjugates by u*, which must be u^-1 to rounding.
     """
     if b1.ambient_dim != b2.ambient_dim:
         raise ShapeMismatchError("ambient dimensions differ")
     n = b1.ambient_dim
-    center = radius = None
-    if local is not None:
-        center, radius = local
+    if center is not None:
         if radius is None:
-            raise ValueError("local mode needs a radius")
-        center = np.eye(n, dtype=complex) if center is None else np.asarray(center)
+            raise ValueError("a center needs a radius")
+        center = np.asarray(center)
         _check_unitary(center, n, "center")
+        left, _, right = np.linalg.svd(center)
+        center = left @ right
     r1 = realize(b1)
     r2 = r1 if b2 == b1 else realize(b2)
 
@@ -742,4 +734,4 @@ def density_experiment(
 
     stack = stack_size(DRAW_MATRICES, n)
     draws = sample_dims(n, samples, seed, radius, lambda ws: map(one, ws), stack)
-    return DensityStats(tuple(d for _, d in draws), seed, radius, center)
+    return DensityStats(tuple(d for _, d in draws))

@@ -136,7 +136,7 @@ def test_criterion_3_density_positive():
     for b1, b2 in COVERED_INSTANCES:
         stats = density_experiment(b1, b2, 200, seed=20240)
         ok &= stats.trivial_count == 200
-        local = density_experiment(b1, b2, 200, seed=20241, local=(None, 1e-3))
+        local = density_experiment(b1, b2, 200, seed=20241, radius=1e-3)
         ok &= local.trivial_count == 200
     budget.finish(ok)
 

@@ -31,7 +31,7 @@ from subalg.serialize import (
 from subalg.algebra import BlockStructure, EmbeddedAlgebra
 from subalg.freeprod import FreeElement, Letter, RepPair
 from subalg.errors import ConfigError
-from subalg.numeric import default_tolerance, density_experiment, haar_unitary, resolution
+from subalg.numeric import EPS, default_tolerance, density_experiment, haar_unitary, resolution
 from oracles import free_element_to_json
 
 
@@ -191,7 +191,19 @@ class TestValidation:
         payload = dict(M2_PAIR, samples=5, radius=1e-3, center=matrix_to_json(center))
         code, report, _ = run_cli(tmp_path, "density", payload)
         assert code == 0
-        assert np.array_equal(matrix_from_json(report["result"]["center"]), center)
+        assert np.array_equal(matrix_from_json(report["config"]["center"]), center)
+
+    def test_density_center_at_the_bound_decides(self, tmp_path):
+        # validate accepts a center whose defect is exactly 10 N^2 eps (here
+        # at N = 24); density decides through its polar factor, where
+        # conjugating by the center as given exited 4 on the rank band
+        n = 24
+        center = np.diag([1.0 + 2880 * EPS] + [1.0] * (n - 1))
+        pair = {"algebras": [{"blocks": [1, 1], "mult": [12, 12]}] * 2, "ambient": n}
+        payload = dict(pair, samples=4, seed=1, radius=1e-3, center=matrix_to_json(center))
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        assert code == 0
+        assert report["result"]["dims"] == [1] * 4
 
     @pytest.mark.parametrize(
         "command, payload",
@@ -252,6 +264,20 @@ class TestValidation:
             f"/radius: radius {radius!r} is below resolution: a local step at dimension 4 "
             "must exceed 3.553e-14 (10 N^2 eps)\n"
         )
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("density", dict(M2_PAIR, ambient=10**400)),
+            ("dpi", {"algebras": [{"blocks": [2], "mult": [10**400]}] * 2, "seed": 7}),
+        ],
+    )
+    def test_dimension_past_float_range_exits_1(self, tmp_path, capsys, command, payload):
+        # 10 N^2 eps cannot be formed for such an N (OverflowError); the
+        # dimension is refused at its own pointer and the radius goes unchecked
+        code, report, _ = run_cli(tmp_path, command, dict(payload, samples=3, radius=1e-3))
+        assert (code, report) == (1, None)
+        assert "/radius" not in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, payload, n",
@@ -730,7 +756,7 @@ class TestValidation:
             )
             verdicts = [
                 accepted(lambda: RepPair(c2, (half, half), c2, (half, half), m)),
-                accepted(lambda: density_experiment(b, b, 1, seed=1, local=(m, 1e-3))),
+                accepted(lambda: density_experiment(b, b, 1, seed=1, radius=1e-3, center=m)),
                 validate(dpi)[1] == [],
                 validate(density)[1] == [],
             ]
@@ -1053,6 +1079,9 @@ class TestBoundary:
             assert lines and all(_DIAGNOSTIC.match(line) for line in lines), lines
 
 
+TALLY_KEYS = {"samples", "trivial_count", "dims_histogram", "dims"}
+
+
 class TestCommands:
     def test_enumerate(self, tmp_path):
         code, report, _ = run_cli(tmp_path, "enumerate", VALID_CONFIGS["enumerate"])
@@ -1091,6 +1120,23 @@ class TestCommands:
         code, report, _ = run_cli(tmp_path, "thm41-check", payload)
         assert code == 2
         assert report["status"] == "not-covered"
+
+    @pytest.mark.parametrize(
+        "command, payload, keys",
+        [
+            ("density", dict(M2_PAIR, samples=3), TALLY_KEYS),
+            ("density", dict(M2_PAIR, samples=3, radius=1e-3, center=_EYE4), TALLY_KEYS),
+            ("dpi", dict(M2_FACTORS, samples=3, radius=1e-3, u=_EYE4), TALLY_KEYS),
+            ("build-primitive", BUILD_M2, {"total_perturbation", "stages"}),
+        ],
+    )
+    def test_result_holds_what_the_run_decided(self, tmp_path, command, payload, keys):
+        # the inputs (seed, radius, center, u, epsilon) are stated once, in
+        # the config block, and not again in the result
+        code, report, _ = run_cli(tmp_path, command, payload)
+        assert code == 0
+        assert set(report["result"]) == keys
+        assert all(report["config"][key] == value for key, value in payload.items())
 
     def test_density(self, tmp_path):
         payload = dict(M2_PAIR, samples=10)
@@ -1245,15 +1291,15 @@ class TestReportDeterminism:
         assert main(["density", "--config", cfg, "--out", str(out), "--seed", "99"]) == 0
         report = json.loads(out.read_text())
         assert report["config"]["seed"] == 99
-        assert report["result"]["seed"] == 99
 
 
 # Two N = 6 pairs: (3,3) against (2,2,2), covered case 4, whose orbit lists hold
 # several distinct values each; and M3 (x) 1_2 against itself, covered case 1,
 # whose audit carries a simple-class comparison.  The Monte-Carlo entries run
 # density (M2 (x) 1_2 against C^2 (2,2)) and dpi (C^2 (2,2) against M2 (2)),
-# global and local, at two seeds: their reports hold only integer dims and
-# echoed inputs, so they are the same on every platform.
+# global and local, at two seeds: their results hold only integer dims, and
+# their inputs are echoed once, in the config, so they are the same on every
+# platform.
 MC_DENSITY = {"algebras": [{"blocks": [2], "mult": [2]}, {"blocks": [1, 1], "mult": [2, 2]}],
               "ambient": 4, "samples": 6}
 MC_DPI = {"algebras": [{"blocks": [1, 1], "mult": [2, 2]}, {"blocks": [2], "mult": [2]}],
@@ -1285,21 +1331,21 @@ PINNED_REPORTS = {
     ("case1", "thm41-check"): (
         1838, "ce4052b6af08ad1d6f15218b4391e94672ad1b7b635a361231d645260761eb7c"),
     ("density-s1", "density"): (
-        830, "5442151a575fd45c8d42c9732e97ffd8b467a3e937b9bbc45219d7ac1348c16d"),
+        775, "9e04b158b81c6508786ed3b2ed9c10596251c5bfc2b76ecebe9962c7ab8fc7dc"),
     ("density-local-s1", "density"): (
-        1705, "c0dcbce56b8032b0371101761ac7487e4012001e8ef9c59442d450cf49353641"),
+        776, "8d557487c043ecd12c8b1d51a05abc34d64bf83da329f4875f2216e9e95538b9"),
     ("dpi-s1", "dpi"): (
-        825, "9d2bab6e99772c0b976bb70fc045001ffdc11619c1f3470c4bd6ebbfa5ad6333"),
+        770, "4ddc119d874be894cc9c05f87d6d49027f7ca54e64be57bdcc313603266cb53f"),
     ("dpi-local-s1", "dpi"): (
-        1700, "a5808861a1a2f44dc93691789a8bd972e4d49dd65a4905e42be0588861f01133"),
+        771, "011fec423a483c62812f833a7fc344d83d84cd752b4ddf5c6cb58dac98f00561"),
     ("density-s7", "density"): (
-        830, "77346fdbbe9b37fa6bdef789efd938ccc690f9aed1a810041cfe68712c90bbcc"),
+        775, "e717e10acc523a6f713f222507fb3b8f669e19325be0ecb3a7291c9853f43e2b"),
     ("density-local-s7", "density"): (
-        1705, "835940a9d2cb0bf9978e4ed0d4d9f440d1ed20d06a2b8a37f0da7e0777d08b29"),
+        776, "705e9ee81c199f31ae74571d65c1344d8ab72738a8292b79bacb01880dfbc607"),
     ("dpi-s7", "dpi"): (
-        825, "8feaecd083894e790ffa1c0f0981794911b6dec3b79e47938e5819e3b031a408"),
+        770, "9fb7c8d87ca7e1349210ca767b0787b0264bb5086e497d953f76a347f50368d6"),
     ("dpi-local-s7", "dpi"): (
-        1700, "a8e772d04dcae9bdc9e0f3958b6a64dd33ecec61181d9e9daea6203cc13ccc4a"),
+        771, "ad86e3a0c124c398b736f22b0ef60835063c947e0ebb41c8c86807085ab22df8"),
 }
 
 

@@ -416,6 +416,24 @@ class TestIrreducibility:
                 dims.append(meet)
         assert len(dims) == 400 and min(dims) == 1 and max(dims) > 16
 
+    def test_dpi_is_density_on_the_commutant_pairs(self):
+        # A = sum M_b (x) 1_m has the commutant A' = sum 1_b (x) M_m, the
+        # algebra with blocks and mult swapped, and (A1 + w A2 w*)' is
+        # A1' meet w A2' w*.  dpi on (A1, A2) at u = I and density on
+        # (A1', A2') draw sample i from the same stream (7, i), so they agree
+        # sample by sample, on every ordered pair of algebras in M_n, n <= 6
+        def dual(a):
+            return EmbeddedAlgebra(a.ambient_dim, BlockStructure(a.mult), a.structure.blocks)
+
+        pairs = 0
+        for n in range(1, 7):
+            for a1, a2 in product(enumerate_embedded_algebras(n), repeat=2):
+                rep = RepPair(a1.structure, a1.mult, a2.structure, a2.mult, np.eye(n))
+                dims = dpi_probe(rep, 2, 7).dims
+                assert dims == density_experiment(dual(a1), dual(a2), 2, 7).dims, (a1, a2)
+                pairs += 1
+        assert pairs == 1601
+
 
 def kronecker_joint_dim(rep):
     """The oracle: the N^2-column Kronecker commutant of the units of both sides."""
@@ -542,7 +560,7 @@ class TestHalmosOracle:
             for p, q in product(range(1, n), repeat=2):
                 rep = RepPair(C2, (p, n - p), C2, (q, n - q), np.eye(n))
                 try:
-                    dims = dpi_probe(rep, 2, 7, local_radius=radius).dims
+                    dims = dpi_probe(rep, 2, 7, radius=radius).dims
                 except NumericalInstabilityError:
                     raised.append((n, p, q))
                     continue
@@ -557,7 +575,7 @@ class TestHalmosOracle:
     def test_dpi_at_large_n(self, n, p, q, want, radius):
         assert halmos_dim(n, p, q) == want
         rep = RepPair(C2, (p, n - p), C2, (q, n - q), np.eye(n))
-        assert dpi_probe(rep, 1, 7, local_radius=radius).dims == (want,)
+        assert dpi_probe(rep, 1, 7, radius=radius).dims == (want,)
 
 
 class TestDpiProbe:
@@ -587,9 +605,8 @@ class TestDpiProbe:
 
     def test_local_mode(self):
         rep = RepPair(M2, (2,), M2, (2,), haar_unitary(4, 3))
-        stats = dpi_probe(rep, 10, seed=2, local_radius=1e-3)
+        stats = dpi_probe(rep, 10, seed=2, radius=1e-3)
         assert stats.trivial_count == 10
-        assert stats.radius == 1e-3
 
 
 @pytest.mark.filterwarnings("error")
@@ -601,9 +618,9 @@ def test_radius_not_positive_finite_raises(probe, radius):
     with pytest.raises(ValueError, match="positive finite radius"):
         if probe == "density":
             b = EmbeddedAlgebra(4, M2, (2,))
-            density_experiment(b, b, 2, seed=1, local=(None, radius))
+            density_experiment(b, b, 2, seed=1, radius=radius)
         else:
-            dpi_probe(RepPair(C2, (1, 1), C2, (1, 1), np.eye(2)), 2, 1, local_radius=radius)
+            dpi_probe(RepPair(C2, (1, 1), C2, (1, 1), np.eye(2)), 2, 1, radius=radius)
 
 
 @pytest.mark.parametrize("probe", ["density", "dpi"])
@@ -618,8 +635,8 @@ def test_radius_below_resolution_raises(probe):
     def run(radius):
         if probe == "density":
             b = EmbeddedAlgebra(4, BlockStructure((2, 2)), (1, 1))
-            return density_experiment(b, b, 4, seed=1, local=(None, radius))
-        return dpi_probe(RepPair(C2, (2, 2), M2, (2,), np.eye(4)), 4, 1, local_radius=radius)
+            return density_experiment(b, b, 4, seed=1, radius=radius)
+        return dpi_probe(RepPair(C2, (2, 2), M2, (2,), np.eye(4)), 4, 1, radius=radius)
 
     for radius in (1e-15, 1e-300, 5e-324, bound):
         with pytest.raises(ValueError, match=f"radius {radius!r} is below resolution"):
@@ -644,6 +661,10 @@ class TestStagedBuild:
         for k, stage in enumerate(build.stages, start=1):
             assert stage.bound < 0.5 / ((k + 1) * (k + 2))
         assert build.total_bound < 0.25
+        # what the build decided, not its inputs (epsilon, seed), which a
+        # report states once, in its config
+        assert list(vars(build)) == ["stages", "cumulative"]
+        assert list(build.to_json_dict()) == ["total_perturbation", "stages"]
 
     def test_cumulative_product_invariant(self):
         from scipy.linalg import block_diag
@@ -934,16 +955,16 @@ def use_sequential_search(monkeypatch):
     monkeypatch.setattr(subalg.freeprod, "_search_stage_unitary", sequential_search)
 
 
-def sequential_dpi(rep, samples, seed, local_radius=None):
+def sequential_dpi(rep, samples, seed, radius=None):
     decide = sequential_kernel(rep.algebra1, [rep.mult1], rep.algebra2, [rep.mult2])
     eye = np.eye(rep.dim, dtype=complex)
     dims = []
     for i in range(samples):
         rng = sample_stream(seed, i)
-        if local_radius is None:
+        if radius is None:
             w = sequential_haar(rep.dim, rng)
         else:
-            w = sequential_local(eye, local_radius, rng)
+            w = sequential_local(eye, radius, rng)
         dims.append(decide(w @ rep.u))
     return tuple(dims)
 
@@ -1098,8 +1119,8 @@ class TestStackedDecisions:
             RepPair(C2, (n - n // 2, n // 2), C2, (n // 2, n - n // 2), haar_unitary(n, rng)),
         ]
         for rep in reps:
-            got = outcome(lambda: dpi_probe(rep, 7, n, local_radius=radius).dims)
-            assert got == sequential_dpi(rep, 7, n, local_radius=radius)
+            got = outcome(lambda: dpi_probe(rep, 7, n, radius=radius).dims)
+            assert got == sequential_dpi(rep, 7, n, radius=radius)
 
     def test_first_unstable_dpi_sample_raises_as_before(self, budget):
         # at the cutoff 1e-6 and radius 5e-5, samples 2 and 5 of seed 5 are unstable,
@@ -1111,7 +1132,7 @@ class TestStackedDecisions:
             outcomes = [outcome(decide, w) for w in draws]
             unstable = {i: o for i, o in enumerate(outcomes) if o != 2}
             assert sorted(unstable) == [2, 5] and unstable[2] != unstable[5]
-            assert outcome(dpi_probe, rep, 10, 5, local_radius=5e-5) == unstable[2]
+            assert outcome(dpi_probe, rep, 10, 5, radius=5e-5) == unstable[2]
 
     @pytest.mark.parametrize(
         "draws, tries",
@@ -1201,7 +1222,7 @@ class TestStackedDecisions:
         rep = RepPair(BlockStructure((1,)), (4,), C2, (2, 2), np.eye(4))
         assert joint_commutant_dim(rep) == 8
         assert dpi_probe(rep, 3, 1).dims == (8, 8, 8)
-        assert dpi_probe(rep, 3, 1, local_radius=1e-3).dims == (8, 8, 8)
+        assert dpi_probe(rep, 3, 1, radius=1e-3).dims == (8, 8, 8)
         # each dpi run decides its three draws in stacks of 1 and 2
         assert shapes == [(1, 0, 4, 4)] + [(1, 0, 4, 4), (2, 0, 4, 4)] * 2
 

@@ -25,6 +25,7 @@ from subalg.errors import NumericalInstabilityError, ShapeMismatchError
 from subalg.numeric import (
     EPS,
     ConcreteRealization,
+    DensityStats,
     UnitLayout,
     _commutator_system,
     _copy_indices,
@@ -760,7 +761,7 @@ class TestIntersect:
         # in the residual of M4 against a nearby conjugate, above the noise
         # floor of 32 eps and so inside the stability band; the second
         # projection takes it far below
-        stats = density_experiment(M4, M4, 8, seed=11, local=(None, 1e-3))
+        stats = density_experiment(M4, M4, 8, seed=11, radius=1e-3)
         assert stats.dims == (16,) * 8
         r = realize(M4)
         oracle = sample_dims(
@@ -1053,7 +1054,7 @@ class TestGatherPath:
 
         center, diagnostics = _parse_unitary(matrix_to_json(haar_unitary(4, 3)), "/center", 4)
         assert diagnostics == []
-        stats = density_experiment(M2M2, M2M2, 6, seed=5, local=(center, 1e-3))
+        stats = density_experiment(M2M2, M2M2, 6, seed=5, radius=1e-3, center=center)
         r = realize(M2M2)
         oracle = sample_dims(
             4, 6, 5, 1e-3,
@@ -1072,7 +1073,7 @@ class TestGatherPath:
         # answers; the rank decisions alone decide them
         m8m8 = EmbeddedAlgebra(16, BlockStructure((8, 8)), (1, 1))
         for radius in (1e-4, 1e-6, 1e-8, 1e-10):
-            assert density_experiment(m8m8, m8m8, 2, seed, local=(None, radius)).dims == (8, 8)
+            assert density_experiment(m8m8, m8m8, 2, seed, radius=radius).dims == (8, 8)
 
 
 def _embedded(blocks, mult):
@@ -1154,13 +1155,12 @@ class TestHalmosOracle:
     def test_density_is_exact_or_raises(self, radius):
         # 2 samples at seed 7 for every 1 <= p, q < n <= 10: each run gives
         # the exact answer on both samples or raises NumericalInstabilityError
-        local = None if radius is None else (None, radius)
         wrong, raised = [], []
         for n in range(2, 11):
             for p, q in itertools.product(range(1, n), repeat=2):
                 b1, b2 = _embedded((p, n - p), (1, 1)), _embedded((q, n - q), (1, 1))
                 try:
-                    dims = density_experiment(b1, b2, 2, 7, local).dims
+                    dims = density_experiment(b1, b2, 2, 7, radius=radius).dims
                 except NumericalInstabilityError:
                     raised.append((n, p, q))
                     continue
@@ -1175,8 +1175,7 @@ class TestHalmosOracle:
     def test_density_at_large_n(self, n, p, q, want, radius):
         assert halmos_dim(n, p, q) == want
         b1, b2 = _embedded((p, n - p), (1, 1)), _embedded((q, n - q), (1, 1))
-        local = None if radius is None else (None, radius)
-        assert density_experiment(b1, b2, 1, 7, local).dims == (want,)
+        assert density_experiment(b1, b2, 1, 7, radius=radius).dims == (want,)
 
 
 class TestDensityExperiment:
@@ -1251,18 +1250,49 @@ class TestDensityExperiment:
         monkeypatch.setattr(subalg.numeric, "realize", no_run)
         monkeypatch.setattr(subalg.numeric, "sample_dims", no_run)
         with pytest.raises(error, match="^center "):
-            density_experiment(M2M2, M2M2, 3, seed=1, local=(center, 1e-3))
+            density_experiment(M2M2, M2M2, 3, seed=1, radius=1e-3, center=center)
 
     def test_a_center_at_the_bound_passes(self):
         # RepPair's bound 10 N^2 eps is 160 eps at N = 4, as validate's: a
         # stretch of 80 eps has the defect 160 eps, and 81 eps 162 eps (a
         # floor of 1e-12 once admitted a stretch of 0.49e-12)
         at, past = (np.diag([1.0 + k * EPS, 1.0, 1.0, 1.0]) for k in (80, 81))
-        assert density_experiment(M2M2, M2M2, 3, seed=1, local=(at, 1e-3)).dims == (2,) * 3
+        assert density_experiment(M2M2, M2M2, 3, seed=1, radius=1e-3, center=at).dims == (2,) * 3
         with pytest.raises(ValueError, match=r"^center is not unitary \(defect 3.597e-14\)"):
-            density_experiment(M2M2, M2M2, 3, seed=1, local=(past, 1e-3))
+            density_experiment(M2M2, M2M2, 3, seed=1, radius=1e-3, center=past)
         with pytest.raises(ValueError, match=r"^center is not unitary \(defect 9.801e-13\)"):
-            density_experiment(M2M2, M2M2, 3, seed=1, local=(np.diag([1 + 0.49e-12, 1, 1, 1]), 1e-3))
+            density_experiment(M2M2, M2M2, 3, seed=1, radius=1e-3, center=np.diag([1 + 0.49e-12, 1, 1, 1]))
+
+    def test_a_center_needs_a_radius(self):
+        with pytest.raises(ValueError, match="^a center needs a radius$"):
+            density_experiment(M2M2, M2M2, 3, seed=1, center=np.eye(4))
+
+    def test_a_center_at_the_bound_is_used_as_its_polar_factor(self):
+        # C^2 (12, 12) against itself at N = 24 and the center
+        # diag(1 + 2880 eps, 1, ...), whose defect is exactly the bound
+        # 10 N^2 eps.  Conjugating by the center's u* as given puts that
+        # defect into the rank band on every draw; its polar factor (here I
+        # itself) decides as the identity center does, 1 on every draw
+        n = 24
+        c2 = EmbeddedAlgebra(n, BlockStructure((1, 1)), (12, 12))
+        center = np.diag([1.0 + 2880 * EPS] + [1.0] * (n - 1))
+        assert np.linalg.norm(center.conj().T @ center - np.eye(n)) == resolution(n)
+        r = realize(c2)
+        w = local_unitaries(n, 1e-3, [sample_stream(1, 0)])[0]
+        with pytest.raises(NumericalInstabilityError, match="projected system is unstable"):
+            intersect(r, r, center @ w)
+        stats = density_experiment(c2, c2, 4, seed=1, radius=1e-3, center=center)
+        assert stats.dims == (1,) * 4
+        assert stats == density_experiment(c2, c2, 4, seed=1, radius=1e-3, center=np.eye(n))
+
+    def test_stats_hold_only_the_dims(self):
+        # the inputs of a run are stated once, in the report's config
+        assert [f.name for f in dataclasses.fields(DensityStats)] == ["dims"]
+        stats = density_experiment(M2M2, M2M2, 3, seed=1, radius=1e-3, center=np.eye(4))
+        assert stats == DensityStats((2, 2, 2))
+        assert stats.to_json_dict() == {
+            "samples": 3, "trivial_count": 0, "dims_histogram": {"2": 3}, "dims": [2, 2, 2]
+        }
 
     def test_generic_trivial_for_simple_blocks(self):
         stats = density_experiment(M2_MULT2, M2_MULT2, 25, seed=7)
@@ -1275,11 +1305,8 @@ class TestDensityExperiment:
         assert min(stats.dims) == 2
 
     def test_local_mode_near_identity(self):
-        stats = density_experiment(
-            M2_MULT2, M2_MULT2, 25, seed=7, local=(None, 1e-3)
-        )
+        stats = density_experiment(M2_MULT2, M2_MULT2, 25, seed=7, radius=1e-3)
         assert stats.trivial_count == 25
-        assert stats.radius == 1e-3
 
     def test_reproducible_and_order_independent_streams(self):
         a = density_experiment(M2_MULT2, M2_MULT2, 10, seed=42)
