@@ -31,6 +31,11 @@ def _matmul(a, b):
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
 
 
+def _rep_dim(structure: BlockStructure, mult) -> int:
+    """The dimension a multiplicity row of ``structure`` fills."""
+    return sum(m * n for m, n in zip(mult, structure.blocks))
+
+
 @dataclass(frozen=True)
 class BlockStructure:
     """Ordered list of matrix block sizes describing a direct sum of full matrix algebras.
@@ -191,7 +196,7 @@ class EmbeddedAlgebra:
             raise ShapeMismatchError("multiplicity row length does not match block count")
         if any(m < 1 for m in mult):
             raise ValueError(f"ambient multiplicities must be >= 1, got {mult}")
-        total = sum(m * n for m, n in zip(mult, self.structure.blocks))
+        total = _rep_dim(self.structure, mult)
         if total != self.ambient_dim:
             raise ValueError(
                 f"multiplicities {mult} against blocks {self.structure.blocks} "
@@ -467,7 +472,7 @@ def compatible_embeddings(
         raise ShapeMismatchError("multiplicity row length does not match block count")
     if any(m < 1 for m in ambient_mult):
         raise ValueError(f"ambient multiplicities must be >= 1, got {ambient_mult}")
-    if sum(m * n for m, n in zip(ambient_mult, structure.blocks)) != other.ambient_dim:
+    if _rep_dim(structure, ambient_mult) != other.ambient_dim:
         raise DomainError("ambient dimensions differ")
     return _suffixes(structure, other, _suffix_table(structure, other), 0, ambient_mult)
 

@@ -1,8 +1,10 @@
 """Command-line front end: experiment configs, validation, dispatch, and reports.
 
 A run is described by a JSON config file; a handful of flags can override the
-config.  Every report embeds the fully resolved config and the library
-version, and identical (config, seed) pairs produce byte-identical reports.
+config.  The one output is a JSON report, written to ``--out`` or stdout.  It
+embeds the library version and the config fields its command reads, unset ones
+at their defaults, and identical (config, seed) pairs produce byte-identical
+reports.
 
 Exit codes: 0 success, 1 malformed config or command line, 2 hypothesis not
 covered, 3 search exhausted, 4 numerical instability.
@@ -15,7 +17,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from decimal import Decimal
 
 import numpy as np
@@ -24,6 +26,7 @@ from . import __version__
 from .algebra import (
     BlockStructure,
     EmbeddedAlgebra,
+    _rep_dim,
     enumerate_subalgebra_classes,
 )
 from .dimensions import audit_density_hypotheses, dim_report
@@ -46,14 +49,13 @@ from .serialize import (
     is_number,
     load_probe_file,
     matrix_from_json,
-    stats_csv,
 )
 
-# The config fields each command reads.  A config or flag that sets any other
-# field is refused (``load_config``); reports still echo every field.
+# The config fields each command reads, and the fields its report echoes.  A
+# config or flag that sets any other field is refused (``load_config``).
 _SYMBOLIC = ("algebras", "ambient")
 READS = {
-    command: frozenset(("command", "seed", "out", "format") + extra)
+    command: frozenset(("command", "seed", "out") + extra)
     for command, extra in {
         "enumerate": _SYMBOLIC,
         "dims": _SYMBOLIC,
@@ -90,10 +92,10 @@ class ExperimentConfig:
     stages: list | None = None
     max_tries: int = 128
     out: str | None = None
-    format: str = "json"
 
     def resolved_dict(self) -> dict:
-        return asdict(self)
+        """The fields the command reads, unset ones at their defaults."""
+        return {name: getattr(self, name) for name in READS[self.command]}
 
 
 def _pointer(key: str) -> str:
@@ -133,11 +135,11 @@ def _parse_unitary(obj, pointer: str, n: int) -> tuple[np.ndarray | None, list[t
     return mat, []
 
 
-def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str, str]]:
+def _stage_diagnostics(stages: list, algs: dict[int, BlockStructure]) -> list[tuple[str, str]]:
     """Diagnostics for build-primitive stages: pairs of nonnegative integer rows.
 
-    ``blocks`` maps the index of each algebra with a valid block list to that
-    list.  Row i of a stage must have one entry per block of algebra i, and
+    ``algs`` maps the index of each algebra with a valid block list to its
+    structure.  Row i of a stage must have one entry per block of algebra i, and
     the two rows of a stage must fill the same dimension, nonzero in the
     first stage.
     """
@@ -157,18 +159,18 @@ def _stage_diagnostics(stages: list, blocks: dict[int, list]) -> list[tuple[str,
                 diags.append(
                     (f"/stages/{k}/{i}/{j}", f"expected a nonnegative integer, got {row[j]!r}")
                 )
-            if i not in blocks:
+            if i not in algs:
                 continue
-            if len(row) != len(blocks[i]):
+            if len(row) != algs[i].num_blocks:
                 diags.append(
                     (
                         f"/stages/{k}/{i}",
-                        f"expected {len(blocks[i])} entries, one per block of "
+                        f"expected {algs[i].num_blocks} entries, one per block of "
                         f"/algebras/{i}, got {len(row)}",
                     )
                 )
             elif not bad:
-                dims.append(sum(m * n for m, n in zip(row, blocks[i])))
+                dims.append(_rep_dim(algs[i], row))
         if len(dims) == 2 and dims[0] != dims[1]:
             diags.append(
                 (f"/stages/{k}", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
@@ -193,15 +195,15 @@ def _cap_diagnostics(size: int, dim: int, pointer: str) -> list[tuple[str, str]]
                       f"past the {DECISION_BYTES >> 30} GiB cap")]
 
 
-def _stage_decision_diagnostics(stages, blocks: dict[int, list], epsilon) -> list[tuple[str, str]]:
+def _stage_decision_diagnostics(stages, algs: dict, epsilon) -> list[tuple[str, str]]:
     """Diagnostics for the first build stage past the cap or, unless epsilon is None, unresolved.
 
     Runs the build's integer bookkeeping (``stage_layouts``), RCP paddings
-    included, with no search; ``stages`` and both ``blocks`` lists must be
-    valid already.  A stage that adds dimension searches at its dimension at
+    included, with no search; ``stages`` and both ``algs`` must be valid
+    already.  A stage that adds dimension searches at its dimension at
     radius ``stage_budget(epsilon, k) / 2``, which ``sample_dims`` refuses unresolved.
     """
-    alg1, alg2 = (BlockStructure(tuple(blocks[i])) for i in (0, 1))
+    alg1, alg2 = algs[0], algs[1]
     for k, segs1, segs2, earlier, dim, _ in stage_layouts(alg1, alg2, stages):
         found = _cap_diagnostics(decision_bytes(alg1, segs1, alg2, segs2), dim, f"/stages/{k - 1}")
         if found:
@@ -212,8 +214,8 @@ def _stage_decision_diagnostics(stages, blocks: dict[int, list], epsilon) -> lis
     return []
 
 
-def _parse_probe(path, blocks: dict[int, list]) -> tuple[list, list[tuple[str, str]]]:
-    """The probe file's elements and diagnostics for them (``blocks`` as for stages)."""
+def _parse_probe(path, algs: dict[int, BlockStructure]) -> tuple[list, list[tuple[str, str]]]:
+    """The probe file's elements and diagnostics for them (``algs`` as for stages)."""
     if not isinstance(path, str):
         return [], [("/probe", f"expected a file path, got {path!r}")]
     try:
@@ -229,9 +231,9 @@ def _parse_probe(path, blocks: dict[int, list]) -> tuple[list, list[tuple[str, s
         for t, (_, word) in enumerate(element.terms):
             for j, letter in enumerate(word):
                 k = letter.side - 1
-                if k in blocks:
+                if k in algs:
                     at = f"/elements/{i}/terms/{t}/word/{j}/value"
-                    diags += _model_diagnostics(letter.value, blocks[k], f"/algebras/{k}", at)
+                    diags += _model_diagnostics(letter.value, algs[k].blocks, f"/algebras/{k}", at)
         # Every evaluation of the element has norm at most ``scale``; a build's
         # residuals and Lipschitz bounds stay below 4 (longest word + 1) scale.
         # Entrywise 1-norms, of coefficients too, overflow to inf, never raise.
@@ -245,7 +247,7 @@ def _parse_probe(path, blocks: dict[int, list]) -> tuple[list, list[tuple[str, s
     return probe, diags
 
 
-def _model_diagnostics(value, blocks: list, algebra: str, pointer: str) -> list[tuple[str, str]]:
+def _model_diagnostics(value, blocks: tuple, algebra: str, pointer: str) -> list[tuple[str, str]]:
     """Diagnostics for a matrix that must be an element of the block model of ``blocks``.
 
     Entries outside the diagonal blocks must be exactly zero: ``amplify``
@@ -265,8 +267,9 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
     """The config's parsed values, and every violation as a (json-pointer, message).
 
     ``parsed`` holds ``algebras``, a (BlockStructure, mult tuple or None) per
-    spec, the ``density`` ``center``, the ``dpi`` ``u`` (the identity when
+    valid spec, the ``density`` ``center``, the ``dpi`` ``u`` (the identity when
     absent) and the ``probe`` elements; ``run`` needs it without diagnostics.
+    What needs the run's dimension waits until the algebras are valid and fill it.
     """
     parsed: dict = {"algebras": [], "center": None, "u": None, "probe": []}
     diags: list[tuple[str, str]] = []
@@ -291,7 +294,7 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         algebras = algebras[:want]
 
     needs_mult = cmd != "build-primitive"
-    valid_blocks: dict[int, list] = {}
+    algs: dict[int, BlockStructure] = {}
     for i, spec in enumerate(algebras):
         if not isinstance(spec, dict):
             diags.append((f"/algebras/{i}", "algebra spec must be an object"))
@@ -307,81 +310,78 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         ):
             diags.append((f"/algebras/{i}/blocks", "blocks must be a list of positive integers"))
             continue
-        valid_blocks[i] = blocks
+        structure = algs[i] = BlockStructure(tuple(blocks))
         if not needs_mult:
-            parsed["algebras"].append((BlockStructure(tuple(blocks)), None))
+            parsed["algebras"].append((structure, None))
             continue
         mult = spec.get("mult")
         if mult is None:
-            diags.append((f"/algebras/{i}/mult", "multiplicity row is required"))
-            continue
-        if not isinstance(mult, list) or len(mult) != len(blocks) or any(
+            why = "multiplicity row is required"
+        elif not isinstance(mult, list) or len(mult) != len(blocks) or any(
             not is_number(m, int) for m in mult
         ):
-            diags.append(
-                (f"/algebras/{i}/mult", "mult must be an integer list matching blocks")
-            )
-            continue
-        if cmd in _NEEDS_AMBIENT:
-            if any(m < 1 for m in mult):
-                diags.append((f"/algebras/{i}/mult", "ambient multiplicities must be >= 1"))
-            elif is_number(config.ambient, int):
-                total = sum(m * n for m, n in zip(mult, blocks))
-                if total != config.ambient:
-                    message = f"multiplicities fill dimension {total}, not ambient {config.ambient}"
-                    diags.append((f"/algebras/{i}/mult", message))
-        elif any(m < 0 for m in mult):
-            diags.append((f"/algebras/{i}/mult", "multiplicities must be nonnegative"))
-        parsed["algebras"].append((BlockStructure(tuple(blocks)), tuple(mult)))
+            why = "mult must be an integer list matching blocks"
+        elif cmd not in _NEEDS_AMBIENT:
+            why = "multiplicities must be nonnegative" if min(mult) < 0 else None
+        elif min(mult) < 1:
+            why = "ambient multiplicities must be >= 1"
+        elif is_number(config.ambient, int) and (
+            total := _rep_dim(structure, mult)
+        ) != config.ambient:
+            why = f"multiplicities fill dimension {total}, not ambient {config.ambient}"
+        else:
+            why = None
+        if why:
+            diags.append((f"/algebras/{i}/mult", why))
+        else:
+            parsed["algebras"].append((structure, tuple(mult)))
 
-    step_dim = None  # the dimension a local radius steps in, once known
+    dim = None  # the one dimension the run lives on
+    specs_valid = len(parsed["algebras"]) == want
     if cmd in _NEEDS_AMBIENT:
         if not is_number(config.ambient, int) or config.ambient < 1:
             diags.append(("/ambient", "ambient dimension must be a positive integer"))
-        else:
-            step_dim = config.ambient
-            if config.center is not None:
-                parsed["center"], found = _parse_unitary(config.center, "/center", config.ambient)
-                diags += found
-    if config.center is not None and config.radius is None:
-        diags.append(("/center", "a center needs a radius"))
-
-    if cmd == "density" and not diags:
-        b1, b2 = (EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"])
-        diags += _cap_diagnostics(density_bytes(b1, b2), config.ambient, "/algebras")
-
-    if cmd in ("rcp-balance", "dpi") and not diags:
-        dims = [
-            sum(m * n for m, n in zip(mult, structure.blocks))
-            for structure, mult in parsed["algebras"]
-        ]
-        if dims[0] != dims[1]:
-            diags.append(
-                ("/algebras/1/mult", f"factor dimensions differ: {dims[0]} vs {dims[1]}")
-            )
-        elif cmd == "dpi" and dims[0] == 0:
+        elif specs_valid:
+            dim = config.ambient
+    elif specs_valid and needs_mult:  # rcp-balance and dpi: two factors on one space
+        d1, d2 = (_rep_dim(structure, mult) for structure, mult in parsed["algebras"])
+        if d1 != d2:
+            diags.append(("/algebras/1/mult", f"factor dimensions differ: {d1} vs {d2}"))
+        elif cmd == "dpi" and d1 == 0:
             diags.append(("/algebras/0/mult", "dpi needs a nonzero dimension, got 0"))
-        elif cmd == "dpi":
-            step_dim = dims[0]
+        else:
+            dim = d1
+
+    if dim is not None and cmd in ("density", "dpi"):
+        if cmd == "density":
+            b1, b2 = (EmbeddedAlgebra(dim, s, m) for s, m in parsed["algebras"])
+            size = density_bytes(b1, b2)
+        else:
             (alg1, mult1), (alg2, mult2) = parsed["algebras"]
             size = decision_bytes(alg1, [mult1], alg2, [mult2])
-            found = _cap_diagnostics(size, dims[0], "/algebras")
-            if found:
-                diags += found
-            elif config.u is None:
-                parsed["u"] = np.eye(dims[0], dtype=complex)
-            else:
-                parsed["u"], found = _parse_unitary(config.u, "/u", dims[0])
-                diags += found
+        if found := _cap_diagnostics(size, dim, "/algebras"):  # refused for its size alone
+            diags += found
+            dim = None
+
+    if config.center is not None:
+        if dim is not None:
+            parsed["center"], found = _parse_unitary(config.center, "/center", dim)
+            diags += found
+        if config.radius is None:
+            diags.append(("/center", "a center needs a radius"))
+    if cmd == "dpi" and dim is not None:
+        if config.u is None:
+            parsed["u"] = np.eye(dim, dtype=complex)
+        else:
+            parsed["u"], found = _parse_unitary(config.u, "/u", dim)
+            diags += found
 
     if cmd in _NEEDS_SAMPLES:
         diags.extend(_count_diagnostics(config.samples, "samples"))
 
     if config.radius is not None:
         found = _positive_finite_diagnostics(config.radius, "/radius")
-        # a dimension past float range is refused at its own pointer
-        if not found and is_finite_real(step_dim) and (
-                why := _radius_unresolved(step_dim, config.radius)):
+        if not found and dim is not None and (why := _radius_unresolved(dim, config.radius)):
             found = [("/radius", why)]
         diags += found
 
@@ -391,14 +391,14 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         if not isinstance(config.stages, list) or not config.stages:
             diags.append(("/stages", "stages must be a nonempty list of multiplicity-row pairs"))
         else:
-            found = _stage_diagnostics(config.stages, valid_blocks)
-            if not found and {0, 1} <= valid_blocks.keys():
+            found = _stage_diagnostics(config.stages, algs)
+            if not found and {0, 1} <= algs.keys():
                 epsilon = None if bad_epsilon else config.epsilon
-                found = _stage_decision_diagnostics(config.stages, valid_blocks, epsilon)
+                found = _stage_decision_diagnostics(config.stages, algs, epsilon)
             diags += found
         diags.extend(_count_diagnostics(config.max_tries, "max_tries"))
         if config.probe is not None:
-            parsed["probe"], found = _parse_probe(config.probe, valid_blocks)
+            parsed["probe"], found = _parse_probe(config.probe, algs)
             diags += found
 
     if config.out is not None and not isinstance(config.out, str):
@@ -407,14 +407,8 @@ def validate(config: ExperimentConfig) -> tuple[dict, list[tuple[str, str]]]:
         folder = os.path.dirname(config.out) or "."
         if not os.path.isdir(folder):
             diags.append(("/out", f"cannot write {config.out!r}: no directory {folder!r}"))
-        for path in [config.out] + [config.out + ".csv"] * (config.format == "csv"):
-            if os.path.isdir(path):
-                diags.append(("/out", f"cannot write {path!r}: it is a directory"))
-
-    if config.format not in ("json", "csv"):
-        diags.append(("/format", "format must be 'json' or 'csv'"))
-    elif config.format == "csv" and cmd not in _NEEDS_SAMPLES:
-        diags.append(("/format", f"command {cmd!r} has no per-sample CSV output"))
+        elif os.path.isdir(config.out):
+            diags.append(("/out", f"cannot write {config.out!r}: it is a directory"))
 
     return parsed, diags
 
@@ -459,12 +453,11 @@ def load_config(
     return config, diagnostics
 
 
-def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
-    """Execute a config on ``validate``'s values; returns (exit code, report, CSV or None)."""
+def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict]:
+    """Execute a config on ``validate``'s values; returns (exit code, report)."""
     cmd = config.command
     status = "ok"
     exit_code = 0
-    csv_text = None
     if cmd in _NEEDS_AMBIENT:  # algebras embedded in M_ambient
         b = [EmbeddedAlgebra(config.ambient, s, m) for s, m in parsed["algebras"]]
     else:  # the free-product commands: two factors on one space
@@ -489,9 +482,9 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
             exit_code = 2
 
     elif cmd == "density":
-        stats = density_experiment(
+        result = density_experiment(
             b[0], b[1], config.samples, config.seed, radius=config.radius, center=parsed["center"]
-        )
+        ).to_json_dict()
 
     elif cmd == "rcp-balance":
         balance = rcp_balance(alg1, mult1, alg2, mult2)
@@ -509,7 +502,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
 
     elif cmd == "dpi":
         rep = RepPair(alg1, mult1, alg2, mult2, parsed["u"])
-        stats = dpi_probe(rep, config.samples, config.seed, radius=config.radius)
+        result = dpi_probe(rep, config.samples, config.seed, radius=config.radius).to_json_dict()
 
     elif cmd == "build-primitive":
         try:
@@ -533,11 +526,6 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
                 "tries": exc.tries,
             }
 
-    if cmd in _NEEDS_SAMPLES:
-        result = stats.to_json_dict()
-        if config.format == "csv":
-            csv_text = stats_csv(stats.dims)
-
     report = {
         "version": __version__,
         "command": cmd,
@@ -545,7 +533,7 @@ def run(config: ExperimentConfig, parsed: dict) -> tuple[int, dict, str | None]:
         "config": config.resolved_dict(),
         "result": result,
     }
-    return exit_code, report, csv_text
+    return exit_code, report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -567,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--samples", type=int, default=None)
     parser.add_argument("--out", default=None, help="report output path (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
 
 
@@ -587,7 +574,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        exit_code, report, csv_text = run(config, parsed)
+        exit_code, report = run(config, parsed)
     except NumericalInstabilityError as exc:
         print(f"numerical instability: {exc}", file=sys.stderr)
         return 4
@@ -600,16 +587,11 @@ def main(argv=None) -> int:
         try:
             with open(config.out, "w") as fh:
                 fh.write(text)
-            if csv_text is not None:
-                with open(config.out + ".csv", "w") as fh:
-                    fh.write(csv_text)
         except OSError as exc:  # validate checked the path, but writing can still fail
             print(f"/out: cannot write {exc.filename!r}: {exc.strerror}", file=sys.stderr)
             return 1
     else:
         sys.stdout.write(text)
-        if csv_text is not None:
-            sys.stdout.write(csv_text)
     return exit_code
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import BlockStructure, _int_tuple
+from .algebra import BlockStructure, _int_tuple, _rep_dim
 from .errors import NumericalInstabilityError, SearchExhaustedError, ShapeMismatchError
 from .numeric import (
     DRAW_MATRICES,
@@ -126,10 +126,6 @@ def _mult_row(alg: BlockStructure, row) -> tuple[int, ...]:
     if min(row) < 0:
         raise ValueError(f"multiplicities must be nonnegative, got {row}")
     return row
-
-
-def _rep_dim(alg: BlockStructure, mult) -> int:
-    return sum(m * n for m, n in zip(mult, alg.blocks))
 
 
 def evaluate(rep: RepPair, x: FreeElement) -> np.ndarray:

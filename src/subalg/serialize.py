@@ -1,4 +1,4 @@
-"""JSON and CSV encodings shared by the CLI and report writers.
+"""JSON encodings shared by the CLI and report writers.
 
 Complex matrices travel as row-major arrays of [re, im] pairs with an explicit
 shape, which is lossless and language-neutral.  Reports are serialized with
@@ -104,8 +104,3 @@ def load_probe_file(path: str) -> list[FreeElement]:
 def canonical_json(obj) -> str:
     """Deterministic JSON text: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, indent=2, separators=(",", ": ")) + "\n"
-
-
-def stats_csv(dims) -> str:
-    """Per-sample CSV: a header, then one ``sample,intersection_dim`` line per dimension."""
-    return "sample,intersection_dim\n" + "".join(f"{i},{d}\n" for i, d in enumerate(dims))

@@ -179,6 +179,18 @@ class TestValidation:
         assert report is None
         assert message in capsys.readouterr().err
 
+    def test_ambient_the_algebras_do_not_fill_is_diagnosed_once(self, tmp_path, capsys):
+        # the run's dimension is known only once the algebras fill ambient, so
+        # neither the center nor the radius is held to 10**200; the radius
+        # was refused as below a resolution of inf
+        payload = dict(M2_PAIR, ambient=10**200, samples=2, radius=1e-3, center=_EYE4)
+        code, report, _ = run_cli(tmp_path, "density", payload)
+        assert (code, report) == (1, None)
+        assert capsys.readouterr().err == "".join(
+            f"/algebras/{i}/mult: multiplicities fill dimension 4, not ambient {10**200}\n"
+            for i in (0, 1)
+        )
+
     def test_density_center_not_unitary_exits_1(self, tmp_path, capsys):
         payload = dict(M2_PAIR, samples=5, radius=1e-3, center=matrix_to_json(2 * np.eye(4)))
         code, report, _ = run_cli(tmp_path, "density", payload)
@@ -628,27 +640,26 @@ class TestValidation:
         assert f"{path}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "out, csv, message",
+        "out, in_config, message",
         [
             ("missing/report.json", False, "no directory"),
             ("folder", False, "it is a directory"),
-            ("report", True, "'{}.csv': it is a directory"),
+            ("folder", True, "it is a directory"),
         ],
     )
     def test_unwritable_out_exits_1_before_running(
-        self, tmp_path, capsys, monkeypatch, out, csv, message
+        self, tmp_path, capsys, monkeypatch, out, in_config, message
     ):
-        # refused by validate, before a sample is drawn or a report written
+        # refused by validate, before a sample is drawn or a report written,
+        # whether the path comes from --out or from the config's out
         (tmp_path / "folder").mkdir()
-        (tmp_path / "report.csv").mkdir()
         monkeypatch.setattr(subalg.cli, "run", lambda *a: pytest.fail("the run started"))
-        cfg = write_config(tmp_path / "config.json", dict(M2_PAIR, samples=3))
         path = str(tmp_path / out)
-        argv = ["density", "--config", cfg, "--out", path] + ["--format", "csv"] * csv
+        payload = dict(M2_PAIR, samples=3, **({"out": path} if in_config else {}))
+        cfg = write_config(tmp_path / "config.json", payload)
+        argv = ["density", "--config", cfg] + ["--out", path] * (not in_config)
         assert main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("/out: cannot write ") and message.format(path) in err
-        assert not (tmp_path / "report").exists()
+        assert capsys.readouterr().err.startswith(f"/out: cannot write {path!r}: {message}")
 
     def test_failed_report_write_exits_1(self, tmp_path, capsys):
         # a file name past the system's limit passes validate and fails to open
@@ -885,13 +896,15 @@ class TestValidation:
             ("build-primitive", dict(BUILD_M2, max_trys=4), "/max_trys"),
             ("density", dict(M2_PAIR, samples=2, **{"a/b~c": 1}), "/a~1b~0c"),
             ("dpi", dict(M2_FACTORS, samples=2, tolerance=1000), "/tolerance"),
+            ("density", dict(M2_PAIR, samples=2, format="json"), "/format"),
         ],
     )
     def test_unknown_field_exits_1(self, tmp_path, capsys, command, payload, pointer):
         # a misspelled field would be dropped, and its default would run
         # (a density run without its radius is global); the pointer escapes
         # '~' and '/' as RFC 6901 does.  The rank tolerance is no field: every
-        # cutoff is the default one
+        # cutoff is the default one.  Nor is the output format: the JSON
+        # report is the one output
         code, report, _ = run_cli(tmp_path, command, payload)
         assert (code, report) == (1, None)
         assert capsys.readouterr().err == f"{pointer}: unknown field\n"
@@ -908,7 +921,7 @@ VALID_CONFIGS = {
     "enumerate": {"algebras": [{"blocks": [2], "mult": [2]}], "ambient": 4, "seed": 7},
     "dims": M2_PAIR,
     "thm41-check": M2_PAIR,
-    "density": dict(M2_PAIR, samples=2, radius=1e-3, center=_EYE4, format="json"),
+    "density": dict(M2_PAIR, samples=2, radius=1e-3, center=_EYE4),
     "rcp-balance": {"algebras": [{"blocks": [1, 1], "mult": [2, 2]},
                                  {"blocks": [2], "mult": [2]}], "seed": 1},
     "dpi": {"algebras": [{"blocks": [2], "mult": [2]}, {"blocks": [2], "mult": [2]}],
@@ -973,13 +986,15 @@ class TestFieldsReadByCommand:
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_valid_config_runs(self, tmp_path, command):
+        # and its report echoes exactly the fields the command reads
         code, report, _ = run_cli(tmp_path, command, valid_payload(command, tmp_path))
         assert code == 0 and report["status"] == "ok"
+        assert set(report["config"]) == READS[command]
 
     def test_table(self):
-        # 42 settable fields over the seven commands, each read by some command
+        # 35 settable fields over the seven commands, each read by some command
         assert len(_UNREAD) == 7 * len(_CONFIG_FIELDS) - sum(map(len, READS.values()))
-        assert sum(len(read - {"command"}) for read in READS.values()) == 42
+        assert sum(len(read - {"command"}) for read in READS.values()) == 35
         assert set().union(*READS.values()) == _CONFIG_FIELDS
 
     @pytest.mark.parametrize("command, name", _UNREAD)
@@ -1160,15 +1175,6 @@ class TestCommands:
         assert code == 0
         assert report["result"]["trivial_count"] == 0
 
-    def test_density_csv(self, tmp_path):
-        payload = dict(M2_PAIR, samples=5)
-        code, report, out = run_cli(tmp_path, "density", payload, ["--format", "csv"])
-        assert code == 0
-        csv_text = (tmp_path / "report.json.csv").read_text()
-        lines = csv_text.strip().splitlines()
-        assert lines[0] == "sample,intersection_dim"
-        assert len(lines) == 6
-
     def test_density_instability_exits_4(self, tmp_path, capsys):
         # M2+M2 against local conjugates of itself at radius 1e-13: the step
         # is below what the projected system's rank decision resolves.  The
@@ -1275,6 +1281,15 @@ class TestCommands:
 
 
 class TestReportDeterminism:
+    @pytest.mark.parametrize("command", ["density", "dpi"])
+    def test_stdout_is_the_one_report(self, tmp_path, capsys, command):
+        # without --out, stdout is one JSON document (json.loads refuses
+        # anything after it), the report and nothing else
+        cfg = write_config(tmp_path / "config.json", VALID_CONFIGS[command])
+        assert main([command, "--config", cfg]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "ok" and report["config"]["out"] is None
+
     def test_byte_identical_reruns(self, tmp_path):
         payload = dict(M2_PAIR, samples=6)
         cfg = write_config(tmp_path / "c.json", payload)
@@ -1323,29 +1338,29 @@ PINNED_PAIRS = {
 # (pair, command) -> (size in bytes, sha256) of the report
 PINNED_REPORTS = {
     ("case4", "dims"): (
-        29103, "db9224d5fff1ff3cdca4e0eac5577acd9e6cfe4c32be027a2ebccc184cdcd0b5"),
+        28923, "4c1a53ac730cbd20ff844104505be0fed6ba6190d7fc73bedd8f8ecd6e90f206"),
     ("case4", "thm41-check"): (
-        17408, "86f1d0228254c528f0791aa6a1e0e49ffc04e2c8253dcbcfd5b339af4f59a70d"),
+        17228, "e30ffdc80d180d37cfb423076065548f9639fee01620172e5c13a0d94841f259"),
     ("case1", "dims"): (
-        2526, "7a5b186057be4dec268ab5747ab75bb0672ea22faa44359cd2f6f6f803e577cc"),
+        2346, "db298db81d59b9c7170c7e557705767f054321f444be33115c3a8a33f1b637f5"),
     ("case1", "thm41-check"): (
-        1838, "ce4052b6af08ad1d6f15218b4391e94672ad1b7b635a361231d645260761eb7c"),
+        1658, "1afc5173ac94ca06ef03933ef50b8b9eb005d56a4606865c2a963fa595e5ceb2"),
     ("density-s1", "density"): (
-        775, "9e04b158b81c6508786ed3b2ed9c10596251c5bfc2b76ecebe9962c7ab8fc7dc"),
+        656, "d2c2a2356478ba6e37b8d35e8dc08a316bc68b13d15234b1401fc58fee12f97d"),
     ("density-local-s1", "density"): (
-        776, "8d557487c043ecd12c8b1d51a05abc34d64bf83da329f4875f2216e9e95538b9"),
+        657, "93908e9b3047c92dd2b5729881a204c40ea8c38e93c7fe1d4c54fc08cb198094"),
     ("dpi-s1", "dpi"): (
-        770, "4ddc119d874be894cc9c05f87d6d49027f7ca54e64be57bdcc313603266cb53f"),
+        625, "f34c96987bbe9c917235b3dab24d736b447686b0b51c19676ed77422a348615c"),
     ("dpi-local-s1", "dpi"): (
-        771, "011fec423a483c62812f833a7fc344d83d84cd752b4ddf5c6cb58dac98f00561"),
+        626, "60eec58d4c7d33ef83195cb82876a17141776d5a536256532349c91e260a8ee0"),
     ("density-s7", "density"): (
-        775, "e717e10acc523a6f713f222507fb3b8f669e19325be0ecb3a7291c9853f43e2b"),
+        656, "b97876d90d9490552b5ad3e48e0dd1b609c0290bad64165c282a9765faa2f9ab"),
     ("density-local-s7", "density"): (
-        776, "705e9ee81c199f31ae74571d65c1344d8ab72738a8292b79bacb01880dfbc607"),
+        657, "f411c16421b83be0f4bc1884a681252d4ce3fa641cc41f244ea4bf12ff9f6341"),
     ("dpi-s7", "dpi"): (
-        770, "9fb7c8d87ca7e1349210ca767b0787b0264bb5086e497d953f76a347f50368d6"),
+        625, "b662cc0a1aff45428ec217a09f2e8768378b52a008fe8da5563ec6c0f04d639a"),
     ("dpi-local-s7", "dpi"): (
-        771, "ad86e3a0c124c398b736f22b0ef60835063c947e0ebb41c8c86807085ab22df8"),
+        626, "662ff3849b90e717a2949b85fab7d89cb5441149bdc07785666f457a8c460ef4"),
 }
 
 
@@ -1394,7 +1409,7 @@ def test_build_stages_pinned(tmp_path, build, seed):
 
 
 def subcommand_parser():
-    """The reference: one subparser per command, each with the five options."""
+    """The reference: one subparser per command, each with the four options."""
     parser = argparse.ArgumentParser(prog="subalg")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -1403,7 +1418,6 @@ def subcommand_parser():
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default=None)
     return parser
 
 
@@ -1412,7 +1426,8 @@ OPTION_VALUES = [
     ("--seed", "12"),
     ("--samples", "3"),
     ("--out", "report.json"),
-    ("--tolerance", "1e-9"),  # no such option: both parsers refuse it
+    # no such options: both parsers refuse them
+    ("--tolerance", "1e-9"),
     ("--format", "csv"),
     ("--format", "json"),
 ]
@@ -1432,10 +1447,10 @@ class TestParser:
 
         got = parsed(build_parser())
         assert got == parsed(subcommand_parser())
-        if option[:1] == ("--tolerance",):
+        if option[:1] in (("--tolerance",), ("--format",)):
             assert got == "refused"
         else:
-            assert set(got) == {"command", "config", "seed", "samples", "out", "format"}
+            assert set(got) == {"command", "config", "seed", "samples", "out"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -1443,7 +1458,7 @@ class TestParser:
             [],
             ["dpi"],
             ["nope", "--config", "c.json"],
-            ["dpi", "--config", "c.json", "--format", "xml"],
+            ["density", "--config", "c.json", "--format", "csv"],
             ["dpi", "--config", "c.json", "--seed", "x"],
             ["dpi", "--config", "c.json", "--bogus"],
             ["dpi", "density", "--config", "c.json"],

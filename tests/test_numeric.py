@@ -1,8 +1,6 @@
 """Tests for realizations, Haar sampling, commutants, intersections, and density runs."""
 
-import csv
 import dataclasses
-import io
 import itertools
 import math
 import tracemalloc
@@ -48,7 +46,6 @@ from subalg.numeric import (
     sample_dims,
     sample_stream,
 )
-from subalg.serialize import stats_csv
 from oracles import (
     ambient_embedding,
     ambient_row,
@@ -1320,16 +1317,6 @@ class TestDensityExperiment:
         stats = density_experiment(M2M2, M2_MULT2, 12, seed=3)
         assert sum(stats.dims_histogram.values()) == stats.samples
         assert stats.trivial_count == stats.dims_histogram.get(1, 0)
-
-    def test_stats_csv(self):
-        # the bytes the csv module writes: the header, then one row per sample
-        stats = density_experiment(M2_MULT2, M2_MULT2, 4, seed=0)
-        buf = io.StringIO()
-        csv.writer(buf, lineterminator="\n").writerows(
-            [("sample", "intersection_dim"), *enumerate(stats.dims)]
-        )
-        assert stats_csv(stats.dims) == buf.getvalue()
-        assert stats_csv((1, 12, 3)) == "sample,intersection_dim\n0,1\n1,12\n2,3\n"
 
 
 @pytest.mark.parametrize("n", [2, 4, 16])
